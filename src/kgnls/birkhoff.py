@@ -162,6 +162,15 @@ def _solve(P: PolyHamiltonian, div_of, J, nongauge_floor: float | None
             kmin)
 
 
+def _check_window(J, M: int) -> None:
+    """A tangential mode outside the window has no monomials to touch;
+    solving without it would silently drop it from J."""
+    outside = [j for j in J if abs(j) > M]
+    if outside:
+        raise ValueError(
+            f"tangential modes {outside} outside the window |j| <= {M}")
+
+
 def _residual(div_of, G: PolyHamiltonian, P: PolyHamiltonian,
               Lp: PolyHamiltonian, Ph: PolyHamiltonian) -> float:
     """Max coefficient of {Lambda, G} + P - Lambda_plus - P_hat relative
@@ -185,7 +194,10 @@ def solve_cohomological_quartic(P: PolyHamiltonian, freq: FrequencyTable,
     Lambda_plus agrees with the closed form
         1/2 sum_{i or j in J} N_ij / ((1+h nu_i)(1+h nu_j)) |z_i|^2 |z_j|^2,
     N_ij = 3/(8 pi) (2 - delta_ij).
+
+    Raises ValueError when a mode of J lies outside |j| <= freq.M.
     """
+    _check_window(J, freq.M)
     div_of = lambda m: _divisor_split(m, freq)  # noqa: E731
     G, Lp, Ph, kmin = _solve(P, div_of, J,
                              nongauge_floor=1e-8 * freq.c ** 2)
@@ -200,8 +212,10 @@ def solve_cohomological_nls(P_nls: PolyHamiltonian, J, M: int
     """Same solve with the parabolic frequencies lambda_j = j^2/2.
 
     The momentum selection rule excludes exact zero divisors outside the
-    resonant pairing set; an exact zero raises DivisorAnomaly.
+    resonant pairing set; an exact zero raises DivisorAnomaly.  A mode of
+    J outside |j| <= M raises ValueError.
     """
+    _check_window(J, M)
     div_of = lambda m: math.fsum(0.5 * s * j * j for j, s in m)  # noqa: E731
     G, Lp, Ph, kmin = _solve(P_nls, div_of, J, nongauge_floor=None)
     res = _residual(div_of, G, P_nls, Lp, Ph)

@@ -31,7 +31,8 @@ class ConfigError(Exception):
 
 def _load_config(path, defaults: dict, schema: dict) -> dict:
     """Merge file config over defaults; reject unknown keys and wrong
-    types.  Schema maps key -> type or tuple of types."""
+    types (a JSON bool is not an int).  Schema maps key -> type or tuple of
+    types."""
     cfg = dict(defaults)
     if path is not None:
         try:
@@ -47,11 +48,16 @@ def _load_config(path, defaults: dict, schema: dict) -> dict:
                                   f"(allowed: {sorted(schema)})")
             cfg[key] = val
     for key, typ in schema.items():
-        if key in cfg and cfg[key] is not None \
-                and not isinstance(cfg[key], typ):
+        val = cfg.get(key)
+        if val is None:
+            continue
+        allowed = typ if isinstance(typ, tuple) else (typ,)
+        # bool subclasses int: true/false must not pass as a number
+        if not isinstance(val, typ) \
+                or (isinstance(val, bool) and bool not in allowed):
             raise ConfigError(
                 f"config key {key!r}: expected {typ}, got "
-                f"{type(cfg[key]).__name__} = {cfg[key]!r}")
+                f"{type(val).__name__} = {val!r}")
     return cfg
 
 
@@ -217,9 +223,12 @@ def birkhoff_cmd(config_path, seed, out_dir, workers, strict):
     from .hamiltonian import build_P
     from .spectral_core import FrequencyTable
     ft = FrequencyTable(c=float(cfg["c"]), M=cfg["M"])
+    P = build_P(ft, cfg["M"])
     try:
-        nf = solve_cohomological_quartic(build_P(ft, cfg["M"]), ft,
-                                         tuple(cfg["J"]))
+        nf = solve_cohomological_quartic(P, ft, tuple(cfg["J"]))
+    except ValueError as exc:  # a mode of J outside the window
+        click.echo(f"config error: {exc}", err=True)
+        sys.exit(EXIT_CONFIG)
     except DivisorAnomaly as exc:
         click.echo(f"numeric anomaly: {exc}", err=True)
         sys.exit(EXIT_NUMERIC)

@@ -15,12 +15,19 @@ Poisson bracket convention:
     {F, G} = i * sum_j (dF/dzbar_j dG/dz_j - dF/dz_j dG/dzbar_j)
 so that for the diagonal quadratic Lambda = sum lambda_j z_j zbar_j,
     {Lambda, m} = i (sigma . lambda) m    for a monomial m.
+
+The kernels (`value`, `vector_field`, `poisson_bracket`, the majorant's
+coefficient sup) work on a term table built from ``terms``: per degree an
+int array of slot codes ``2 (j + W) + (s > 0)`` on a window ``|j| <= W``
+and a complex coefficient vector.  Code order equals slot-tuple order, so
+a sorted code row is a canonical monomial and ``code ^ 1`` is the
+conjugate slot.
 """
 
 from __future__ import annotations
 
 import math
-from collections import defaultdict
+from itertools import chain, combinations_with_replacement
 from typing import Callable, Iterable
 
 import numpy as np
@@ -84,11 +91,17 @@ class Monomial:
 
 class PolyHamiltonian:
     """Sparse polynomial Hamiltonian: map from canonical slot tuples to
-    coefficients.  Zero coefficients are never stored."""
+    coefficients.  Zero coefficients are never stored.
+
+    Instances are immutable: every operation returns a new object, and the
+    term table the kernels read is built from ``terms`` on first use and
+    cached, so ``terms`` must not be changed after construction.
+    """
 
     def __init__(self, terms: dict[Slots, complex] | None = None,
                  check: bool = True):
         self.terms: dict[Slots, complex] = {}
+        self._table_cache = None
         if terms:
             for m, c in terms.items():
                 if c == 0:
@@ -98,6 +111,51 @@ class PolyHamiltonian:
                     raise ValueError(
                         f"monomial {m} violates momentum selection rule")
                 self.terms[m] = self.terms.get(m, 0) + c
+
+    @classmethod
+    def _from_canonical(cls, terms: dict[Slots, complex]
+                        ) -> "PolyHamiltonian":
+        """Adopt `terms` as is: keys already sorted, momentum zero,
+        coefficients nonzero."""
+        H = cls.__new__(cls)
+        H.terms = terms
+        H._table_cache = None
+        return H
+
+    def _table(self, W: int | None = None
+               ) -> dict[int, tuple[np.ndarray, np.ndarray]]:
+        """Term table on the window |j| <= W (default: the smallest window
+        holding every mode): degree -> (codes (T, d), coefficients (T,))."""
+        if self._table_cache is None:
+            groups: dict[int, tuple[list, list]] = {}
+            for m, c in self.terms.items():
+                keys, coefs = groups.setdefault(len(m), ([], []))
+                keys.append(m)
+                coefs.append(c)
+            slots = {d: np.fromiter(chain.from_iterable(
+                chain.from_iterable(keys)), dtype=np.int64,
+                count=2 * d * len(keys)).reshape(len(keys), d, 2)
+                for d, (keys, _) in groups.items()}
+            W0 = max((int(np.abs(js[:, :, 0]).max())
+                      for js in slots.values() if js.size), default=0)
+            tab = {d: ((2 * (js[:, :, 0] + W0) + (js[:, :, 1] > 0))
+                       .astype(np.int32),
+                       np.array(groups[d][1], dtype=complex))
+                   for d, js in sorted(slots.items())}
+            self._table_cache = (W0, tab)
+        W0, tab = self._table_cache
+        if W is None or W == W0:
+            return tab
+        if W < W0:
+            raise ValueError(
+                f"polynomial has modes up to |j| = {W0}, outside the "
+                f"window |j| <= {W}")
+        shift = 2 * (W - W0)
+        return {d: (codes + shift, c) for d, (codes, c) in tab.items()}
+
+    def _window(self) -> int:
+        self._table()
+        return self._table_cache[0]
 
     # -- basic algebra ----------------------------------------------------
 
@@ -147,13 +205,13 @@ class PolyHamiltonian:
     # -- evaluation -------------------------------------------------------
 
     def value(self, state: FourierState) -> complex:
-        M = state.M
+        zz = _slot_values(state)
         tot = 0.0 + 0.0j
-        for m, c in self.terms.items():
-            v = c
-            for j, s in m:
-                v *= state.z[j + M] if s > 0 else state.zbar[j + M]
-            tot += v
+        for codes, coef in self._table(state.M).values():
+            v = coef.copy()
+            for k in range(codes.shape[1]):
+                v *= zz[codes[:, k]]
+            tot += v.sum()
         return tot
 
     # -- serialization ----------------------------------------------------
@@ -200,21 +258,73 @@ def build_Lambda_nls(M: int) -> PolyHamiltonian:
     return PolyHamiltonian(terms, check=False)
 
 
-def _quartic_multisets(M: int):
-    """Yield (slots, multiplicity) for all momentum-zero degree-4 multisets
-    of slots (j, s), |j| <= M.  Multiplicity counts ordered arrangements."""
-    from itertools import combinations_with_replacement
-    slot_list = [(j, s) for j in range(-M, M + 1) for s in (-1, 1)]
-    for combo in combinations_with_replacement(slot_list, 4):
-        if momentum(combo) != 0:
-            continue
-        counts: dict[tuple[int, int], int] = {}
-        for sl in combo:
-            counts[sl] = counts.get(sl, 0) + 1
-        mult = 24
-        for c in counts.values():
-            mult //= math.factorial(c)
-        yield combo, mult
+def _slot_values(state: FourierState) -> np.ndarray:
+    """[z, zbar] interleaved in slot-code order on the state's window."""
+    zz = np.empty(2 * len(state.z), dtype=complex)
+    zz[0::2] = state.zbar
+    zz[1::2] = state.z
+    return zz
+
+
+def _slot_keys(W: int) -> list[tuple[int, int]]:
+    """One interned (j, s) tuple per slot code on the window |j| <= W."""
+    return [(j, s) for j in range(-W, W + 1) for s in (-1, 1)]
+
+
+# Rows turned into dict keys per batch, and bracket contractions formed per
+# batch: both bound the transient arrays and Python lists of a kernel.
+_ROW_CHUNK = 2048
+_PAIR_CHUNK = 4096
+
+
+def _rows_to_terms(chunks: Iterable[tuple[np.ndarray, np.ndarray]], W: int
+                   ) -> dict[Slots, complex]:
+    """Batches of (sorted code rows, coefficients) -> {canonical slot
+    tuple: coefficient}."""
+    slot = _slot_keys(W)
+    terms: dict[Slots, complex] = {}
+    for rows, coefs in chunks:
+        for r, c in zip(rows.tolist(), coefs.tolist()):
+            terms[tuple(map(slot.__getitem__, r))] = c
+    return terms
+
+
+def _batches(rows: np.ndarray, coefs: np.ndarray):
+    for i in range(0, len(rows), _ROW_CHUNK):
+        yield rows[i:i + _ROW_CHUNK], coefs[i:i + _ROW_CHUNK]
+
+
+def _quartic_rows(M: int) -> np.ndarray:
+    """Sorted slot-code rows of every momentum-zero degree-4 multiset on
+    |j| <= M, in lexicographic order."""
+    n = 2 * (2 * M + 1)
+    tri = np.fromiter(combinations_with_replacement(range(n), 3),
+                      dtype=(np.int32, 3), count=math.comb(n + 2, 3))
+    mom = np.zeros(len(tri), dtype=np.int32)
+    for k in range(3):
+        mom += ((tri[:, k] >> 1) - M) * (2 * (tri[:, k] & 1) - 1)
+    picks, fourth = [], []
+    for s4 in (-1, 1):
+        # s4 * j4 = -mom; the 4th slot closes a sorted row iff code >= 3rd
+        j4 = -s4 * mom
+        code4 = 2 * (j4 + M) + (s4 > 0)
+        ok = (np.abs(j4) <= M) & (code4 >= tri[:, 2])
+        picks.append(np.flatnonzero(ok))
+        fourth.append(code4[ok])
+    idx, code4 = np.concatenate(picks), np.concatenate(fourth)
+    order = np.lexsort((code4, idx))
+    return np.column_stack([tri[idx[order]], code4[order]])
+
+
+def _multiplicity(rows: np.ndarray) -> np.ndarray:
+    """Ordered arrangements of each sorted row: d! / prod(run length!)."""
+    d = rows.shape[1]
+    run = np.ones(len(rows), dtype=np.int64)
+    denom = run.copy()
+    for k in range(1, d):
+        run = np.where(rows[:, k] == rows[:, k - 1], run + 1, 1)
+        denom *= run
+    return math.factorial(d) // denom
 
 
 def build_P(freq: FrequencyTable, M: int | None = None) -> PolyHamiltonian:
@@ -226,27 +336,25 @@ def build_P(freq: FrequencyTable, M: int | None = None) -> PolyHamiltonian:
     M = freq.M if M is None else M
     if M > freq.M:
         raise ValueError("requested truncation exceeds frequency table")
-    terms = {}
+    rows = _quartic_rows(M)
+    w = [freq.w[(rows[:, k] >> 1) - M + freq.M] for k in range(4)]
+    wprod = w[0] * w[1] * w[2] * w[3]
     base = 1.0 / (16.0 * TWO_PI)
-    for combo, mult in _quartic_multisets(M):
-        wprod = 1.0
-        for j, _ in combo:
-            wprod *= freq.w_at(j)
-        terms[combo] = mult * base / math.sqrt(wprod)
-    return PolyHamiltonian(terms, check=False)
+    coefs = _multiplicity(rows) * base / np.sqrt(wprod)
+    return PolyHamiltonian._from_canonical(
+        _rows_to_terms(_batches(rows, coefs), M))
 
 
 def build_P_nls(M: int) -> PolyHamiltonian:
     """Quartic NLS Hamiltonian: the gauge-invariant, weight-free limit of
     build_P (per-arrangement coefficient 1/32pi, i.e. 3/(16pi) per
     sigma-pattern)."""
-    terms = {}
+    rows = _quartic_rows(M)
+    rows = rows[(rows & 1).sum(axis=1) == 2]
     base = 1.0 / (16.0 * TWO_PI)
-    for combo, mult in _quartic_multisets(M):
-        if gauge_sum(combo) != 0:
-            continue
-        terms[combo] = mult * base
-    return PolyHamiltonian(terms, check=False)
+    coefs = _multiplicity(rows) * base
+    return PolyHamiltonian._from_canonical(
+        _rows_to_terms(_batches(rows, coefs), M))
 
 
 def ordered_coefficient(freq: FrequencyTable | None, jvec, sigvec) -> float:
@@ -288,6 +396,58 @@ def split_P(freq: FrequencyTable, M: int | None = None
     return P_nls, P_ng, P_r
 
 
+def _reduce(keys: np.ndarray, vals: np.ndarray
+            ) -> tuple[np.ndarray, np.ndarray]:
+    """Sorted distinct keys and the sum of the values of each."""
+    order = np.argsort(keys)
+    keys = keys[order]
+    first = np.flatnonzero(np.concatenate(([True], keys[1:] != keys[:-1])))
+    return keys[first], np.add.reduceat(vals[order], first)
+
+
+def _merge_last(runs: list) -> None:
+    (k1, v1), (k2, v2) = runs[-2], runs[-1]
+    runs[-2:] = [_reduce(np.concatenate([k1, k2]), np.concatenate([v1, v2]))]
+
+
+def _push_run(runs: list, keys: np.ndarray, vals: np.ndarray) -> None:
+    """Add a batch to a stack of reduced runs, merging the top two while
+    they are of similar size, so each key is re-sorted O(log n) times."""
+    runs.append(_reduce(keys, vals))
+    while len(runs) > 1 and len(runs[-2][0]) <= 2 * len(runs[-1][0]):
+        _merge_last(runs)
+
+
+def _join(want: np.ndarray, col: np.ndarray):
+    """Yield index pairs (fi, gi) with col[gi] == want[fi], in batches of
+    about _PAIR_CHUNK pairs."""
+    order = np.argsort(col, kind="stable")
+    col = col[order]
+    lo = np.searchsorted(col, want, "left")
+    cnt = np.searchsorted(col, want, "right") - lo
+    end = np.cumsum(cnt)
+    r0 = 0
+    while r0 < len(cnt):
+        done = int(end[r0 - 1]) if r0 else 0
+        r1 = max(r0 + 1, int(np.searchsorted(end, done + _PAIR_CHUNK,
+                                             "right")))
+        n = int(end[r1 - 1]) - done
+        if n:
+            c = cnt[r0:r1]
+            fi = np.repeat(np.arange(r0, r1), c)
+            gi = order[np.arange(n)
+                       + np.repeat(lo[r0:r1] - (np.cumsum(c) - c), c)]
+            yield fi, gi
+        r0 = r1
+
+
+def _unpack(keys: np.ndarray, D: int, B: int) -> np.ndarray:
+    rows = np.empty((len(keys), D), dtype=np.int64)
+    for k in range(D - 1, -1, -1):
+        keys, rows[:, k] = np.divmod(keys, B)
+    return rows
+
+
 def poisson_bracket(F: PolyHamiltonian, G: PolyHamiltonian,
                     max_deg: int = 6,
                     prune: float = PRUNE_DEFAULT) -> PolyHamiltonian:
@@ -295,51 +455,84 @@ def poisson_bracket(F: PolyHamiltonian, G: PolyHamiltonian,
 
     Exact for polynomials below the truncation; antisymmetric; the bracket
     of translation-invariant operands is translation invariant.
+
+    Every F slot a and G slot b holding conjugate slots contribute
+    i * s_b * F_m * G_m' to the monomial left after dropping both.  The
+    pairs come from joining F's column a with G's column b; each batch of
+    them is packed into one int64 key per sorted code row and merged into
+    a running sum per output degree.
     """
-    out: dict[Slots, complex] = defaultdict(complex)
-    gterms = list(G.terms.items())
-    for mf, cf in F.terms.items():
-        nf = len(mf)
-        for mg, cg in gterms:
-            if nf + len(mg) - 2 > max_deg:
+    W = max(F._window(), G._window())
+    B = 2 * (2 * W + 1)
+    tf, tg = F._table(W), G._table(W)
+    acc: dict[int, list[tuple[np.ndarray, np.ndarray]]] = {}
+    for df, (f_codes, f_coef) in tf.items():
+        for dg, (g_codes, g_coef) in tg.items():
+            D = df + dg - 2
+            if D > max_deg:
                 continue
-            for a in range(nf):
-                ja, sa = mf[a]
-                for b in range(len(mg)):
-                    jb, sb = mg[b]
-                    if ja == jb and sa == -sb:
-                        mono = canonical(mf[:a] + mf[a + 1:]
-                                         + mg[:b] + mg[b + 1:])
-                        out[mono] += 1j * sb * cf * cg
-    return PolyHamiltonian(
-        {m: c for m, c in out.items() if abs(c) > prune}, check=False)
+            if B ** D >= 2 ** 63:
+                raise ValueError(f"degree {D} on window |j| <= {W} "
+                                 f"overflows the packed monomial key")
+            for a in range(df):
+                f_rest = np.delete(f_codes, a, axis=1)
+                for b in range(dg):
+                    g_rest = np.delete(g_codes, b, axis=1)
+                    g_w = np.where(g_codes[:, b] & 1, 1j, -1j)  # i * s_b
+                    for fi, gi in _join(f_codes[:, a] ^ 1, g_codes[:, b]):
+                        rows = np.concatenate([f_rest[fi], g_rest[gi]],
+                                              axis=1)
+                        rows.sort(axis=1)
+                        keys = np.zeros(len(fi), dtype=np.int64)
+                        for k in range(D):
+                            keys = keys * B + rows[:, k]
+                        vals = g_w[gi] * f_coef[fi] * g_coef[gi]
+                        _push_run(acc.setdefault(D, []), keys, vals)
+
+    def batches():
+        for D, runs in sorted(acc.items()):
+            while len(runs) > 1:
+                _merge_last(runs)
+            keys, vals = runs[0]
+            keep = np.abs(vals) > max(prune, 0.0)
+            for k, v in _batches(keys[keep], vals[keep]):
+                yield _unpack(k, D, B), v
+
+    return PolyHamiltonian._from_canonical(_rows_to_terms(batches(), W))
 
 
 def vector_field(H: PolyHamiltonian, state: FourierState
                  ) -> tuple[np.ndarray, np.ndarray]:
-    """Hamiltonian vector field ( -i dH/dzbar, +i dH/dz ) at `state`."""
-    M = state.M
-    n = 2 * M + 1
-    dz = np.zeros(n, dtype=complex)      # dH/dz_j
-    dzb = np.zeros(n, dtype=complex)     # dH/dzbar_j
-    for m, c in H.terms.items():
-        vals = [state.z[j + M] if s > 0 else state.zbar[j + M] for j, s in m]
-        # derivative w.r.t. each distinct slot
-        seen = set()
-        for a, (j, s) in enumerate(m):
-            if (j, s) in seen:
-                continue
-            seen.add((j, s))
-            cnt = sum(1 for sl in m if sl == (j, s))
-            prod = c * cnt
-            for b, v in enumerate(vals):
-                if b != a:
-                    prod *= v
-            if s > 0:
-                dz[j + M] += prod
-            else:
-                dzb[j + M] += prod
-    return -1j * dzb, 1j * dz
+    """Hamiltonian vector field ( -i dH/dzbar, +i dH/dz ) at `state`.
+
+    The derivative of a term by its slot k is the product of its other
+    factors; summing over every slot position counts repeated slots with
+    their multiplicity.
+    """
+    zz = _slot_values(state)
+    idx, val = [], []
+    for codes, coef in H._table(state.M).values():
+        d = codes.shape[1]
+        if d == 0:
+            continue
+        v = zz[codes]
+        # leave-one-out products from prefix and suffix products: no
+        # division, so zero factors are safe
+        loo = np.empty_like(v)
+        loo[:, 0] = coef
+        loo[:, 1:] = v[:, :-1]
+        np.cumprod(loo, axis=1, out=loo)
+        loo[:, :-1] *= np.cumprod(v[:, :0:-1], axis=1)[:, ::-1]
+        idx.append(codes.ravel())
+        val.append(loo.ravel())
+    n = len(zz)
+    if idx:
+        idx, val = np.concatenate(idx), np.concatenate(val)
+        grad = (np.bincount(idx, weights=val.real, minlength=n)
+                + 1j * np.bincount(idx, weights=val.imag, minlength=n))
+    else:
+        grad = np.zeros(n, dtype=complex)
+    return -1j * grad[0::2], 1j * grad[1::2]
 
 
 def vector_field_norm_bound(H: PolyHamiltonian, state: FourierState,
@@ -369,11 +562,11 @@ def vector_field_norm_bound(H: PolyHamiltonian, state: FourierState,
             raise ValueError("dressing vectors must be strictly positive")
 
     f_inf = 0.0
-    for m, c in H.terms.items():
-        denom = 1.0
-        for t, (j, _) in enumerate(m):
-            denom *= float(b[t][j + M])
-        f_inf = max(f_inf, abs(c) / denom)
+    for codes, coef in H._table(M).values():
+        denom = np.ones(len(coef))
+        for t in range(n):
+            denom = denom * np.asarray(b[t], dtype=float)[codes[:, t] >> 1]
+        f_inf = max(f_inf, float(np.max(np.abs(coef) / denom, initial=0.0)))
 
     absz = np.abs(state.z) + np.abs(state.zbar)
     wvecs = [np.asarray(bt) * absz for bt in b]

@@ -99,6 +99,14 @@ def test_lie_transform_reproduces_normal_form():
     assert deg4.max_abs_coeff() < 1e-12
 
 
+def test_solve_rejects_modes_outside_window():
+    ft = FrequencyTable(c=10.0, M=4)
+    with pytest.raises(ValueError, match="outside the window"):
+        solve_cohomological_quartic(build_P(ft), ft, (1, 2, 5))
+    with pytest.raises(ValueError, match="outside the window"):
+        solve_cohomological_nls(build_P_nls(4), (-5, 1), 4)
+
+
 def test_divisor_scan_positive():
     rep = verify_divisor_bounds(J, [25.0, 100.0], 12)
     assert all(r["gauge_min"] > 0 for r in rep["rows"])

@@ -130,6 +130,27 @@ def test_birkhoff_command(runner, tmp_path):
     assert (out / "normal_form.txt").read_text()
 
 
+@pytest.mark.parametrize("config", [{"M": True}, {"c": False}])
+def test_bool_for_number_exits_2(runner, tmp_path, config):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(config))
+    res = runner.invoke(main, ["birkhoff", "--config", str(cfg),
+                               "--out", str(tmp_path / "run")])
+    assert res.exit_code == 2
+    assert "got bool" in res.output
+
+
+def test_birkhoff_mode_outside_window_exits_2(runner, tmp_path):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"J": [1, 2, 99], "M": 8}))
+    out = tmp_path / "run"
+    res = runner.invoke(main, ["birkhoff", "--config", str(cfg),
+                               "--out", str(out)])
+    assert res.exit_code == 2
+    assert "[99]" in res.output
+    assert not (out / "birkhoff.json").exists()
+
+
 def test_report_aggregates_and_skips(runner, tmp_path):
     out = tmp_path / "sched"
     assert runner.invoke(main, ["schedule", "--out",
