@@ -19,12 +19,10 @@ from itertools import permutations
 
 import numpy as np
 
-from .spectral_core import FrequencyTable, lambda_freq
+from .spectral_core import TWO_PI, FrequencyTable, lambda_freq
 from .hamiltonian import (PolyHamiltonian, Slots, build_Lambda,
                           build_Lambda_nls, canonical, gauge_sum,
                           poisson_bracket, split_P)
-
-TWO_PI = 2.0 * math.pi
 
 
 class DivisorAnomaly(RuntimeError):
@@ -224,14 +222,16 @@ def solve_cohomological_nls(P_nls: PolyHamiltonian, J, M: int
                             gauge_divisor_min=kmin)
 
 
-def lambda_plus_closed_form(freq: FrequencyTable, J, M: int | None = None
-                            ) -> PolyHamiltonian:
-    """Closed-form normal-form correction; h -> 0 recovers the NLS version."""
+def lambda_plus_closed_form(freq: FrequencyTable | None, J,
+                            M: int | None = None) -> PolyHamiltonian:
+    """Closed-form normal-form correction.  freq=None gives the NLS one
+    (h = 0, every factor 1 + h nu_j is 1) and then needs M."""
     M = freq.M if M is None else M
     terms: dict[Slots, complex] = {}
     njj = 3.0 / (4.0 * TWO_PI)  # 3/(8 pi)
     Jset = set(J)
-    fac = {j: 1.0 + freq.h * freq.nu_at(j) for j in range(-M, M + 1)}
+    fac = {j: 1.0 if freq is None else 1.0 + freq.h * freq.nu_at(j)
+           for j in range(-M, M + 1)}
     for i in range(-M, M + 1):
         for j in range(i, M + 1):
             if i not in Jset and j not in Jset:
@@ -242,21 +242,6 @@ def lambda_plus_closed_form(freq: FrequencyTable, J, M: int | None = None
                 coeff *= 0.5
             m = canonical([(i, 1), (i, -1), (j, 1), (j, -1)])
             terms[m] = terms.get(m, 0.0) + coeff
-    return PolyHamiltonian(terms, check=False)
-
-
-def lambda_plus_nls_closed_form(J, M: int) -> PolyHamiltonian:
-    terms: dict[Slots, complex] = {}
-    njj = 3.0 / (4.0 * TWO_PI)
-    Jset = set(J)
-    for i in range(-M, M + 1):
-        for j in range(i, M + 1):
-            if i not in Jset and j not in Jset:
-                continue
-            coeff = njj * (2 - (1 if i == j else 0))
-            if i == j:
-                coeff *= 0.5
-            terms[canonical([(i, 1), (i, -1), (j, 1), (j, -1)])] = coeff
     return PolyHamiltonian(terms, check=False)
 
 

@@ -1,10 +1,11 @@
 """Batch front end: reproducible experiments over the library modules.
 
-Every run resolves a JSON config (file + command-line overrides), validates
-it against a per-command schema (unknown keys rejected), writes a manifest
-echoing the exact resolved config with its hash, and emits CSV/JSON
-artifacts into the output directory.  Exit codes: 0 success, 2 config
-error, 3 numeric anomaly (divisor floor violation or cascade divergence).
+Each experiment command is an entry of `COMMANDS`: a schema giving every
+config key its type, default and range check, a body `run(cfg, out)` and
+the errors that mean a numeric anomaly.  One runner checks the config,
+runs the body between two writes of `manifest.json` (status `running`, then
+`ok` or `numeric_anomaly` with the exit code) and exits 0, 2 (config error,
+nothing written) or 3 (numeric anomaly; no artifact holds NaN or Infinity).
 """
 
 from __future__ import annotations
@@ -15,11 +16,14 @@ import json
 import math
 import pathlib
 import sys
+from functools import partial
+from typing import Callable, NamedTuple
 
 import click
 import numpy as np
 
-from . import __version__
+from . import (__version__, birkhoff, divisors, frequencies, hamiltonian,
+               kam_schedule, spectral_core, torus_lab)
 
 EXIT_CONFIG = 2
 EXIT_NUMERIC = 3
@@ -29,114 +33,109 @@ class ConfigError(Exception):
     pass
 
 
-def _load_config(path, defaults: dict, schema: dict) -> dict:
-    """Merge file config over defaults; reject unknown keys and wrong
-    types (a JSON bool is not an int).  Schema maps key -> type or tuple of
-    types."""
-    cfg = dict(defaults)
+def _dump_json(path: pathlib.Path, doc) -> None:
+    try:   # streamed: a scan's artifact runs to megabytes
+        with open(path, "w") as fh:
+            json.dump(doc, fh, indent=1, sort_keys=True, allow_nan=False)
+            fh.write("\n")
+    except ValueError as exc:  # a NaN or infinity somewhere in doc
+        path.unlink()
+        raise FloatingPointError(f"{path.name}: {exc}") from None
+
+
+# --- config schemas --------------------------------------------------------
+
+def _is(v, typ) -> bool:
+    """JSON type test: float is any finite number; true/false are bools."""
+    if isinstance(v, bool):
+        return typ is bool
+    if typ is float:
+        return isinstance(v, int) or isinstance(v, float) and math.isfinite(v)
+    return isinstance(v, typ)
+
+
+class Key(NamedTuple):
+    """A config key; null only where the default is None.  `check(value,
+    cfg)` says what is wrong with a value of the right type, or None."""
+    type: type
+    default: object
+    check: Callable[[object, dict], str | None] = lambda v, cfg: None
+
+
+def _rule(text: str, ok: Callable[[object], bool]) -> Callable:
+    return lambda v, cfg: None if ok(v) else f"must be {text}"
+
+
+_POSITIVE = _rule("> 0", lambda v: v > 0)
+_POSITIVE_LIST = _rule("a non-empty list of numbers > 0", lambda v: bool(v)
+                       and all(_is(x, float) and x > 0 for x in v))
+
+
+def _modes(m_key: str = "M", least: int = 1, avoid_J: bool = False):
+    """Distinct integer modes with |j| <= cfg[m_key], not in J if `avoid_J`."""
+    def check(v, cfg):
+        if len(v) < least or not all(_is(j, int) for j in v) \
+                or len(set(v)) < len(v):
+            return f"must be a list of >= {least} distinct integers"
+        bad = [j for j in v if abs(j) > cfg[m_key]
+               or avoid_J and j in cfg["J"]]
+        if bad:
+            return (f"has modes {bad} outside |j| <= {m_key} = {cfg[m_key]}"
+                    + (" or in J" if avoid_J else ""))
+    return check
+
+
+def _mode_map(what: str, ok: Callable, avoid_J: bool = False):
+    """A JSON object from modes (checked by `_modes`) to values passing ok."""
+    def check(v, cfg):
+        if not all(a.removeprefix("-").isdecimal() for a in v) \
+                or not ok(list(v.values())):
+            return f"must map integer modes to {what}"
+        return _modes(least=0, avoid_J=avoid_J)([int(a) for a in v], cfg)
+    return check
+
+
+def _resolve(schema: dict[str, Key], path, flags: dict) -> dict:
+    """Defaults < config file < flags given, each key checked in order."""
+    cfg = {key: spec.default for key, spec in schema.items()}
     if path is not None:
         try:
             with open(path) as fh:
                 user = json.load(fh)
-        except (OSError, json.JSONDecodeError) as exc:
+        except (OSError, ValueError) as exc:
             raise ConfigError(f"cannot read config {path}: {exc}")
         if not isinstance(user, dict):
             raise ConfigError("config root must be a JSON object")
-        for key, val in user.items():
+        for key in user:
             if key not in schema:
                 raise ConfigError(f"unknown config key: {key!r} "
                                   f"(allowed: {sorted(schema)})")
-            cfg[key] = val
-    for key, typ in schema.items():
-        val = cfg.get(key)
-        if val is None:
+        cfg.update(user)
+    cfg.update((key, v) for key, v in flags.items() if v is not None)
+    for key, spec in schema.items():
+        val = cfg[key]
+        if val is None and spec.default is None:
             continue
-        allowed = typ if isinstance(typ, tuple) else (typ,)
-        # bool subclasses int: true/false must not pass as a number
-        if not isinstance(val, typ) \
-                or (isinstance(val, bool) and bool not in allowed):
-            raise ConfigError(
-                f"config key {key!r}: expected {typ}, got "
-                f"{type(val).__name__} = {val!r}")
+        if not _is(val, spec.type):
+            want = "number" if spec.type is float else spec.type.__name__
+            raise ConfigError(f"config key {key!r}: expected {want}, got "
+                              f"{type(val).__name__} {val!r}")
+        problem = spec.check(val, cfg)
+        if problem:
+            raise ConfigError(f"config key {key!r} {problem}, got {val!r}")
     return cfg
 
 
-def _write_manifest(out: pathlib.Path, experiment: str, cfg: dict) -> None:
-    blob = json.dumps(cfg, sort_keys=True).encode()
-    doc = {"experiment": experiment, "version": __version__,
-           "config": cfg,
-           "config_sha256": hashlib.sha256(blob).hexdigest()}
-    out.mkdir(parents=True, exist_ok=True)
-    with open(out / "manifest.json", "w") as fh:
-        json.dump(doc, fh, indent=1, sort_keys=True)
-        fh.write("\n")
+# --- command bodies: library functions are looked up on their modules at
+# run time, so a wrapper patched onto a module (a tracer) is called --------
 
-
-def _dump_json(path, doc) -> None:
-    with open(path, "w") as fh:
-        json.dump(doc, fh, indent=1, sort_keys=True)
-        fh.write("\n")
-
-
-_COMMON_OPTS = [
-    click.option("--config", "config_path", type=click.Path(exists=True),
-                 default=None, help="JSON config file"),
-    click.option("--seed", type=int, default=None, help="RNG seed override"),
-    click.option("--out", "out_dir", type=click.Path(), default="runs/out",
-                 help="output directory"),
-    click.option("--workers", type=int, default=1,
-                 help="worker count (recorded; scans are vectorized)"),
-    click.option("--strict", is_flag=True, default=False,
-                 help="turn warnings into errors"),
-]
-
-
-def common_opts(fn):
-    for opt in reversed(_COMMON_OPTS):
-        fn = opt(fn)
-    return fn
-
-
-@click.group()
-@click.version_option(__version__)
-def main():
-    """Finite-truncation experiments for the relativistic/Schrodinger
-    torus comparison."""
-
-
-@main.command("divisor-scan")
-@common_opts
-def divisor_scan(config_path, seed, out_dir, workers, strict):
+def _divisor_scan(cfg: dict, out: pathlib.Path) -> None:
     """Exhaustive small-divisor minima over a c grid."""
-    schema = {"J": list, "Mmax": int, "c_list": list, "kappa": (int, float),
-              "seed": int, "workers": int, "strict": bool}
-    defaults = {"J": [1, 2, 3], "Mmax": 24, "c_list": [25.0, 100.0, 400.0],
-                "kappa": 0.5, "seed": 0, "workers": workers,
-                "strict": strict}
-    try:
-        cfg = _load_config(config_path, defaults, schema)
-    except ConfigError as exc:
-        click.echo(f"config error: {exc}", err=True)
-        sys.exit(EXIT_CONFIG)
-    if seed is not None:
-        cfg["seed"] = seed
-    out = pathlib.Path(out_dir)
-    _write_manifest(out, "divisor-scan", cfg)
-
-    from .birkhoff import DivisorAnomaly, verify_divisor_bounds
-    from .divisors import nongauge_scan
-    from .frequencies import build_model
-    try:
-        quartic = verify_divisor_bounds(tuple(cfg["J"]),
-                                        [float(c) for c in cfg["c_list"]],
-                                        cfg["Mmax"])
-        ng = []
-        for c in cfg["c_list"]:
-            model = build_model(float(c), cfg["J"], cfg["Mmax"], R=1e-2)
-            ng.append(nongauge_scan(model, kappa=float(cfg["kappa"])))
-    except (DivisorAnomaly, ArithmeticError) as exc:
-        click.echo(f"numeric anomaly: {exc}", err=True)
-        sys.exit(EXIT_NUMERIC)
+    quartic = birkhoff.verify_divisor_bounds(
+        tuple(cfg["J"]), [float(c) for c in cfg["c_list"]], cfg["Mmax"])
+    ng = [divisors.nongauge_scan(
+        frequencies.build_model(float(c), cfg["J"], cfg["Mmax"], R=1e-2),
+        kappa=float(cfg["kappa"])) for c in cfg["c_list"]]
     mins = [r["min_over_c2"] for r in ng if r["min_over_c2"] is not None]
     doc = {"quartic": quartic, "nongauge": ng,
            "nongauge_spread": (max(mins) - min(mins)) / max(mins)
@@ -145,95 +144,45 @@ def divisor_scan(config_path, seed, out_dir, workers, strict):
     click.echo(f"divisor-scan: minima positive, wrote {out}/divisor_scan.json")
 
 
-@main.command("measure")
-@common_opts
-def measure(config_path, seed, out_dir, workers, strict):
+def _measure(cfg: dict, out: pathlib.Path) -> None:
     """Monte-Carlo resonant-set measure sweep over alpha."""
-    schema = {"J": list, "M": int, "c": (int, float), "R": (int, float),
-              "k": list, "ell": dict, "alphas": list, "tau": (int, float),
-              "theta": (int, float), "samples": int, "seed": int,
-              "center": bool, "workers": int, "strict": bool}
-    defaults = {"J": [1, 2, 3], "M": 20, "c": 10.0, "R": 1e-2,
-                "k": [1, -1, 0], "ell": {"5": 1, "-5": -1},
-                "alphas": [1e-7, 3.162e-7, 1e-6], "tau": 2.0, "theta": 0.0,
-                "samples": 10_000, "seed": 42, "center": True,
-                "workers": workers, "strict": strict}
-    try:
-        cfg = _load_config(config_path, defaults, schema)
-    except ConfigError as exc:
-        click.echo(f"config error: {exc}", err=True)
-        sys.exit(EXIT_CONFIG)
-    if seed is not None:
-        cfg["seed"] = seed
-    out = pathlib.Path(out_dir)
-    _write_manifest(out, "measure", cfg)
-
-    from .divisors import (MEASURE_CSV_FIELDS, ResonantQuery,
-                           center_pair_correction, make_pair,
-                           measure_estimate_mc)
-    from .frequencies import build_model
-    model = build_model(float(cfg["c"]), cfg["J"], cfg["M"], float(cfg["R"]))
+    model = frequencies.build_model(float(cfg["c"]), cfg["J"], cfg["M"],
+                                    float(cfg["R"]))
     ell = {int(a): int(v) for a, v in cfg["ell"].items()}
-    pair = make_pair(cfg["k"], ell, cfg["J"])
+    pair = divisors.make_pair(cfg["k"], ell, cfg["J"])
     if cfg["center"]:
-        model = center_pair_correction(model, pair)
+        model = divisors.center_pair_correction(model, pair)
     rows = []
     for alpha in cfg["alphas"]:
-        q = ResonantQuery(alpha=float(alpha), tau=float(cfg["tau"]),
-                          theta=float(cfg["theta"]),
-                          samples=int(cfg["samples"]), seed=int(cfg["seed"]))
-        res = measure_estimate_mc(model, cfg["k"], q, ells=[ell])
+        q = divisors.ResonantQuery(
+            alpha=float(alpha), tau=float(cfg["tau"]),
+            theta=float(cfg["theta"]), samples=int(cfg["samples"]),
+            seed=int(cfg["seed"]))
+        res = divisors.measure_estimate_mc(model, cfg["k"], q, ells=[ell])
         rows.append({"k_id": "k" + "_".join(str(v) for v in cfg["k"]),
                      "alpha": alpha, "theta": cfg["theta"],
                      "tau": cfg["tau"], "fraction": res.fraction,
                      "ci_lo": res.ci_lo, "ci_hi": res.ci_hi,
                      "samples": res.samples, "seed": res.seed})
     with open(out / "measure.csv", "w", newline="") as fh:
-        wr = csv.DictWriter(fh, fieldnames=MEASURE_CSV_FIELDS)
+        wr = csv.DictWriter(fh, fieldnames=list(rows[0]))
         wr.writeheader()
         wr.writerows(rows)
     positive = [(r["alpha"], r["fraction"]) for r in rows
                 if r["fraction"] > 0]
-    slope = None
-    if len(positive) >= 2:
-        xs, ys = zip(*positive)
-        slope = float(np.polyfit(np.log(xs), np.log(ys), 1)[0])
+    slope = torus_lab.fit_loglog(*zip(*positive)) \
+        if len(positive) >= 2 else None
     _dump_json(out / "measure_fit.json",
                {"slope": slope, "predicted_slope": 1.0, "rows": rows})
     click.echo(f"measure: slope {slope}, wrote {out}/measure.csv")
 
 
-@main.command("birkhoff")
-@common_opts
-def birkhoff_cmd(config_path, seed, out_dir, workers, strict):
+def _birkhoff(cfg: dict, out: pathlib.Path) -> None:
     """Quartic normal-form step at one (c, J, M)."""
-    schema = {"J": list, "M": int, "c": (int, float), "seed": int,
-              "workers": int, "strict": bool}
-    defaults = {"J": [1, 2, 3], "M": 8, "c": 10.0, "seed": 0,
-                "workers": workers, "strict": strict}
-    try:
-        cfg = _load_config(config_path, defaults, schema)
-    except ConfigError as exc:
-        click.echo(f"config error: {exc}", err=True)
-        sys.exit(EXIT_CONFIG)
-    out = pathlib.Path(out_dir)
-    _write_manifest(out, "birkhoff", cfg)
-
-    from .birkhoff import DivisorAnomaly, solve_cohomological_quartic
-    from .hamiltonian import build_P
-    from .spectral_core import FrequencyTable
-    ft = FrequencyTable(c=float(cfg["c"]), M=cfg["M"])
-    P = build_P(ft, cfg["M"])
-    try:
-        nf = solve_cohomological_quartic(P, ft, tuple(cfg["J"]))
-    except ValueError as exc:  # a mode of J outside the window
-        click.echo(f"config error: {exc}", err=True)
-        sys.exit(EXIT_CONFIG)
-    except DivisorAnomaly as exc:
-        click.echo(f"numeric anomaly: {exc}", err=True)
-        sys.exit(EXIT_NUMERIC)
-    with open(out / "normal_form.txt", "w") as fh:
-        fh.write(nf.to_text())
+    ft = spectral_core.FrequencyTable(c=float(cfg["c"]), M=cfg["M"])
+    nf = birkhoff.solve_cohomological_quartic(
+        hamiltonian.build_P(ft, cfg["M"]), ft, tuple(cfg["J"]))
+    (out / "normal_form.txt").write_text(nf.to_text())
     _dump_json(out / "birkhoff.json",
                {"residual": nf.residual,
                 "gauge_divisor_min": nf.gauge_divisor_min,
@@ -241,39 +190,16 @@ def birkhoff_cmd(config_path, seed, out_dir, workers, strict):
     click.echo(f"birkhoff: residual {nf.residual:.3e}, wrote {out}")
 
 
-@main.command("schedule")
-@common_opts
-def schedule_cmd(config_path, seed, out_dir, workers, strict):
+def _schedule(cfg: dict, out: pathlib.Path) -> None:
     """Cascade sequence generation and smallness report."""
-    schema = {"N": int, "tau": (int, float), "r0": (int, float),
-              "varsigma": (int, float), "C1": (int, float),
-              "log_eps0": (int, float), "nu_max": int, "seed": int,
-              "workers": int, "strict": bool}
-    defaults = {"N": 3, "tau": 8.0, "r0": 1e-3, "varsigma": 1.0 / 36.0,
-                "C1": 1.0, "log_eps0": -2000.0, "nu_max": 14, "seed": 0,
-                "workers": workers, "strict": strict}
-    try:
-        cfg = _load_config(config_path, defaults, schema)
-    except ConfigError as exc:
-        click.echo(f"config error: {exc}", err=True)
-        sys.exit(EXIT_CONFIG)
-    out = pathlib.Path(out_dir)
-    _write_manifest(out, "schedule", cfg)
-
-    from .kam_schedule import (ScheduleDivergence, ScheduleParams, generate,
-                               smallness_check, write_schedule_csv)
-    try:
-        params = ScheduleParams(N=cfg["N"], tau=float(cfg["tau"]),
-                                r0=float(cfg["r0"]),
-                                varsigma=float(cfg["varsigma"]),
-                                C1=float(cfg["C1"]))
-        sched = generate(params, log_eps0=float(cfg["log_eps0"]),
-                         nu_max=cfg["nu_max"])
-    except (ScheduleDivergence, ValueError) as exc:
-        click.echo(f"numeric anomaly: {exc}", err=True)
-        sys.exit(EXIT_NUMERIC)
-    write_schedule_csv(out / "schedule.csv", sched)
-    check = smallness_check(params, log_eps0=float(cfg["log_eps0"]))
+    params = kam_schedule.ScheduleParams(
+        N=cfg["N"], tau=float(cfg["tau"]), r0=float(cfg["r0"]),
+        varsigma=float(cfg["varsigma"]), C1=float(cfg["C1"]))
+    sched = kam_schedule.generate(params, log_eps0=float(cfg["log_eps0"]),
+                                  nu_max=cfg["nu_max"])
+    kam_schedule.write_schedule_csv(out / "schedule.csv", sched)
+    check = kam_schedule.smallness_check(params,
+                                         log_eps0=float(cfg["log_eps0"]))
     gf = sched.growth_factors()
     _dump_json(out / "schedule.json",
                {"smallness": check,
@@ -283,43 +209,20 @@ def schedule_cmd(config_path, seed, out_dir, workers, strict):
     click.echo(f"schedule: {cfg['nu_max']} steps, wrote {out}/schedule.csv")
 
 
-@main.command("simulate")
-@common_opts
-def simulate(config_path, seed, out_dir, workers, strict):
+def _simulate(cfg: dict, out: pathlib.Path) -> None:
     """Integrate one truncated system and record conservation traces."""
-    schema = {"system": str, "M": int, "c": (int, float), "T": (int, float),
-              "dt": (int, float), "record_every": int, "modes": dict,
-              "seed": int, "workers": int, "strict": bool}
-    defaults = {"system": "nls", "M": 16, "c": 10.0, "T": 10.0, "dt": None,
-                "record_every": 100,
-                "modes": {"1": [0.01, 0.0], "2": [0.005, 0.003]},
-                "seed": 0, "workers": workers, "strict": strict}
-    try:
-        cfg = _load_config(config_path, defaults, schema)
-        if cfg["system"] not in ("kg", "nls"):
-            raise ConfigError("system must be 'kg' or 'nls'")
-    except ConfigError as exc:
-        click.echo(f"config error: {exc}", err=True)
-        sys.exit(EXIT_CONFIG)
-    out = pathlib.Path(out_dir)
-    _write_manifest(out, "simulate", cfg)
-
-    from .spectral_core import FourierState
-    from .torus_lab import TruncatedSystem, integrate, save_record
-    system = TruncatedSystem(kind=cfg["system"], M=cfg["M"],
-                             c=float(cfg["c"]) if cfg["system"] == "kg"
-                             else None)
+    system = torus_lab.TruncatedSystem(
+        kind=cfg["system"], M=cfg["M"],
+        c=float(cfg["c"]) if cfg["system"] == "kg" else None)
     modes = {int(j): complex(v[0], v[1]) for j, v in cfg["modes"].items()}
-    z0 = FourierState.from_modes(cfg["M"], modes)
-    try:
-        rec = integrate(system, z0, T=float(cfg["T"]),
-                        dt=None if cfg["dt"] is None else float(cfg["dt"]),
-                        record_every=cfg["record_every"],
-                        strict=cfg["strict"])
-    except ValueError as exc:
-        click.echo(f"numeric anomaly: {exc}", err=True)
-        sys.exit(EXIT_NUMERIC)
-    save_record(out / "frames.bin", rec)
+    rec = torus_lab.integrate(
+        system, spectral_core.FourierState.from_modes(cfg["M"], modes),
+        T=float(cfg["T"]), dt=None if cfg["dt"] is None else float(cfg["dt"]),
+        record_every=cfg["record_every"], strict=cfg["strict"])
+    for t, st in zip(rec.times, rec.states):
+        if not np.isfinite(np.r_[st.z, st.zbar]).all():
+            raise FloatingPointError(f"state not finite at t = {t:.6g}")
+    torus_lab.save_record(out / "frames.bin", rec)
     _dump_json(out / "simulate.json", {
         "mass_drift": float(np.max(np.abs(rec.mass - rec.mass[0]))),
         "momentum_drift":
@@ -331,30 +234,12 @@ def simulate(config_path, seed, out_dir, workers, strict):
     click.echo(f"simulate: {len(rec.times)} frames, wrote {out}/frames.bin")
 
 
-@main.command("scaling")
-@common_opts
-def scaling(config_path, seed, out_dir, workers, strict):
+def _scaling(cfg: dict, out: pathlib.Path) -> None:
     """Gauge-distance scaling of frequency-matched tori over a c sweep."""
-    schema = {"R": (int, float), "c_list": list, "sigma": (int, float),
-              "T": (int, float), "J": list, "M": int, "Q": int,
-              "n_samples": int, "seed": int, "workers": int, "strict": bool}
-    defaults = {"R": 1e-2, "c_list": [110.0, 160.0, 240.0, 360.0],
-                "sigma": 1.0, "T": 1e3, "J": [1], "M": 16, "Q": 3,
-                "n_samples": 256, "seed": 0, "workers": workers,
-                "strict": strict}
-    try:
-        cfg = _load_config(config_path, defaults, schema)
-    except ConfigError as exc:
-        click.echo(f"config error: {exc}", err=True)
-        sys.exit(EXIT_CONFIG)
-    out = pathlib.Path(out_dir)
-    _write_manifest(out, "scaling", cfg)
-
-    from .torus_lab import scaling_study
-    rep = scaling_study(float(cfg["R"]), [float(c) for c in cfg["c_list"]],
-                        float(cfg["sigma"]), T=float(cfg["T"]),
-                        J=tuple(cfg["J"]), M=cfg["M"], Q=cfg["Q"],
-                        n_samples=cfg["n_samples"])
+    rep = torus_lab.scaling_study(
+        float(cfg["R"]), [float(c) for c in cfg["c_list"]],
+        float(cfg["sigma"]), T=float(cfg["T"]), J=tuple(cfg["J"]),
+        M=cfg["M"], Q=cfg["Q"], n_samples=cfg["n_samples"])
     _dump_json(out / "scaling.json", rep)
     with open(out / "scaling.csv", "w", newline="") as fh:
         wr = csv.writer(fh)
@@ -365,54 +250,167 @@ def scaling(config_path, seed, out_dir, workers, strict):
     click.echo(f"scaling: slope {rep['slope_vs_c']}, wrote {out}")
 
 
+# --- the command table -----------------------------------------------------
+
+class Command(NamedTuple):
+    name: str
+    schema: dict[str, Key]
+    run: Callable[[dict, pathlib.Path], None]   # its docstring is the help
+    # exit 3 besides ArithmeticError (FloatingPointError: a NaN or Infinity)
+    anomalies: tuple[type[Exception], ...] = ()
+
+
+COMMANDS = (
+    Command("divisor-scan", {
+        "Mmax": Key(int, 24, _POSITIVE),
+        "J": Key(list, [1, 2, 3], _modes("Mmax", least=3)),
+        "c_list": Key(list, [25.0, 100.0, 400.0], _POSITIVE_LIST),
+        "kappa": Key(float, 0.5, _POSITIVE),
+    }, _divisor_scan, (birkhoff.DivisorAnomaly,)),
+    Command("measure", {
+        "M": Key(int, 20, _POSITIVE),
+        "J": Key(list, [1, 2, 3], _modes("M", least=3)),
+        "c": Key(float, 10.0, _POSITIVE),
+        "R": Key(float, 1e-2, _POSITIVE),
+        "k": Key(list, [1, -1, 0], lambda v, cfg: None if len(v) == len(
+            cfg["J"]) and all(_is(j, int) for j in v)
+            else "must be one integer per mode of J"),
+        "ell": Key(dict, {"5": 1, "-5": -1}, _mode_map(
+            "integers of |ell|_1 <= 2", lambda vals: all(
+                _is(x, int) for x in vals) and sum(map(abs, vals)) <= 2,
+            avoid_J=True)),
+        "alphas": Key(list, [1e-7, 3.162e-7, 1e-6], _POSITIVE_LIST),
+        "tau": Key(float, 2.0, _rule(">= 1", lambda v: v >= 1)),
+        "theta": Key(float, 0.0, _rule("in [0, 1)", lambda v: 0 <= v < 1)),
+        "samples": Key(int, 10_000, _POSITIVE),
+        "seed": Key(int, 42, _rule(">= 0", lambda v: v >= 0)),
+        "center": Key(bool, True, lambda v, cfg: None if any(cfg["k"])
+                      or (not v and any(cfg["ell"].values())) else
+                      "must be false, with ell nonzero, when k is zero"),
+    }, _measure),
+    Command("birkhoff", {
+        "M": Key(int, 8, _POSITIVE),
+        "J": Key(list, [1, 2, 3], _modes()),
+        "c": Key(float, 10.0, _POSITIVE),
+    }, _birkhoff, (birkhoff.DivisorAnomaly,)),
+    Command("schedule", {
+        "N": Key(int, 3, _POSITIVE),
+        "tau": Key(float, 8.0, _rule(">= 1", lambda v: v >= 1)),
+        "r0": Key(float, 1e-3, _rule("in (0, 1)", lambda v: 0 < v < 1)),
+        "varsigma": Key(float, 1.0 / 36.0,
+                        _rule("in (0, 1/18)", lambda v: 0 < v < 1 / 18)),
+        "C1": Key(float, 1.0, _POSITIVE),
+        "log_eps0": Key(float, -2000.0, _rule("< 0", lambda v: v < 0)),
+        "nu_max": Key(int, 14, _POSITIVE),
+    }, _schedule, (kam_schedule.ScheduleDivergence,)),
+    Command("simulate", {
+        "system": Key(str, "nls", _rule("'kg' or 'nls'",
+                                        lambda v: v in ("kg", "nls"))),
+        "M": Key(int, 16, _POSITIVE),
+        "c": Key(float, 10.0, _POSITIVE),
+        "T": Key(float, 10.0, _POSITIVE),
+        "dt": Key(float, None, _POSITIVE),
+        "record_every": Key(int, 100, _POSITIVE),
+        "modes": Key(dict, {"1": [0.01, 0.0], "2": [0.005, 0.003]},
+                     _mode_map("[re, im] pairs", lambda vals: all(
+                         isinstance(a, list) and len(a) == 2
+                         and all(_is(x, float) for x in a) for a in vals))),
+        "strict": Key(bool, False),
+    }, _simulate, (ValueError,)),  # integrate(strict=True): dt too coarse
+    Command("scaling", {
+        "R": Key(float, 1e-2, _POSITIVE),
+        "c_list": Key(list, [110.0, 160.0, 240.0, 360.0], _POSITIVE_LIST),
+        "sigma": Key(float, 1.0),
+        "T": Key(float, 1e3, _POSITIVE),
+        "M": Key(int, 16, _POSITIVE),
+        "J": Key(list, [1], _modes()),
+        "Q": Key(int, 3, _POSITIVE),
+        "n_samples": Key(int, 256, _POSITIVE),
+    }, _scaling),
+)
+
+# A flag exists exactly where its config key does, and overrides it.
+_FLAGS = {
+    "seed": dict(type=int, help="RNG seed (overrides the config)"),
+    "strict": dict(is_flag=True, default=None,
+                   help="exit 3 if dt does not resolve the fastest frequency"),
+}
+
+
+def _run(cmd: Command, config_path, out_dir, **flags) -> None:
+    """Check the config, run the body between two manifest writes, and exit
+    2 or 3 on failure: the only code here that exits non-zero."""
+    try:
+        cfg = _resolve(cmd.schema, config_path, flags)
+    except ConfigError as exc:
+        click.echo(f"config error: {exc}", err=True)
+        sys.exit(EXIT_CONFIG)
+    out = pathlib.Path(out_dir)
+    out.mkdir(parents=True, exist_ok=True)
+    blob = json.dumps(cfg, sort_keys=True).encode()
+    man = {"experiment": cmd.name, "version": __version__, "config": cfg,
+           "config_sha256": hashlib.sha256(blob).hexdigest(),
+           "status": "running", "exit_code": None}
+    _dump_json(out / "manifest.json", man)
+    try:
+        cmd.run(cfg, out)
+        man.update(status="ok", exit_code=0)
+    except (ArithmeticError, *cmd.anomalies) as exc:
+        click.echo(f"numeric anomaly: {exc}", err=True)
+        man.update(status="numeric_anomaly", exit_code=EXIT_NUMERIC)
+    _dump_json(out / "manifest.json", man)
+    if man["exit_code"]:
+        sys.exit(man["exit_code"])
+
+
+@click.group()
+@click.version_option(__version__)
+def main():
+    """Finite-truncation experiments for the relativistic/Schrodinger
+    torus comparison."""
+
+
+for _cmd in COMMANDS:
+    main.add_command(click.Command(
+        _cmd.name, help=_cmd.run.__doc__, callback=partial(_run, _cmd),
+        params=[click.Option(["--config", "config_path"],
+                             type=click.Path(exists=True),
+                             help="JSON config file"),
+                click.Option(["--out", "out_dir"], type=click.Path(),
+                             default="runs/out", help="output directory"),
+                *(click.Option([f"--{key}"], **opt)
+                  for key, opt in _FLAGS.items() if key in _cmd.schema)]))
+
+
+# The artifact and key of each fit; a schedule's growth factor tends to 4/3.
+_FITS = {"measure": ("measure_fit.json", "slope"),
+         "scaling": ("scaling.json", "slope_vs_c"),
+         "schedule": ("schedule.json", "growth_factor_mean_4_12")}
+
+
 @main.command("report")
 @click.argument("run_dirs", nargs=-1, type=click.Path())
 @click.option("--out", "out_path", type=click.Path(), default="-",
               help="summary CSV path ('-' for stdout)")
 def report(run_dirs, out_path):
     """Aggregate fitted exponents from run directories against the
-    predicted ones."""
-    predicted = {"measure": 1.0, "scaling": None, "schedule": 4.0 / 3.0}
-    rows = []
-    missing = []
-    for d in run_dirs:
-        d = pathlib.Path(d)
-        man_path = d / "manifest.json"
-        if not man_path.exists():
-            missing.append(str(d))
+    predicted ones, with each run's status."""
+    rows = [["experiment", "seed", "run", "fitted", "predicted", "status"]]
+    for d in map(pathlib.Path, run_dirs):
+        if not (d / "manifest.json").exists():
+            click.echo(f"skipped (no manifest): {d}", err=True)
             continue
-        with open(man_path) as fh:
-            man = json.load(fh)
+        man = json.loads((d / "manifest.json").read_text())
         exp = man["experiment"]
-        seed_v = man["config"].get("seed", "")
         fitted, pred = "", ""
-        if exp == "measure" and (d / "measure_fit.json").exists():
-            with open(d / "measure_fit.json") as fh:
-                doc = json.load(fh)
-            fitted, pred = doc["slope"], doc["predicted_slope"]
-        elif exp == "scaling" and (d / "scaling.json").exists():
-            with open(d / "scaling.json") as fh:
-                doc = json.load(fh)
-            fitted, pred = doc["slope_vs_c"], doc["predicted_slope"]
-        elif exp == "schedule" and (d / "schedule.json").exists():
-            with open(d / "schedule.json") as fh:
-                doc = json.load(fh)
-            fitted, pred = doc["growth_factor_mean_4_12"], predicted["schedule"]
-        rows.append({"experiment": exp, "seed": seed_v, "run": str(d),
-                     "fitted": fitted, "predicted": pred})
-    for m in missing:
-        click.echo(f"skipped (no manifest): {m}", err=True)
-    fieldnames = ["experiment", "seed", "run", "fitted", "predicted"]
-    if out_path == "-":
-        wr = csv.DictWriter(click.get_text_stream("stdout"),
-                            fieldnames=fieldnames)
-        wr.writeheader()
-        wr.writerows(rows)
-    else:
-        with open(out_path, "w", newline="") as fh:
-            wr = csv.DictWriter(fh, fieldnames=fieldnames)
-            wr.writeheader()
-            wr.writerows(rows)
+        if exp in _FITS and (d / _FITS[exp][0]).exists():
+            doc = json.loads((d / _FITS[exp][0]).read_text())
+            fitted = doc[_FITS[exp][1]]
+            pred = doc.get("predicted_slope", 4.0 / 3.0)
+        rows.append([exp, man["config"].get("seed", ""), str(d), fitted, pred,
+                     man.get("status", "")])
+    with click.open_file(out_path, "w") as fh:
+        csv.writer(fh).writerows(rows)
 
 
 if __name__ == "__main__":

@@ -12,7 +12,6 @@ with w(ell) = min over supp(ell) of the mode weight, w(0) = 1.
 
 from __future__ import annotations
 
-import csv
 import itertools
 import math
 from dataclasses import dataclass, field
@@ -466,15 +465,3 @@ def center_pair_correction(model: FrequencyModel,
     out.delta = CorrectionTable(points=center[None, :],
                                 values=shift[None, :])
     return out
-
-
-MEASURE_CSV_FIELDS = ("k_id", "alpha", "theta", "tau", "fraction",
-                      "ci_lo", "ci_hi", "samples", "seed")
-
-
-def write_measure_csv(path, rows: list[dict]) -> None:
-    with open(path, "w", newline="") as fh:
-        wr = csv.DictWriter(fh, fieldnames=MEASURE_CSV_FIELDS)
-        wr.writeheader()
-        for row in rows:
-            wr.writerow({f: row[f] for f in MEASURE_CSV_FIELDS})

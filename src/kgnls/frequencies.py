@@ -19,9 +19,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .spectral_core import FrequencyTable
+from .spectral_core import TWO_PI, FrequencyTable
 
-TWO_PI = 2.0 * math.pi
 N_OFFDIAG = 3.0 / (4.0 * TWO_PI) * 2.0   # 3/(4 pi)
 N_DIAG = 3.0 / (4.0 * TWO_PI)            # 3/(8 pi)
 

@@ -32,10 +32,8 @@ from typing import Callable, Iterable
 
 import numpy as np
 
-from .spectral_core import FourierState, FrequencyTable, SpaceParams, \
-    weighted_norm
-
-TWO_PI = 2.0 * math.pi
+from .spectral_core import TWO_PI, FourierState, FrequencyTable, \
+    SpaceParams, weighted_norm
 
 Slots = tuple[tuple[int, int], ...]
 

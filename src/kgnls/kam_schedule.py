@@ -19,7 +19,6 @@ Exponent choices (knob varsigma, default 1/36):
 from __future__ import annotations
 
 import csv
-import json
 import math
 from dataclasses import dataclass, field
 
@@ -268,8 +267,3 @@ def write_schedule_csv(path, sched: KamSchedule) -> None:
                                 (sched.sigma, sched.alpha, sched.K,
                                  sched.eps, sched.log_eps, sched.eta,
                                  sched.log_eta, sched.s, sched.r)])
-
-
-def predictions_to_json(R: float, c_list, sigma: float) -> str:
-    rows = [dict(c=c, **predicted_bounds(R, c, sigma)) for c in c_list]
-    return json.dumps({"R": R, "sigma": sigma, "rows": rows}, indent=1)

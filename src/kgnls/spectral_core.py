@@ -16,6 +16,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+TWO_PI = 2.0 * math.pi
+
 
 def lambda_freq(c: float, j: int | np.ndarray) -> float | np.ndarray:
     """Linear frequency c*sqrt(j^2 + c^2).  Even in j."""
@@ -138,7 +140,11 @@ class FourierState:
 
     @classmethod
     def from_modes(cls, M: int, modes: dict[int, complex]) -> "FourierState":
-        """Real-representation state with z_j set from `modes`, zbar = conj(z)."""
+        """Real-representation state with z_j set from `modes`, zbar = conj(z).
+        A mode outside |j| <= M raises ValueError."""
+        outside = [j for j in modes if abs(j) > M]
+        if outside:
+            raise ValueError(f"modes {outside} outside the window |j| <= {M}")
         st = cls.zero(M)
         for j, v in modes.items():
             st.z[j + M] = v

@@ -19,10 +19,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .spectral_core import (FourierState, FrequencyTable, SpaceParams,
-                            seq_norm)
-
-TWO_PI = 2.0 * math.pi
+from .spectral_core import (TWO_PI, FourierState, FrequencyTable,
+                            SpaceParams, seq_norm)
 
 
 def _conv_full(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -105,14 +103,6 @@ class TruncatedSystem:
     def momentum(self, state: FourierState) -> float:
         j = np.arange(-self.M, self.M + 1, dtype=float)
         return float(np.sum(j * state.z * state.zbar).real)
-
-
-def kg_rhs(c: float, state: FourierState) -> tuple[np.ndarray, np.ndarray]:
-    return TruncatedSystem(kind="kg", M=state.M, c=c).rhs(state)
-
-
-def nls_rhs(state: FourierState) -> tuple[np.ndarray, np.ndarray]:
-    return TruncatedSystem(kind="nls", M=state.M).rhs(state)
 
 
 @dataclass
@@ -252,29 +242,6 @@ def linear_torus(xi, J, M: int, Q: int, omega) -> TorusEmbedding:
         cq = np.zeros(2 * M + 1, dtype=complex)
         cq[j + M] = math.sqrt(xi[n])
         coeffs[q] = cq
-    return TorusEmbedding(J=J, M=M, Q=Q, omega=np.asarray(omega, float),
-                          coeffs=coeffs)
-
-
-def embedding_from_map(fn, J, M: int, Q: int, omega) -> TorusEmbedding:
-    """Collocate a map theta -> FourierState on the (2Q+1)^N angle grid and
-    extract its harmonics by FFT."""
-    J = tuple(J)
-    N = len(J)
-    n_ang = 2 * Q + 1
-    grid_shape = (n_ang,) * N
-    vals = np.zeros(grid_shape + (2 * M + 1,), dtype=complex)
-    angles = TWO_PI * np.arange(n_ang) / n_ang
-    for idx in itertools.product(range(n_ang), repeat=N):
-        theta = np.array([angles[i] for i in idx])
-        vals[idx] = fn(theta).z
-    spec = np.fft.fftn(vals, axes=tuple(range(N))) / n_ang ** N
-    coeffs = {}
-    for q in _harmonics(N, Q):
-        fidx = tuple(qi % n_ang for qi in q)
-        cq = spec[fidx]
-        if np.max(np.abs(cq)) > 1e-16:
-            coeffs[q] = cq
     return TorusEmbedding(J=J, M=M, Q=Q, omega=np.asarray(omega, float),
                           coeffs=coeffs)
 

@@ -5,7 +5,8 @@ import json
 import pytest
 from click.testing import CliRunner
 
-from kgnls.cli import main
+from kgnls import birkhoff
+from kgnls.cli import COMMANDS, _dump_json, _resolve, main
 
 
 @pytest.fixture
@@ -33,6 +34,7 @@ def test_schedule_run_and_manifest(runner, tmp_path):
     man = json.loads((out / "manifest.json").read_text())
     assert man["experiment"] == "schedule"
     assert len(man["config_sha256"]) == 64
+    assert (man["status"], man["exit_code"]) == ("ok", 0)
     doc = json.loads((out / "schedule.json").read_text())
     assert doc["eps_decreasing"]
     assert abs(doc["growth_factor_mean_4_12"] - 4.0 / 3.0) < 0.02
@@ -64,6 +66,8 @@ def test_schedule_divergence_exits_3(runner, tmp_path):
                                "--out", str(tmp_path / "run")])
     assert res.exit_code == 3
     assert "numeric anomaly" in res.output
+    man = json.loads((tmp_path / "run" / "manifest.json").read_text())
+    assert (man["status"], man["exit_code"]) == ("numeric_anomaly", 3)
 
 
 def test_measure_reproducible(runner, tmp_path):
@@ -155,10 +159,145 @@ def test_report_aggregates_and_skips(runner, tmp_path):
     out = tmp_path / "sched"
     assert runner.invoke(main, ["schedule", "--out",
                                 str(out)]).exit_code == 0
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"log_eps0": -20.0}))
+    failed = tmp_path / "failed"
+    assert runner.invoke(main, ["schedule", "--config", str(cfg), "--out",
+                                str(failed)]).exit_code == 3
+    crashed = tmp_path / "crashed"   # a run killed before it finished
+    crashed.mkdir()
+    man = json.loads((out / "manifest.json").read_text())
+    man.update(status="running", exit_code=None)
+    (crashed / "manifest.json").write_text(json.dumps(man))
     res = runner.invoke(main, ["report", str(out),
-                               str(tmp_path / "nonexistent")])
+                               str(tmp_path / "nonexistent"), str(failed),
+                               str(crashed)])
     assert res.exit_code == 0
     lines = res.output.strip().splitlines()
     assert "skipped (no manifest)" in lines[0]
-    assert lines[1].startswith("experiment,")
-    assert lines[2].startswith("schedule,")
+    assert lines[1] == "experiment,seed,run,fitted,predicted,status"
+    assert lines[2].startswith("schedule,") and lines[2].endswith(",ok")
+    assert lines[3] == f"schedule,,{failed},,,numeric_anomaly"
+    assert lines[4] == f"schedule,,{crashed},,,running"
+
+
+# Each must exit 2 with a one-line message and write nothing.
+INVALID = [
+    ("measure", {"k": [0, 0, 0]}),
+    ("measure", {"c": -1}),
+    ("measure", {"samples": 0}),
+    ("measure", {"alphas": ["x"]}),
+    ("measure", {"ell": {"a": 1}}),
+    ("measure", {"ell": {"1": 1, "-5": -1}}),   # support inside J
+    ("measure", {"k": [1, -1]}),
+    ("measure", {"ell": {"3": 1, "4": 1, "5": 1}}),
+    ("birkhoff", {"M": 0}),
+    ("birkhoff", {"c": -1}),
+    ("birkhoff", {"J": [1, 1, 2]}),
+    ("divisor-scan", {"Mmax": 0}),
+    ("divisor-scan", {"c_list": [-5.0]}),
+    ("divisor-scan", {"J": [1, 2]}),
+    ("simulate", {"M": 0}),
+    ("simulate", {"M": 4, "modes": {"9": [0.01, 0.0]}}),
+    ("simulate", {"M": 4, "modes": {"-9": [0.01, 0.0]}}),
+    ("simulate", {"modes": {"1": [0.01]}}),
+    ("simulate", {"record_every": 0}),
+    ("simulate", {"T": -1}),
+    ("simulate", {"dt": 0}),
+    ("simulate", {"T": None}),
+    ("simulate", {"c": float("nan")}),
+    ("scaling", {"Q": 0}),
+    ("scaling", {"J": [17]}),
+    ("schedule", {"r0": 2}),
+    ("schedule", {"nu_max": 0}),
+    ("schedule", {"varsigma": 0.1}),
+]
+
+
+@pytest.mark.parametrize("command,config", INVALID,
+                         ids=[f"{c}-{json.dumps(v)}" for c, v in INVALID])
+def test_invalid_config_exits_2_with_one_line(runner, tmp_path, command,
+                                              config):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(config))
+    out = tmp_path / "run"
+    res = runner.invoke(main, [command, "--config", str(cfg),
+                               "--out", str(out)])
+    assert res.exit_code == 2, res.output
+    lines = res.stderr.strip().splitlines()
+    assert len(lines) == 1 and lines[0].startswith("config error: ")
+    assert not out.exists()   # checked before anything is written
+
+
+@pytest.mark.parametrize("cmd", COMMANDS, ids=[c.name for c in COMMANDS])
+def test_defaults_pass_their_own_checks(cmd):
+    cfg = _resolve(cmd.schema, None, {})
+    assert cfg == {key: spec.default for key, spec in cmd.schema.items()}
+
+
+def test_non_finite_result_exits_3(runner, tmp_path):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"M": 4, "T": 1.0,
+                               "modes": {"1": [1000.0, 0.0]}}))
+    out = tmp_path / "run"
+    res = runner.invoke(main, ["simulate", "--config", str(cfg),
+                               "--out", str(out)])
+    assert res.exit_code == 3
+    assert "not finite" in res.stderr
+    man = json.loads((out / "manifest.json").read_text())
+    assert (man["status"], man["exit_code"]) == ("numeric_anomaly", 3)
+    assert sorted(p.name for p in out.iterdir()) == ["manifest.json"]
+
+
+@pytest.mark.parametrize("value", [float("nan"), float("inf")])
+def test_json_artifact_never_holds_non_finite(tmp_path, value):
+    path = tmp_path / "doc.json"
+    with pytest.raises(FloatingPointError):
+        _dump_json(path, {"rows": [{"distance": value}]})
+    assert not path.exists()
+
+
+def test_flags_exist_where_their_keys_do(runner, tmp_path):
+    for cmd in COMMANDS:
+        args = [cmd.name, "--out", str(tmp_path / cmd.name)]
+        assert runner.invoke(main, args + ["--workers", "2"]).exit_code == 2
+        for flag, extra in (("seed", ["1"]), ("strict", [])):
+            res = runner.invoke(main, args + [f"--{flag}"] + extra
+                                + ["--help"])
+            assert (res.exit_code == 0) == (flag in cmd.schema), cmd.name
+
+
+def test_strict_flag_turns_coarse_dt_into_anomaly(runner, tmp_path):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"M": 4, "T": 1.0, "dt": 1.0}))
+    res = runner.invoke(main, ["simulate", "--config", str(cfg), "--strict",
+                               "--out", str(tmp_path / "run")])
+    assert res.exit_code == 3
+    man = json.loads((tmp_path / "run" / "manifest.json").read_text())
+    assert man["config"]["strict"] is True
+
+
+def test_exit_code_survives_standalone_mode_off(tmp_path):
+    # perfbench calls main(args, standalone_mode=False) and reads the code
+    # from SystemExit; a code returned instead would count as success
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"r0": 2}))
+    with pytest.raises(SystemExit) as exc:
+        main(["schedule", "--config", str(cfg), "--out",
+              str(tmp_path / "run")], standalone_mode=False)
+    assert exc.value.code == 2
+
+
+def test_library_functions_looked_up_at_run_time(runner, tmp_path,
+                                                 monkeypatch):
+    # a tracer patches module attributes after the CLI is imported
+    calls = []
+    solve = birkhoff.solve_cohomological_quartic
+    monkeypatch.setattr(birkhoff, "solve_cohomological_quartic",
+                        lambda *a, **k: calls.append(1) or solve(*a, **k))
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"J": [1], "M": 3}))
+    res = runner.invoke(main, ["birkhoff", "--config", str(cfg),
+                               "--out", str(tmp_path / "run")])
+    assert res.exit_code == 0, res.output
+    assert calls == [1]

@@ -137,3 +137,10 @@ def test_state_validation():
     assert st_.real_representation()
     st_.zbar = st_.zbar + 1.0
     assert not st_.real_representation()
+
+
+@pytest.mark.parametrize("mode", [-9, 5, 9])
+def test_from_modes_rejects_mode_outside_window(mode):
+    # -9 at M=4 used to write through index -5 and excite mode 0
+    with pytest.raises(ValueError, match=rf"\[{mode}\]"):
+        FourierState.from_modes(4, {1: 0.1, mode: 0.01})
