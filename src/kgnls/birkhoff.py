@@ -19,7 +19,7 @@ from itertools import permutations
 
 import numpy as np
 
-from .spectral_core import TWO_PI, FrequencyTable, lambda_freq
+from .spectral_core import TWO_PI, FrequencyTable
 from .hamiltonian import (PolyHamiltonian, Slots, build_Lambda,
                           build_Lambda_nls, canonical, gauge_sum,
                           poisson_bracket, split_P)
@@ -322,10 +322,11 @@ _SIGMA_COMBOS = [(s1, s2, s3, s4)
 
 def _scan_min_divisors(J, c: float, Mmax: int) -> tuple[float, float]:
     """Vectorized scan over quartic momentum-zero tuples touching J,
-    excluding paired (resonant) tuples.  Returns
-    (min gauge |divisor|, min non-gauge |divisor| / c^2)."""
+    excluding paired (resonant) tuples, in the split form of
+    `_divisor_split`.  Returns (min gauge |divisor|, min non-gauge
+    |divisor| / c^2)."""
     js = np.arange(-Mmax, Mmax + 1)
-    lam = lambda_freq(c, np.arange(-Mmax, Mmax + 1))
+    nu = FrequencyTable(c=c, M=Mmax).nu
     j1, j2, j3 = np.meshgrid(js, js, js, indexing="ij")
     j1 = j1.ravel()
     j2 = j2.ravel()
@@ -356,8 +357,9 @@ def _scan_min_divisors(J, c: float, Mmax: int) -> tuple[float, float]:
         keep = ~ir
         if not np.any(keep):
             continue
-        div = np.abs(s1 * lam[a[keep] + Mmax] + s2 * lam[b[keep] + Mmax]
-                     + s3 * lam[cc[keep] + Mmax] + s4 * lam[d[keep] + Mmax])
+        div = np.abs((s1 + s2 + s3 + s4) * c * c
+                     + (s1 * nu[a[keep] + Mmax] + s2 * nu[b[keep] + Mmax]
+                        + s3 * nu[cc[keep] + Mmax] + s4 * nu[d[keep] + Mmax]))
         if s1 + s2 + s3 + s4 == 0:
             gauge_min = min(gauge_min, float(div.min()))
         else:

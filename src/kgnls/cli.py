@@ -4,8 +4,9 @@ Each experiment command is an entry of `COMMANDS`: a schema giving every
 config key its type, default and range check, a body `run(cfg, out)` and
 the errors that mean a numeric anomaly.  One runner checks the config,
 runs the body between two writes of `manifest.json` (status `running`, then
-`ok` or `numeric_anomaly` with the exit code) and exits 0, 2 (config error,
-nothing written) or 3 (numeric anomaly; no artifact holds NaN or Infinity).
+`ok` or `numeric_anomaly` with the exit code and the Python warnings the
+body raised) and exits 0, 2 (config error, nothing written) or 3 (numeric
+anomaly; no artifact holds NaN or Infinity).
 """
 
 from __future__ import annotations
@@ -16,6 +17,7 @@ import json
 import math
 import pathlib
 import sys
+import warnings
 from functools import partial
 from typing import Callable, NamedTuple
 
@@ -352,12 +354,17 @@ def _run(cmd: Command, config_path, out_dir, **flags) -> None:
            "config_sha256": hashlib.sha256(blob).hexdigest(),
            "status": "running", "exit_code": None}
     _dump_json(out / "manifest.json", man)
-    try:
-        cmd.run(cfg, out)
-        man.update(status="ok", exit_code=0)
-    except (ArithmeticError, *cmd.anomalies) as exc:
-        click.echo(f"numeric anomaly: {exc}", err=True)
-        man.update(status="numeric_anomaly", exit_code=EXIT_NUMERIC)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("default")
+        try:
+            cmd.run(cfg, out)
+            man.update(status="ok", exit_code=0)
+        except (ArithmeticError, *cmd.anomalies) as exc:
+            click.echo(f"numeric anomaly: {exc}", err=True)
+            man.update(status="numeric_anomaly", exit_code=EXIT_NUMERIC)
+    man["warnings"] = [str(w.message) for w in caught]
+    for msg in man["warnings"]:
+        click.echo(f"warning: {msg}", err=True)
     _dump_json(out / "manifest.json", man)
     if man["exit_code"]:
         sys.exit(man["exit_code"])

@@ -8,17 +8,25 @@ Index classes (k an integer vector over J, ell sparse over J^c, |ell|_1 <= 2):
     Z_G : additionally zero gauge charge L = sum k + sum ell.
 Resonant set: |<omega(xi),k> + <Omega(xi),ell>| < alpha / (<k>^tau w(ell)^theta)
 with w(ell) = min over supp(ell) of the mode weight, w(0) = 1.
+
+One kernel, `_Divisors`, evaluates every divisor, for all pairs of one k
+at once, as L c^2 + <nu, (k, ell)> + <A k + B^T ell, xi> + corrections (the
+Schrodinger family: j^2/2 and the NLS matrices).  Correction rule: delta and
+Delta take their nearest-neighbour `CorrectionTable` values at each point;
+the Schrodinger family has none.  Callers reduce the (points x pairs)
+values in blocks of points, so that no temporary of the kernel (values,
+table distances) holds more than `_BLOCK` values (512 KiB of float64).
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .frequencies import FrequencyModel, Omega0, omega0
+from .frequencies import CorrectionTable, FrequencyModel
 
 S_CLASSES = ("S0", "S1", "S2", "S4", "S5", "S6", "S7", "S8")
 
@@ -61,10 +69,7 @@ def enumerate_ell(k, J, M: int) -> list[dict[int, int]]:
         if not admissible(a):
             continue
         for (sa, sb) in ((1, 1), (1, -1), (-1, 1), (-1, -1)):
-            rem = -m - sa * a
-            if rem % sb != 0:
-                continue
-            b = rem // sb
+            b = (-m - sa * a) * sb
             if b <= a or not admissible(b):
                 continue
             out.append({a: sa, b: sb})
@@ -110,10 +115,6 @@ class IndexPair:
     @property
     def in_ZM(self) -> bool:
         return self.momentum == 0
-
-    @property
-    def in_ZG(self) -> bool:
-        return self.momentum == 0 and self.gauge_sum == 0
 
 
 def make_pair(k, ell: dict[int, int], J) -> IndexPair:
@@ -188,70 +189,127 @@ class ResonantQuery:
             raise ValueError("theta must lie in [0, 1)")
 
 
+_BLOCK = 1 << 16   # values per block of a call's widest temporary
+
+
+class _Divisors:
+    """The pairs (k, ell) of one k: ell support as positions `pos` into
+    `model.normal_modes` with values `val` (0 pads), and per pair the
+    constant, the gradient A k + B^T ell and the weight w(ell).  Called on
+    points xi (n, N), it gives the (n, P) divisors, corrections added."""
+
+    def __init__(self, model: FrequencyModel, k, ells: list[dict[int, int]],
+                 nls: bool = False):
+        self.model, self.nls = model, nls
+        self.k = np.asarray(k, dtype=int)
+        rows = [[x for a, v in ell.items() if v for x in (a, v)]
+                for ell in ells]
+        flat = np.array([r + [0] * (4 - len(r)) for r in rows],
+                        dtype=int).reshape(-1, 2, 2)
+        at, self.val = flat[..., 0], flat[..., 1]
+        modes = model.normal_modes
+        self.pos = np.minimum(np.searchsorted(modes, at), len(modes) - 1)
+        if np.any((self.val != 0) & (modes[self.pos] != at)):
+            raise ValueError("ell support must lie in the normal modes")
+        tables = [] if nls else [t for t in (model.delta, model.Delta)
+                                 if t is not None]
+        # per point, the widest temporary of a call: one value per pair,
+        # or a table's nearest-neighbour distances and gathered values
+        self.width = max([len(self.val)] + [t.points.size + t.values.shape[1]
+                                            for t in tables])
+        w = np.where(self.val != 0, model.w_Jc[self.pos], np.inf).min(axis=1)
+        self.w = np.where(np.isinf(w), 1.0, w)
+        if nls:
+            self.const = 0.5 * (self.k @ np.square(model.J)
+                                + (self.val * at * at).sum(axis=1))
+            A, B = model.A_nls, model.B_nls
+        else:
+            self.nu = self.k @ model.nu_J \
+                + (self.val * model.nu_Jc[self.pos]).sum(axis=1)
+            self.const = (self.k.sum() + self.val.sum(axis=1)) * model.c ** 2 \
+                + self.nu
+            A, B = model.A, model.B
+        self.grad = (A @ self.k)[None, :] \
+            + self.val[:, :1] * B[self.pos[:, 0]] \
+            + self.val[:, 1:] * B[self.pos[:, 1]]
+
+    def __call__(self, xi: np.ndarray) -> np.ndarray:
+        out = xi @ self.grad.T
+        out += self.const
+        m = self.model
+        if not self.nls and m.delta is not None:
+            out += (m.delta(xi) @ self.k)[:, None]
+        if not self.nls and m.Delta is not None:
+            D = m.Delta(xi)
+            out += D[:, self.pos[:, 0]] * self.val[:, 0]
+            out += D[:, self.pos[:, 1]] * self.val[:, 1]
+        return out
+
+    def threshold(self, query: ResonantQuery) -> np.ndarray:
+        k1 = int(np.abs(self.k).sum())
+        kb = math.sqrt(1.0 + k1 * k1)
+        return query.alpha / (kb ** query.tau * self.w ** query.theta)
+
+
+def _pair_tables(model: FrequencyModel, kmax: int, kmin: int = 0):
+    """(k, ells) for every k with kmin <= |k|_1 <= kmax and at least one
+    ell: the one loop over the momentum-zero pairs."""
+    for k in iter_k(model.N, kmax):
+        if int(np.abs(k).sum()) >= kmin \
+                and (ells := enumerate_ell(k, model.J, model.M)):
+            yield k, ells
+
+
+def _blocks(n: int, width: int):
+    step = max(1, _BLOCK // max(width, 1))
+    return (slice(i, i + step) for i in range(0, n, step))
+
+
+def _hits(div: _Divisors, xi: np.ndarray, query: ResonantQuery
+          ) -> np.ndarray:
+    """Per point: whether any pair of `div` is below its threshold."""
+    thr = div.threshold(query)
+    hit = np.zeros(len(xi), dtype=bool)
+    for s in _blocks(len(xi), div.width):
+        vals = div(xi[s])
+        hit[s] = (np.abs(vals, out=vals) < thr).any(axis=1)
+    return hit
+
+
+def _min_abs(div: _Divisors, xi: np.ndarray) -> np.ndarray:
+    """Per pair: min |divisor| over the points."""
+    return np.min([np.abs(div(xi[s])).min(axis=0)
+                   for s in _blocks(len(xi), div.width)], axis=0)
+
+
 def weight_w(model: FrequencyModel, ell: dict[int, int]) -> float:
     """min over supp(ell) of the mode weight w_i; w(0) = 1 for empty ell."""
-    if not ell:
-        return 1.0
-    idx = {int(j): i for i, j in enumerate(model.normal_modes)}
-    return min(float(model.w_Jc[idx[a]]) for a in ell)
+    return float(_Divisors(model, np.zeros(model.N, dtype=int), [ell]).w[0])
 
 
 def threshold(model: FrequencyModel, query: ResonantQuery,
               pair: IndexPair) -> float:
-    k1 = pair.k_l1
-    kb = math.sqrt(1.0 + k1 * k1)
-    return query.alpha / (kb ** query.tau
-                          * weight_w(model, pair.ell_dict) ** query.theta)
-
-
-def _affine(model: FrequencyModel, pair: IndexPair, nls: bool = False
-            ) -> tuple[float, np.ndarray]:
-    """Constant and xi-gradient of the (correction-free) divisor."""
-    k = np.array(pair.k, dtype=float)
-    idx = {int(j): i for i, j in enumerate(model.normal_modes)}
-    if nls:
-        const = 0.5 * math.fsum(kj * j * j for kj, j in zip(k, model.J))
-        grad = model.A_nls @ k
-        for a, v in pair.ell:
-            const += v * 0.5 * a * a
-            grad += v * model.B_nls[idx[a], :]
-    else:
-        const = math.fsum(kj * lj for kj, lj in zip(k, model.lam_J))
-        grad = model.A @ k
-        for a, v in pair.ell:
-            const += v * model.lam_Jc[idx[a]]
-            grad += v * model.B[idx[a], :]
-    return const, grad
+    div = _Divisors(model, pair.k, [pair.ell_dict])
+    return float(div.threshold(query)[0])
 
 
 def divisor(model: FrequencyModel, xi, pair: IndexPair,
             nls: bool = False) -> float:
     """<omega(xi), k> + <Omega(xi), ell>, corrections included."""
-    xi = model.check_xi(xi)
-    if nls or (model.delta is None and model.Delta is None):
-        const, grad = _affine(model, pair, nls=nls)
-        return const + float(grad @ xi)
-    om = omega0(model, xi)
-    Om = Omega0(model, xi)
-    idx = {int(j): i for i, j in enumerate(model.normal_modes)}
-    out = math.fsum(kj * oj for kj, oj in zip(pair.k, om))
-    out += math.fsum(v * Om[idx[a]] for a, v in pair.ell)
-    return out
+    div = _Divisors(model, pair.k, [pair.ell_dict], nls)
+    return float(div(model.check_xi(xi)[None, :])[0, 0])
 
 
 def divisor_parts(model: FrequencyModel, xi, pair: IndexPair) -> dict:
-    """Decomposition L c^2 + <nu, k> + sum ell_n nu_n + xi-linear part."""
+    """Decomposition L c^2 + <nu, k> + sum ell_n nu_n + xi-linear part +
+    corrections."""
     xi = model.check_xi(xi)
-    idx = {int(j): i for i, j in enumerate(model.normal_modes)}
-    c2 = model.c ** 2
-    nu_part = math.fsum(kj * nj for kj, nj in zip(pair.k, model.nu_J))
-    nu_part += math.fsum(v * model.nu_Jc[idx[a]] for a, v in pair.ell)
-    _, grad = _affine(model, pair)
-    parts = {"gauge": pair.gauge_sum * c2, "nu": nu_part,
-             "xi_linear": float(grad @ xi), "corrections": 0.0}
-    if model.delta is not None or model.Delta is not None:
-        parts["corrections"] = divisor(model, xi, pair) - sum(parts.values())
-    parts["total"] = sum(v for s, v in parts.items() if s != "total")
+    div = _Divisors(model, pair.k, [pair.ell_dict])
+    parts = {"gauge": pair.gauge_sum * model.c ** 2,
+             "nu": float(div.nu[0]), "xi_linear": float(div.grad[0] @ xi)}
+    total = float(div(xi[None, :])[0, 0])
+    parts["corrections"] = total - math.fsum(parts.values())
+    parts["total"] = total
     return parts
 
 
@@ -299,19 +357,9 @@ def measure_estimate_mc(model: FrequencyModel, k, query: ResonantQuery,
     if ells is None:
         ells = enumerate_ell(k, model.J, model.M)
     xi = sample_xi(model, query.samples, query.seed)
-    hit = np.zeros(query.samples, dtype=bool)
-    for ell in ells:
-        if int(np.sum(np.abs(k))) + sum(abs(v) for v in ell.values()) == 0:
-            continue
-        pair = make_pair(k, ell, model.J)
-        thr = threshold(model, query, pair)
-        if model.delta is None and model.Delta is None:
-            const, grad = _affine(model, pair, nls=nls)
-            vals = const + xi @ grad
-        else:
-            vals = np.array([divisor(model, x, pair, nls=nls) for x in xi])
-        hit |= np.abs(vals) < thr
-    hits = int(np.count_nonzero(hit))
+    div = _Divisors(model, k, [e for e in ells if k.any() or any(e.values())],
+                    nls)
+    hits = int(np.count_nonzero(_hits(div, xi, query)))
     lo, hi = wilson_interval(hits, query.samples)
     return MeasureResult(fraction=hits / query.samples, ci_lo=lo, ci_hi=hi,
                          samples=query.samples, seed=query.seed,
@@ -329,79 +377,64 @@ def measure_estimate_grid(model: FrequencyModel, k, query: ResonantQuery,
             for i in range(model.N)]
     mesh = np.stack([g.ravel() for g in np.meshgrid(*axes, indexing="ij")],
                     axis=1)
-    hit = np.zeros(len(mesh), dtype=bool)
-    for ell in ells:
-        if int(np.sum(np.abs(k))) + sum(abs(v) for v in ell.values()) == 0:
-            continue
-        pair = make_pair(k, ell, model.J)
-        if model.delta is None and model.Delta is None:
-            const, grad = _affine(model, pair)
-            vals = const + mesh @ grad
-        else:
-            vals = np.array([divisor(model, x, pair) for x in mesh])
-        hit |= np.abs(vals) < threshold(model, query, pair)
-    return float(np.count_nonzero(hit)) / len(mesh)
+    div = _Divisors(model, k, [e for e in ells if k.any() or any(e.values())])
+    return float(np.count_nonzero(_hits(div, mesh, query))) / len(mesh)
 
 
 def nongauge_scan(model: FrequencyModel, kappa: float = 0.5,
                   kmax: int | None = None) -> dict:
     """Exhaustive scan of the non-gauge pairs (L != 0) under the size
     restrictions |k|_1 <= kappa sqrt(c) and supp(ell) within [-c/2, c/2],
-    evaluated at the amplitude-box corners.  Returns min |divisor| / c^2."""
+    evaluated at the amplitude-box corners.  Returns min |divisor| / c^2,
+    its pair, and the number of S8-class pairs with the S8 row of the
+    smallest min |divisor| / c^2 (None when there is none)."""
     c = model.c
     if kmax is None:
         kmax = max(1, int(kappa * math.sqrt(c)))
     corners = model.xi_corners()
-    c2 = c * c
-    best = math.inf
-    arg = None
-    s8_rows = []
-    n_pairs = 0
-    for k in iter_k(model.N, kmax):
-        for ell in enumerate_ell(k, model.J, model.M):
-            if any(abs(a) > c / 2 for a in ell):
-                continue
-            if int(np.sum(k)) + sum(ell.values()) == 0:
-                continue
+    best, arg, n_pairs = math.inf, None, 0
+    s8_best, s8_row, s8_count = math.inf, None, 0
+    for k, ells in _pair_tables(model, kmax):
+        L = int(np.sum(k))
+        ells = [ell for ell in ells if L + sum(ell.values()) != 0
+                and all(abs(a) <= c / 2 for a in ell)]
+        if not ells:
+            continue
+        n_pairs += len(ells)
+        mins = _min_abs(_Divisors(model, k, ells), corners) / (c * c)
+        i = int(np.argmin(mins))
+        if mins[i] < best:
+            best = float(mins[i])
+            arg = {"k": [int(v) for v in k], "ell": dict(ells[i])}
+        for ell, m in zip(ells, mins):
             pair = make_pair(k, ell, model.J)
-            n_pairs += 1
-            const, grad = _affine(model, pair)
-            vals = np.abs(const + corners @ grad)
-            m = float(np.min(vals)) / c2
-            if m < best:
-                best = m
-                arg = {"k": list(pair.k), "ell": dict(pair.ell)}
             if ell and classify_pair(pair, c) == "S8":
-                loc = s8_localization(pair, c)
-                s8_rows.append({"k": list(pair.k), "ell": dict(pair.ell),
-                                "center": loc["center"],
-                                "offsets": {str(a): v for a, v
-                                            in loc["offsets"].items()},
-                                "min_over_c2": m})
+                s8_count += 1
+                if m < s8_best:
+                    s8_best, loc = float(m), s8_localization(pair, c)
+                    s8_row = {"k": list(pair.k), "ell": dict(pair.ell),
+                              "center": loc["center"], "min_over_c2": s8_best,
+                              "offsets": {str(a): v for a, v
+                                          in loc["offsets"].items()}}
     if n_pairs and best <= 0:
         raise ArithmeticError("non-gauge divisor minimum is not positive")
     return {"c": c, "kmax": kmax, "kappa": kappa, "pairs": n_pairs,
             "min_over_c2": (best if n_pairs else None), "argmin": arg,
-            "s8_rows": s8_rows}
+            "s8_count": s8_count, "s8_argmin": s8_row}
 
 
 def k0_floor_scan(model: FrequencyModel, n_xi: int = 64, seed: int = 0
                   ) -> dict:
     """Verify that the k = 0 divisors over every (0, ell) in Z_M stay
     above a positive floor (reported relative to c^2)."""
-    ells = enumerate_ell(np.zeros(model.N, dtype=int), model.J, model.M)
+    k = np.zeros(model.N, dtype=int)
+    ells = enumerate_ell(k, model.J, model.M)
     xi = sample_xi(model, n_xi, seed)
-    best = math.inf
-    arg = None
-    for ell in ells:
-        if not ell:
-            continue
-        pair = make_pair(np.zeros(model.N, dtype=int), ell, model.J)
-        const, grad = _affine(model, pair)
-        m = float(np.min(np.abs(const + xi @ grad)))
-        if m < best:
-            best = m
-            arg = dict(ell)
+    best, arg = math.inf, None
+    if ells:
+        mins = _min_abs(_Divisors(model, k, ells), xi)
+        i = int(np.argmin(mins))
+        best, arg = float(mins[i]), dict(ells[i])
     return {"floor": best, "floor_over_c2": best / model.c ** 2,
             "argmin_ell": arg, "n_ell": len(ells)}
 
@@ -414,28 +447,12 @@ def cantor_excision(model: FrequencyModel, query: ResonantQuery,
     if K_cut < 0:
         raise ValueError("K_cut must be >= 0")
     xi = sample_xi(model, query.samples, query.seed)
-    center = 0.5 * (model.xi_lo + model.xi_hi)
-    # tangential correction evaluated at the box centre; exact for the
-    # constant (single-sample) tables, which keeps every divisor affine
-    d_shift = None if model.delta is None \
-        else np.asarray(model.delta(center), dtype=float)
     excised = np.zeros(query.samples, dtype=bool)
     n_sets = 0
-    for k in iter_k(model.N, kmax):
-        k1 = int(np.sum(np.abs(k)))
-        if k1 <= K_cut:
-            continue
-        for ell in enumerate_ell(k, model.J, model.M):
-            if k1 + sum(abs(v) for v in ell.values()) == 0:
-                continue
-            pair = make_pair(k, ell, model.J)
-            thr = threshold(model, query, pair)
-            for nls in (False, True):
-                const, grad = _affine(model, pair, nls=nls)
-                if not nls and d_shift is not None:
-                    const += float(d_shift @ np.asarray(pair.k, dtype=float))
-                excised |= np.abs(const + xi @ grad) < thr
-            n_sets += 1
+    for k, ells in _pair_tables(model, kmax, K_cut + 1):
+        for nls in (False, True):
+            excised |= _hits(_Divisors(model, k, ells, nls), xi, query)
+        n_sets += len(ells)
     hits = int(np.count_nonzero(excised))
     lo, hi = wilson_interval(hits, query.samples)
     return {"excised_fraction": hits / query.samples,
@@ -450,10 +467,6 @@ def center_pair_correction(model: FrequencyModel,
     amplitude box.  This realizes the generic situation of the measure
     estimates (a resonant surface crossing the box); the uncorrected
     divisors of a truncated model typically sit at O(1) offsets."""
-    import copy
-
-    from .frequencies import CorrectionTable
-
     k = np.array(pair.k, dtype=float)
     k2 = float(k @ k)
     if k2 == 0:
@@ -461,7 +474,5 @@ def center_pair_correction(model: FrequencyModel,
     center = 0.5 * (model.xi_lo + model.xi_hi)
     d = divisor(model, center, pair)
     shift = (-d / k2) * k
-    out = copy.copy(model)
-    out.delta = CorrectionTable(points=center[None, :],
-                                values=shift[None, :])
-    return out
+    return replace(model, delta=CorrectionTable(
+        points=center[None, :], values=shift[None, :]))

@@ -34,8 +34,13 @@ class CorrectionTable:
     values: np.ndarray   # (n_samples, dim_out)
 
     def __call__(self, xi: np.ndarray) -> np.ndarray:
-        d = np.linalg.norm(self.points - xi[None, :], axis=1)
-        return self.values[int(np.argmin(d))]
+        """Values at the nearest sample of each point: (n, N) points give
+        (n, dim_out) values; a single point (N,) is the one-row case."""
+        xi = np.asarray(xi, dtype=float)
+        d = np.linalg.norm(self.points[None, :, :]
+                           - np.atleast_2d(xi)[:, None, :], axis=2)
+        out = self.values[np.argmin(d, axis=1)]
+        return out if xi.ndim == 2 else out[0]
 
     def lipschitz_estimate(self) -> float:
         """Max finite-difference ratio between sample pairs."""
@@ -95,13 +100,10 @@ class FrequencyModel:
         return xi
 
     def xi_corners(self) -> np.ndarray:
-        """All 2^N corners of the amplitude box."""
-        N = self.N
-        out = np.empty((2 ** N, N))
-        for i in range(2 ** N):
-            for k in range(N):
-                out[i, k] = self.xi_hi[k] if (i >> k) & 1 else self.xi_lo[k]
-        return out
+        """All 2^N corners of the amplitude box; bit k of the row index
+        picks xi_hi in coordinate k."""
+        bits = (np.arange(2 ** self.N)[:, None] >> np.arange(self.N)) & 1
+        return np.where(bits == 1, self.xi_hi, self.xi_lo)
 
 
 def build_model(c: float, J, M: int, R: float,
@@ -170,21 +172,13 @@ def Omega0_nls(model: FrequencyModel, xi) -> np.ndarray:
     return 0.5 * model.normal_modes.astype(float) ** 2 + model.B_nls @ xi
 
 
-def omega0_shifted(model: FrequencyModel, xi) -> np.ndarray:
-    """omega0 - 1/h, for direct comparison with the NLS map."""
-    return omega0(model, xi) - 1.0 / model.h
-
-
-def Omega0_shifted(model: FrequencyModel, xi) -> np.ndarray:
-    return Omega0(model, xi) - 1.0 / model.h
-
-
 def omega0_remainder(model: FrequencyModel, xi) -> np.ndarray:
-    return omega0_shifted(model, xi) - omega0_nls(model, xi)
+    """omega0 - 1/h - omega0_nls: the gap to the NLS map."""
+    return omega0(model, xi) - 1.0 / model.h - omega0_nls(model, xi)
 
 
 def Omega0_remainder(model: FrequencyModel, xi) -> np.ndarray:
-    return Omega0_shifted(model, xi) - Omega0_nls(model, xi)
+    return Omega0(model, xi) - 1.0 / model.h - Omega0_nls(model, xi)
 
 
 def bateman_inverse(model: FrequencyModel) -> np.ndarray:
@@ -219,24 +213,19 @@ def solve_first_melnikov(model: FrequencyModel, ell: dict[int, int]
     l1 = sum(abs(v) for v in ell.values())
     if l1 > 2:
         raise ValueError("first-Melnikov solve is restricted to |ell|_1 <= 2")
-    if not ell or l1 == 0:
-        return np.zeros(model.N)
-    normal_index = {int(j): i for i, j in enumerate(model.normal_modes)}
-    dot = 0.0
-    for j, v in ell.items():
-        if j not in normal_index:
-            raise ValueError(f"ell support {j} is not a normal mode")
-        dot += v * math.sqrt(2.0) / model.w_Jc[normal_index[j]]
-    N = model.N
-    return dot * math.sqrt(2.0) / (1.0 - 2 * N) * model.w_J
+    from .divisors import _Divisors  # local to avoid a cycle
+
+    table = _Divisors(model, np.zeros(model.N, dtype=int), [ell])
+    dot = math.sqrt(2.0) * float(np.sum(table.val / model.w_Jc[table.pos]))
+    return dot * math.sqrt(2.0) / (1.0 - 2 * model.N) * model.w_J
 
 
 def melnikov_residual(model: FrequencyModel, ell: dict[int, int],
                       x: np.ndarray) -> float:
-    bt_ell = np.zeros(model.N)
-    normal_index = {int(j): i for i, j in enumerate(model.normal_modes)}
-    for j, v in ell.items():
-        bt_ell += v * model.B[normal_index[j], :]
+    """|A x + B^T ell|_1, B^T ell being the gradient of the k = 0 divisor."""
+    from .divisors import _Divisors  # local to avoid a cycle
+
+    bt_ell = _Divisors(model, np.zeros(model.N, dtype=int), [ell]).grad[0]
     return float(np.sum(np.abs(model.A @ x + bt_ell)))
 
 
@@ -250,31 +239,21 @@ def melnikov_hypothesis_h(J) -> float:
 def first_melnikov_lower_bound(model: FrequencyModel, kmax: int) -> dict:
     """Scan min over (k, ell) in the momentum-zero class of
     |A k + B^T ell|_1 / |k|_1 for 1 <= |k|_1 <= kmax."""
-    from .divisors import enumerate_ell, iter_k  # local to avoid a cycle
+    from .divisors import _Divisors, _pair_tables  # local to avoid a cycle
 
     hyp = melnikov_hypothesis_h(model.J)
-    warned = model.h > hyp
-    best = math.inf
-    arg = None
-    count = 0
-    normal_index = {int(j): i for i, j in enumerate(model.normal_modes)}
-    for k in iter_k(model.N, kmax):
-        k1 = int(np.sum(np.abs(k)))
-        if k1 == 0:
-            continue
-        Ak = model.A @ k
-        for ell in enumerate_ell(k, model.J, model.M):
-            v = Ak.copy()
-            for j, lv in ell.items():
-                v += lv * model.B[normal_index[j], :]
-            ratio = float(np.sum(np.abs(v))) / k1
-            count += 1
-            if ratio < best:
-                best = ratio
-                arg = (tuple(int(x) for x in k), dict(ell))
+    best, arg, count = math.inf, None, 0
+    for k, ells in _pair_tables(model, kmax, 1):
+        ratio = np.abs(_Divisors(model, k, ells).grad).sum(axis=1) \
+            / int(np.abs(k).sum())
+        count += len(ells)
+        i = int(np.argmin(ratio))
+        if ratio[i] < best:
+            best = float(ratio[i])
+            arg = (tuple(int(x) for x in k), dict(ells[i]))
     return {"min_ratio": best, "argmin": arg, "pairs_scanned": count,
             "h": model.h, "hypothesis_h": hyp,
-            "hypothesis_violated": warned}
+            "hypothesis_violated": model.h > hyp}
 
 
 def asymptotics_check(model: FrequencyModel,

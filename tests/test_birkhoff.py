@@ -1,5 +1,6 @@
 """Cohomological solve, normal-form correction, remainders, divisor scans."""
 
+import itertools
 import math
 
 import pytest
@@ -112,6 +113,36 @@ def test_divisor_scan_positive():
     assert all(r["gauge_min"] > 0 for r in rep["rows"])
     assert all(r["nongauge_min_over_c2"] > 0 for r in rep["rows"])
     assert rep["nongauge_relative_spread"] < 0.05
+
+
+@pytest.mark.parametrize("c", [400.0, 1e4])
+def test_scan_minima_match_split_brute_force(c):
+    # every momentum-zero, unpaired quartic tuple touching J, its divisor
+    # summed exactly (fsum) in the split form L c^2 + sum s nu_j
+    from kgnls.birkhoff import _divisor_split, _scan_min_divisors
+    Mmax = 4
+    ft = FrequencyTable(c=c, M=Mmax)
+    pairings = (((0, 1), (2, 3)), ((0, 2), (1, 3)), ((0, 3), (1, 2)))
+    gauge, nongauge = math.inf, math.inf
+    for js in itertools.product(range(-Mmax, Mmax + 1), repeat=4):
+        if not set(js) & set(J):
+            continue
+        for ss in itertools.product((1, -1), repeat=4):
+            if sum(s * j for s, j in zip(ss, js)) != 0:
+                continue
+            m = tuple(zip(js, ss))
+            if any(m[x][0] == m[y][0] and m[x][1] == -m[y][1]
+                   and m[u][0] == m[v][0] and m[u][1] == -m[v][1]
+                   for (x, y), (u, v) in pairings):
+                continue
+            d = abs(_divisor_split(m, ft))
+            if sum(ss) == 0:
+                gauge = min(gauge, d)
+            else:
+                nongauge = min(nongauge, d / (c * c))
+    got_gauge, got_nongauge = _scan_min_divisors(J, c, Mmax)
+    assert abs(got_gauge - gauge) <= 1e-12 * gauge
+    assert abs(got_nongauge - nongauge) <= 1e-12 * nongauge
 
 
 def test_nongauge_floor_enforced():

@@ -112,6 +112,8 @@ def test_simulate_writes_frames(runner, tmp_path):
     assert doc["mass_drift"] < 1e-12
     assert doc["momentum_drift"] < 1e-12
     assert (out / "frames.bin").exists()
+    man = json.loads((out / "manifest.json").read_text())
+    assert (man["status"], man["warnings"]) == ("ok", [])
 
 
 def test_simulate_bad_system_exits_2(runner, tmp_path):
@@ -275,6 +277,19 @@ def test_strict_flag_turns_coarse_dt_into_anomaly(runner, tmp_path):
     assert res.exit_code == 3
     man = json.loads((tmp_path / "run" / "manifest.json").read_text())
     assert man["config"]["strict"] is True
+
+
+def test_coarse_dt_warning_is_recorded_in_the_manifest(runner, tmp_path):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"M": 4, "T": 1.0, "dt": 1.0}))
+    res = runner.invoke(main, ["simulate", "--config", str(cfg),
+                               "--out", str(tmp_path / "run")])
+    assert res.exit_code == 0, res.output
+    man = json.loads((tmp_path / "run" / "manifest.json").read_text())
+    assert man["status"] == "ok"
+    assert len(man["warnings"]) == 1
+    assert "does not resolve the fastest frequency" in man["warnings"][0]
+    assert "does not resolve" in res.stderr
 
 
 def test_exit_code_survives_standalone_mode_off(tmp_path):

@@ -1,0 +1,274 @@
+"""The batched divisor kernel of `kgnls.divisors` against scalar references.
+
+The references below are the per-pair, per-sample loops the kernel
+replaced: a divisor is <omega0(xi), k> + <Omega0(xi), ell> summed with
+fsum from the frequency maps of `kgnls.frequencies`, one point and one
+pair at a time, and the scans loop over `iter_k` x `enumerate_ell`.  They
+share with the kernel only the model, the enumeration, the S-class
+classifier and `CorrectionTable.__call__`, which the first test checks on
+its own against a one-point nearest-neighbour reference.
+"""
+
+import math
+from unittest import mock
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from kgnls import divisors
+from kgnls.divisors import (ResonantQuery, cantor_excision,
+                            center_pair_correction, classify_pair, divisor,
+                            divisor_parts, enumerate_ell, is_resonant, iter_k,
+                            k0_floor_scan, make_pair, measure_estimate_grid,
+                            measure_estimate_mc, nongauge_scan,
+                            s8_localization, sample_xi)
+from kgnls.frequencies import (CorrectionTable, Omega0, Omega0_nls,
+                               build_model, first_melnikov_lower_bound,
+                               omega0, omega0_nls)
+
+J3 = (1, 2, 3)
+
+
+# --- references ------------------------------------------------------------
+
+def ref_nearest(table, x):
+    d = np.linalg.norm(table.points - x[None, :], axis=1)
+    return table.values[int(np.argmin(d))]
+
+
+def ref_freqs(model, x, nls=False):
+    """(omega, Omega) at one point, corrections included (none for nls)."""
+    if nls:
+        return omega0_nls(model, x), Omega0_nls(model, x)
+    return omega0(model, x), Omega0(model, x)
+
+
+def ref_index(model):
+    return {int(j): i for i, j in enumerate(model.normal_modes)}
+
+
+def ref_value(om, Om, pair, idx):
+    return (math.fsum(kj * oj for kj, oj in zip(pair.k, om))
+            + math.fsum(v * Om[idx[a]] for a, v in pair.ell))
+
+
+def ref_divisor(model, x, pair, nls=False):
+    return ref_value(*ref_freqs(model, x, nls), pair, ref_index(model))
+
+
+def ref_threshold(model, query, pair):
+    idx = ref_index(model)
+    w = min((float(model.w_Jc[idx[a]]) for a, _ in pair.ell), default=1.0)
+    kb = math.sqrt(1.0 + pair.k_l1 ** 2)
+    return query.alpha / (kb ** query.tau * w ** query.theta)
+
+
+def ref_union(model, xi, pairs, query, families=(False,)):
+    """Per point: whether any pair of any family is resonant there."""
+    thr = [ref_threshold(model, query, p) for p in pairs]
+    idx = ref_index(model)
+    hit = np.zeros(len(xi), dtype=bool)
+    for n, x in enumerate(xi):
+        for nls in families:
+            om, Om = ref_freqs(model, x, nls)
+            if any(abs(ref_value(om, Om, p, idx)) < t
+                   for p, t in zip(pairs, thr)):
+                hit[n] = True
+                break
+    return hit
+
+
+def ref_pairs(model, k, ells):
+    return [make_pair(k, ell, model.J) for ell in ells
+            if any(k) or any(ell.values())]
+
+
+def ref_nongauge(model, kmax):
+    c = model.c
+    corners = model.xi_corners()
+    best, arg, n_pairs = math.inf, None, 0
+    s8_rows = []
+    for k in iter_k(model.N, kmax):
+        for ell in enumerate_ell(k, model.J, model.M):
+            if any(abs(a) > c / 2 for a in ell):
+                continue
+            if int(np.sum(k)) + sum(ell.values()) == 0:
+                continue
+            pair = make_pair(k, ell, model.J)
+            n_pairs += 1
+            m = min(abs(ref_divisor(model, x, pair)) for x in corners) / c**2
+            if m < best:
+                best, arg = m, {"k": list(pair.k), "ell": dict(pair.ell)}
+            if ell and classify_pair(pair, c) == "S8":
+                loc = s8_localization(pair, c)
+                s8_rows.append({"k": list(pair.k), "ell": dict(pair.ell),
+                                "center": loc["center"],
+                                "offsets": {str(a): v for a, v
+                                            in loc["offsets"].items()},
+                                "min_over_c2": m})
+    return n_pairs, best, arg, s8_rows
+
+
+def ref_first_melnikov(model, kmax):
+    best, arg, count = math.inf, None, 0
+    idx = ref_index(model)
+    for k in iter_k(model.N, kmax):
+        k1 = int(np.sum(np.abs(k)))
+        if k1 == 0:
+            continue
+        for ell in enumerate_ell(k, model.J, model.M):
+            v = model.A @ k
+            for j, lv in ell.items():
+                v = v + lv * model.B[idx[j], :]
+            ratio = float(np.sum(np.abs(v))) / k1
+            count += 1
+            if ratio < best:
+                best, arg = ratio, (tuple(int(x) for x in k), dict(ell))
+    return best, arg, count
+
+
+# --- strategies ------------------------------------------------------------
+
+def tables(draw, model, scale):
+    """Multi-point delta and Delta tables with values of size ~scale."""
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    out = []
+    for dim in (model.N, len(model.normal_modes)):
+        S = draw(st.integers(1, 5))
+        pts = rng.uniform(model.xi_lo, model.xi_hi, size=(S, model.N))
+        vals = scale * rng.standard_normal((S, dim))
+        out.append(CorrectionTable(points=pts, values=vals))
+    return out
+
+
+@st.composite
+def corrected_models(draw):
+    """A model whose (1,-1,0), {-1:-1} divisor vanishes near the box centre,
+    with multi-point delta and Delta tables of size ~1e-6 on top."""
+    c = draw(st.sampled_from([3.0, 10.0, 40.0]))
+    M = draw(st.integers(4, 9))
+    model = center_pair_correction(build_model(c, J3, M, 1e-2),
+                                   make_pair((1, -1, 0), {-1: -1}, J3))
+    delta, Delta = tables(draw, model, 2e-6)
+    model.delta = CorrectionTable(points=delta.points,
+                                  values=model.delta.values + delta.values)
+    model.Delta = Delta
+    return model
+
+
+# --- tests -----------------------------------------------------------------
+
+def test_correction_table_batch_matches_nearest_reference():
+    rng = np.random.default_rng(1)
+    tab = CorrectionTable(points=rng.uniform(size=(7, 3)),
+                          values=rng.standard_normal((7, 4)))
+    xi = rng.uniform(size=(50, 3))
+    got = tab(xi)
+    assert got.shape == (50, 4)
+    for x, row in zip(xi, got):
+        assert np.array_equal(row, ref_nearest(tab, x))
+        assert np.array_equal(tab(x), row)
+
+
+@given(st.data())
+@settings(max_examples=60, deadline=None, derandomize=True)
+def test_divisor_matches_scalar_reference(data):
+    c = data.draw(st.sampled_from([2.0, 10.0, 100.0, 1e3]))
+    M = data.draw(st.integers(3, 12))
+    model = build_model(c, J3, M, 1e-2)
+    model.delta, model.Delta = tables(data.draw, model, 1e-3 * c * c)
+    ks = [k for k in iter_k(3, 3) if enumerate_ell(k, J3, M)]
+    k = ks[data.draw(st.integers(0, len(ks) - 1))]
+    ells = enumerate_ell(k, J3, M)
+    ell = ells[data.draw(st.integers(0, len(ells) - 1))]
+    pair = make_pair(k, ell, J3)
+    nls = data.draw(st.booleans())
+    scale = 1e-12 * max(1.0, float(np.max(model.lam_Jc)))
+    rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1)))
+    for x in rng.uniform(model.xi_lo, model.xi_hi, size=(4, 3)):
+        want = ref_divisor(model, x, pair, nls)
+        assert abs(divisor(model, x, pair, nls) - want) <= scale
+        if not nls:
+            parts = divisor_parts(model, x, pair)
+            assert abs(parts["total"] - want) <= scale
+
+
+@given(corrected_models(), st.floats(1e-7, 1e-5), st.integers(0, 10 ** 6),
+       st.booleans())
+@settings(max_examples=15, deadline=None, derandomize=True)
+def test_measure_hits_match_per_sample_reference(model, alpha, seed, nls):
+    k = (1, -1, 0)
+    ells = enumerate_ell(np.array(k), J3, model.M)
+    q = ResonantQuery(alpha=alpha, tau=2.0, theta=0.4, samples=300,
+                      seed=seed)
+    pairs = ref_pairs(model, k, ells)
+    with mock.patch.object(divisors, "_BLOCK", 500):   # several blocks
+        res = measure_estimate_mc(model, k, q, ells=ells, nls=nls)
+    xi = sample_xi(model, q.samples, q.seed)
+    assert res.hits == int(np.sum(ref_union(model, xi, pairs, q, (nls,))))
+    axes = [np.linspace(model.xi_lo[i], model.xi_hi[i], 6) for i in range(3)]
+    mesh = np.stack([g.ravel() for g in np.meshgrid(*axes, indexing="ij")],
+                    axis=1)
+    grid = measure_estimate_grid(model, k, q, pts_per_dim=6, ells=ells)
+    assert grid == np.mean(ref_union(model, mesh, pairs, q))
+
+
+@given(corrected_models(), st.floats(1e-7, 1e-5), st.integers(0, 10 ** 6))
+@settings(max_examples=5, deadline=None, derandomize=True)
+def test_cantor_excision_matches_per_sample_union(model, alpha, seed):
+    # the tabulated delta and Delta act at each sample, as in is_resonant
+    q = ResonantQuery(alpha=alpha, tau=2.0, samples=120, seed=seed)
+    with mock.patch.object(divisors, "_BLOCK", 2000):  # several blocks
+        rep = cantor_excision(model, q, K_cut=0, kmax=2)
+    pairs = [p for k in iter_k(3, 2) if any(k)
+             for p in ref_pairs(model, k, enumerate_ell(k, J3, model.M))]
+    assert rep["sets"] == len(pairs)
+    xi = sample_xi(model, q.samples, q.seed)
+    want = ref_union(model, xi, pairs, q, (False, True))
+    assert rep["excised_fraction"] == np.mean(want)
+    # spot-check the union against the public per-point predicate
+    for x, h in list(zip(xi, want))[:3]:
+        assert h == any(is_resonant(model, x, p, q, nls=nls)
+                        for p in pairs for nls in (False, True))
+
+
+@pytest.mark.parametrize("c,kmax", [(25.0, None), (25.0, 4), (100.0, None)])
+def test_nongauge_scan_matches_per_pair_reference(c, kmax):
+    model = build_model(c, J3, 12, 1e-2)
+    rep = nongauge_scan(model, kappa=0.5, kmax=kmax)
+    n_pairs, best, arg, s8_rows = ref_nongauge(model, rep["kmax"])
+    assert rep["pairs"] == n_pairs
+    assert rep["argmin"] == arg
+    assert abs(rep["min_over_c2"] - best) <= 1e-12 * best
+    assert rep["s8_count"] == len(s8_rows)
+    if not s8_rows:
+        assert rep["s8_argmin"] is None
+        return
+    want = min(s8_rows, key=lambda r: r["min_over_c2"])
+    got = dict(rep["s8_argmin"])
+    assert abs(got.pop("min_over_c2") - want.pop("min_over_c2")) \
+        <= 1e-12 * best
+    assert got == want
+
+
+def test_k0_floor_matches_per_pair_reference():
+    model = build_model(10.0, J3, 20, 1e-2)
+    rep = k0_floor_scan(model, n_xi=32, seed=4)
+    xi = sample_xi(model, 32, 4)
+    ells = enumerate_ell(np.zeros(3, dtype=int), J3, model.M)
+    mins = [min(abs(ref_divisor(model, x, make_pair((0, 0, 0), ell, J3)))
+                for x in xi) for ell in ells]
+    i = int(np.argmin(mins))
+    assert rep["n_ell"] == len(ells) and rep["argmin_ell"] == ells[i]
+    assert abs(rep["floor"] - mins[i]) <= 1e-12 * mins[i]
+
+
+@pytest.mark.parametrize("c", [10.0, 100.0])
+def test_first_melnikov_matches_per_pair_reference(c):
+    model = build_model(c, J3, 20, 1e-2)
+    rep = first_melnikov_lower_bound(model, kmax=3)
+    best, arg, count = ref_first_melnikov(model, 3)
+    assert (rep["pairs_scanned"], rep["argmin"]) == (count, arg)
+    assert rep["min_ratio"] == best
