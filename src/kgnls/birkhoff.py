@@ -14,15 +14,14 @@ complement of J.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from itertools import permutations
+from dataclasses import dataclass
 
 import numpy as np
 
 from .spectral_core import TWO_PI, FrequencyTable
-from .hamiltonian import (PolyHamiltonian, Slots, build_Lambda,
-                          build_Lambda_nls, canonical, gauge_sum,
-                          poisson_bracket, split_P)
+from .hamiltonian import (Monomial, PolyHamiltonian, Slots, _decode,
+                          _from_rows, _paired, _quartic_rows, canonical,
+                          gauge_sum, poisson_bracket)
 
 
 class DivisorAnomaly(RuntimeError):
@@ -38,35 +37,58 @@ class ResonanceClass:
     divisor: float
 
 
-def _has_pairing(jv: tuple[int, ...], sv: tuple[int, ...]) -> bool:
-    """True iff some permutation splits the four slots into two pairs with
-    equal index and opposite sign."""
-    for perm in permutations(range(4)):
-        a, b, c, d = perm
-        if (jv[a] == jv[b] and sv[a] == -sv[b]
-                and jv[c] == jv[d] and sv[c] == -sv[d]):
-            return True
-    return False
+def _quartic_table(H: PolyHamiltonian
+                   ) -> tuple[np.ndarray, np.ndarray, int]:
+    """(code rows, coefficients, window) of a quartic polynomial, in term
+    order."""
+    tab = H._table()
+    if set(tab) - {4}:
+        raise ValueError("the normal-form step is defined for quartic "
+                         f"polynomials, got degrees {sorted(tab)}")
+    rows, coefs = tab.get(4, (np.zeros((0, 4), dtype=np.int32),
+                              np.zeros(0, dtype=complex)))
+    return rows, coefs, H._window()
+
+
+def _touches(rows: np.ndarray, W: int, J) -> np.ndarray:
+    """Per code row: some slot's mode lies in J."""
+    return np.isin(_decode(rows, W)[0], list(J)).any(axis=1)
+
+
+_FSUM_ROWS = 1024
+
+
+def _divisor(rows: np.ndarray, W: int, freq: FrequencyTable | None
+             ) -> np.ndarray:
+    """sigma . lambda per code row in the split form
+    (sum sigma) c^2 + fsum(sigma nu_j): the c^2 blocks cancel exactly for
+    gauge-invariant monomials, which keeps divisors accurate at large c
+    where the direct lambda sum loses ~c^2 eps.  freq=None gives the
+    parabolic frequencies, fsum(sigma j^2 / 2)."""
+    j, s = _decode(rows, W)
+    if freq is None:
+        parts = 0.5 * s * j * j
+    else:
+        if j.size and np.abs(j).max() > freq.M:
+            raise IndexError(f"mode outside truncation |j| <= {freq.M}")
+        parts = s * freq.nu[j + freq.M]
+    # exact row sums; rows pass through Python lists in blocks, so the
+    # lists of a large scan stay small
+    d = np.fromiter((math.fsum(r) for i in range(0, len(parts), _FSUM_ROWS)
+                     for r in parts[i:i + _FSUM_ROWS].tolist()),
+                    dtype=float, count=len(parts))
+    return d if freq is None else s.sum(axis=1) * freq.c ** 2 + d
 
 
 def classify(jvec, sigvec, J, freq: FrequencyTable) -> ResonanceClass:
-    jv = tuple(jvec)
-    sv = tuple(1 if s in (1, "+") else -1 for s in sigvec)
-    if len(jv) != 4:
+    m = Monomial(jvec, sigvec)
+    if len(m.slots) != 4:
         raise ValueError("classification is defined for degree-4 monomials")
-    Jset = set(J)
-    mom = sum(j * s for j, s in zip(jv, sv))
-    in_lj = mom == 0 and any(j in Jset for j in jv)
-    in_ir = _has_pairing(jv, sv)
-    div = float(sum(s * freq.lam_at(j) for j, s in zip(jv, sv)))
-    return ResonanceClass(in_IR=in_ir, in_LJ=in_lj,
-                          gauge_sum=sum(sv), divisor=div)
-
-
-def _classify_slots(m: Slots, Jset: set[int]) -> tuple[bool, bool]:
-    jv = tuple(j for j, _ in m)
-    sv = tuple(s for _, s in m)
-    return _has_pairing(jv, sv), any(j in Jset for j in jv)
+    rows, _, W = _quartic_table(PolyHamiltonian({m.slots: 1.0}, check=False))
+    return ResonanceClass(
+        in_IR=bool(_paired(rows)[0]),
+        in_LJ=m.momentum == 0 and bool(_touches(rows, W, J)[0]),
+        gauge_sum=m.gauge_sum, divisor=float(_divisor(rows, W, freq)[0]))
 
 
 @dataclass
@@ -99,64 +121,41 @@ class NormalFormResult:
                           "# P_hat", self.P_hat.to_text()])
 
 
-def _divisor_of(m: Slots, lam_at) -> float:
-    return float(sum(s * lam_at(j) for j, s in m))
-
-
-def _divisor_split(m: Slots, freq: FrequencyTable) -> float:
-    """sigma . lambda via the split lambda_j = c^2 + nu_j: the c^2 blocks
-    cancel exactly for gauge-invariant monomials, which keeps divisors
-    accurate at large c where the direct lambda sum loses ~c^2*eps."""
-    return gauge_sum(m) * freq.c ** 2 \
-        + math.fsum(s * freq.nu_at(j) for j, s in m)
-
-
-def _solve(P: PolyHamiltonian, div_of, J, nongauge_floor: float | None
+def _solve(P: PolyHamiltonian, freq: FrequencyTable | None, J,
+           nongauge_floor: float | None
            ) -> tuple[PolyHamiltonian, PolyHamiltonian, PolyHamiltonian, float]:
-    """Common cohomological solve.  `div_of` maps a monomial to its
-    divisor sigma . lambda.  Returns (G, Lambda_plus, P_hat, kmin) where
-    kmin is the smallest gauge-invariant divisor met."""
-    Jset = set(J)
-    g_terms: dict[Slots, complex] = {}
-    lp_terms: dict[Slots, complex] = {}
-    ph_terms: dict[Slots, complex] = {}
+    """Common cohomological solve with the divisors of `_divisor`.  Returns
+    (G, Lambda_plus, P_hat, kmin) where kmin is the smallest
+    gauge-invariant divisor met."""
+    rows, coefs, W = _quartic_table(P)
+    touches = _touches(rows, W, J)
+    resonant = touches & _paired(rows)
+    work = np.flatnonzero(touches & ~resonant)
+    rows_g = rows[work]
+    d = _divisor(rows_g, W, freq)
+    gauge = _decode(rows_g, W)[1].sum(axis=1) == 0
+    absd = np.abs(d)
 
-    # first pass: divisors of the terms we must divide by
-    gauge_divs = []
-    work = []
-    for m, c in P.terms.items():
-        in_ir, in_lj = _classify_slots(m, Jset)
-        if not in_lj:
-            ph_terms[m] = c
-        elif in_ir:
-            lp_terms[m] = c
-        else:
-            d = div_of(m)
-            work.append((m, c, d))
-            if gauge_sum(m) == 0:
-                gauge_divs.append(abs(d))
-
-    kmin = min(gauge_divs) if gauge_divs else float("inf")
-    if gauge_divs and kmin == 0.0:
+    kmin = float(absd[gauge].min(initial=np.inf))
+    if kmin == 0.0:
         raise DivisorAnomaly(
             "exact zero gauge-invariant divisor outside the resonant set")
-    gauge_floor = 1e-8 * kmin if gauge_divs else 0.0
+    floor = np.where(gauge, 1e-8 * kmin,
+                     -1.0 if nongauge_floor is None else nongauge_floor)
+    low = np.flatnonzero(absd < floor)
+    if low.size:
+        i = low[0]
+        m = list(P.terms)[work[i]]
+        kind = "gauge" if gauge[i] else "non-gauge"
+        raise DivisorAnomaly(f"{kind} divisor {d[i]:.3e} below floor "
+                             f"{floor[i]:.3e} at {m}")
 
-    for m, c, d in work:
-        if gauge_sum(m) == 0:
-            if abs(d) < gauge_floor:
-                raise DivisorAnomaly(
-                    f"gauge divisor {d:.3e} below floor {gauge_floor:.3e} "
-                    f"at {m}")
-        elif nongauge_floor is not None and abs(d) < nongauge_floor:
-            raise DivisorAnomaly(
-                f"non-gauge divisor {d:.3e} below floor "
-                f"{nongauge_floor:.3e} at {m}")
-        g_terms[m] = 1j * c / d
-
-    return (PolyHamiltonian(g_terms, check=False),
-            PolyHamiltonian(lp_terms, check=False),
-            PolyHamiltonian(ph_terms, check=False),
+    # the divide stays scalar: numpy's complex division multiplies by the
+    # reciprocal and moves the last bit; + 0 turns -0.0 real parts into 0.0
+    g = [1j * c / x + 0 for c, x in zip(coefs[work].tolist(), d.tolist())]
+    return (_from_rows([(rows_g, np.array(g, dtype=complex))], W),
+            _from_rows([(rows[resonant], coefs[resonant] + 0)], W),
+            _from_rows([(rows[~touches], coefs[~touches] + 0)], W),
             kmin)
 
 
@@ -169,20 +168,33 @@ def _check_window(J, M: int) -> None:
             f"tangential modes {outside} outside the window |j| <= {M}")
 
 
-def _residual(div_of, G: PolyHamiltonian, P: PolyHamiltonian,
-              Lp: PolyHamiltonian, Ph: PolyHamiltonian) -> float:
+def _residual(freq: FrequencyTable | None, G: PolyHamiltonian,
+              P: PolyHamiltonian, Lp: PolyHamiltonian,
+              Ph: PolyHamiltonian) -> float:
     """Max coefficient of {Lambda, G} + P - Lambda_plus - P_hat relative
     to |P|_inf.  The diagonal bracket is evaluated monomial-wise as
     i (sigma . lambda) G_m; the generic bracket implementation agrees but
     loses ~c^2 * eps to float cancellation at large c."""
+    rows, _, W = _quartic_table(G)
+    d = _divisor(rows, W, freq)
     resid: dict[Slots, complex] = {}
     for H, sgn in ((P, 1.0), (Lp, -1.0), (Ph, -1.0)):
         for m, c in H.terms.items():
             resid[m] = resid.get(m, 0.0) + sgn * c
-    for m, c in G.terms.items():
-        resid[m] = resid.get(m, 0.0) + 1j * div_of(m) * c
+    for (m, c), dm in zip(G.terms.items(), d.tolist()):
+        resid[m] = resid.get(m, 0.0) + 1j * dm * c
     scale = P.max_abs_coeff() or 1.0
     return max((abs(v) for v in resid.values()), default=0.0) / scale
+
+
+def _normal_form(P: PolyHamiltonian, freq: FrequencyTable | None, J, M: int,
+                 nongauge_floor: float | None) -> NormalFormResult:
+    _check_window(J, M)
+    G, Lp, Ph, kmin = _solve(P, freq, J, nongauge_floor)
+    return NormalFormResult(G=G, Lambda_plus=Lp, P_hat=Ph, P=P,
+                            J=tuple(sorted(J)), freq=freq,
+                            residual=_residual(freq, G, P, Lp, Ph),
+                            gauge_divisor_min=kmin)
 
 
 def solve_cohomological_quartic(P: PolyHamiltonian, freq: FrequencyTable,
@@ -193,16 +205,10 @@ def solve_cohomological_quartic(P: PolyHamiltonian, freq: FrequencyTable,
         1/2 sum_{i or j in J} N_ij / ((1+h nu_i)(1+h nu_j)) |z_i|^2 |z_j|^2,
     N_ij = 3/(8 pi) (2 - delta_ij).
 
-    Raises ValueError when a mode of J lies outside |j| <= freq.M.
+    Raises ValueError when a mode of J lies outside |j| <= freq.M or P is
+    not quartic.
     """
-    _check_window(J, freq.M)
-    div_of = lambda m: _divisor_split(m, freq)  # noqa: E731
-    G, Lp, Ph, kmin = _solve(P, div_of, J,
-                             nongauge_floor=1e-8 * freq.c ** 2)
-    res = _residual(div_of, G, P, Lp, Ph)
-    return NormalFormResult(G=G, Lambda_plus=Lp, P_hat=Ph, P=P,
-                            J=tuple(sorted(J)), freq=freq, residual=res,
-                            gauge_divisor_min=kmin)
+    return _normal_form(P, freq, J, freq.M, 1e-8 * freq.c ** 2)
 
 
 def solve_cohomological_nls(P_nls: PolyHamiltonian, J, M: int
@@ -211,15 +217,9 @@ def solve_cohomological_nls(P_nls: PolyHamiltonian, J, M: int
 
     The momentum selection rule excludes exact zero divisors outside the
     resonant pairing set; an exact zero raises DivisorAnomaly.  A mode of
-    J outside |j| <= M raises ValueError.
+    J outside |j| <= M or a P_nls that is not quartic raises ValueError.
     """
-    _check_window(J, M)
-    div_of = lambda m: math.fsum(0.5 * s * j * j for j, s in m)  # noqa: E731
-    G, Lp, Ph, kmin = _solve(P_nls, div_of, J, nongauge_floor=None)
-    res = _residual(div_of, G, P_nls, Lp, Ph)
-    return NormalFormResult(G=G, Lambda_plus=Lp, P_hat=Ph, P=P_nls,
-                            J=tuple(sorted(J)), freq=None, residual=res,
-                            gauge_divisor_min=kmin)
+    return _normal_form(P_nls, None, J, M, None)
 
 
 def lambda_plus_closed_form(freq: FrequencyTable | None, J,
@@ -270,10 +270,10 @@ def remainder_split(result: NormalFormResult,
 
     r1_terms: dict[Slots, complex] = {}
     div_terms: dict[Slots, complex] = {}
-    nls_lam = lambda j: 0.5 * j * j  # noqa: E731
-    for m in result_nls.G.terms:
-        d_kg = _divisor_split(m, freq)
-        d_nls = _divisor_of(m, nls_lam)
+    rows, _, W = _quartic_table(result_nls.G)
+    for m, d_kg, d_nls in zip(result_nls.G.terms,
+                              _divisor(rows, W, freq).tolist(),
+                              _divisor(rows, W, None).tolist()):
         c_r = P_r.terms.get(m, 0.0)
         if c_r:
             r1_terms[m] = 1j * c_r / d_kg
@@ -315,56 +315,19 @@ def lie_transform(H: PolyHamiltonian, G: PolyHamiltonian,
     return out
 
 
-_SIGMA_COMBOS = [(s1, s2, s3, s4)
-                 for s1 in (1, -1) for s2 in (1, -1)
-                 for s3 in (1, -1) for s4 in (1, -1)]
-
-
-def _scan_min_divisors(J, c: float, Mmax: int) -> tuple[float, float]:
-    """Vectorized scan over quartic momentum-zero tuples touching J,
-    excluding paired (resonant) tuples, in the split form of
-    `_divisor_split`.  Returns (min gauge |divisor|, min non-gauge
-    |divisor| / c^2)."""
-    js = np.arange(-Mmax, Mmax + 1)
-    nu = FrequencyTable(c=c, M=Mmax).nu
-    j1, j2, j3 = np.meshgrid(js, js, js, indexing="ij")
-    j1 = j1.ravel()
-    j2 = j2.ravel()
-    j3 = j3.ravel()
-    Jarr = np.array(sorted(J))
-    gauge_min = np.inf
-    nongauge_min = np.inf
-    for s1, s2, s3, s4 in _SIGMA_COMBOS:
-        j4 = -s4 * (s1 * j1 + s2 * j2 + s3 * j3)
-        ok = np.abs(j4) <= Mmax
-        a, b, cc, d = j1[ok], j2[ok], j3[ok], j4[ok]
-        touches = (np.isin(a, Jarr) | np.isin(b, Jarr)
-                   | np.isin(cc, Jarr) | np.isin(d, Jarr))
-        a, b, cc, d = a[touches], b[touches], cc[touches], d[touches]
-        if a.size == 0:
-            continue
-        # paired (resonant) tuples: one of the three pairings matches
-        ir = np.zeros(a.shape, dtype=bool)
-        slots = [(a, s1), (b, s2), (cc, s3), (d, s4)]
-        for (x, y), (u, v) in (((0, 1), (2, 3)), ((0, 2), (1, 3)),
-                               ((0, 3), (1, 2))):
-            jx, sx = slots[x]
-            jy, sy = slots[y]
-            ju, su = slots[u]
-            jv, sv = slots[v]
-            if sx == -sy and su == -sv:
-                ir |= (jx == jy) & (ju == jv)
-        keep = ~ir
-        if not np.any(keep):
-            continue
-        div = np.abs((s1 + s2 + s3 + s4) * c * c
-                     + (s1 * nu[a[keep] + Mmax] + s2 * nu[b[keep] + Mmax]
-                        + s3 * nu[cc[keep] + Mmax] + s4 * nu[d[keep] + Mmax]))
-        if s1 + s2 + s3 + s4 == 0:
-            gauge_min = min(gauge_min, float(div.min()))
-        else:
-            nongauge_min = min(nongauge_min, float(div.min()))
-    return gauge_min, nongauge_min / (c * c)
+def _scan_min_divisors(J, c_grid, Mmax: int) -> list[tuple[float, float]]:
+    """Scan over the quartic momentum-zero rows on |j| <= Mmax that touch
+    J and are not paired (resonant), in the split form of `_divisor`.
+    Returns per c (min gauge |divisor|, min non-gauge |divisor| / c^2)."""
+    rows = _quartic_rows(Mmax)
+    rows = rows[_touches(rows, Mmax, J) & ~_paired(rows)]
+    gauge = _decode(rows, Mmax)[1].sum(axis=1) == 0
+    out = []
+    for c in c_grid:
+        d = np.abs(_divisor(rows, Mmax, FrequencyTable(c=c, M=Mmax)))
+        out.append((float(d[gauge].min(initial=np.inf)),
+                    float(d[~gauge].min(initial=np.inf)) / (c * c)))
+    return out
 
 
 def verify_divisor_bounds(J, c_grid, Mmax: int) -> dict:
@@ -374,8 +337,8 @@ def verify_divisor_bounds(J, c_grid, Mmax: int) -> dict:
     and the minimum non-gauge |divisor|/c^2 (bounded below uniformly in c).
     """
     rows = []
-    for c in c_grid:
-        gmin, ngmin = _scan_min_divisors(J, float(c), Mmax)
+    c_grid = [float(c) for c in c_grid]
+    for c, (gmin, ngmin) in zip(c_grid, _scan_min_divisors(J, c_grid, Mmax)):
         if not (gmin > 0.0):
             raise DivisorAnomaly(f"gauge divisor minimum not positive at c={c}")
         if not (ngmin > 0.0):

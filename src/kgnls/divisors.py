@@ -315,8 +315,9 @@ def divisor_parts(model: FrequencyModel, xi, pair: IndexPair) -> dict:
 
 def is_resonant(model: FrequencyModel, xi, pair: IndexPair,
                 query: ResonantQuery, nls: bool = False) -> bool:
-    return abs(divisor(model, xi, pair, nls=nls)) < threshold(
-        model, query, pair)
+    div = _Divisors(model, pair.k, [pair.ell_dict], nls)
+    return bool(abs(div(model.check_xi(xi)[None, :])[0, 0])
+                < div.threshold(query)[0])
 
 
 def wilson_interval(successes: int, n: int, z: float = 1.959963984540054

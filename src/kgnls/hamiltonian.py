@@ -17,9 +17,10 @@ so that for the diagonal quadratic Lambda = sum lambda_j z_j zbar_j,
     {Lambda, m} = i (sigma . lambda) m    for a monomial m.
 
 The kernels (`value`, `vector_field`, `poisson_bracket`, the majorant's
-coefficient sup) work on a term table built from ``terms``: per degree an
-int array of slot codes ``2 (j + W) + (s > 0)`` on a window ``|j| <= W``
-and a complex coefficient vector.  Code order equals slot-tuple order, so
+coefficient sup, `birkhoff`'s quartic classifier) work on a term table
+built from ``terms``: per degree an int array of slot codes
+``2 (j + W) + (s > 0)`` on a window ``|j| <= W`` and a complex
+coefficient vector.  Code order equals slot-tuple order, so
 a sorted code row is a canonical monomial and ``code ^ 1`` is the
 conjugate slot.
 """
@@ -109,16 +110,6 @@ class PolyHamiltonian:
                     raise ValueError(
                         f"monomial {m} violates momentum selection rule")
                 self.terms[m] = self.terms.get(m, 0) + c
-
-    @classmethod
-    def _from_canonical(cls, terms: dict[Slots, complex]
-                        ) -> "PolyHamiltonian":
-        """Adopt `terms` as is: keys already sorted, momentum zero,
-        coefficients nonzero."""
-        H = cls.__new__(cls)
-        H.terms = terms
-        H._table_cache = None
-        return H
 
     def _table(self, W: int | None = None
                ) -> dict[int, tuple[np.ndarray, np.ndarray]]:
@@ -275,21 +266,36 @@ _ROW_CHUNK = 2048
 _PAIR_CHUNK = 4096
 
 
-def _rows_to_terms(chunks: Iterable[tuple[np.ndarray, np.ndarray]], W: int
-                   ) -> dict[Slots, complex]:
-    """Batches of (sorted code rows, coefficients) -> {canonical slot
-    tuple: coefficient}."""
+def _from_rows(tables: Iterable[tuple[np.ndarray, np.ndarray]], W: int
+               ) -> PolyHamiltonian:
+    """Polynomial from (sorted code rows, coefficients) tables on the window
+    |j| <= W.  Rows must be distinct and momentum zero, coefficients
+    nonzero; they are adopted as is, in row order."""
     slot = _slot_keys(W)
     terms: dict[Slots, complex] = {}
-    for rows, coefs in chunks:
-        for r, c in zip(rows.tolist(), coefs.tolist()):
-            terms[tuple(map(slot.__getitem__, r))] = c
-    return terms
+    for table in tables:
+        for rows, coefs in _batches(*table):
+            for r, c in zip(rows.tolist(), coefs.tolist()):
+                terms[tuple(map(slot.__getitem__, r))] = c
+    H = PolyHamiltonian.__new__(PolyHamiltonian)
+    H.terms, H._table_cache = terms, None
+    return H
 
 
 def _batches(rows: np.ndarray, coefs: np.ndarray):
     for i in range(0, len(rows), _ROW_CHUNK):
         yield rows[i:i + _ROW_CHUNK], coefs[i:i + _ROW_CHUNK]
+
+
+def _decode(rows: np.ndarray, W: int) -> tuple[np.ndarray, np.ndarray]:
+    """Code rows on the window |j| <= W -> (modes j, signs s), same shape."""
+    return (rows >> 1) - W, 2 * (rows & 1) - 1
+
+
+def _paired(rows: np.ndarray) -> np.ndarray:
+    """Per sorted code row: its slots split into conjugate pairs (j, +),
+    (j, -), i.e. the row equals its own conjugate."""
+    return np.all(np.sort(rows ^ 1, axis=1) == rows, axis=1)
 
 
 def _quartic_rows(M: int) -> np.ndarray:
@@ -339,8 +345,7 @@ def build_P(freq: FrequencyTable, M: int | None = None) -> PolyHamiltonian:
     wprod = w[0] * w[1] * w[2] * w[3]
     base = 1.0 / (16.0 * TWO_PI)
     coefs = _multiplicity(rows) * base / np.sqrt(wprod)
-    return PolyHamiltonian._from_canonical(
-        _rows_to_terms(_batches(rows, coefs), M))
+    return _from_rows([(rows, coefs)], M)
 
 
 def build_P_nls(M: int) -> PolyHamiltonian:
@@ -351,8 +356,7 @@ def build_P_nls(M: int) -> PolyHamiltonian:
     rows = rows[(rows & 1).sum(axis=1) == 2]
     base = 1.0 / (16.0 * TWO_PI)
     coefs = _multiplicity(rows) * base
-    return PolyHamiltonian._from_canonical(
-        _rows_to_terms(_batches(rows, coefs), M))
+    return _from_rows([(rows, coefs)], M)
 
 
 def ordered_coefficient(freq: FrequencyTable | None, jvec, sigvec) -> float:
@@ -496,7 +500,7 @@ def poisson_bracket(F: PolyHamiltonian, G: PolyHamiltonian,
             for k, v in _batches(keys[keep], vals[keep]):
                 yield _unpack(k, D, B), v
 
-    return PolyHamiltonian._from_canonical(_rows_to_terms(batches(), W))
+    return _from_rows(batches(), W)
 
 
 def vector_field(H: PolyHamiltonian, state: FourierState

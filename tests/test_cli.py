@@ -1,5 +1,6 @@
 """Command-line front end: configs, manifests, exit codes, artifacts."""
 
+import hashlib
 import json
 
 import pytest
@@ -134,6 +135,21 @@ def test_birkhoff_command(runner, tmp_path):
     doc = json.loads((out / "birkhoff.json").read_text())
     assert doc["residual"] < 1e-12
     assert (out / "normal_form.txt").read_text()
+
+
+def test_birkhoff_default_artifacts_are_golden(runner, tmp_path):
+    # refactors of the normal-form step must keep its artifacts
+    # byte-identical at the default config
+    out = tmp_path / "run"
+    res = runner.invoke(main, ["birkhoff", "--out", str(out)])
+    assert res.exit_code == 0, res.output
+    digest = {name: hashlib.sha256((out / name).read_bytes()).hexdigest()
+              for name in ("normal_form.txt", "birkhoff.json")}
+    assert digest == {
+        "normal_form.txt": "2da990042a63785c8b4d7748f58465a8"
+                           "e625ae23bc22e8761472e829bb66b57b",
+        "birkhoff.json": "ee87f52d46eb05de9d0c55c03dca77c4"
+                         "cd73b54f7f8e10d6769c33fb11a5f95a"}
 
 
 @pytest.mark.parametrize("config", [{"M": True}, {"c": False}])
