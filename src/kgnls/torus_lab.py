@@ -6,8 +6,10 @@ Right sides (modes |j| <= M, dressing g_j = (z_j + zbar_{-j}) / sqrt(w_j)):
     KG : dz_q/dt = -i lambda_q z_q - (i/8 pi) w_q^{-1/2} (g*g*g)_q
     NLS: dz_m/dt = -(i/2) m^2 z_m - (3 i/8 pi) sum_{j1+j2-j3=m} z z zbar
 with full (untruncated) intermediate convolutions read back on the mode
-window.  Time stepping is Strang splitting: exact linear rotation halves
-around an RK4 step of the nonlinear part.
+window.  Time stepping is Strang splitting on z only (states are real,
+zbar = conj(z)): exact linear rotation halves around an RK4 step of the
+nonlinear part.  Torus refinement is Gauss-Newton with the closed-form
+Jacobian of the collocated invariance residual.
 """
 
 from __future__ import annotations
@@ -31,6 +33,11 @@ def _window(full: np.ndarray, M: int) -> np.ndarray:
     """Central window |j| <= M of a full convolution array."""
     center = (len(full) - 1) // 2
     return full[center - M:center + M + 1]
+
+
+def _require_real(state: FourierState) -> None:
+    if not state.real_representation():
+        raise ValueError("the state is not real: zbar must equal conj(z)")
 
 
 @dataclass
@@ -62,27 +69,21 @@ class TruncatedSystem:
     def fastest_frequency(self) -> float:
         return float(np.max(np.abs(self._lam)))
 
-    def nonlinear_rhs(self, z: np.ndarray, zbar: np.ndarray
-                      ) -> tuple[np.ndarray, np.ndarray]:
-        M = self.M
+    def nonlinear_rhs(self, z: np.ndarray) -> np.ndarray:
+        """Nonlinear part of dz/dt at the real state (z, conj(z))."""
+        zeta = np.conj(z)[::-1]
         if self.kind == "kg":
-            g = (z + zbar[::-1]) / self._sw
-            cube = _window(_conv_full(_conv_full(g, g), g), M)
-            dz = -1j / (8.0 * math.pi) * cube / self._sw
-            # conjugate-variable field: the reflected cube
-            dzb = 1j / (8.0 * math.pi) * cube[::-1] / self._sw
-            return dz, dzb
-        zeta = zbar[::-1]
-        cube = _window(_conv_full(_conv_full(z, z), zeta), M)
-        dz = -3j / (8.0 * math.pi) * cube
-        cube_b = _window(_conv_full(_conv_full(zbar, zbar), z[::-1]), M)
-        dzb = 3j / (8.0 * math.pi) * cube_b
-        return dz, dzb
+            g = (z + zeta) / self._sw
+            cube = _window(_conv_full(_conv_full(g, g), g), self.M)
+            return -1j / (8.0 * math.pi) * cube / self._sw
+        cube = _window(_conv_full(_conv_full(z, z), zeta), self.M)
+        return -3j / (8.0 * math.pi) * cube
 
     def rhs(self, state: FourierState) -> tuple[np.ndarray, np.ndarray]:
-        dz, dzb = self.nonlinear_rhs(state.z, state.zbar)
-        return (dz - 1j * self._lam * state.z,
-                dzb + 1j * self._lam * state.zbar)
+        """(dz/dt, dzbar/dt) at a real state; dzbar/dt = conj(dz/dt)."""
+        _require_real(state)
+        dz = self.nonlinear_rhs(state.z) - 1j * self._lam * state.z
+        return dz, np.conj(dz)
 
     def hamiltonian_value(self, state: FourierState) -> float:
         z, zbar = state.z, state.zbar
@@ -131,8 +132,12 @@ def integrate(system: TruncatedSystem, z0: FourierState, T: float,
               strict: bool = False) -> SimulationRecord:
     """Strang splitting with exact linear rotation and an RK4 nonlinear
     step; records Hamiltonian/mass/momentum traces every `record_every`
-    steps (and always the final state)."""
+    steps (and always the final state).  The state must be real
+    (zbar = conj(z)); only z is stepped, and each frame records
+    (z, conj(z))."""
     import warnings
+
+    _require_real(z0)
 
     if dt is None:
         dt = default_dt(system)
@@ -143,15 +148,14 @@ def integrate(system: TruncatedSystem, z0: FourierState, T: float,
             raise ValueError(msg)
         warnings.warn(msg)
     n_steps = max(1, int(round(T / dt)))
-    rot_half_z = np.exp(-0.5j * dt * system.linear_freqs)
-    rot_half_zb = np.conj(rot_half_z)
+    rot_half = np.exp(-0.5j * dt * system.linear_freqs)
+    f = system.nonlinear_rhs
 
     z = z0.z.copy()
-    zb = z0.zbar.copy()
     times, states, ham, mass, mom = [], [], [], [], []
 
     def record(t):
-        st = FourierState(z.copy(), zb.copy())
+        st = FourierState(z.copy(), np.conj(z))
         times.append(t)
         states.append(st)
         ham.append(system.hamiltonian_value(st))
@@ -160,16 +164,13 @@ def integrate(system: TruncatedSystem, z0: FourierState, T: float,
 
     record(0.0)
     for step in range(1, n_steps + 1):
-        z *= rot_half_z
-        zb *= rot_half_zb
-        k1 = system.nonlinear_rhs(z, zb)
-        k2 = system.nonlinear_rhs(z + 0.5 * dt * k1[0], zb + 0.5 * dt * k1[1])
-        k3 = system.nonlinear_rhs(z + 0.5 * dt * k2[0], zb + 0.5 * dt * k2[1])
-        k4 = system.nonlinear_rhs(z + dt * k3[0], zb + dt * k3[1])
-        z = z + dt / 6.0 * (k1[0] + 2 * k2[0] + 2 * k3[0] + k4[0])
-        zb = zb + dt / 6.0 * (k1[1] + 2 * k2[1] + 2 * k3[1] + k4[1])
-        z *= rot_half_z
-        zb *= rot_half_zb
+        z *= rot_half
+        k1 = f(z)
+        k2 = f(z + 0.5 * dt * k1)
+        k3 = f(z + 0.5 * dt * k2)
+        k4 = f(z + dt * k3)
+        z = z + dt / 6.0 * (k1 + 2 * k2 + 2 * k3 + k4)
+        z *= rot_half
         if step % record_every == 0 or step == n_steps:
             record(step * dt)
     return SimulationRecord(times=np.array(times), states=states,
@@ -365,11 +366,58 @@ def invariance_defect(emb: TorusEmbedding, system: TruncatedSystem) -> float:
     return float(np.max(np.abs(invariance_residual(emb, system))))
 
 
+def _conv_rows(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Row-by-row full convolutions of two (rows, 2M+1) arrays."""
+    return np.array([_conv_full(x, y) for x, y in zip(a, b)])
+
+
+def _invariance_jacobian(C: np.ndarray, omega: np.ndarray,
+                         system: TruncatedSystem, E: np.ndarray,
+                         qs: np.ndarray, with_omega: bool) -> np.ndarray:
+    """Real Jacobian of [Re r; Im r], r = `invariance_residual`, with respect
+    to [Re C_h, Im C_h] per harmonic h (then omega when `with_omega`).
+
+    E[a, h] = exp(i q_h . theta_a) and z_a = sum_h E[a, h] C_h.  The cubic
+    field linearises as dN = P_a dz + Q_a conj(dz), with T(f)[m, k] = f_{m-k},
+    Rfl the reflection m -> -m, zeta_a = Rfl conj(z_a) and g_a the KG
+    dressing of `nonlinear_rhs`:
+        NLS: P_a = 2 kappa T(z_a * zeta_a),  Q_a = kappa T(z_a * z_a) Rfl
+        KG : P_a = kappa D T(g_a * g_a) D,   Q_a = P_a Rfl,  D = diag(w^-1/2)
+    (kappa = -3i / 8 pi).  Then dr_a = sum_h K_ah dC_h + L_ah conj(dC_h) with
+    K_ah = E_ah (i Lambda + i q_h . omega - P_a) and L_ah = -conj(E_ah) Q_a.
+    """
+    n = C.shape[1]
+    z = E @ C
+    kappa = -3j / (8.0 * math.pi)
+    toeplitz = np.subtract.outer(np.arange(n), np.arange(n)) + n - 1
+    if system.kind == "kg":
+        g = (z + np.conj(z)[:, ::-1]) / system._sw
+        P = kappa * _conv_rows(g, g)[:, toeplitz] \
+            / np.outer(system._sw, system._sw)
+        Q = P[:, :, ::-1]
+    else:
+        P = 2.0 * kappa * _conv_rows(z, np.conj(z)[:, ::-1])[:, toeplitz]
+        Q = kappa * _conv_rows(z, z)[:, toeplitz][:, :, ::-1]
+    lin = 1j * (system.linear_freqs[None, :] + (qs @ omega)[:, None])
+    diag = np.eye(n)[:, None, :] * lin.T[:, :, None]          # [m, h, k]
+    K = E[:, None, :, None] * (diag[None] - P[:, :, None, :])  # [a, m, h, k]
+    L = -np.conj(E)[:, None, :, None] * Q[:, :, None, :]
+    rows = K.shape[0] * n
+    cols = np.stack([(K + L).reshape(rows, -1, n),
+                     (1j * (K - L)).reshape(rows, -1, n)], axis=2)
+    cols = cols.reshape(rows, -1)
+    if with_omega:
+        dw = np.einsum("ah,hk,hn->akn", E, C, 1j * qs).reshape(rows, -1)
+        cols = np.hstack([cols, dw])
+    return np.vstack([cols.real, cols.imag])
+
+
 def refine_torus(emb: TorusEmbedding, system: TruncatedSystem,
                  mode: str = "fixed_frequency", tol: float = 1e-10,
-                 max_iter: int = 25, fd_eps: float = 1e-7
+                 max_iter: int = 25
                  ) -> tuple[TorusEmbedding, RefineReport]:
-    """Gauss-Newton on the angle-collocated invariance residual.
+    """Gauss-Newton on the angle-collocated invariance residual, with the
+    closed-form Jacobian of `_invariance_jacobian`.
 
     mode 'fixed_frequency': omega held, amplitudes solved.
     mode 'fixed_amplitude': omega free, fundamental amplitudes pinned.
@@ -381,10 +429,20 @@ def refine_torus(emb: TorusEmbedding, system: TruncatedSystem,
     with_omega = mode == "fixed_amplitude"
     order = _harmonics(emb.N, emb.Q)
     angles = _collocation_angles(emb.N, emb.Q)
+    qs = np.array(order, dtype=float)
+    E = np.exp(1j * (np.array(angles) @ qs.T))
+    n_mode = 2 * emb.M + 1
     fund = [tuple(1 if i == n else 0 for i in range(emb.N))
             for n in range(emb.N)]
     targets = [float(emb.coeffs[q][j + emb.M].real)
                for q, j in zip(fund, emb.J)]
+    # the phase and amplitude conditions are unit rows of the Jacobian
+    re_cols = [2 * n_mode * order.index(q) + j + emb.M
+               for q, j in zip(fund, emb.J)]
+    pin_cols = [c + n_mode for c in re_cols] + (re_cols if with_omega else [])
+    pins = np.zeros((len(pin_cols),
+                     2 * n_mode * len(order) + (emb.N if with_omega else 0)))
+    pins[np.arange(len(pin_cols)), pin_cols] = 1.0
 
     def residual(x: np.ndarray) -> np.ndarray:
         e = _unpack(x, emb, order, with_omega)
@@ -398,6 +456,12 @@ def refine_torus(emb: TorusEmbedding, system: TruncatedSystem,
                 rows.append(np.array([e.coeffs[q][j + emb.M].real - t]))
         return np.concatenate(rows)
 
+    def jacobian(x: np.ndarray) -> np.ndarray:
+        e = _unpack(x, emb, order, with_omega)
+        C = np.array([e.coeffs[q] for q in order])
+        return np.vstack([_invariance_jacobian(C, e.omega, system, E, qs,
+                                               with_omega), pins])
+
     x = _pack(emb, order, with_omega)
     r = residual(x)
     history = [float(np.max(np.abs(r)))]
@@ -408,13 +472,7 @@ def refine_torus(emb: TorusEmbedding, system: TruncatedSystem,
                 converged=True, iterations=it, defect_history=history,
                 final_defect=history[-1],
                 smallest_singular_value=smin)
-        # forward-difference Jacobian
-        Jac = np.empty((len(r), len(x)))
-        for col in range(len(x)):
-            xp = x.copy()
-            xp[col] += fd_eps
-            Jac[:, col] = (residual(xp) - r) / fd_eps
-        sv = np.linalg.svd(Jac, compute_uv=False)
+        step, _, _, sv = np.linalg.lstsq(jacobian(x), -r, rcond=None)
         smin = float(sv[-1])
         if smin < 1e-14 * sv[0]:
             return _unpack(x, emb, order, with_omega), RefineReport(
@@ -422,7 +480,6 @@ def refine_torus(emb: TorusEmbedding, system: TruncatedSystem,
                 final_defect=history[-1],
                 message="singular collocation matrix",
                 smallest_singular_value=smin)
-        step, *_ = np.linalg.lstsq(Jac, -r, rcond=None)
         lam = 1.0
         for _ in range(6):
             xn = x + lam * step
@@ -520,7 +577,9 @@ def scaling_study(R: float, c_list, sigma: float, T: float = 1e3,
                   ) -> dict:
     """Gauge distance between frequency-matched refined tori as a function
     of c; fits the log-log slope.  Inadmissible c (< R^{-73/72}) are
-    rejected or flagged."""
+    rejected or flagged.  Each converged row also carries the KG solve's
+    Newton iterations, defect history, smallest singular value and the
+    coefficient-error bound final_defect / sigma_min."""
     if params is None:
         params = SpaceParams(a=0.0, p=5.0, beta=0.0, M=M)
     c_adm = R ** (-73.0 / 72.0)
@@ -532,7 +591,7 @@ def scaling_study(R: float, c_list, sigma: float, T: float = 1e3,
                              "distance": None})
                 continue
         try:
-            emb_nls, emb_kg, _, _ = matched_torus_pair(R, c, J, M, Q)
+            emb_nls, emb_kg, _, rep_kg = matched_torus_pair(R, c, J, M, Q)
         except RuntimeError as exc:
             rows.append({"c": c, "admissible": c >= c_adm,
                          "converged": False, "distance": None,
@@ -543,8 +602,13 @@ def scaling_study(R: float, c_list, sigma: float, T: float = 1e3,
         rec_nls = synthesize_record(emb_nls, nls, T, n_samples)
         rec_kg = synthesize_record(emb_kg, kg, T, n_samples)
         _, sup = gauge_distance(rec_kg, rec_nls, params, c, sigma)
+        smin = rep_kg.smallest_singular_value
         rows.append({"c": c, "admissible": c >= c_adm, "converged": True,
-                     "distance": sup})
+                     "distance": sup, "newton_iters": rep_kg.iterations,
+                     "defect_history": rep_kg.defect_history,
+                     "sigma_min": smin,
+                     "coeff_error_bound": None if smin is None
+                     else rep_kg.final_defect / smin})
     good = [(r["c"], r["distance"]) for r in rows
             if r["converged"] and r["admissible"]]
     slope = fit_loglog([g[0] for g in good], [g[1] for g in good]) \

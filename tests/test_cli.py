@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+import math
 
 import pytest
 from click.testing import CliRunner
@@ -123,6 +124,26 @@ def test_simulate_bad_system_exits_2(runner, tmp_path):
     res = runner.invoke(main, ["simulate", "--config", str(cfg),
                                "--out", str(tmp_path / "run")])
     assert res.exit_code == 2
+
+
+def test_scaling_rows_record_the_kg_solve(runner, tmp_path):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"c_list": [110.0, 240.0], "M": 8,
+                               "n_samples": 64}))
+    out = tmp_path / "run"
+    res = runner.invoke(main, ["scaling", "--config", str(cfg),
+                               "--out", str(out)])
+    assert res.exit_code == 0, res.output
+    rows = json.loads((out / "scaling.json").read_text())["rows"]
+    assert [r["converged"] for r in rows] == [True, True]
+    for r in rows:
+        hist = r["defect_history"]
+        assert r["newton_iters"] == len(hist) - 1 >= 1
+        assert all(math.isfinite(v) and v >= 0 for v in hist)
+        assert math.isfinite(r["sigma_min"]) and r["sigma_min"] > 0
+        assert r["coeff_error_bound"] == hist[-1] / r["sigma_min"]
+    header = (out / "scaling.csv").read_text().splitlines()[0]
+    assert header == "c,admissible,converged,distance"
 
 
 def test_birkhoff_command(runner, tmp_path):

@@ -71,6 +71,17 @@ def test_kg_conservation_short_run():
     assert np.max(np.abs(rec.hamiltonian - h0)) < 1e-9 * abs(h0)
 
 
+@pytest.mark.parametrize("kind,c", [("kg", 10.0), ("nls", None)])
+def test_non_real_state_is_rejected(kind, c):
+    system = TruncatedSystem(kind=kind, M=4, c=c)
+    st = random_state(4, seed=3)
+    st.zbar = st.zbar + 1e-6
+    with pytest.raises(ValueError, match="not real"):
+        system.rhs(st)
+    with pytest.raises(ValueError, match="not real"):
+        integrate(system, st, T=0.1)
+
+
 def test_strict_mode_rejects_coarse_dt():
     system = TruncatedSystem(kind="kg", M=8, c=10.0)
     z0 = FourierState.from_modes(8, {1: 0.01})
