@@ -19,9 +19,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .spectral_core import TWO_PI, FrequencyTable
-from .hamiltonian import (Monomial, PolyHamiltonian, Slots, _decode,
-                          _from_rows, _paired, _quartic_rows, canonical,
-                          gauge_sum, poisson_bracket)
+from .hamiltonian import (PolyHamiltonian, _decode, _from_rows, _paired,
+                          _quartic_rows, poisson_bracket)
+
+# lie_transform raises MemoryError when its running sum would exceed this
+# many terms.
+TERM_LIMIT = 2_000_000
 
 
 class DivisorAnomaly(RuntimeError):
@@ -29,30 +32,35 @@ class DivisorAnomaly(RuntimeError):
     silently in that situation."""
 
 
-@dataclass(frozen=True)
-class ResonanceClass:
-    in_IR: bool
-    in_LJ: bool
-    gauge_sum: int
-    divisor: float
-
-
 def _quartic_table(H: PolyHamiltonian
                    ) -> tuple[np.ndarray, np.ndarray, int]:
-    """(code rows, coefficients, window) of a quartic polynomial, in term
-    order."""
-    tab = H._table()
-    if set(tab) - {4}:
+    """(code rows, coefficients, window) of a quartic polynomial's store."""
+    if set(H._tab) - {4}:
         raise ValueError("the normal-form step is defined for quartic "
-                         f"polynomials, got degrees {sorted(tab)}")
-    rows, coefs = tab.get(4, (np.zeros((0, 4), dtype=np.int32),
-                              np.zeros(0, dtype=complex)))
-    return rows, coefs, H._window()
+                         f"polynomials, got degrees {sorted(H._tab)}")
+    rows, coefs = H._tab.get(4, (np.zeros((0, 4), dtype=np.int32),
+                                 np.zeros(0, dtype=complex)))
+    return rows, coefs, H._W
 
 
 def _touches(rows: np.ndarray, W: int, J) -> np.ndarray:
     """Per code row: some slot's mode lies in J."""
     return np.isin(_decode(rows, W)[0], list(J)).any(axis=1)
+
+
+def _gauge(rows: np.ndarray) -> np.ndarray:
+    """Per code row: zero gauge charge (as many z as zbar slots)."""
+    return 2 * (rows & 1).sum(axis=1) == rows.shape[1]
+
+
+def _i_div(c: np.ndarray, d: np.ndarray) -> np.ndarray:
+    """1j * c / d + 0 per entry, rounded as Python's scalar complex
+    division rounds it: numpy's complex division multiplies by the
+    reciprocal and moves the last bit.  + 0 turns -0.0 parts into 0.0."""
+    out = np.empty(len(c), dtype=complex)
+    out.real = -c.imag / d + 0.0
+    out.imag = c.real / d + 0.0
+    return out
 
 
 _FSUM_ROWS = 1024
@@ -80,17 +88,6 @@ def _divisor(rows: np.ndarray, W: int, freq: FrequencyTable | None
     return d if freq is None else s.sum(axis=1) * freq.c ** 2 + d
 
 
-def classify(jvec, sigvec, J, freq: FrequencyTable) -> ResonanceClass:
-    m = Monomial(jvec, sigvec)
-    if len(m.slots) != 4:
-        raise ValueError("classification is defined for degree-4 monomials")
-    rows, _, W = _quartic_table(PolyHamiltonian({m.slots: 1.0}, check=False))
-    return ResonanceClass(
-        in_IR=bool(_paired(rows)[0]),
-        in_LJ=m.momentum == 0 and bool(_touches(rows, W, J)[0]),
-        gauge_sum=m.gauge_sum, divisor=float(_divisor(rows, W, freq)[0]))
-
-
 @dataclass
 class NormalFormResult:
     G: PolyHamiltonian
@@ -101,9 +98,6 @@ class NormalFormResult:
     freq: FrequencyTable | None          # None for the NLS solve
     residual: float = 0.0
     gauge_divisor_min: float = 0.0
-    G_nls: PolyHamiltonian | None = None
-    G_remainder: PolyHamiltonian | None = None
-    P0_terms: PolyHamiltonian | None = None
 
     def header(self) -> dict:
         return {
@@ -133,7 +127,7 @@ def _solve(P: PolyHamiltonian, freq: FrequencyTable | None, J,
     work = np.flatnonzero(touches & ~resonant)
     rows_g = rows[work]
     d = _divisor(rows_g, W, freq)
-    gauge = _decode(rows_g, W)[1].sum(axis=1) == 0
+    gauge = _gauge(rows_g)
     absd = np.abs(d)
 
     kmin = float(absd[gauge].min(initial=np.inf))
@@ -145,17 +139,15 @@ def _solve(P: PolyHamiltonian, freq: FrequencyTable | None, J,
     low = np.flatnonzero(absd < floor)
     if low.size:
         i = low[0]
-        m = list(P.terms)[work[i]]
+        j, s = _decode(rows_g[i], W)
+        m = tuple(zip(j.tolist(), s.tolist()))
         kind = "gauge" if gauge[i] else "non-gauge"
         raise DivisorAnomaly(f"{kind} divisor {d[i]:.3e} below floor "
                              f"{floor[i]:.3e} at {m}")
 
-    # the divide stays scalar: numpy's complex division multiplies by the
-    # reciprocal and moves the last bit; + 0 turns -0.0 real parts into 0.0
-    g = [1j * c / x + 0 for c, x in zip(coefs[work].tolist(), d.tolist())]
-    return (_from_rows([(rows_g, np.array(g, dtype=complex))], W),
-            _from_rows([(rows[resonant], coefs[resonant] + 0)], W),
-            _from_rows([(rows[~touches], coefs[~touches] + 0)], W),
+    return (_from_rows({4: (rows_g, _i_div(coefs[work], d))}, W),
+            _from_rows({4: (rows[resonant], coefs[resonant] + 0)}, W),
+            _from_rows({4: (rows[~touches], coefs[~touches] + 0)}, W),
             kmin)
 
 
@@ -175,16 +167,12 @@ def _residual(freq: FrequencyTable | None, G: PolyHamiltonian,
     to |P|_inf.  The diagonal bracket is evaluated monomial-wise as
     i (sigma . lambda) G_m; the generic bracket implementation agrees but
     loses ~c^2 * eps to float cancellation at large c."""
-    rows, _, W = _quartic_table(G)
-    d = _divisor(rows, W, freq)
-    resid: dict[Slots, complex] = {}
-    for H, sgn in ((P, 1.0), (Lp, -1.0), (Ph, -1.0)):
-        for m, c in H.terms.items():
-            resid[m] = resid.get(m, 0.0) + sgn * c
-    for (m, c), dm in zip(G.terms.items(), d.tolist()):
-        resid[m] = resid.get(m, 0.0) + 1j * dm * c
-    scale = P.max_abs_coeff() or 1.0
-    return max((abs(v) for v in resid.values()), default=0.0) / scale
+    rows, coefs, W = _quartic_table(G)
+    # one factor of i * d has a zero real part, so numpy rounds this product
+    # as Python's scalar complex product does
+    bracket = _from_rows({4: (rows, 1j * _divisor(rows, W, freq) * coefs)}, W)
+    return ((P - Lp - Ph + bracket).max_abs_coeff()
+            / (P.max_abs_coeff() or 1.0))
 
 
 def _normal_form(P: PolyHamiltonian, freq: FrequencyTable | None, J, M: int,
@@ -227,22 +215,18 @@ def lambda_plus_closed_form(freq: FrequencyTable | None, J,
     """Closed-form normal-form correction.  freq=None gives the NLS one
     (h = 0, every factor 1 + h nu_j is 1) and then needs M."""
     M = freq.M if M is None else M
-    terms: dict[Slots, complex] = {}
-    njj = 3.0 / (4.0 * TWO_PI)  # 3/(8 pi)
-    Jset = set(J)
-    fac = {j: 1.0 if freq is None else 1.0 + freq.h * freq.nu_at(j)
-           for j in range(-M, M + 1)}
-    for i in range(-M, M + 1):
-        for j in range(i, M + 1):
-            if i not in Jset and j not in Jset:
-                continue
-            nij = njj * (2 - (1 if i == j else 0))
-            coeff = nij / (fac[i] * fac[j])
-            if i == j:
-                coeff *= 0.5
-            m = canonical([(i, 1), (i, -1), (j, 1), (j, -1)])
-            terms[m] = terms.get(m, 0.0) + coeff
-    return PolyHamiltonian(terms, check=False)
+    fac = np.ones(2 * M + 1) if freq is None else \
+        1.0 + freq.h * freq.nu[freq.index(-M):freq.index(M) + 1]
+    # index pairs i <= j of the window, in code-row order
+    i, j = np.triu_indices(2 * M + 1)
+    touch = np.isin(i - M, list(J)) | np.isin(j - M, list(J))
+    i, j = i[touch], j[touch]
+    diag = i == j
+    coefs = 3.0 / (4.0 * TWO_PI) * (2 - diag) / (fac[i] * fac[j])
+    coefs[diag] *= 0.5
+    rows = np.sort(np.column_stack([2 * i, 2 * i + 1, 2 * j, 2 * j + 1]),
+                   axis=1)
+    return _from_rows({4: (rows, coefs)}, M)
 
 
 @dataclass
@@ -260,59 +244,39 @@ def remainder_split(result: NormalFormResult,
                     result_nls: NormalFormResult) -> RemainderSplit:
     if result.freq is None or result_nls.freq is not None:
         raise ValueError("expected a KG result and an NLS result")
-    freq = result.freq
     G_rem = result.G - result_nls.G
-    G_ng = result.G.restrict(lambda m: gauge_sum(m) != 0)
+    G_ng = result.G._select(lambda rows, _: ~_gauge(rows))
 
+    # both blocks sit on the rows of G_nls: P_r over the KG divisor, and
+    # P_nls times the difference of the inverse divisors
     P_nls = result_nls.P
-    P_gauge = result.P.restrict(lambda m: gauge_sum(m) == 0)
-    P_r = P_gauge - P_nls
-
-    r1_terms: dict[Slots, complex] = {}
-    div_terms: dict[Slots, complex] = {}
+    P_r = result.P._select(lambda rows, _: _gauge(rows)) - P_nls
     rows, _, W = _quartic_table(result_nls.G)
-    for m, d_kg, d_nls in zip(result_nls.G.terms,
-                              _divisor(rows, W, freq).tolist(),
-                              _divisor(rows, W, None).tolist()):
-        c_r = P_r.terms.get(m, 0.0)
-        if c_r:
-            r1_terms[m] = 1j * c_r / d_kg
-        c_n = P_nls.terms.get(m, 0.0)
-        if c_n:
-            div_terms[m] = 1j * c_n * (1.0 / d_kg - 1.0 / d_nls)
-
-    G_r1 = PolyHamiltonian(r1_terms, check=False)
-    G_div = PolyHamiltonian(div_terms, check=False)
+    d_kg = _divisor(rows, W, result.freq)
+    d_nls = _divisor(rows, W, None)
+    G_r1 = _from_rows({4: (rows, _i_div(P_r._at(rows, W), d_kg))}, W)
+    G_div = _from_rows({4: (rows, 1j * P_nls._at(rows, W)
+                            * (1.0 / d_kg - 1.0 / d_nls) + 0)}, W)
     err = (G_rem - (G_ng + G_r1 + G_div)).max_abs_coeff()
     return RemainderSplit(G_remainder=G_rem, G_ng=G_ng, G_r1=G_r1,
                           G_div=G_div, recombination_error=err)
 
 
 def lie_transform(H: PolyHamiltonian, G: PolyHamiltonian,
-                  max_deg: int = 6, max_order: int = 8,
-                  term_limit: int = 2_000_000) -> PolyHamiltonian:
+                  max_deg: int = 6, max_order: int = 8) -> PolyHamiltonian:
     """Lie-series transform H o flow_G(1) = sum_k ad_G^k H / k!, truncated
-    at polynomial degree `max_deg`.  Terms beyond the degree cap are
-    discarded (the discard is logged on the returned object as
-    `.lie_discard_orders`)."""
-    out = H
-    term = H
-    discarded = []
-    g_deg = G.degrees[1]
+    at polynomial degree `max_deg`: terms beyond the degree cap are
+    discarded."""
+    out = term = H
     for k in range(1, max_order + 1):
-        if term.degrees[1] + g_deg - 2 > max_deg:
-            # this bracket would only produce degrees above the cap in part
-            discarded.append(k)
         term = poisson_bracket(term, G, max_deg=max_deg).scale(1.0 / k)
         if len(term) == 0:
             break
-        if len(out) + len(term) > term_limit:
+        if len(out) + len(term) > TERM_LIMIT:
             raise MemoryError(
                 f"lie_transform term blow-up: {len(out) + len(term)} terms")
         out = out + term
-    out = out.prune()
-    out.lie_discard_orders = discarded  # type: ignore[attr-defined]
-    return out
+    return out.prune()
 
 
 def _scan_min_divisors(J, c_grid, Mmax: int) -> list[tuple[float, float]]:
@@ -321,7 +285,7 @@ def _scan_min_divisors(J, c_grid, Mmax: int) -> list[tuple[float, float]]:
     Returns per c (min gauge |divisor|, min non-gauge |divisor| / c^2)."""
     rows = _quartic_rows(Mmax)
     rows = rows[_touches(rows, Mmax, J) & ~_paired(rows)]
-    gauge = _decode(rows, Mmax)[1].sum(axis=1) == 0
+    gauge = _gauge(rows)
     out = []
     for c in c_grid:
         d = np.abs(_divisor(rows, Mmax, FrequencyTable(c=c, M=Mmax)))

@@ -207,6 +207,7 @@ def _schedule(cfg: dict, out: pathlib.Path) -> None:
                {"smallness": check,
                 "growth_factor_mean_4_12":
                 float(np.mean(gf[4:13])) if len(gf) > 12 else None,
+                "predicted_growth_factor": 4.0 / 3.0,
                 "eps_decreasing": bool(np.all(np.diff(sched.log_eps) < 0))})
     click.echo(f"schedule: {cfg['nu_max']} steps, wrote {out}/schedule.csv")
 
@@ -320,9 +321,9 @@ COMMANDS = (
         "strict": Key(bool, False),
     }, _simulate, (ValueError,)),  # integrate(strict=True): dt too coarse
     Command("scaling", {
-        "R": Key(float, 1e-2, _POSITIVE),
+        "R": Key(float, 1e-2, _rule("in (0, 1)", lambda v: 0 < v < 1)),
         "c_list": Key(list, [110.0, 160.0, 240.0, 360.0], _POSITIVE_LIST),
-        "sigma": Key(float, 1.0),
+        "sigma": Key(float, 1.0, _rule("in [0, 1]", lambda v: 0 <= v <= 1)),
         "T": Key(float, 1e3, _POSITIVE),
         "M": Key(int, 16, _POSITIVE),
         "J": Key(list, [1], _modes()),
@@ -389,10 +390,11 @@ for _cmd in COMMANDS:
                   for key, opt in _FLAGS.items() if key in _cmd.schema)]))
 
 
-# The artifact and key of each fit; a schedule's growth factor tends to 4/3.
-_FITS = {"measure": ("measure_fit.json", "slope"),
-         "scaling": ("scaling.json", "slope_vs_c"),
-         "schedule": ("schedule.json", "growth_factor_mean_4_12")}
+# The artifact of each fit, its fitted key and its predicted key.
+_FITS = {"measure": ("measure_fit.json", "slope", "predicted_slope"),
+         "scaling": ("scaling.json", "slope_vs_c", "predicted_slope"),
+         "schedule": ("schedule.json", "growth_factor_mean_4_12",
+                      "predicted_growth_factor")}
 
 
 @main.command("report")
@@ -401,7 +403,7 @@ _FITS = {"measure": ("measure_fit.json", "slope"),
               help="summary CSV path ('-' for stdout)")
 def report(run_dirs, out_path):
     """Aggregate fitted exponents from run directories against the
-    predicted ones, with each run's status."""
+    predicted ones their artifacts record, with each run's status."""
     rows = [["experiment", "seed", "run", "fitted", "predicted", "status"]]
     for d in map(pathlib.Path, run_dirs):
         if not (d / "manifest.json").exists():
@@ -411,9 +413,10 @@ def report(run_dirs, out_path):
         exp = man["experiment"]
         fitted, pred = "", ""
         if exp in _FITS and (d / _FITS[exp][0]).exists():
-            doc = json.loads((d / _FITS[exp][0]).read_text())
-            fitted = doc[_FITS[exp][1]]
-            pred = doc.get("predicted_slope", 4.0 / 3.0)
+            name, fit_key, pred_key = _FITS[exp]
+            doc = json.loads((d / name).read_text())
+            fitted = doc[fit_key]
+            pred = doc.get(pred_key, "")
         rows.append([exp, man["config"].get("seed", ""), str(d), fitted, pred,
                      man.get("status", "")])
     with click.open_file(out_path, "w") as fh:

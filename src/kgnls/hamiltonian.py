@@ -1,44 +1,49 @@
 """Sparse polynomial Hamiltonians on the truncated mode window.
 
 A monomial is a multiset of slots ``(j, s)`` with ``s = +1`` for a ``z_j``
-factor and ``s = -1`` for a ``zbar_j`` factor, stored as a sorted tuple so
-equal monomials compare equal.  Every stored monomial must satisfy the
-translation-invariance selection rule ``sum s_i j_i = 0`` (module-wide
+factor and ``s = -1`` for a ``zbar_j`` factor.  Every monomial must satisfy
+the translation-invariance selection rule ``sum s_i j_i = 0`` (module-wide
 policy; the quartic constructors and the Poisson bracket both preserve it).
 
-Coefficients are kept complex: the real Hamiltonians (P, Lambda, Lambda+)
-have real coefficients, while normal-form generators obtained by dividing
-by ``i * (divisor)`` are purely imaginary.  Real-valuedness on the real
-subspace corresponds to conjugate-symmetric coefficients under sign flip.
+A `PolyHamiltonian` is one table: a window ``|j| <= W``, the smallest
+holding every mode, and per degree the distinct rows of slot codes
+``2 (j + W) + (s > 0)`` with their nonzero complex coefficients.  Code
+order equals slot-tuple order, so a sorted code row is a canonical
+monomial and ``code ^ 1`` is the conjugate slot.  The rows of a degree are
+in increasing order of their packed key (the row read as a number in base
+``2 (2W + 1)``), which is row-lexicographic order.  Every operation and
+kernel (`value`, `vector_field`, `poisson_bracket`, `birkhoff`'s quartic
+classifier) works on this table.  ``terms``, the mapping from sorted slot
+tuples to coefficients, is a read-only view decoded from the table on
+first access, for text output and slot-tuple predicates.
+
+The real Hamiltonians (P, Lambda, Lambda+) have real coefficients, while
+normal-form generators obtained by dividing by ``i * (divisor)`` are purely
+imaginary.  Real-valuedness on the real subspace corresponds to
+conjugate-symmetric coefficients under sign flip.
 
 Poisson bracket convention:
     {F, G} = i * sum_j (dF/dzbar_j dG/dz_j - dF/dz_j dG/dzbar_j)
 so that for the diagonal quadratic Lambda = sum lambda_j z_j zbar_j,
     {Lambda, m} = i (sigma . lambda) m    for a monomial m.
-
-The kernels (`value`, `vector_field`, `poisson_bracket`, the majorant's
-coefficient sup, `birkhoff`'s quartic classifier) work on a term table
-built from ``terms``: per degree an int array of slot codes
-``2 (j + W) + (s > 0)`` on a window ``|j| <= W`` and a complex
-coefficient vector.  Code order equals slot-tuple order, so
-a sorted code row is a canonical monomial and ``code ^ 1`` is the
-conjugate slot.
 """
 
 from __future__ import annotations
 
 import math
-from itertools import chain, combinations_with_replacement
-from typing import Callable, Iterable
+from itertools import combinations_with_replacement
+from types import MappingProxyType
+from typing import Callable, Iterable, Mapping
 
 import numpy as np
 
-from .spectral_core import TWO_PI, FourierState, FrequencyTable, \
-    SpaceParams, weighted_norm
+from .spectral_core import TWO_PI, FourierState, FrequencyTable
 
 Slots = tuple[tuple[int, int], ...]
 
-PRUNE_DEFAULT = 1e-16
+# Coefficients of modulus at or below this are dropped by `prune` and
+# `poisson_bracket`.
+PRUNE_TOL = 1e-16
 
 
 def canonical(slots: Iterable[tuple[int, int]]) -> Slots:
@@ -57,139 +62,155 @@ def sigma_string(slots: Slots) -> str:
     return "".join("+" if s > 0 else "-" for _, s in slots)
 
 
-class Monomial:
-    """Thin wrapper used at API boundaries; internally plain slot tuples
-    are passed around."""
-
-    __slots__ = ("slots",)
-
-    def __init__(self, jvec: Iterable[int], sigvec: Iterable[int]):
-        jv = tuple(jvec)
-        sv = tuple(1 if s in (1, "+") else -1 for s in sigvec)
-        if len(jv) != len(sv):
-            raise ValueError("jvec and sigvec lengths differ")
-        self.slots = canonical(zip(jv, sv))
-
-    @property
-    def momentum(self) -> int:
-        return momentum(self.slots)
-
-    @property
-    def gauge_sum(self) -> int:
-        return gauge_sum(self.slots)
-
-    def __eq__(self, other):
-        return isinstance(other, Monomial) and self.slots == other.slots
-
-    def __hash__(self):
-        return hash(self.slots)
-
-    def __repr__(self):
-        return f"Monomial({self.slots})"
-
-
 class PolyHamiltonian:
-    """Sparse polynomial Hamiltonian: map from canonical slot tuples to
-    coefficients.  Zero coefficients are never stored.
+    """Sparse polynomial Hamiltonian.  ``PolyHamiltonian({slots: coeff})``
+    canonicalizes and merges its keys, checks the momentum rule and drops
+    zero coefficients.  Instances are immutable: every operation returns a
+    new object."""
 
-    Instances are immutable: every operation returns a new object, and the
-    term table the kernels read is built from ``terms`` on first use and
-    cached, so ``terms`` must not be changed after construction.
-    """
+    __slots__ = ("_W", "_tab", "_terms")
 
-    def __init__(self, terms: dict[Slots, complex] | None = None,
-                 check: bool = True):
-        self.terms: dict[Slots, complex] = {}
-        self._table_cache = None
-        if terms:
-            for m, c in terms.items():
-                if c == 0:
-                    continue
-                m = canonical(m)
-                if check and momentum(m) != 0:
-                    raise ValueError(
-                        f"monomial {m} violates momentum selection rule")
-                self.terms[m] = self.terms.get(m, 0) + c
+    def __init__(self, terms: Mapping[Slots, complex] | None = None):
+        merged: dict[Slots, complex] = {}
+        for m, c in (terms or {}).items():
+            if c == 0:
+                continue
+            m = canonical(m)
+            if momentum(m) != 0:
+                raise ValueError(
+                    f"monomial {m} violates momentum selection rule")
+            merged[m] = merged.get(m, 0) + c
+        W = max((abs(j) for m in merged for j, _ in m), default=0)
+        groups: dict[int, tuple[list, list]] = {}
+        for m in sorted(merged):
+            rows, coefs = groups.setdefault(len(m), ([], []))
+            rows.append([2 * (j + W) + (s > 0) for j, s in m])
+            coefs.append(merged[m])
+        self._adopt({d: (np.array(r, dtype=np.int32).reshape(len(r), d),
+                         np.array(c, dtype=complex))
+                     for d, (r, c) in groups.items()}, W)
+
+    def _adopt(self, tables: dict[int, tuple[np.ndarray, np.ndarray]],
+               W: int) -> None:
+        """The one constructor of the store: per degree, code rows on the
+        window |j| <= W in increasing packed-key order, and coefficients.
+        Zero coefficients are dropped and the window shrinks to the modes
+        left."""
+        tab = {}
+        for d in sorted(tables):
+            rows, coefs = tables[d]
+            coefs = np.asarray(coefs, dtype=complex)
+            keep = coefs != 0
+            if not keep.all():
+                rows, coefs = rows[keep], coefs[keep]
+            if len(coefs):
+                tab[d] = (rows.astype(np.int32, copy=False), coefs)
+        W0 = max((max(W - int(rows.min() >> 1), int(rows.max() >> 1) - W)
+                  for rows, _ in tab.values() if rows.size), default=0)
+        if W0 < W:
+            shift = 2 * (W - W0)
+            tab = {d: (rows - shift, c) for d, (rows, c) in tab.items()}
+        self._W, self._tab, self._terms = W0, tab, None
 
     def _table(self, W: int | None = None
                ) -> dict[int, tuple[np.ndarray, np.ndarray]]:
-        """Term table on the window |j| <= W (default: the smallest window
-        holding every mode): degree -> (codes (T, d), coefficients (T,))."""
-        if self._table_cache is None:
-            groups: dict[int, tuple[list, list]] = {}
-            for m, c in self.terms.items():
-                keys, coefs = groups.setdefault(len(m), ([], []))
-                keys.append(m)
-                coefs.append(c)
-            slots = {d: np.fromiter(chain.from_iterable(
-                chain.from_iterable(keys)), dtype=np.int64,
-                count=2 * d * len(keys)).reshape(len(keys), d, 2)
-                for d, (keys, _) in groups.items()}
-            W0 = max((int(np.abs(js[:, :, 0]).max())
-                      for js in slots.values() if js.size), default=0)
-            tab = {d: ((2 * (js[:, :, 0] + W0) + (js[:, :, 1] > 0))
-                       .astype(np.int32),
-                       np.array(groups[d][1], dtype=complex))
-                   for d, js in sorted(slots.items())}
-            self._table_cache = (W0, tab)
-        W0, tab = self._table_cache
-        if W is None or W == W0:
-            return tab
-        if W < W0:
+        """The store on the window |j| <= W (default: its own): degree ->
+        (codes (T, d), coefficients (T,))."""
+        if W is None or W == self._W:
+            return self._tab
+        if W < self._W:
             raise ValueError(
-                f"polynomial has modes up to |j| = {W0}, outside the "
+                f"polynomial has modes up to |j| = {self._W}, outside the "
                 f"window |j| <= {W}")
-        shift = 2 * (W - W0)
-        return {d: (codes + shift, c) for d, (codes, c) in tab.items()}
+        shift = 2 * (W - self._W)
+        return {d: (codes + shift, c) for d, (codes, c) in self._tab.items()}
 
-    def _window(self) -> int:
-        self._table()
-        return self._table_cache[0]
+    def _select(self, keep: Callable[[np.ndarray, np.ndarray], np.ndarray]
+                ) -> "PolyHamiltonian":
+        """The terms for which keep(rows, coefs), per degree in increasing
+        degree, is true."""
+        out = {}
+        for d, (rows, coefs) in self._tab.items():
+            k = keep(rows, coefs)
+            out[d] = (rows[k], coefs[k])
+        return _from_rows(out, self._W)
+
+    def _at(self, rows: np.ndarray, W: int) -> np.ndarray:
+        """Coefficients at the code rows `rows` on |j| <= W, 0 where the
+        polynomial has no such term; looked up by packed key."""
+        if W < self._W:
+            rows, W = rows + 2 * (self._W - W), self._W
+        out = np.zeros(len(rows), dtype=complex)
+        own = self._table(W).get(rows.shape[1])
+        if own is not None:
+            B = 2 * (2 * W + 1)
+            keys, want = _pack(own[0], B), _pack(rows, B)
+            i = np.minimum(np.searchsorted(keys, want), len(keys) - 1)
+            hit = keys[i] == want
+            out[hit] = own[1][i[hit]]
+        return out
+
+    @property
+    def terms(self) -> Mapping[Slots, complex]:
+        """Read-only view: sorted slot tuple -> coefficient, decoded from
+        the table on first access and cached."""
+        if self._terms is None:
+            slot = [(j, s) for j in range(-self._W, self._W + 1)
+                    for s in (-1, 1)]
+            self._terms = MappingProxyType({
+                tuple(map(slot.__getitem__, r)): c
+                for rows, coefs in self._tab.values()
+                for r, c in zip(rows.tolist(), coefs.tolist())})
+        return self._terms
 
     # -- basic algebra ----------------------------------------------------
 
     def __add__(self, other: "PolyHamiltonian") -> "PolyHamiltonian":
-        out = dict(self.terms)
-        for m, c in other.terms.items():
-            out[m] = out.get(m, 0) + c
-        return PolyHamiltonian(
-            {m: c for m, c in out.items() if c != 0}, check=False)
+        W = max(self._W, other._W)
+        B = 2 * (2 * W + 1)
+        a, b = self._table(W), other._table(W)
+        out = {}
+        for d in a.keys() | b.keys():
+            parts = [t[d] for t in (a, b) if d in t]
+            if len(parts) == 1:
+                out[d] = parts[0]
+                continue
+            keys, coefs = _reduce(
+                np.concatenate([_pack(rows, B) for rows, _ in parts]),
+                np.concatenate([c for _, c in parts]))
+            out[d] = (_unpack(keys, d, B), coefs)
+        return _from_rows(out, W)
 
     def __sub__(self, other: "PolyHamiltonian") -> "PolyHamiltonian":
         return self + other.scale(-1.0)
 
     def scale(self, a: complex) -> "PolyHamiltonian":
-        return PolyHamiltonian(
-            {m: a * c for m, c in self.terms.items()}, check=False)
+        return _from_rows({d: (rows, a * c)
+                           for d, (rows, c) in self._tab.items()}, self._W)
 
-    def prune(self, tol: float = PRUNE_DEFAULT) -> "PolyHamiltonian":
-        return PolyHamiltonian(
-            {m: c for m, c in self.terms.items() if abs(c) > tol},
-            check=False)
-
-    def coefficient(self, jvec: Iterable[int],
-                    sigvec: Iterable[int]) -> complex:
-        return self.terms.get(Monomial(jvec, sigvec).slots, 0.0)
+    def prune(self) -> "PolyHamiltonian":
+        """Drop the coefficients of modulus <= PRUNE_TOL."""
+        # np.hypot rounds as Python's abs(complex); np.abs may not
+        return self._select(lambda _, c: np.hypot(c.real, c.imag) > PRUNE_TOL)
 
     def restrict(self, pred: Callable[[Slots], bool]) -> "PolyHamiltonian":
-        return PolyHamiltonian(
-            {m: c for m, c in self.terms.items() if pred(m)}, check=False)
+        """The terms whose slot tuple satisfies pred."""
+        # `terms` lists the table's rows in the order _select visits them
+        flags = iter([pred(m) for m in self.terms])
+        return self._select(
+            lambda rows, _: np.fromiter(flags, dtype=bool, count=len(rows)))
 
     @property
     def degrees(self) -> tuple[int, int]:
-        if not self.terms:
-            return (0, 0)
-        lens = [len(m) for m in self.terms]
-        return (min(lens), max(lens))
+        return (min(self._tab), max(self._tab)) if self._tab else (0, 0)
 
     def max_abs_coeff(self) -> float:
-        return max((abs(c) for c in self.terms.values()), default=0.0)
+        # np.hypot, as in prune
+        return max((float(np.hypot(c.real, c.imag).max())
+                    for _, c in self._tab.values()), default=0.0)
 
     def __len__(self):
-        return len(self.terms)
-
-    def is_gauge_invariant(self) -> bool:
-        return all(gauge_sum(m) == 0 for m in self.terms)
+        return sum(len(c) for _, c in self._tab.values())
 
     # -- evaluation -------------------------------------------------------
 
@@ -226,25 +247,36 @@ class PolyHamiltonian:
             js = [int(t) for t in parts[1:-1]]
             if len(js) != len(sig):
                 raise ValueError(f"malformed term line: {line!r}")
-            terms[Monomial(js, sig).slots] = coeff
+            signs = [1 if ch == "+" else -1 for ch in sig]
+            terms[canonical(zip(js, signs))] = coeff
         return cls(terms)
+
+
+def _from_rows(tables: dict[int, tuple[np.ndarray, np.ndarray]], W: int
+               ) -> PolyHamiltonian:
+    """Polynomial from per-degree (code rows, coefficients) on the window
+    |j| <= W.  Rows must be distinct, momentum zero and in increasing
+    packed-key order; they are adopted as is."""
+    H = PolyHamiltonian.__new__(PolyHamiltonian)
+    H._adopt(tables, W)
+    return H
+
+
+def _diagonal(lam: np.ndarray, M: int) -> PolyHamiltonian:
+    """sum_j lam[j + M] z_j zbar_j on |j| <= M."""
+    zbar = 2 * np.arange(2 * M + 1)
+    return _from_rows({2: (np.column_stack([zbar, zbar + 1]), lam)}, M)
 
 
 def build_Lambda(freq: FrequencyTable) -> PolyHamiltonian:
     """Diagonal quadratic sum lambda_j z_j zbar_j."""
-    terms = {}
-    for j in range(-freq.M, freq.M + 1):
-        terms[canonical([(j, 1), (j, -1)])] = freq.lam_at(j)
-    return PolyHamiltonian(terms, check=False)
+    return _diagonal(freq.lam, freq.M)
 
 
 def build_Lambda_nls(M: int) -> PolyHamiltonian:
     """Diagonal quadratic with the parabolic frequencies j^2/2."""
-    terms = {}
-    for j in range(-M, M + 1):
-        if j != 0:
-            terms[canonical([(j, 1), (j, -1)])] = 0.5 * j * j
-    return PolyHamiltonian(terms, check=False)
+    j = np.arange(-M, M + 1)
+    return _diagonal(0.5 * j * j, M)
 
 
 def _slot_values(state: FourierState) -> np.ndarray:
@@ -255,36 +287,8 @@ def _slot_values(state: FourierState) -> np.ndarray:
     return zz
 
 
-def _slot_keys(W: int) -> list[tuple[int, int]]:
-    """One interned (j, s) tuple per slot code on the window |j| <= W."""
-    return [(j, s) for j in range(-W, W + 1) for s in (-1, 1)]
-
-
-# Rows turned into dict keys per batch, and bracket contractions formed per
-# batch: both bound the transient arrays and Python lists of a kernel.
-_ROW_CHUNK = 2048
+# Bracket contractions formed per batch: bounds a kernel's transient arrays.
 _PAIR_CHUNK = 4096
-
-
-def _from_rows(tables: Iterable[tuple[np.ndarray, np.ndarray]], W: int
-               ) -> PolyHamiltonian:
-    """Polynomial from (sorted code rows, coefficients) tables on the window
-    |j| <= W.  Rows must be distinct and momentum zero, coefficients
-    nonzero; they are adopted as is, in row order."""
-    slot = _slot_keys(W)
-    terms: dict[Slots, complex] = {}
-    for table in tables:
-        for rows, coefs in _batches(*table):
-            for r, c in zip(rows.tolist(), coefs.tolist()):
-                terms[tuple(map(slot.__getitem__, r))] = c
-    H = PolyHamiltonian.__new__(PolyHamiltonian)
-    H.terms, H._table_cache = terms, None
-    return H
-
-
-def _batches(rows: np.ndarray, coefs: np.ndarray):
-    for i in range(0, len(rows), _ROW_CHUNK):
-        yield rows[i:i + _ROW_CHUNK], coefs[i:i + _ROW_CHUNK]
 
 
 def _decode(rows: np.ndarray, W: int) -> tuple[np.ndarray, np.ndarray]:
@@ -345,7 +349,7 @@ def build_P(freq: FrequencyTable, M: int | None = None) -> PolyHamiltonian:
     wprod = w[0] * w[1] * w[2] * w[3]
     base = 1.0 / (16.0 * TWO_PI)
     coefs = _multiplicity(rows) * base / np.sqrt(wprod)
-    return _from_rows([(rows, coefs)], M)
+    return _from_rows({4: (rows, coefs)}, M)
 
 
 def build_P_nls(M: int) -> PolyHamiltonian:
@@ -356,46 +360,7 @@ def build_P_nls(M: int) -> PolyHamiltonian:
     rows = rows[(rows & 1).sum(axis=1) == 2]
     base = 1.0 / (16.0 * TWO_PI)
     coefs = _multiplicity(rows) * base
-    return _from_rows([(rows, coefs)], M)
-
-
-def ordered_coefficient(freq: FrequencyTable | None, jvec, sigvec) -> float:
-    """Per sigma-pattern coefficient of P at an ordered tuple (jvec, sigvec):
-    (1/32pi) * binom(4, sigma_hat) / sqrt(prod w), zero off the momentum
-    shell.  With freq=None the weights are dropped (NLS normalization)."""
-    jv = tuple(jvec)
-    sv = tuple(1 if s in (1, "+") else -1 for s in sigvec)
-    if len(jv) != 4 or len(sv) != 4:
-        raise ValueError("ordered_coefficient expects degree-4 tuples")
-    if sum(j * s for j, s in zip(jv, sv)) != 0:
-        return 0.0
-    sigma_hat = (4 + sum(sv)) // 2
-    coeff = math.comb(4, sigma_hat) / (16.0 * TWO_PI)
-    if freq is not None:
-        for j in jv:
-            coeff /= math.sqrt(freq.w_at(j))
-    return coeff
-
-
-def gauge_project(H: PolyHamiltonian) -> PolyHamiltonian:
-    """Keep exactly the monomials with zero gauge charge (sum sigma = 0)."""
-    return H.restrict(lambda m: gauge_sum(m) == 0)
-
-
-def split_P(freq: FrequencyTable, M: int | None = None
-            ) -> tuple[PolyHamiltonian, PolyHamiltonian, PolyHamiltonian]:
-    """Decompose build_P = P_nls + P_ng + P_r.
-
-    P_ng is the non-gauge part, P_r the gauge part minus the NLS limit;
-    the reconstruction identity holds coefficient-wise to rounding.
-    """
-    M = freq.M if M is None else M
-    P = build_P(freq, M)
-    P_nls = build_P_nls(M)
-    Pg = gauge_project(P)
-    P_ng = P - Pg
-    P_r = Pg - P_nls
-    return P_nls, P_ng, P_r
+    return _from_rows({4: (rows, coefs)}, M)
 
 
 def _reduce(keys: np.ndarray, vals: np.ndarray
@@ -443,6 +408,19 @@ def _join(want: np.ndarray, col: np.ndarray):
         r0 = r1
 
 
+def _pack(rows: np.ndarray, B: int) -> np.ndarray:
+    """One int64 key per code row, its codes read as base-B digits: key
+    order is row-lexicographic order."""
+    D = rows.shape[1]
+    if B ** D >= 2 ** 63:
+        raise ValueError(f"degree {D} on window |j| <= {B // 4} "
+                         f"overflows the packed monomial key")
+    keys = np.zeros(len(rows), dtype=np.int64)
+    for k in range(D):
+        keys = keys * B + rows[:, k]
+    return keys
+
+
 def _unpack(keys: np.ndarray, D: int, B: int) -> np.ndarray:
     rows = np.empty((len(keys), D), dtype=np.int64)
     for k in range(D - 1, -1, -1):
@@ -451,9 +429,9 @@ def _unpack(keys: np.ndarray, D: int, B: int) -> np.ndarray:
 
 
 def poisson_bracket(F: PolyHamiltonian, G: PolyHamiltonian,
-                    max_deg: int = 6,
-                    prune: float = PRUNE_DEFAULT) -> PolyHamiltonian:
-    """Graded Poisson bracket, truncated at degree max_deg.
+                    max_deg: int = 6) -> PolyHamiltonian:
+    """Graded Poisson bracket, truncated at degree max_deg; coefficients
+    of modulus <= PRUNE_TOL are dropped.
 
     Exact for polynomials below the truncation; antisymmetric; the bracket
     of translation-invariant operands is translation invariant.
@@ -464,7 +442,7 @@ def poisson_bracket(F: PolyHamiltonian, G: PolyHamiltonian,
     them is packed into one int64 key per sorted code row and merged into
     a running sum per output degree.
     """
-    W = max(F._window(), G._window())
+    W = max(F._W, G._W)
     B = 2 * (2 * W + 1)
     tf, tg = F._table(W), G._table(W)
     acc: dict[int, list[tuple[np.ndarray, np.ndarray]]] = {}
@@ -473,9 +451,6 @@ def poisson_bracket(F: PolyHamiltonian, G: PolyHamiltonian,
             D = df + dg - 2
             if D > max_deg:
                 continue
-            if B ** D >= 2 ** 63:
-                raise ValueError(f"degree {D} on window |j| <= {W} "
-                                 f"overflows the packed monomial key")
             for a in range(df):
                 f_rest = np.delete(f_codes, a, axis=1)
                 for b in range(dg):
@@ -485,22 +460,16 @@ def poisson_bracket(F: PolyHamiltonian, G: PolyHamiltonian,
                         rows = np.concatenate([f_rest[fi], g_rest[gi]],
                                               axis=1)
                         rows.sort(axis=1)
-                        keys = np.zeros(len(fi), dtype=np.int64)
-                        for k in range(D):
-                            keys = keys * B + rows[:, k]
                         vals = g_w[gi] * f_coef[fi] * g_coef[gi]
-                        _push_run(acc.setdefault(D, []), keys, vals)
-
-    def batches():
-        for D, runs in sorted(acc.items()):
-            while len(runs) > 1:
-                _merge_last(runs)
-            keys, vals = runs[0]
-            keep = np.abs(vals) > max(prune, 0.0)
-            for k, v in _batches(keys[keep], vals[keep]):
-                yield _unpack(k, D, B), v
-
-    return _from_rows(batches(), W)
+                        _push_run(acc.setdefault(D, []), _pack(rows, B), vals)
+    tables = {}
+    for D, runs in acc.items():
+        while len(runs) > 1:
+            _merge_last(runs)
+        keys, vals = runs[0]
+        keep = np.abs(vals) > PRUNE_TOL
+        tables[D] = (_unpack(keys[keep], D, B), vals[keep])
+    return _from_rows(tables, W)
 
 
 def vector_field(H: PolyHamiltonian, state: FourierState
@@ -535,63 +504,3 @@ def vector_field(H: PolyHamiltonian, state: FourierState
     else:
         grad = np.zeros(n, dtype=complex)
     return -1j * grad[0::2], 1j * grad[1::2]
-
-
-def vector_field_norm_bound(H: PolyHamiltonian, state: FourierState,
-                            params: SpaceParams, freq: FrequencyTable,
-                            b: list[np.ndarray] | None = None) -> float:
-    """Majorant for ||X_H(state)|| from the factored-coefficient estimate:
-
-        ||X_F|| <= |F|_inf * sum_t || b^(t) (star_{k != t} w^(k)) ||,
-        w^(k)_j = b^(k)_j (|z_j| + |zbar_j|).
-
-    `b` supplies one positive dressing vector per slot (default: all ones).
-    |F|_inf is taken over the canonical merged coefficients after dividing
-    out the dressings (may exceed the raw-coefficient sup by a factor
-    bounded by 4!).
-    """
-    degs = H.degrees
-    if degs[0] != degs[1]:
-        raise ValueError("norm bound requires a homogeneous Hamiltonian")
-    n = degs[0]
-    M = state.M
-    if b is None:
-        b = [np.ones(2 * M + 1) for _ in range(n)]
-    if len(b) != n:
-        raise ValueError(f"need {n} dressing vectors, got {len(b)}")
-    for bt in b:
-        if np.any(np.asarray(bt) <= 0):
-            raise ValueError("dressing vectors must be strictly positive")
-
-    f_inf = 0.0
-    for codes, coef in H._table(M).values():
-        denom = np.ones(len(coef))
-        for t in range(n):
-            denom = denom * np.asarray(b[t], dtype=float)[codes[:, t] >> 1]
-        f_inf = max(f_inf, float(np.max(np.abs(coef) / denom, initial=0.0)))
-
-    absz = np.abs(state.z) + np.abs(state.zbar)
-    wvecs = [np.asarray(bt) * absz for bt in b]
-
-    total = np.zeros(2 * M + 1)
-    for t in range(n):
-        # full (untruncated) convolution: truncating intermediates could
-        # drop valid index combinations and void the majorant guarantee
-        conv = None
-        for k in range(n):
-            if k == t:
-                continue
-            conv = wvecs[k] if conv is None else np.convolve(conv, wvecs[k])
-        center = (len(conv) - 1) // 2
-        window = conv[center - M:center + M + 1]
-        total = total + np.asarray(b[t]) * window
-    # majorant state: identical bound for the z and zbar components
-    maj = FourierState(f_inf * total.astype(complex),
-                       f_inf * total.astype(complex))
-    return weighted_norm(maj, params, freq)
-
-
-def dressing_for_P(freq: FrequencyTable) -> list[np.ndarray]:
-    """Slot dressings b^(t)_j = w_j^{-1/2} matching build_P's coefficient
-    structure."""
-    return [freq.w ** -0.5 for _ in range(4)]

@@ -21,6 +21,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .kam_schedule import predicted_bounds
 from .spectral_core import (TWO_PI, FourierState, FrequencyTable,
                             SpaceParams, seq_norm)
 
@@ -582,7 +583,8 @@ def scaling_study(R: float, c_list, sigma: float, T: float = 1e3,
     coefficient-error bound final_defect / sigma_min."""
     if params is None:
         params = SpaceParams(a=0.0, p=5.0, beta=0.0, M=M)
-    c_adm = R ** (-73.0 / 72.0)
+    # the threshold does not depend on c
+    c_adm = predicted_bounds(R, 1.0, sigma)["c_admissible"]
     rows = []
     for c in c_list:
         if c < c_adm:

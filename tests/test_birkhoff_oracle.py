@@ -8,7 +8,7 @@ parabolic frequencies), and the solve, the residual and the remainder
 split walk `P.terms` one monomial at a time.  The divisor-bound scan is
 the meshgrid over (j1, j2, j3) x 16 sign patterns with its three-pairings
 mask.  They share with the classifier only the public `PolyHamiltonian`
-store and `FrequencyTable`.
+dict constructor and `terms` view, and `FrequencyTable`.
 """
 
 import math
@@ -18,8 +18,8 @@ import numpy as np
 import pytest
 
 from kgnls.birkhoff import (DivisorAnomaly, NormalFormResult,
-                            _scan_min_divisors, _solve, classify,
-                            remainder_split, solve_cohomological_nls,
+                            _scan_min_divisors, _solve, remainder_split,
+                            solve_cohomological_nls,
                             solve_cohomological_quartic)
 from kgnls.hamiltonian import (PolyHamiltonian, _decode, _paired,
                                _quartic_rows, build_P, build_P_nls,
@@ -76,9 +76,9 @@ def ref_solve(P, div_of, J, nongauge_floor):
         elif nongauge_floor is not None and abs(d) < nongauge_floor:
             raise DivisorAnomaly(f"non-gauge divisor {d:.3e} at {m}")
         g_terms[m] = 1j * c / d
-    return (PolyHamiltonian(g_terms, check=False),
-            PolyHamiltonian(lp_terms, check=False),
-            PolyHamiltonian(ph_terms, check=False), kmin)
+    return (PolyHamiltonian(g_terms),
+            PolyHamiltonian(lp_terms),
+            PolyHamiltonian(ph_terms), kmin)
 
 
 def ref_residual(div_of, G, P, Lp, Ph):
@@ -116,8 +116,8 @@ def ref_remainder_terms(nf, nf_nls):
         c_n = nf_nls.P.terms.get(m, 0.0)
         if c_n:
             div[m] = 1j * c_n * (1.0 / d_kg - 1.0 / d_nls)
-    return (PolyHamiltonian(r1, check=False),
-            PolyHamiltonian(div, check=False))
+    return (PolyHamiltonian(r1),
+            PolyHamiltonian(div))
 
 
 _SIGMA_COMBOS = [(s1, s2, s3, s4) for s1 in (1, -1) for s2 in (1, -1)
@@ -209,20 +209,6 @@ def test_remainder_split_matches_reference(c, J):
     r1, div = ref_remainder_terms(nf, nf_nls)
     assert split.G_r1.to_text() == r1.to_text()
     assert split.G_div.to_text() == div.to_text()
-
-
-def test_classify_matches_reference():
-    ft = FrequencyTable(c=30.0, M=5)
-    J = (-1, 0, 3)
-    rows = _quartic_rows(5)
-    j, s = _decode(rows, 5)
-    for jv, sv in zip(j.tolist(), s.tolist()):
-        rc = classify(jv, sv, J, ft)
-        m = tuple(sorted(zip(jv, sv)))
-        assert rc.in_IR == _has_pairing(jv, sv)
-        assert rc.in_LJ == any(x in J for x in jv)
-        assert rc.gauge_sum == sum(sv)
-        assert rc.divisor == _divisor_split(m, ft)
 
 
 @pytest.mark.parametrize("J,Mmax", [((1, 2, 3), 6), ((0, 2), 5),

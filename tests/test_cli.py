@@ -216,8 +216,23 @@ def test_report_aggregates_and_skips(runner, tmp_path):
     assert "skipped (no manifest)" in lines[0]
     assert lines[1] == "experiment,seed,run,fitted,predicted,status"
     assert lines[2].startswith("schedule,") and lines[2].endswith(",ok")
+    assert float(lines[2].split(",")[4]) == 4.0 / 3.0
     assert lines[3] == f"schedule,,{failed},,,numeric_anomaly"
     assert lines[4] == f"schedule,,{crashed},,,running"
+
+
+def test_report_leaves_missing_prediction_blank(runner, tmp_path):
+    out = tmp_path / "sched"
+    assert runner.invoke(main, ["schedule", "--out",
+                                str(out)]).exit_code == 0
+    doc = json.loads((out / "schedule.json").read_text())
+    del doc["predicted_growth_factor"]   # an artifact that records none
+    (out / "schedule.json").write_text(json.dumps(doc))
+    res = runner.invoke(main, ["report", str(out)])
+    assert res.exit_code == 0
+    row = res.output.strip().splitlines()[1].split(",")
+    assert float(row[3]) == doc["growth_factor_mean_4_12"]
+    assert row[4] == ""
 
 
 # Each must exit 2 with a one-line message and write nothing.
@@ -247,6 +262,8 @@ INVALID = [
     ("simulate", {"c": float("nan")}),
     ("scaling", {"Q": 0}),
     ("scaling", {"J": [17]}),
+    ("scaling", {"R": 1.5}),
+    ("scaling", {"sigma": -0.5}),
     ("schedule", {"r0": 2}),
     ("schedule", {"nu_max": 0}),
     ("schedule", {"varsigma": 0.1}),

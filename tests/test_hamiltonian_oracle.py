@@ -1,8 +1,9 @@
 """Array kernels of `kgnls.hamiltonian` against dict-loop references.
 
 The references below are the per-monomial loop implementations the array
-kernels replaced.  They share no code with the kernels beyond the public
-`PolyHamiltonian.terms` store.
+kernels and the array algebra replaced.  They share no code with them
+beyond the dict constructor `PolyHamiltonian({slots: coeff})` and the
+read-only `terms` view.
 """
 
 import math
@@ -76,7 +77,30 @@ def ref_poisson_bracket(F, G, max_deg=6, prune=1e-16):
                                          + mg[:b] + mg[b + 1:])
                         out[mono] += 1j * sb * cf * cg
     return PolyHamiltonian(
-        {m: c for m, c in out.items() if abs(c) > prune}, check=False)
+        {m: c for m, c in out.items() if abs(c) > prune})
+
+
+def ref_add(F, G):
+    out = dict(F.terms)
+    for m, c in G.terms.items():
+        out[m] = out.get(m, 0) + c
+    return PolyHamiltonian({m: c for m, c in out.items() if c != 0})
+
+
+def ref_scale(H, a):
+    return PolyHamiltonian({m: a * c for m, c in H.terms.items()})
+
+
+def ref_prune(H, tol=1e-16):
+    return PolyHamiltonian({m: c for m, c in H.terms.items() if abs(c) > tol})
+
+
+def ref_restrict(H, pred):
+    return PolyHamiltonian({m: c for m, c in H.terms.items() if pred(m)})
+
+
+def ref_max_abs_coeff(H):
+    return max((abs(c) for c in H.terms.values()), default=0.0)
 
 
 def ref_quartic_multisets(M):
@@ -102,7 +126,7 @@ def ref_build_P(freq, M=None):
         for j, _ in combo:
             wprod *= freq.w_at(j)
         terms[combo] = mult * base / math.sqrt(wprod)
-    return PolyHamiltonian(terms, check=False)
+    return PolyHamiltonian(terms)
 
 
 def ref_build_P_nls(M):
@@ -111,7 +135,7 @@ def ref_build_P_nls(M):
     for combo, mult in ref_quartic_multisets(M):
         if sum(s for _, s in combo) == 0:
             terms[combo] = mult * base
-    return PolyHamiltonian(terms, check=False)
+    return PolyHamiltonian(terms)
 
 
 # --- random inputs ---------------------------------------------------------
@@ -222,3 +246,37 @@ def test_build_P_text_identical_to_reference(M, c):
 def test_build_P_truncated_below_table():
     ft = FrequencyTable(c=3.0, M=6)
     assert build_P(ft, 3).to_text() == ref_build_P(ft, 3).to_text()
+
+
+@given(st.integers(1, 5), st.integers(0, 10 ** 6))
+@settings(max_examples=40, deadline=None)
+def test_polynomial_algebra_matches_reference(M, seed):
+    rng = np.random.default_rng(seed)
+    F = random_poly(rng, M, int(rng.integers(1, 40)))
+    G = random_poly(rng, int(rng.integers(1, M + 1)),
+                    int(rng.integers(1, 40)))
+    # every other term of F comes back negated in G and cancels in F + G
+    G = PolyHamiltonian({**G.terms, **{m: -c for m, c in
+                                       list(F.terms.items())[::2]}})
+    a = float(rng.normal())
+    tiny = F.scale(1e-16)   # moduli on both sides of the prune tolerance
+
+    def pred(m):
+        return len(m) != 4 or m[0][1] > 0
+
+    cases = [(F + G, ref_add(F, G)),
+             (F - G, ref_add(F, ref_scale(G, -1.0))),
+             (F - F, PolyHamiltonian()),
+             (F.scale(a), ref_scale(F, a)),
+             (tiny.prune(), ref_prune(tiny)),
+             (F.restrict(pred), ref_restrict(F, pred))]
+    for got, want in cases:
+        assert got._terms is None   # no slot-tuple dict until terms is read
+        assert dict(got.terms) == dict(want.terms)
+        lens = [len(m) for m in want.terms]
+        assert got.degrees == ((min(lens), max(lens)) if lens else (0, 0))
+        assert len(got) == len(want.terms)
+        assert got.max_abs_coeff() == ref_max_abs_coeff(want)
+    k = next(iter(F.terms))
+    with pytest.raises(TypeError):
+        F.terms[k] = 1.0

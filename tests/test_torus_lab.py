@@ -7,6 +7,7 @@ import pytest
 
 from kgnls.hamiltonian import (build_Lambda, build_Lambda_nls, build_P,
                                build_P_nls, vector_field)
+from kgnls.kam_schedule import predicted_bounds
 from kgnls.spectral_core import FourierState, FrequencyTable, SpaceParams
 from kgnls.torus_lab import (TruncatedSystem, default_dt, gauge_distance,
                              integrate, invariance_defect, linear_torus,
@@ -155,3 +156,12 @@ def test_scaling_study_admissibility_filter():
     rep = scaling_study(1e-2, [50.0], 1.0, T=10.0, M=8, Q=2, n_samples=8)
     assert rep["rows"][0]["admissible"] is False
     assert rep["slope_vs_c"] is None
+
+
+def test_scaling_study_threshold_is_predicted_bounds():
+    rep = scaling_study(1e-2, [50.0], 1.0, T=10.0, M=8, Q=2, n_samples=8)
+    assert rep["c_admissible"] == predicted_bounds(
+        1e-2, 50.0, 1.0)["c_admissible"] == 1e-2 ** (-73.0 / 72.0)
+    for R, sigma in ((1.5, 1.0), (1e-2, -0.5)):
+        with pytest.raises(ValueError):
+            scaling_study(R, [50.0], sigma, T=10.0, M=8, Q=2, n_samples=8)
