@@ -13,7 +13,6 @@ The NLS matrices drop the weight factors.  Frequency maps are affine:
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field
 
@@ -288,35 +287,3 @@ def asymptotics_check(model: FrequencyModel,
     return {"empty": False, "constant": best, "pairs": len(pairs),
             "sample_rows": rows}
 
-
-def _mat_json(mat: np.ndarray) -> dict:
-    flat = [float(x) for x in np.asarray(mat).ravel()]
-    return {"shape": list(mat.shape),
-            "values": flat,
-            "hex": [float(x).hex() for x in flat]}
-
-
-def model_to_json(model: FrequencyModel) -> str:
-    """Reproducible export: row-major matrices with exact float bit
-    patterns alongside decimal values."""
-    doc = {
-        "J": list(model.J), "M": model.M, "R": model.R,
-        "c": model.c, "h": model.h,
-        "normal_modes": [int(j) for j in model.normal_modes],
-        "A": _mat_json(model.A), "B": _mat_json(model.B),
-        "A_nls": _mat_json(model.A_nls), "B_nls": _mat_json(model.B_nls),
-        "xi_lo": _mat_json(model.xi_lo), "xi_hi": _mat_json(model.xi_hi),
-    }
-    return json.dumps(doc, indent=1, sort_keys=True)
-
-
-def model_from_json(text: str) -> FrequencyModel:
-    doc = json.loads(text)
-    model = build_model(doc["c"], doc["J"], doc["M"], doc["R"],
-                        require_min_N=1)
-    for name in ("A", "B", "A_nls", "B_nls"):
-        stored = np.array([float.fromhex(h) for h in doc[name]["hex"]])
-        stored = stored.reshape(doc[name]["shape"])
-        if not np.array_equal(stored, getattr(model, name)):
-            setattr(model, name, stored)
-    return model

@@ -122,10 +122,6 @@ class KamSchedule:
         return self.log_eps[1:] / self.log_eps[:-1]
 
 
-def seed_eps1(eps0: float, alpha0: float) -> float:
-    return (eps0 / alpha0) ** (1.0 / 3.0) * eps0
-
-
 def _log_eps0(eps0: float | None, log_eps0: float | None) -> float:
     """eps shrinks past float range in meaningful runs, so the scale may be
     given directly in natural log."""

@@ -17,7 +17,7 @@ from __future__ import annotations
 import itertools
 import math
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -185,31 +185,52 @@ def _harmonics(N: int, Q: int) -> list[tuple[int, ...]]:
     return list(itertools.product(range(-Q, Q + 1), repeat=N))
 
 
+def _fundamentals(N: int, Q: int) -> list[int]:
+    """Row of the unit harmonic e_n in `_harmonics(N, Q)`, for each n."""
+    order = _harmonics(N, Q)
+    return [order.index(tuple(int(i == n) for i in range(N)))
+            for n in range(N)]
+
+
+def _phases(angles: np.ndarray, qs: np.ndarray) -> np.ndarray:
+    """E[a, h] = exp(i q_h . theta_a) for angle rows theta_a (shape (A, N))
+    and harmonic rows q_h (shape (H, N)); E @ C evaluates an embedding."""
+    return np.exp(1j * (angles @ qs.T))
+
+
 @dataclass
 class TorusEmbedding:
     """Angle-Fourier embedding U: T^N -> phase space.  Only the z-component
-    harmonics C_q are stored; the conjugate component is determined by the
+    harmonics are stored: coeffs[h] = C_q for q = _harmonics(N, Q)[h], one
+    row of 2M+1 modes each.  The conjugate component is determined by the
     reality constraint zbar(theta) = conj(z(theta))."""
     J: tuple[int, ...]
     M: int
     Q: int
     omega: np.ndarray
-    coeffs: dict[tuple[int, ...], np.ndarray]
+    coeffs: np.ndarray
 
     def __post_init__(self):
         self.omega = np.asarray(self.omega, dtype=float)
         if self.omega.shape != (len(self.J),):
             raise ValueError("omega must have one entry per tangential mode")
+        self.coeffs = np.asarray(self.coeffs, dtype=complex)
+        shape = ((2 * self.Q + 1) ** self.N, 2 * self.M + 1)
+        if self.coeffs.shape != shape:
+            raise ValueError(f"coeffs must have shape {shape} (harmonic, "
+                             f"mode), not {self.coeffs.shape}")
 
     @property
     def N(self) -> int:
         return len(self.J)
 
+    @property
+    def qs(self) -> np.ndarray:
+        """Harmonic rows, in the row order of `coeffs`."""
+        return np.array(_harmonics(self.N, self.Q), dtype=float)
+
     def evaluate(self, theta) -> FourierState:
-        theta = np.atleast_1d(np.asarray(theta, dtype=float))
-        z = np.zeros(2 * self.M + 1, dtype=complex)
-        for q, cq in self.coeffs.items():
-            z += cq * np.exp(1j * float(np.dot(q, theta)))
+        z = (_phases(np.atleast_2d(theta), self.qs) @ self.coeffs)[0]
         return FourierState(z=z, zbar=np.conj(z))
 
     def state_at_time(self, t: float, theta0=None) -> FourierState:
@@ -218,34 +239,20 @@ class TorusEmbedding:
             th = th + np.asarray(theta0, dtype=float)
         return self.evaluate(th)
 
-    def amplitude(self) -> float:
-        """Max coefficient magnitude of the fundamental harmonics."""
-        out = 0.0
-        for n in range(self.N):
-            q = tuple(1 if i == n else 0 for i in range(self.N))
-            if q in self.coeffs:
-                out = max(out, float(np.max(np.abs(self.coeffs[q]))))
-        return out
-
     def copy(self) -> "TorusEmbedding":
         return TorusEmbedding(J=self.J, M=self.M, Q=self.Q,
                               omega=self.omega.copy(),
-                              coeffs={q: c.copy()
-                                      for q, c in self.coeffs.items()})
+                              coeffs=self.coeffs.copy())
 
 
 def linear_torus(xi, J, M: int, Q: int, omega) -> TorusEmbedding:
     """Fundamental-harmonic seed: z_{j_n}(theta) = sqrt(xi_n) e^{i theta_n}."""
     J = tuple(J)
     xi = np.atleast_1d(np.asarray(xi, dtype=float))
-    coeffs: dict[tuple[int, ...], np.ndarray] = {}
-    for n, j in enumerate(J):
-        q = tuple(1 if i == n else 0 for i in range(len(J)))
-        cq = np.zeros(2 * M + 1, dtype=complex)
-        cq[j + M] = math.sqrt(xi[n])
-        coeffs[q] = cq
-    return TorusEmbedding(J=J, M=M, Q=Q, omega=np.asarray(omega, float),
-                          coeffs=coeffs)
+    coeffs = np.zeros(((2 * Q + 1) ** len(J), 2 * M + 1), dtype=complex)
+    for n, (h, j) in enumerate(zip(_fundamentals(len(J), Q), J)):
+        coeffs[h] = FourierState.from_modes(M, {j: math.sqrt(xi[n])}).z
+    return TorusEmbedding(J=J, M=M, Q=Q, omega=omega, coeffs=coeffs)
 
 
 # --- normal-form torus -----------------------------------------------------
@@ -285,10 +292,8 @@ def normal_form_torus(xi, J, M: int, G, theta=None,
     if theta is None:
         theta = np.zeros(len(J))
     theta = np.atleast_1d(np.asarray(theta, dtype=float))
-    z = np.zeros(2 * M + 1, dtype=complex)
-    for n, j in enumerate(J):
-        z[j + M] = math.sqrt(xi[n]) * np.exp(1j * theta[n])
-    state = FourierState(z=z, zbar=np.conj(z))
+    state = FourierState.from_modes(M, {
+        j: math.sqrt(xi[n]) * np.exp(1j * theta[n]) for n, j in enumerate(J)})
     if G is None or len(G) == 0:
         return state
     return flow_time1(G, state, steps=steps)
@@ -306,61 +311,23 @@ class RefineReport:
     smallest_singular_value: float | None = None
 
 
-def _pack(emb: TorusEmbedding, order, with_omega: bool) -> np.ndarray:
-    parts = []
-    for q in order:
-        cq = emb.coeffs.get(q)
-        if cq is None:
-            cq = np.zeros(2 * emb.M + 1, dtype=complex)
-        parts.append(cq.real)
-        parts.append(cq.imag)
-    if with_omega:
-        parts.append(emb.omega)
-    return np.concatenate(parts)
-
-
-def _unpack(x: np.ndarray, emb: TorusEmbedding, order,
-            with_omega: bool) -> TorusEmbedding:
-    n_mode = 2 * emb.M + 1
-    out = emb.copy()
-    pos = 0
-    coeffs = {}
-    for q in order:
-        re = x[pos:pos + n_mode]
-        im = x[pos + n_mode:pos + 2 * n_mode]
-        pos += 2 * n_mode
-        coeffs[q] = re + 1j * im
-    out.coeffs = coeffs
-    if with_omega:
-        out.omega = x[pos:pos + emb.N].copy()
-    return out
-
-
-def _collocation_angles(N: int, Q: int) -> list[np.ndarray]:
+def _collocation_angles(N: int, Q: int) -> np.ndarray:
     n_ang = 2 * Q + 1
     base = TWO_PI * np.arange(n_ang) / n_ang
-    return [np.array([base[i] for i in idx])
-            for idx in itertools.product(range(n_ang), repeat=N)]
+    return np.array(list(itertools.product(base, repeat=N)))
 
 
-def invariance_residual(emb: TorusEmbedding, system: TruncatedSystem,
-                        angles=None) -> np.ndarray:
+def invariance_residual(emb: TorusEmbedding,
+                        system: TruncatedSystem) -> np.ndarray:
     """Stacked z-component residual omega . d_theta U - X(U) at the
-    collocation angles (complex array)."""
-    if angles is None:
-        angles = _collocation_angles(emb.N, emb.Q)
-    rows = []
-    for theta in angles:
-        z = np.zeros(2 * emb.M + 1, dtype=complex)
-        dz = np.zeros(2 * emb.M + 1, dtype=complex)
-        for q, cq in emb.coeffs.items():
-            ph = np.exp(1j * float(np.dot(q, theta)))
-            z += cq * ph
-            dz += 1j * float(np.dot(q, emb.omega)) * cq * ph
-        st = FourierState(z=z, zbar=np.conj(z))
-        fz, _ = system.rhs(st)
-        rows.append(dz - fz)
-    return np.concatenate(rows)
+    collocation angles (complex array, angle-major)."""
+    qs = emb.qs
+    E = _phases(_collocation_angles(emb.N, emb.Q), qs)
+    Z = E @ emb.coeffs
+    dZ = E @ (1j * (qs @ emb.omega)[:, None] * emb.coeffs)
+    fZ = np.array([system.nonlinear_rhs(z) for z in Z]) \
+        - 1j * system.linear_freqs * Z
+    return (dZ - fZ).ravel()
 
 
 def invariance_defect(emb: TorusEmbedding, system: TruncatedSystem) -> float:
@@ -376,7 +343,7 @@ def _invariance_jacobian(C: np.ndarray, omega: np.ndarray,
                          system: TruncatedSystem, E: np.ndarray,
                          qs: np.ndarray, with_omega: bool) -> np.ndarray:
     """Real Jacobian of [Re r; Im r], r = `invariance_residual`, with respect
-    to [Re C_h, Im C_h] per harmonic h (then omega when `with_omega`).
+    to [Re C, Im C] raveled (then omega when `with_omega`).
 
     E[a, h] = exp(i q_h . theta_a) and z_a = sum_h E[a, h] C_h.  The cubic
     field linearises as dN = P_a dz + Q_a conj(dz), with T(f)[m, k] = f_{m-k},
@@ -404,9 +371,8 @@ def _invariance_jacobian(C: np.ndarray, omega: np.ndarray,
     K = E[:, None, :, None] * (diag[None] - P[:, :, None, :])  # [a, m, h, k]
     L = -np.conj(E)[:, None, :, None] * Q[:, :, None, :]
     rows = K.shape[0] * n
-    cols = np.stack([(K + L).reshape(rows, -1, n),
-                     (1j * (K - L)).reshape(rows, -1, n)], axis=2)
-    cols = cols.reshape(rows, -1)
+    cols = np.hstack([(K + L).reshape(rows, -1),
+                      (1j * (K - L)).reshape(rows, -1)])
     if with_omega:
         dw = np.einsum("ah,hk,hn->akn", E, C, 1j * qs).reshape(rows, -1)
         cols = np.hstack([cols, dw])
@@ -428,55 +394,49 @@ def refine_torus(emb: TorusEmbedding, system: TruncatedSystem,
     if mode not in ("fixed_frequency", "fixed_amplitude"):
         raise ValueError("unknown refinement mode")
     with_omega = mode == "fixed_amplitude"
-    order = _harmonics(emb.N, emb.Q)
-    angles = _collocation_angles(emb.N, emb.Q)
-    qs = np.array(order, dtype=float)
-    E = np.exp(1j * (np.array(angles) @ qs.T))
-    n_mode = 2 * emb.M + 1
-    fund = [tuple(1 if i == n else 0 for i in range(emb.N))
-            for n in range(emb.N)]
-    targets = [float(emb.coeffs[q][j + emb.M].real)
-               for q, j in zip(fund, emb.J)]
-    # the phase and amplitude conditions are unit rows of the Jacobian
-    re_cols = [2 * n_mode * order.index(q) + j + emb.M
-               for q, j in zip(fund, emb.J)]
-    pin_cols = [c + n_mode for c in re_cols] + (re_cols if with_omega else [])
-    pins = np.zeros((len(pin_cols),
-                     2 * n_mode * len(order) + (emb.N if with_omega else 0)))
+    qs = emb.qs
+    E = _phases(_collocation_angles(emb.N, emb.Q), qs)
+    shape, size = emb.coeffs.shape, emb.coeffs.size
+    x = np.concatenate([emb.coeffs.real.ravel(), emb.coeffs.imag.ravel()]
+                       + ([emb.omega] if with_omega else []))
+    # phase (Im) and amplitude (Re) conditions on each fundamental
+    # tangential coefficient: unit rows of the Jacobian, x[pin_cols] = targets
+    re_cols = [h * shape[1] + j + emb.M
+               for h, j in zip(_fundamentals(emb.N, emb.Q), emb.J)]
+    pin_cols = [size + c for c in re_cols] + (re_cols if with_omega else [])
+    targets = x[pin_cols]
+    targets[:emb.N] = 0.0
+    pins = np.zeros((len(pin_cols), len(x)))
     pins[np.arange(len(pin_cols)), pin_cols] = 1.0
 
+    def embedding(x: np.ndarray) -> TorusEmbedding:
+        return TorusEmbedding(
+            J=emb.J, M=emb.M, Q=emb.Q,
+            omega=(x[2 * size:] if with_omega else emb.omega).copy(),
+            coeffs=(x[:size] + 1j * x[size:2 * size]).reshape(shape))
+
     def residual(x: np.ndarray) -> np.ndarray:
-        e = _unpack(x, emb, order, with_omega)
-        res = invariance_residual(e, system, angles)
-        rows = [res.real, res.imag]
-        # phase conditions
-        for q, j in zip(fund, emb.J):
-            rows.append(np.array([e.coeffs[q][j + emb.M].imag]))
-        if with_omega:
-            for q, j, t in zip(fund, emb.J, targets):
-                rows.append(np.array([e.coeffs[q][j + emb.M].real - t]))
-        return np.concatenate(rows)
+        res = invariance_residual(embedding(x), system)
+        return np.concatenate([res.real, res.imag, x[pin_cols] - targets])
 
     def jacobian(x: np.ndarray) -> np.ndarray:
-        e = _unpack(x, emb, order, with_omega)
-        C = np.array([e.coeffs[q] for q in order])
-        return np.vstack([_invariance_jacobian(C, e.omega, system, E, qs,
-                                               with_omega), pins])
+        e = embedding(x)
+        return np.vstack([_invariance_jacobian(e.coeffs, e.omega, system, E,
+                                               qs, with_omega), pins])
 
-    x = _pack(emb, order, with_omega)
     r = residual(x)
     history = [float(np.max(np.abs(r)))]
     smin = None
     for it in range(max_iter):
         if history[-1] < tol:
-            return _unpack(x, emb, order, with_omega), RefineReport(
+            return embedding(x), RefineReport(
                 converged=True, iterations=it, defect_history=history,
                 final_defect=history[-1],
                 smallest_singular_value=smin)
         step, _, _, sv = np.linalg.lstsq(jacobian(x), -r, rcond=None)
         smin = float(sv[-1])
         if smin < 1e-14 * sv[0]:
-            return _unpack(x, emb, order, with_omega), RefineReport(
+            return embedding(x), RefineReport(
                 converged=False, iterations=it, defect_history=history,
                 final_defect=history[-1],
                 message="singular collocation matrix",
@@ -489,7 +449,7 @@ def refine_torus(emb: TorusEmbedding, system: TruncatedSystem,
                 break
             lam *= 0.5
         else:
-            return _unpack(x, emb, order, with_omega), RefineReport(
+            return embedding(x), RefineReport(
                 converged=False, iterations=it, defect_history=history,
                 final_defect=history[-1],
                 message="line search stalled",
@@ -497,7 +457,7 @@ def refine_torus(emb: TorusEmbedding, system: TruncatedSystem,
         x, r = xn, rn
         history.append(float(np.max(np.abs(r))))
     converged = history[-1] < tol
-    return _unpack(x, emb, order, with_omega), RefineReport(
+    return embedding(x), RefineReport(
         converged=converged, iterations=max_iter, defect_history=history,
         final_defect=history[-1],
         message="" if converged else "max iterations reached",
@@ -506,37 +466,23 @@ def refine_torus(emb: TorusEmbedding, system: TruncatedSystem,
 
 # --- distances and scaling studies ----------------------------------------
 
-def gauge_distance(record_kg: SimulationRecord, record_nls: SimulationRecord,
-                   params: SpaceParams, c: float, sigma: float
-                   ) -> tuple[np.ndarray, float]:
-    """Trace and sup over the shared time grid of the weighted norm of
-    e^{i c^2 t} z^KG(t) - z^NLS(t) at Sobolev exponent p - 4 sigma."""
-    if len(record_kg.times) != len(record_nls.times) or np.max(
-            np.abs(record_kg.times - record_nls.times)) > 1e-12:
-        raise ValueError("records must share the time grid")
-    p_eff = params.p - 4.0 * sigma
-    pp = SpaceParams(a=params.a, p=p_eff, beta=params.beta, M=params.M)
-    ft = FrequencyTable(c=c, M=params.M)
-    out = np.empty(len(record_kg.times))
-    c2 = c * c
-    for i, t in enumerate(record_kg.times):
-        diff = (np.exp(1j * c2 * t) * record_kg.states[i].z
-                - record_nls.states[i].z)
-        out[i] = seq_norm(diff, pp, ft)
-    return out, float(np.max(out))
-
-
-def synthesize_record(emb: TorusEmbedding, system: TruncatedSystem,
-                      T: float, n_samples: int = 512) -> SimulationRecord:
-    """Record built by evaluating a (refined) embedding along its linear
-    angle flow — no stiff integration involved."""
+def gauge_distance(emb_kg: TorusEmbedding, emb_nls: TorusEmbedding,
+                   params: SpaceParams, c: float, sigma: float, T: float,
+                   n_samples: int = 512) -> tuple[np.ndarray, float]:
+    """Trace and sup over t in linspace(0, T, n_samples) of the weighted norm
+    of e^{i c^2 t} z^KG(t) - z^NLS(t) at Sobolev exponent p - 4 sigma, each
+    torus evaluated along its own angle flow theta = omega t."""
     times = np.linspace(0.0, T, n_samples)
-    states = [emb.state_at_time(t) for t in times]
-    return SimulationRecord(
-        times=times, states=states,
-        hamiltonian=np.array([system.hamiltonian_value(s) for s in states]),
-        mass=np.array([system.mass(s) for s in states]),
-        momentum=np.array([system.momentum(s) for s in states]))
+
+    def orbit(emb: TorusEmbedding) -> np.ndarray:
+        return _phases(np.outer(times, emb.omega), emb.qs) @ emb.coeffs
+
+    diff = np.exp(1j * c * c * times)[:, None] * orbit(emb_kg) - orbit(emb_nls)
+    pp = SpaceParams(a=params.a, p=params.p - 4.0 * sigma, beta=params.beta,
+                     M=params.M)
+    ft = FrequencyTable(c=c, M=params.M)
+    out = np.array([seq_norm(d, pp, ft) for d in diff])
+    return out, float(np.max(out))
 
 
 def matched_torus_pair(R: float, c: float, J, M: int, Q: int,
@@ -599,11 +545,8 @@ def scaling_study(R: float, c_list, sigma: float, T: float = 1e3,
                          "converged": False, "distance": None,
                          "error": str(exc)})
             continue
-        nls = TruncatedSystem(kind="nls", M=M)
-        kg = TruncatedSystem(kind="kg", M=M, c=c)
-        rec_nls = synthesize_record(emb_nls, nls, T, n_samples)
-        rec_kg = synthesize_record(emb_kg, kg, T, n_samples)
-        _, sup = gauge_distance(rec_kg, rec_nls, params, c, sigma)
+        _, sup = gauge_distance(emb_kg, emb_nls, params, c, sigma, T,
+                                n_samples)
         smin = rep_kg.smallest_singular_value
         rows.append({"c": c, "admissible": c >= c_adm, "converged": True,
                      "distance": sup, "newton_iters": rep_kg.iterations,

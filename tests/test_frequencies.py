@@ -1,6 +1,5 @@
 """Frequency maps, the rank-one-update inverse, and Melnikov solves."""
 
-import json
 import math
 
 import numpy as np
@@ -11,8 +10,7 @@ from kgnls.frequencies import (CorrectionTable, Omega0, Omega0_nls,
                                bateman_inverse, bateman_norm_bound,
                                build_model, first_melnikov_lower_bound,
                                melnikov_hypothesis_h, melnikov_residual,
-                               model_from_json, model_to_json, omega0,
-                               omega0_nls, omega0_remainder,
+                               omega0, omega0_nls, omega0_remainder,
                                solve_first_melnikov)
 
 TWO_PI = 2.0 * math.pi
@@ -84,18 +82,6 @@ def test_first_melnikov_lower_bound_positive():
     rep = first_melnikov_lower_bound(model, kmax=2)
     assert rep["min_ratio"] > 0
     assert not rep["hypothesis_violated"]
-
-
-def test_model_json_roundtrip_bitexact():
-    model = build_model(7.0, (1, 3), 9, 1e-3, require_min_N=2)
-    text = model_to_json(model)
-    back = model_from_json(text)
-    assert np.array_equal(model.A, back.A)
-    assert np.array_equal(model.B, back.B)
-    assert np.array_equal(model.xi_lo, back.xi_lo)
-    assert model.J == back.J and model.M == back.M
-    # serialization is deterministic
-    assert model_to_json(back) == text
 
 
 def test_correction_table_nearest_sample():

@@ -7,7 +7,7 @@ import pytest
 
 from kgnls.kam_schedule import (KamSchedule, ScheduleDivergence,
                                 ScheduleParams, generate, init_exponents,
-                                minimal_K1, predicted_bounds, seed_eps1,
+                                minimal_K1, predicted_bounds,
                                 smallness_check, write_schedule_csv)
 
 
@@ -38,10 +38,6 @@ def test_params_derived_quantities():
     assert p.mu == 2 * 8.0 + 3 + 3
     assert abs(p.alpha0 - 1e-3 ** p.a0) < 1e-18
     assert abs(p.alpha1 - 1e-3 ** p.a1) < 1e-18
-
-
-def test_seed_formula():
-    assert abs(seed_eps1(1e-12, 1e-6) - (1e-6) ** (1 / 3) * 1e-12) < 1e-28
 
 
 def test_generate_recursions_consistent():

@@ -9,11 +9,11 @@ from kgnls.hamiltonian import (build_Lambda, build_Lambda_nls, build_P,
                                build_P_nls, vector_field)
 from kgnls.kam_schedule import predicted_bounds
 from kgnls.spectral_core import FourierState, FrequencyTable, SpaceParams
-from kgnls.torus_lab import (TruncatedSystem, default_dt, gauge_distance,
-                             integrate, invariance_defect, linear_torus,
-                             load_record, matched_torus_pair,
-                             normal_form_torus, refine_torus, save_record,
-                             scaling_study, synthesize_record)
+from kgnls.torus_lab import (TorusEmbedding, TruncatedSystem, _harmonics,
+                             default_dt, gauge_distance, integrate,
+                             invariance_defect, linear_torus, load_record,
+                             matched_torus_pair, normal_form_torus,
+                             refine_torus, save_record, scaling_study)
 
 
 def random_state(M, seed=0, scale=0.05):
@@ -125,8 +125,8 @@ def test_refine_converges_from_perturbed_seed():
     assert rep.converged
     assert invariance_defect(out, system) < 1e-12
     # pinned amplitude survived the solve
-    fund = (1,)
-    assert abs(out.coeffs[fund][1 + 8].real - R) < 1e-12
+    fund = _harmonics(1, 2).index((1,))
+    assert abs(out.coeffs[fund, 1 + 8].real - R) < 1e-12
 
 
 def test_matched_pair_and_gauge_distance():
@@ -135,14 +135,43 @@ def test_matched_pair_and_gauge_distance():
     assert rep_nls.converged and rep_kg.converged
     # frequencies differ by exactly the gauge shift c^2
     assert np.max(np.abs(emb_kg.omega - (emb_nls.omega - c * c))) < 1e-9
-    nls = TruncatedSystem(kind="nls", M=M)
-    kg = TruncatedSystem(kind="kg", M=M, c=c)
-    rec_nls = synthesize_record(emb_nls, nls, 50.0, 64)
-    rec_kg = synthesize_record(emb_kg, kg, 50.0, 64)
     params = SpaceParams(a=0.0, p=5.0, beta=0.0, M=M)
-    trace, sup = gauge_distance(rec_kg, rec_nls, params, c, 1.0)
+    trace, sup = gauge_distance(emb_kg, emb_nls, params, c, 1.0, 50.0, 64)
+    assert trace.shape == (64,)
     assert sup < 1e-1
     assert sup >= np.max(trace) - 1e-15
+
+
+def test_embedding_store_is_a_harmonic_by_mode_array():
+    emb = linear_torus([1e-4, 4e-4], (1, 2), 6, 2, [-0.5, -2.0])
+    assert emb.coeffs.shape == (len(_harmonics(2, 2)), 13)
+    for shape in ((len(_harmonics(2, 2)), 12), (len(_harmonics(2, 1)), 13),
+                  (13,)):
+        with pytest.raises(ValueError, match="shape"):
+            TorusEmbedding(J=(1, 2), M=6, Q=2, omega=[-0.5, -2.0],
+                           coeffs=np.zeros(shape, dtype=complex))
+
+
+def test_state_at_time_follows_the_angle_flow():
+    # the linear torus is z_{j_n} = sqrt(xi_n) e^{i omega_n t} along the flow
+    emb = linear_torus([1e-4, 4e-4], (1, -2), 6, 2, [-0.5, -2.0])
+    t = 3.7
+    st = emb.state_at_time(t, theta0=[0.1, 0.0])
+    want = FourierState.from_modes(6, {1: 1e-2 * np.exp(1j * (0.1 - 0.5 * t)),
+                                       -2: 2e-2 * np.exp(-2j * t)})
+    assert np.max(np.abs(st.z - want.z)) < 1e-15
+    assert np.array_equal(st.zbar, np.conj(st.z))
+
+
+@pytest.mark.parametrize("seed", [
+    lambda J: linear_torus([1e-4], J, 8, 2, [-0.5]),
+    lambda J: normal_form_torus([1e-4], J, 8, None)],
+    ids=["linear_torus", "normal_form_torus"])
+@pytest.mark.parametrize("j", [9, -9])
+def test_seeds_reject_modes_outside_the_window(seed, j):
+    # |j| = M + 1 must fail, not wrap around or overrun the mode window
+    with pytest.raises(ValueError, match="outside the window"):
+        seed((j,))
 
 
 def test_normal_form_torus_displacement_small():

@@ -1,13 +1,15 @@
 """The torus-lab kernels against the implementations they replaced.
 
+`ref_invariance_residual` is the per-angle, per-harmonic loop over a dict of
+harmonic tuples that the array residual `E @ C` replaced.
 `ref_refine_torus` is the forward-difference Gauss-Newton solve that the
 closed-form Jacobian of `kgnls.torus_lab._invariance_jacobian` replaced: it
 differences the public `invariance_residual` column by column and reads the
 smallest singular value from a separate SVD.  `ref_integrate` is the Strang
 step that carried zbar through the rotation and the RK4 stages as an
-independent component, with its own two-component nonlinear field.  Both
-share with the code under test only the residual, the packing helpers and
-the truncated system's tables.
+independent component, with its own two-component nonlinear field.  They
+share with the code under test only the residual, the harmonic and angle
+orders and the truncated system's tables.
 """
 
 import math
@@ -17,10 +19,10 @@ import pytest
 
 from kgnls import torus_lab
 from kgnls.spectral_core import FourierState
-from kgnls.torus_lab import (RefineReport, SimulationRecord, TruncatedSystem,
-                             _collocation_angles, _conv_full, _harmonics,
-                             _pack, _unpack, _window, default_dt, integrate,
-                             invariance_residual, linear_torus,
+from kgnls.torus_lab import (RefineReport, SimulationRecord, TorusEmbedding,
+                             TruncatedSystem, _collocation_angles, _conv_full,
+                             _harmonics, _phases, _window, default_dt,
+                             integrate, invariance_residual, linear_torus,
                              matched_torus_pair)
 
 
@@ -82,34 +84,62 @@ def ref_integrate(system, z0, T, record_every=100):
                             momentum=np.array(mom))
 
 
+def ref_invariance_residual(emb, system):
+    coeffs = dict(zip(_harmonics(emb.N, emb.Q), emb.coeffs))
+    rows = []
+    for theta in _collocation_angles(emb.N, emb.Q):
+        z = np.zeros(2 * emb.M + 1, dtype=complex)
+        dz = np.zeros(2 * emb.M + 1, dtype=complex)
+        for q, cq in coeffs.items():
+            ph = np.exp(1j * float(np.dot(q, theta)))
+            z += cq * ph
+            dz += 1j * float(np.dot(q, emb.omega)) * cq * ph
+        fz, _ = system.rhs(FourierState(z=z, zbar=np.conj(z)))
+        rows.append(dz - fz)
+    return np.concatenate(rows)
+
+
+def pack(emb, with_omega):
+    """The unknowns [Re C, Im C(, omega)] of `refine_torus`."""
+    return np.concatenate([emb.coeffs.real.ravel(), emb.coeffs.imag.ravel()]
+                          + ([emb.omega] if with_omega else []))
+
+
+def unpack(x, emb, with_omega):
+    size = emb.coeffs.size
+    return TorusEmbedding(
+        J=emb.J, M=emb.M, Q=emb.Q,
+        omega=x[2 * size:].copy() if with_omega else emb.omega.copy(),
+        coeffs=(x[:size] + 1j * x[size:2 * size]).reshape(emb.coeffs.shape))
+
+
 def ref_refine_torus(emb, system, mode="fixed_frequency", tol=1e-10,
                      max_iter=25, fd_eps=1e-7):
     with_omega = mode == "fixed_amplitude"
     order = _harmonics(emb.N, emb.Q)
-    angles = _collocation_angles(emb.N, emb.Q)
-    fund = [tuple(1 if i == n else 0 for i in range(emb.N))
+    fund = [order.index(tuple(1 if i == n else 0 for i in range(emb.N)))
             for n in range(emb.N)]
-    targets = [float(emb.coeffs[q][j + emb.M].real)
-               for q, j in zip(fund, emb.J)]
+    targets = [float(emb.coeffs[h, j + emb.M].real)
+               for h, j in zip(fund, emb.J)]
 
     def residual(x):
-        e = _unpack(x, emb, order, with_omega)
-        res = invariance_residual(e, system, angles)
+        e = unpack(x, emb, with_omega)
+        res = invariance_residual(e, system)
         rows = [res.real, res.imag]
-        for q, j in zip(fund, emb.J):
-            rows.append(np.array([e.coeffs[q][j + emb.M].imag]))
+        for h, j in zip(fund, emb.J):
+            rows.append(np.array([e.coeffs[h, j + emb.M].imag]))
         if with_omega:
-            for q, j, t in zip(fund, emb.J, targets):
-                rows.append(np.array([e.coeffs[q][j + emb.M].real - t]))
+            for h, j, t in zip(fund, emb.J, targets):
+                rows.append(np.array([e.coeffs[h, j + emb.M].real - t]))
         return np.concatenate(rows)
 
-    x = _pack(emb, order, with_omega)
+    x = pack(emb, with_omega)
     r = residual(x)
     history = [float(np.max(np.abs(r)))]
     smin = None
     for it in range(max_iter):
         if history[-1] < tol:
-            return _unpack(x, emb, order, with_omega), RefineReport(
+            return unpack(x, emb, with_omega), RefineReport(
                 converged=True, iterations=it, defect_history=history,
                 final_defect=history[-1], smallest_singular_value=smin)
         Jac = np.empty((len(r), len(x)))
@@ -136,15 +166,11 @@ def ref_refine_torus(emb, system, mode="fixed_frequency", tol=1e-10,
 
 def central_jacobian(emb, system, with_omega, h=1e-6):
     """Central differences of [Re r; Im r] over the packed unknowns."""
-    order = _harmonics(emb.N, emb.Q)
-    angles = _collocation_angles(emb.N, emb.Q)
-
     def residual(x):
-        res = invariance_residual(_unpack(x, emb, order, with_omega), system,
-                                  angles)
+        res = invariance_residual(unpack(x, emb, with_omega), system)
         return np.concatenate([res.real, res.imag])
 
-    x = _pack(emb, order, with_omega)
+    x = pack(emb, with_omega)
     cols = []
     for k in range(len(x)):
         step = np.zeros_like(x)
@@ -161,11 +187,25 @@ def perturbed_seed(kind, c, J, M, Q, seed):
         omega = omega - c * c
     emb = linear_torus(xi, J, M, Q, omega)
     rng = np.random.default_rng(seed)
-    for q in _harmonics(len(J), Q):
+    for h in range(len(emb.coeffs)):
         noise = rng.normal(size=(2, 2 * M + 1))
-        emb.coeffs[q] = emb.coeffs.get(q, 0.0) + 1e-4 * (noise[0]
-                                                         + 1j * noise[1])
+        emb.coeffs[h] += 1e-4 * (noise[0] + 1j * noise[1])
     return emb
+
+
+# --- the array residual ----------------------------------------------------
+
+@pytest.mark.parametrize("kind,c", [("kg", 10.0), ("kg", 150.0),
+                                    ("nls", None)])
+@pytest.mark.parametrize("J,M,Q,seed", [((1,), 8, 2, 0), ((1,), 6, 3, 1),
+                                        ((1, 2), 4, 1, 2)])
+def test_array_residual_matches_per_angle_loop(kind, c, J, M, Q, seed):
+    emb = perturbed_seed(kind, c, J, M, Q, seed)
+    system = TruncatedSystem(kind=kind, M=M, c=c)
+    res = invariance_residual(emb, system)
+    ref = ref_invariance_residual(emb, system)
+    assert res.shape == ref.shape
+    assert np.max(np.abs(res - ref)) <= 1e-13 * np.max(np.abs(ref))
 
 
 # --- the closed-form Jacobian ----------------------------------------------
@@ -180,12 +220,9 @@ def test_analytic_jacobian_matches_central_differences(mode, kind, c, J, M,
     emb = perturbed_seed(kind, c, J, M, Q, seed)
     system = TruncatedSystem(kind=kind, M=M, c=c)
     with_omega = mode == "fixed_amplitude"
-    order = _harmonics(emb.N, emb.Q)
-    qs = np.array(order, dtype=float)
-    E = np.exp(1j * (np.array(_collocation_angles(emb.N, emb.Q)) @ qs.T))
-    C = np.array([emb.coeffs[q] for q in order])
-    jac = torus_lab._invariance_jacobian(C, emb.omega, system, E, qs,
-                                         with_omega)
+    E = _phases(_collocation_angles(emb.N, emb.Q), emb.qs)
+    jac = torus_lab._invariance_jacobian(emb.coeffs, emb.omega, system, E,
+                                         emb.qs, with_omega)
     ref = central_jacobian(emb, system, with_omega)
     assert jac.shape == ref.shape
     assert np.max(np.abs(jac - ref)) < 1e-9 * np.max(np.abs(ref))
@@ -204,8 +241,7 @@ def test_refined_kg_torus_matches_forward_difference_solve(c):
     # coefficients by at most about d / sigma_min
     bound = 2.0 * max(rep_kg.final_defect, ref_rep.final_defect) \
         / rep_kg.smallest_singular_value
-    gap = max(np.max(np.abs(emb_kg.coeffs[q] - ref.coeffs[q]))
-              for q in ref.coeffs)
+    gap = np.max(np.abs(emb_kg.coeffs - ref.coeffs))
     assert gap <= bound
     assert abs(rep_kg.smallest_singular_value
                - ref_rep.smallest_singular_value) \
