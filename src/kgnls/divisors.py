@@ -16,10 +16,24 @@ Delta take their nearest-neighbour `CorrectionTable` values at each point;
 the Schrodinger family has none.  Callers reduce the (points x pairs)
 values in blocks of points, so that no temporary of the kernel (values,
 table distances) holds more than `_BLOCK` values (512 KiB of float64).
+
+Resonant-set hits (`_hits`) take points inside the model's amplitude box
+[xi_lo, xi_hi], as `sample_xi` and the quadrature grid draw them, and
+evaluate only the pairs that can come below their threshold there.  On the
+box the affine part of a divisor ranges over <g, mid> + const +- <|g|, half>;
+a nearest-neighbour table adds one of its own rows, so the divisor also
+lies within the min and max over the rows of delta.values @ k and of the
+Delta row at the support of ell, times ell.  `_Divisors.floor` turns that
+range into a lower bound on |divisor|, less a rounding margin of
+1e-12 (|const| + <|g|, max |xi|> + max |correction|); a pair whose floor
+exceeds its threshold has no hit anywhere in the box and is dropped.  The
+bound is exact for a one-point table, sound for any table, and holds no
+correction term for the Schrodinger family.
 """
 
 from __future__ import annotations
 
+import copy
 import itertools
 import math
 from dataclasses import dataclass, replace
@@ -124,42 +138,60 @@ def make_pair(k, ell: dict[int, int], J) -> IndexPair:
                      J=tuple(sorted(J)))
 
 
-def classify_pair(pair: IndexPair, c: float) -> str:
-    """Deterministic S-class tag, partitioning all ell != 0.
+def _supports(ells) -> tuple[np.ndarray, np.ndarray]:
+    """The ell support as (P, 2) indices `at` and values `val`, 0-padded,
+    entries in the order of each ell."""
+    rows = [[x for a, v in ell.items() if v for x in (a, v)] for ell in ells]
+    flat = np.array([r + [0] * (4 - len(r)) for r in rows],
+                    dtype=int).reshape(-1, 2, 2)
+    return flat[..., 0], flat[..., 1]
+
+
+def _s_classes(ksum: int, at: np.ndarray, val: np.ndarray, c: float
+               ) -> np.ndarray:
+    """S-class tags of the momentum-zero pairs (k, ell) of one k with
+    sum(k) = ksum, ell given by its (P, 2) support `at`, `val` (0 pads).
+    "" marks ell = 0, which carries no class; the classes partition all
+    ell != 0.
 
     S0: supp(ell) = {i} or {i, 0}.
-    Difference class (ell_i ell_j = -1, |i| <= |j|, both nonzero):
+    Otherwise supp(ell) = {i, j}, |i| <= |j|, both nonzero, and
+    Difference class (ell_i ell_j = -1):
         S1: sgn(i) != sgn(j)
         S2: same signs, |i| <= |j|/2
-        S4: same signs, |j|/2 < |i| <= |j|, |j| <= 2c or c <= |i| <= 2c^3
-        S5: same signs, |j|/2 < |i|, c^3 <= |i|.
-    Sum class (ell_i ell_j = +1):
+        S5: same signs, |i| > |j|/2, |i| >= c^3
+        S4: every other same-sign pair: |j|/2 < |i| < c^3.
+    Sum class (ell_i ell_j = +1), with the gauge charge L = ksum + sum ell:
         S6: L = 0 or sgn(L) = sgn(ell_i)
         S7: sgn(L) = -sgn(ell_i), sgn(i) = sgn(j)
         S8: sgn(L) = -sgn(ell_i), sgn(i) != sgn(j).
     """
+    # `_supports` pads at the end: val[:, 0] = 0 is ell = 0 and
+    # val[:, 1] = 0 a single support.  Later assignments take precedence.
+    v0, v1 = val.T
+    lo, hi = np.sort(np.abs(at), axis=1).T
+    same = (at[:, 0] > 0) == (at[:, 1] > 0)
+    diff = v0 * v1 == -1
+    L = ksum + v0 + v1
+    out = np.where(same, "S7", "S8")
+    out[(L == 0) | ((L > 0) == (v0 > 0))] = "S6"
+    out[diff] = "S4"
+    out[diff & (lo >= c ** 3)] = "S5"
+    out[diff & (lo <= hi / 2)] = "S2"
+    out[diff & ~same] = "S1"
+    out[(v1 == 0) | (at[:, 0] == 0) | (at[:, 1] == 0)] = "S0"
+    out[v0 == 0] = ""
+    return out
+
+
+def classify_pair(pair: IndexPair, c: float) -> str:
+    """S-class tag of one pair: the one-row case of `_s_classes`."""
     if not pair.in_ZM:
         raise ValueError("classification requires zero momentum")
-    supp = [a for a, _ in pair.ell]
-    if len(supp) == 0:
+    if not pair.ell:
         raise ValueError("ell = 0 carries no S-class")
-    if len(supp) == 1 or 0 in supp:
-        return "S0"
-    (i, vi), (j, vj) = sorted(pair.ell, key=lambda t: abs(t[0]))
-    if vi * vj == -1:
-        if (i > 0) != (j > 0):
-            return "S1"
-        if abs(i) <= abs(j) / 2:
-            return "S2"
-        if abs(i) >= c ** 3:
-            return "S5"
-        return "S4"
-    L = pair.gauge_sum
-    if L == 0 or (L > 0) == (vi > 0):
-        return "S6"
-    if (i > 0) == (j > 0):
-        return "S7"
-    return "S8"
+    at, val = _supports([pair.ell_dict])
+    return str(_s_classes(sum(pair.k), at, val, c)[0])
 
 
 def s8_localization(pair: IndexPair, c: float) -> dict:
@@ -193,35 +225,28 @@ _BLOCK = 1 << 16   # values per block of a call's widest temporary
 
 
 class _Divisors:
-    """The pairs (k, ell) of one k: ell support as positions `pos` into
-    `model.normal_modes` with values `val` (0 pads), and per pair the
+    """The pairs (k, ell) of one k: ell support `at`, as positions `pos`
+    into `model.normal_modes`, with values `val` (0 pads), and per pair the
     constant, the gradient A k + B^T ell and the weight w(ell).  Called on
     points xi (n, N), it gives the (n, P) divisors, corrections added."""
+
+    ROWS = ("at", "pos", "val", "w", "const", "grad", "nu")   # per pair
 
     def __init__(self, model: FrequencyModel, k, ells: list[dict[int, int]],
                  nls: bool = False):
         self.model, self.nls = model, nls
         self.k = np.asarray(k, dtype=int)
-        rows = [[x for a, v in ell.items() if v for x in (a, v)]
-                for ell in ells]
-        flat = np.array([r + [0] * (4 - len(r)) for r in rows],
-                        dtype=int).reshape(-1, 2, 2)
-        at, self.val = flat[..., 0], flat[..., 1]
+        self.at, self.val = _supports(ells)
         modes = model.normal_modes
-        self.pos = np.minimum(np.searchsorted(modes, at), len(modes) - 1)
-        if np.any((self.val != 0) & (modes[self.pos] != at)):
+        self.pos = np.minimum(np.searchsorted(modes, self.at), len(modes) - 1)
+        if np.any((self.val != 0) & (modes[self.pos] != self.at)):
             raise ValueError("ell support must lie in the normal modes")
-        tables = [] if nls else [t for t in (model.delta, model.Delta)
-                                 if t is not None]
-        # per point, the widest temporary of a call: one value per pair,
-        # or a table's nearest-neighbour distances and gathered values
-        self.width = max([len(self.val)] + [t.points.size + t.values.shape[1]
-                                            for t in tables])
         w = np.where(self.val != 0, model.w_Jc[self.pos], np.inf).min(axis=1)
         self.w = np.where(np.isinf(w), 1.0, w)
         if nls:
+            self.nu = None
             self.const = 0.5 * (self.k @ np.square(model.J)
-                                + (self.val * at * at).sum(axis=1))
+                                + (self.val * self.at ** 2).sum(axis=1))
             A, B = model.A_nls, model.B_nls
         else:
             self.nu = self.k @ model.nu_J \
@@ -232,6 +257,24 @@ class _Divisors:
         self.grad = (A @ self.k)[None, :] \
             + self.val[:, :1] * B[self.pos[:, 0]] \
             + self.val[:, 1:] * B[self.pos[:, 1]]
+
+    @property
+    def width(self) -> int:
+        """Per point, the widest temporary of a call: one value per pair,
+        or a table's nearest-neighbour distances and gathered values."""
+        tables = [] if self.nls else [t for t in (self.model.delta,
+                                                  self.model.Delta)
+                                      if t is not None]
+        return max([len(self.val)] + [t.points.size + t.values.shape[1]
+                                      for t in tables])
+
+    def rows(self, keep: np.ndarray) -> "_Divisors":
+        """The same k with only the pairs `keep` selects."""
+        sub = copy.copy(self)
+        for name in self.ROWS:
+            if getattr(self, name) is not None:
+                setattr(sub, name, getattr(self, name)[keep])
+        return sub
 
     def __call__(self, xi: np.ndarray) -> np.ndarray:
         out = xi @ self.grad.T
@@ -244,6 +287,31 @@ class _Divisors:
             out += D[:, self.pos[:, 0]] * self.val[:, 0]
             out += D[:, self.pos[:, 1]] * self.val[:, 1]
         return out
+
+    def floor(self) -> np.ndarray:
+        """Per pair: a lower bound on |divisor| over the model's amplitude
+        box, less the rounding margin of the module docstring."""
+        m = self.model
+        mid, half = 0.5 * (m.xi_hi + m.xi_lo), 0.5 * (m.xi_hi - m.xi_lo)
+        centre = self.grad @ mid + self.const
+        spread = np.abs(self.grad) @ half
+        lo, hi = centre - spread, centre + spread
+        corr = np.zeros_like(lo)
+        if not self.nls and m.delta is not None:
+            dk = m.delta.values @ self.k
+            lo += dk.min()
+            hi += dk.max()
+            corr += np.abs(dk).max()
+        if not self.nls and m.Delta is not None:
+            D = m.Delta.values
+            dD = D[:, self.pos[:, 0]] * self.val[:, 0] \
+                + D[:, self.pos[:, 1]] * self.val[:, 1]
+            lo += dD.min(axis=0)
+            hi += dD.max(axis=0)
+            corr += np.abs(dD).max(axis=0)
+        xmax = np.maximum(np.abs(m.xi_lo), np.abs(m.xi_hi))
+        margin = 1e-12 * (np.abs(self.const) + np.abs(self.grad) @ xmax + corr)
+        return np.maximum(lo, -hi) - margin
 
     def threshold(self, query: ResonantQuery) -> np.ndarray:
         k1 = int(np.abs(self.k).sum())
@@ -267,12 +335,17 @@ def _blocks(n: int, width: int):
 
 def _hits(div: _Divisors, xi: np.ndarray, query: ResonantQuery
           ) -> np.ndarray:
-    """Per point: whether any pair of `div` is below its threshold."""
+    """Per point: whether any pair of `div` is below its threshold.  The
+    points must lie in the model's amplitude box: only the pairs whose
+    `floor` there does not exceed their threshold are evaluated."""
     thr = div.threshold(query)
+    keep = div.floor() <= thr
     hit = np.zeros(len(xi), dtype=bool)
-    for s in _blocks(len(xi), div.width):
-        vals = div(xi[s])
-        hit[s] = (np.abs(vals, out=vals) < thr).any(axis=1)
+    if keep.any():
+        div, thr = div.rows(keep), thr[keep]
+        for s in _blocks(len(xi), div.width):
+            vals = div(xi[s])
+            hit[s] = (np.abs(vals, out=vals) < thr).any(axis=1)
     return hit
 
 
@@ -402,21 +475,22 @@ def nongauge_scan(model: FrequencyModel, kappa: float = 0.5,
         if not ells:
             continue
         n_pairs += len(ells)
-        mins = _min_abs(_Divisors(model, k, ells), corners) / (c * c)
+        div = _Divisors(model, k, ells)
+        mins = _min_abs(div, corners) / (c * c)
         i = int(np.argmin(mins))
         if mins[i] < best:
             best = float(mins[i])
             arg = {"k": [int(v) for v in k], "ell": dict(ells[i])}
-        for ell, m in zip(ells, mins):
-            pair = make_pair(k, ell, model.J)
-            if ell and classify_pair(pair, c) == "S8":
-                s8_count += 1
-                if m < s8_best:
-                    s8_best, loc = float(m), s8_localization(pair, c)
-                    s8_row = {"k": list(pair.k), "ell": dict(pair.ell),
-                              "center": loc["center"], "min_over_c2": s8_best,
-                              "offsets": {str(a): v for a, v
-                                          in loc["offsets"].items()}}
+        s8 = np.flatnonzero(_s_classes(L, div.at, div.val, c) == "S8")
+        s8_count += len(s8)
+        i = int(s8[np.argmin(mins[s8])]) if len(s8) else None
+        if i is not None and mins[i] < s8_best:
+            pair = make_pair(k, ells[i], model.J)
+            s8_best, loc = float(mins[i]), s8_localization(pair, c)
+            s8_row = {"k": list(pair.k), "ell": dict(pair.ell),
+                      "center": loc["center"], "min_over_c2": s8_best,
+                      "offsets": {str(a): v for a, v
+                                  in loc["offsets"].items()}}
     if n_pairs and best <= 0:
         raise ArithmeticError("non-gauge divisor minimum is not positive")
     return {"c": c, "kmax": kmax, "kappa": kappa, "pairs": n_pairs,

@@ -41,18 +41,6 @@ class CorrectionTable:
         out = self.values[np.argmin(d, axis=1)]
         return out if xi.ndim == 2 else out[0]
 
-    def lipschitz_estimate(self) -> float:
-        """Max finite-difference ratio between sample pairs."""
-        n = len(self.points)
-        best = 0.0
-        for i in range(n):
-            for k in range(i + 1, n):
-                dx = np.linalg.norm(self.points[i] - self.points[k])
-                if dx > 0:
-                    dv = np.max(np.abs(self.values[i] - self.values[k]))
-                    best = max(best, dv / dx)
-        return best
-
 
 @dataclass
 class FrequencyModel:

@@ -229,16 +229,6 @@ class TorusEmbedding:
         """Harmonic rows, in the row order of `coeffs`."""
         return np.array(_harmonics(self.N, self.Q), dtype=float)
 
-    def evaluate(self, theta) -> FourierState:
-        z = (_phases(np.atleast_2d(theta), self.qs) @ self.coeffs)[0]
-        return FourierState(z=z, zbar=np.conj(z))
-
-    def state_at_time(self, t: float, theta0=None) -> FourierState:
-        th = self.omega * t
-        if theta0 is not None:
-            th = th + np.asarray(theta0, dtype=float)
-        return self.evaluate(th)
-
     def copy(self) -> "TorusEmbedding":
         return TorusEmbedding(J=self.J, M=self.M, Q=self.Q,
                               omega=self.omega.copy(),

@@ -87,6 +87,10 @@ def test_classification_examples():
     c = 4.0
     # single support -> S0
     assert classify_pair(make_pair((1, 0, 0), {-1: 1}, J3), c) == "S0"
+    with pytest.raises(ValueError, match="zero momentum"):
+        classify_pair(make_pair((1, 0, 0), {5: 1}, J3), c)
+    with pytest.raises(ValueError, match="carries no S-class"):
+        classify_pair(make_pair((1, 1, -1), {}, J3), c)
     # every taxonomy branch is reachable in a broad momentum-zero sweep
     labels = {}
     for k in iter_k(3, 3):

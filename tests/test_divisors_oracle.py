@@ -3,10 +3,11 @@
 The references below are the per-pair, per-sample loops the kernel
 replaced: a divisor is <omega0(xi), k> + <Omega0(xi), ell> summed with
 fsum from the frequency maps of `kgnls.frequencies`, one point and one
-pair at a time, and the scans loop over `iter_k` x `enumerate_ell`.  They
-share with the kernel only the model, the enumeration, the S-class
-classifier and `CorrectionTable.__call__`, which the first test checks on
-its own against a one-point nearest-neighbour reference.
+pair at a time, and the scans loop over `iter_k` x `enumerate_ell`; the
+S-class rule is the scalar per-pair classifier that the array classifier
+replaced.  They share with the kernel only the model, the enumeration and
+`CorrectionTable.__call__`, which the first test checks on its own against
+a one-point nearest-neighbour reference.
 """
 
 import math
@@ -18,7 +19,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from kgnls import divisors
-from kgnls.divisors import (ResonantQuery, cantor_excision,
+from kgnls.divisors import (S_CLASSES, ResonantQuery, cantor_excision,
                             center_pair_correction, classify_pair, divisor,
                             divisor_parts, enumerate_ell, is_resonant, iter_k,
                             k0_floor_scan, make_pair, measure_estimate_grid,
@@ -80,6 +81,28 @@ def ref_union(model, xi, pairs, query, families=(False,)):
     return hit
 
 
+def ref_classify_pair(pair, c):
+    """S-class tag of one momentum-zero pair with ell != 0."""
+    supp = [a for a, _ in pair.ell]
+    if len(supp) == 1 or 0 in supp:
+        return "S0"
+    (i, vi), (j, vj) = sorted(pair.ell, key=lambda t: abs(t[0]))
+    if vi * vj == -1:
+        if (i > 0) != (j > 0):
+            return "S1"
+        if abs(i) <= abs(j) / 2:
+            return "S2"
+        if abs(i) >= c ** 3:
+            return "S5"
+        return "S4"
+    L = pair.gauge_sum
+    if L == 0 or (L > 0) == (vi > 0):
+        return "S6"
+    if (i > 0) == (j > 0):
+        return "S7"
+    return "S8"
+
+
 def ref_pairs(model, k, ells):
     return [make_pair(k, ell, model.J) for ell in ells
             if any(k) or any(ell.values())]
@@ -101,7 +124,7 @@ def ref_nongauge(model, kmax):
             m = min(abs(ref_divisor(model, x, pair)) for x in corners) / c**2
             if m < best:
                 best, arg = m, {"k": list(pair.k), "ell": dict(pair.ell)}
-            if ell and classify_pair(pair, c) == "S8":
+            if ell and ref_classify_pair(pair, c) == "S8":
                 loc = s8_localization(pair, c)
                 s8_rows.append({"k": list(pair.k), "ell": dict(pair.ell),
                                 "center": loc["center"],
@@ -232,6 +255,73 @@ def test_cantor_excision_matches_per_sample_union(model, alpha, seed):
     for x, h in list(zip(xi, want))[:3]:
         assert h == any(is_resonant(model, x, p, q, nls=nls)
                         for p in pairs for nls in (False, True))
+
+
+@given(corrected_models(), st.floats(1e-7, 1e-5), st.floats(0.0, 0.9),
+       st.integers(0, 10 ** 6))
+@settings(max_examples=10, deadline=None, derandomize=True)
+def test_pruned_pairs_stay_above_threshold_in_the_box(model, alpha, theta,
+                                                      seed):
+    # the floor must hold at every point of the box, for both families
+    q = ResonantQuery(alpha=alpha, tau=2.0, theta=theta)
+    xi = np.concatenate([model.xi_corners(), sample_xi(model, 200, seed)])
+    idx = ref_index(model)
+    n_dropped = 0
+    for nls in (False, True):
+        om, Om = (np.array(f) for f in zip(*(ref_freqs(model, x, nls)
+                                             for x in xi)))
+        for k, ells in divisors._pair_tables(model, 2, 1):
+            div = divisors._Divisors(model, k, ells, nls)
+            floor = div.floor()
+            dropped = floor > div.threshold(q)
+            n_dropped += int(dropped.sum())
+            for ell, fl, drop in zip(ells, floor, dropped):
+                d = np.abs(om @ k + sum(v * Om[:, idx[a]]
+                                        for a, v in ell.items()))
+                assert np.all(d >= fl)
+                if drop:
+                    thr = ref_threshold(model, q, make_pair(k, ell, J3))
+                    assert np.all(d >= thr)
+    assert n_dropped > 0
+
+
+@pytest.mark.parametrize("theta", [0.0, 5.0 / 12.0])
+def test_cantor_excision_evaluates_only_pairs_that_can_hit(theta):
+    # the criterion-06 shape: of the 3,232 (pair, family) divisors only the
+    # centred pair and its negative come within their threshold in the box
+    model = center_pair_correction(build_model(10.0, J3, 20, 1e-2),
+                                   make_pair((1, -1, 0), {-1: -1}, J3))
+    q = ResonantQuery(alpha=1e-6, tau=2.0, theta=theta, samples=200, seed=1)
+    seen = []
+    call = divisors._Divisors.__call__
+
+    def spy(div, xi):
+        seen.append(div)
+        return call(div, xi)
+
+    with mock.patch.object(divisors._Divisors, "__call__", spy):
+        rep = cantor_excision(model, q, K_cut=0, kmax=2)
+    assert 2 * rep["sets"] == 3232
+    rows = {id(div): len(div.val) for div in seen}   # `seen` keeps ids apart
+    assert sum(rows.values()) == 2
+
+
+@pytest.mark.parametrize("c", [2.0, 25.0, 100.0])
+def test_s_classes_match_scalar_reference(c):
+    model = build_model(c, J3, 12, 1e-2)
+    seen = set()
+    for k, ells in divisors._pair_tables(model, 4):
+        div = divisors._Divisors(model, k, ells)
+        tags = divisors._s_classes(int(k.sum()), div.at, div.val, c)
+        for ell, tag in zip(ells, tags):
+            if not ell:
+                assert tag == ""
+                continue
+            pair = make_pair(k, ell, J3)
+            assert tag == ref_classify_pair(pair, c) == classify_pair(pair, c)
+            seen.add(str(tag))
+    if c == 2.0:   # c^3 = 8 < M, so S5 is reached too
+        assert seen == set(S_CLASSES)
 
 
 @pytest.mark.parametrize("c,kmax", [(25.0, None), (25.0, 4), (100.0, None)])

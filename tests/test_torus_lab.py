@@ -152,17 +152,6 @@ def test_embedding_store_is_a_harmonic_by_mode_array():
                            coeffs=np.zeros(shape, dtype=complex))
 
 
-def test_state_at_time_follows_the_angle_flow():
-    # the linear torus is z_{j_n} = sqrt(xi_n) e^{i omega_n t} along the flow
-    emb = linear_torus([1e-4, 4e-4], (1, -2), 6, 2, [-0.5, -2.0])
-    t = 3.7
-    st = emb.state_at_time(t, theta0=[0.1, 0.0])
-    want = FourierState.from_modes(6, {1: 1e-2 * np.exp(1j * (0.1 - 0.5 * t)),
-                                       -2: 2e-2 * np.exp(-2j * t)})
-    assert np.max(np.abs(st.z - want.z)) < 1e-15
-    assert np.array_equal(st.zbar, np.conj(st.z))
-
-
 @pytest.mark.parametrize("seed", [
     lambda J: linear_torus([1e-4], J, 8, 2, [-0.5]),
     lambda J: normal_form_torus([1e-4], J, 8, None)],
