@@ -5,8 +5,10 @@ embeddings, gauge-transformed distances, and the scaling studies.
 Right sides (modes |j| <= M, dressing g_j = (z_j + zbar_{-j}) / sqrt(w_j)):
     KG : dz_q/dt = -i lambda_q z_q - (i/8 pi) w_q^{-1/2} (g*g*g)_q
     NLS: dz_m/dt = -(i/2) m^2 z_m - (3 i/8 pi) sum_{j1+j2-j3=m} z z zbar
-with full (untruncated) intermediate convolutions read back on the mode
-window.  Time stepping is Strang splitting on z only (states are real,
+The cube on the mode window is one valid-mode correlation of the full
+self-convolution: sum_{j1+j2-j3=m} z z zbar = correlate(z*z, z)_m, and for
+KG, where g is Hermitian (g_{-j} = conj(g_j)), (g*g*g)_m = correlate(g*g, g)_m.
+Time stepping is Strang splitting on z only (states are real,
 zbar = conj(z)): exact linear rotation halves around an RK4 step of the
 nonlinear part.  Torus refinement is Gauss-Newton with the closed-form
 Jacobian of the collocated invariance residual.
@@ -26,14 +28,9 @@ from .spectral_core import (TWO_PI, FourierState, FrequencyTable,
                             SpaceParams, seq_norm)
 
 
-def _conv_full(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    return np.convolve(a, b)
-
-
-def _window(full: np.ndarray, M: int) -> np.ndarray:
-    """Central window |j| <= M of a full convolution array."""
-    center = (len(full) - 1) // 2
-    return full[center - M:center + M + 1]
+def _cube(z: np.ndarray) -> np.ndarray:
+    """sum_{j1+j2-j3=m} z_j1 z_j2 conj(z_j3) on the mode window |m| <= M."""
+    return np.correlate(np.convolve(z, z), z, "valid")
 
 
 def _require_real(state: FourierState) -> None:
@@ -72,13 +69,10 @@ class TruncatedSystem:
 
     def nonlinear_rhs(self, z: np.ndarray) -> np.ndarray:
         """Nonlinear part of dz/dt at the real state (z, conj(z))."""
-        zeta = np.conj(z)[::-1]
         if self.kind == "kg":
-            g = (z + zeta) / self._sw
-            cube = _window(_conv_full(_conv_full(g, g), g), self.M)
-            return -1j / (8.0 * math.pi) * cube / self._sw
-        cube = _window(_conv_full(_conv_full(z, z), zeta), self.M)
-        return -3j / (8.0 * math.pi) * cube
+            g = (z + np.conj(z)[::-1]) / self._sw
+            return -1j / (8.0 * math.pi) * _cube(g) / self._sw
+        return -3j / (8.0 * math.pi) * _cube(z)
 
     def rhs(self, state: FourierState) -> tuple[np.ndarray, np.ndarray]:
         """(dz/dt, dzbar/dt) at a real state; dzbar/dt = conj(dz/dt)."""
@@ -87,16 +81,16 @@ class TruncatedSystem:
         return dz, np.conj(dz)
 
     def hamiltonian_value(self, state: FourierState) -> float:
+        """Quadratic plus quartic energy at a real state (zbar = conj(z),
+        so the KG dressing g is Hermitian, as `_cube` needs)."""
         z, zbar = state.z, state.zbar
         quad = np.sum(self._lam * z * zbar)
         if self.kind == "kg":
             g = (z + zbar[::-1]) / self._sw
-            cube = _conv_full(_conv_full(g, g), g)
-            quart = np.sum(g * _window(cube, self.M)[::-1]) / (32.0 * math.pi)
+            quart = np.sum(g * _cube(g)[::-1]) / (32.0 * math.pi)
         else:
-            zz = _conv_full(z, z)
-            bb = _conv_full(zbar, zbar)
-            quart = 3.0 / (16.0 * math.pi) * np.sum(zz * bb)
+            quart = 3.0 / (16.0 * math.pi) \
+                * np.sum(np.convolve(z, z) * np.convolve(zbar, zbar))
         return float((quad + quart).real)
 
     def mass(self, state: FourierState) -> float:
@@ -326,7 +320,7 @@ def invariance_defect(emb: TorusEmbedding, system: TruncatedSystem) -> float:
 
 def _conv_rows(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Row-by-row full convolutions of two (rows, 2M+1) arrays."""
-    return np.array([_conv_full(x, y) for x, y in zip(a, b)])
+    return np.array([np.convolve(x, y) for x, y in zip(a, b)])
 
 
 def _invariance_jacobian(C: np.ndarray, omega: np.ndarray,
@@ -479,13 +473,25 @@ def matched_torus_pair(R: float, c: float, J, M: int, Q: int,
                        tol: float = 1e-10):
     """Refined NLS torus at amplitude sqrt(xi), xi = R^2, plus the KG torus
     with exactly matching gauge-shifted frequency (fixed-frequency solve at
-    omega_NLS - c^2 per angle)."""
+    omega_NLS - c^2 per angle).
+
+    Both Newton solves start from the first-order amplitude-frequency maps
+    of `frequencies.build_model`: the NLS seed has omega = -(j^2/2 + A_nls
+    xi), and the KG seed has the fundamental amplitudes sqrt(xi_KG) with
+    A xi_KG = -omega_KG - lambda_J.  A non-positive xi_KG component means
+    the first-order map has no KG torus at that frequency, and raises
+    RuntimeError."""
+    from .frequencies import build_model
+
     J = tuple(J)
     N = len(J)
     xi = np.full(N, R * R)
+    model = build_model(c, J, M, R, require_min_N=1)
+    order = [model.J.index(j) for j in J]
+    cross = np.ix_(order, order)
     nls = TruncatedSystem(kind="nls", M=M)
-    omega0 = -np.array([0.5 * j * j for j in J], dtype=float) \
-        - (3.0 / (8.0 * math.pi)) * xi  # first-order frequency guess
+    omega0 = -(np.array([0.5 * j * j for j in J], dtype=float)
+               + model.A_nls[cross] @ xi)
     seed = linear_torus(xi, J, M, Q, omega0)
     emb_nls, rep_nls = refine_torus(seed, nls, mode="fixed_amplitude",
                                     tol=tol)
@@ -494,6 +500,18 @@ def matched_torus_pair(R: float, c: float, J, M: int, Q: int,
     kg = TruncatedSystem(kind="kg", M=M, c=c)
     kg_seed = emb_nls.copy()
     kg_seed.omega = emb_nls.omega - c * c
+    # -omega_KG - lambda_J = -omega_NLS - nu_J (lambda_J = c^2 + nu_J),
+    # which does not cancel c^2.  A is invertible; lstsq, which the Newton
+    # solve already calls, spares paging in another LAPACK routine
+    # (np.linalg.solve: +0.3 MiB peak RSS).
+    xi_kg = np.linalg.lstsq(model.A[cross],
+                            -emb_nls.omega - model.nu_J[order],
+                            rcond=None)[0]
+    for h, j, x in zip(_fundamentals(N, Q), J, xi_kg):
+        if not x > 0:
+            raise RuntimeError(f"KG torus has no positive amplitude on mode "
+                               f"{j}: the first-order map gives xi = {x:.3e}")
+        kg_seed.coeffs[h, j + M] = math.sqrt(x)
     emb_kg, rep_kg = refine_torus(kg_seed, kg, mode="fixed_frequency",
                                   tol=tol)
     if not rep_kg.converged:

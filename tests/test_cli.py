@@ -118,6 +118,30 @@ def test_simulate_writes_frames(runner, tmp_path):
     assert (man["status"], man["warnings"]) == ("ok", [])
 
 
+@pytest.mark.parametrize("config,digests", [
+    ({}, {"frames.bin": "e554dce672a01513dac343a66ba1fdf0"
+                        "7a1a9287bab792fb803d1581530327a2",
+          "simulate.json": "447cf2f63a75f5c0c8096845e905bb34"
+                           "1e3fd2664a2c7315fa2d9cf038f01bd6"}),
+    ({"system": "kg", "T": 1.0},
+     {"frames.bin": "cb9eee67cf7ea06d5f702819fe8a1fa0"
+                    "cf2ebe91cc5b600f945de64b0a4c5c4d",
+      "simulate.json": "59c9c594673bf5cfc5ff557e0e5ab7e1"
+                       "fbe5022be9eb100861164bce4be91be5"})],
+    ids=["nls-default", "kg-T1"])
+def test_simulate_artifacts_are_golden(runner, tmp_path, config, digests):
+    # changes to the truncated field or the Strang step must keep the
+    # trajectory byte-identical
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(config))
+    out = tmp_path / "run"
+    res = runner.invoke(main, ["simulate", "--config", str(cfg),
+                               "--out", str(out)])
+    assert res.exit_code == 0, res.output
+    assert {name: hashlib.sha256((out / name).read_bytes()).hexdigest()
+            for name in digests} == digests
+
+
 def test_simulate_bad_system_exits_2(runner, tmp_path):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"system": "wave"}))
@@ -144,6 +168,15 @@ def test_scaling_rows_record_the_kg_solve(runner, tmp_path):
         assert r["coeff_error_bound"] == hist[-1] / r["sigma_min"]
     header = (out / "scaling.csv").read_text().splitlines()[0]
     assert header == "c,admissible,converged,distance"
+
+
+def test_scaling_defaults_take_one_newton_step(runner, tmp_path):
+    # the KG seed from the amplitude-frequency map is one step from the torus
+    out = tmp_path / "run"
+    res = runner.invoke(main, ["scaling", "--out", str(out)])
+    assert res.exit_code == 0, res.output
+    rows = json.loads((out / "scaling.json").read_text())["rows"]
+    assert [r["newton_iters"] for r in rows] == [1] * 4
 
 
 def test_birkhoff_command(runner, tmp_path):

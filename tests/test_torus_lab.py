@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from kgnls.frequencies import build_model
 from kgnls.hamiltonian import (build_Lambda, build_Lambda_nls, build_P,
                                build_P_nls, vector_field)
 from kgnls.kam_schedule import predicted_bounds
@@ -140,6 +141,40 @@ def test_matched_pair_and_gauge_distance():
     assert trace.shape == (64,)
     assert sup < 1e-1
     assert sup >= np.max(trace) - 1e-15
+
+
+def first_order_kg_xi(emb_kg, c):
+    """xi with A xi = -omega_KG - lambda_J: the first-order KG map."""
+    model = build_model(c, emb_kg.J, emb_kg.M, 1e-2, require_min_N=1)
+    return np.linalg.solve(model.A, -emb_kg.omega - model.lam_J)
+
+
+def test_kg_torus_keeps_its_first_order_amplitude():
+    # the seed with NLS amplitudes used to collapse to 4e-8 at J = (2,)
+    M, Q, c = 8, 2, 160.0
+    _, emb_kg, _, rep_kg = matched_torus_pair(1e-2, c, (2,), M, Q)
+    assert rep_kg.converged
+    amp = abs(emb_kg.coeffs[_harmonics(1, Q).index((1,)), 2 + M])
+    root = math.sqrt(first_order_kg_xi(emb_kg, c)[0])
+    assert abs(amp - root) < 0.1 * root
+
+
+def test_kg_torus_without_positive_amplitude_raises():
+    # at c = 110 the first-order map has no positive solution on mode 2
+    with pytest.raises(RuntimeError, match="mode 2"):
+        matched_torus_pair(1e-2, 110.0, (1, 2), 8, 2)
+    rep = scaling_study(1e-2, [110.0], 1.0, T=10.0, J=(1, 2), M=8, Q=2,
+                        n_samples=8)
+    row = rep["rows"][0]
+    assert row["admissible"] and not row["converged"]
+    assert "no positive amplitude" in row["error"]
+
+
+def test_two_mode_kg_torus_from_the_amplitude_map():
+    _, emb_kg, _, rep_kg = matched_torus_pair(1e-2, 240.0, (1, 2), 8, 2)
+    assert rep_kg.converged and rep_kg.iterations < 4
+    xi = first_order_kg_xi(emb_kg, 240.0)
+    assert np.all(xi > 0)
 
 
 def test_embedding_store_is_a_harmonic_by_mode_array():

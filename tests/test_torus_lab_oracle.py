@@ -7,9 +7,12 @@ closed-form Jacobian of `kgnls.torus_lab._invariance_jacobian` replaced: it
 differences the public `invariance_residual` column by column and reads the
 smallest singular value from a separate SVD.  `ref_integrate` is the Strang
 step that carried zbar through the rotation and the RK4 stages as an
-independent component, with its own two-component nonlinear field.  They
-share with the code under test only the residual, the harmonic and angle
-orders and the truncated system's tables.
+independent component, with its own two-component nonlinear field
+`ref_nonlinear_rhs`: full convolutions with the reflected conjugate, read
+back on the mode window, in place of the valid-mode correlation of
+`TruncatedSystem.nonlinear_rhs`.  They share with the code under test only
+the residual, the harmonic and angle orders and the truncated system's
+tables.
 """
 
 import math
@@ -20,13 +23,23 @@ import pytest
 from kgnls import torus_lab
 from kgnls.spectral_core import FourierState
 from kgnls.torus_lab import (RefineReport, SimulationRecord, TorusEmbedding,
-                             TruncatedSystem, _collocation_angles, _conv_full,
-                             _harmonics, _phases, _window, default_dt,
-                             integrate, invariance_residual, linear_torus,
+                             TruncatedSystem, _collocation_angles, _harmonics,
+                             _phases, default_dt, integrate,
+                             invariance_residual, linear_torus,
                              matched_torus_pair)
 
 
 # --- references ------------------------------------------------------------
+
+def _conv_full(a, b):
+    return np.convolve(a, b)
+
+
+def _window(full, M):
+    """Central window |j| <= M of a full convolution array."""
+    center = (len(full) - 1) // 2
+    return full[center - M:center + M + 1]
+
 
 def ref_nonlinear_rhs(system, z, zbar):
     M = system.M
@@ -264,7 +277,20 @@ def test_refine_makes_few_residual_calls(monkeypatch):
     assert len(calls) <= 2 + 6 * rep_kg.iterations
 
 
-# --- the z-only Strang step ------------------------------------------------
+# --- the valid-mode cube and the z-only Strang step ------------------------
+
+@pytest.mark.parametrize("kind", ["kg", "nls"])
+@pytest.mark.parametrize("M", [1, 2, 7, 16, 40])
+@pytest.mark.parametrize("c", [1.0, 10.0, 1e3])
+def test_nonlinear_rhs_is_bit_identical_to_windowed_convolutions(kind, M, c):
+    system = TruncatedSystem(kind=kind, M=M, c=c)
+    rng = np.random.default_rng(M)
+    for scale in (1e-3, 1e-2, 1e-1, 1.0):
+        z = scale * (rng.normal(size=2 * M + 1)
+                     + 1j * rng.normal(size=2 * M + 1))
+        assert np.array_equal(system.nonlinear_rhs(z),
+                              ref_nonlinear_rhs(system, z, np.conj(z))[0])
+
 
 Z0 = FourierState.from_modes(16, {1: 0.01, 2: 0.005 + 0.003j})
 
