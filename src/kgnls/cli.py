@@ -327,7 +327,8 @@ COMMANDS = (
         "T": Key(float, 1e3, _POSITIVE),
         "M": Key(int, 16, _POSITIVE),
         "J": Key(list, [1], _modes()),
-        "Q": Key(int, 3, _POSITIVE),
+        # the KG cubic puts harmonic 3 e_n on mode 3 j_n
+        "Q": Key(int, 3, _rule(">= 3", lambda v: v >= 3)),
         "n_samples": Key(int, 256, _POSITIVE),
     }, _scaling),
 )

@@ -10,8 +10,10 @@ self-convolution: sum_{j1+j2-j3=m} z z zbar = correlate(z*z, z)_m, and for
 KG, where g is Hermitian (g_{-j} = conj(g_j)), (g*g*g)_m = correlate(g*g, g)_m.
 Time stepping is Strang splitting on z only (states are real,
 zbar = conj(z)): exact linear rotation halves around an RK4 step of the
-nonlinear part.  Torus refinement is Gauss-Newton with the closed-form
-Jacobian of the collocated invariance residual.
+nonlinear part.  A torus stores one coefficient per harmonic q, on its
+momentum support q . J (translation equivariance, which the KG dressing
+keeps), and is refined by Gauss-Newton over that support with the
+closed-form Jacobian of the collocated invariance residual.
 """
 
 from __future__ import annotations
@@ -179,25 +181,27 @@ def _harmonics(N: int, Q: int) -> list[tuple[int, ...]]:
     return list(itertools.product(range(-Q, Q + 1), repeat=N))
 
 
-def _fundamentals(N: int, Q: int) -> list[int]:
-    """Row of the unit harmonic e_n in `_harmonics(N, Q)`, for each n."""
-    order = _harmonics(N, Q)
-    return [order.index(tuple(int(i == n) for i in range(N)))
-            for n in range(N)]
+def _support(J, Q: int, M: int) -> tuple[np.ndarray, np.ndarray]:
+    """Rows q of `_harmonics(len(J), Q)` with |q . J| <= M, and q . J."""
+    qs = np.array(_harmonics(len(J), Q))
+    modes = qs @ np.array(J)
+    keep = np.abs(modes) <= M
+    return qs[keep], modes[keep]
 
 
 def _phases(angles: np.ndarray, qs: np.ndarray) -> np.ndarray:
-    """E[a, h] = exp(i q_h . theta_a) for angle rows theta_a (shape (A, N))
-    and harmonic rows q_h (shape (H, N)); E @ C evaluates an embedding."""
+    """E[a, s] = exp(i q_s . theta_a) for angle rows theta_a (shape (A, N))
+    and harmonic rows q_s (shape (S, N))."""
     return np.exp(1j * (angles @ qs.T))
 
 
 @dataclass
 class TorusEmbedding:
-    """Angle-Fourier embedding U: T^N -> phase space.  Only the z-component
-    harmonics are stored: coeffs[h] = C_q for q = _harmonics(N, Q)[h], one
-    row of 2M+1 modes each.  The conjugate component is determined by the
-    reality constraint zbar(theta) = conj(z(theta))."""
+    """Angle-Fourier embedding U: T^N -> phase space on its momentum
+    support: coeffs[s] = C_q of the z-component sits on the single mode
+    k_q = q . J, for the s-th harmonic q of `_harmonics(N, Q)` with
+    |k_q| <= M (rows `qs`, modes `modes`).  The conjugate component follows
+    from the reality constraint zbar(theta) = conj(z(theta))."""
     J: tuple[int, ...]
     M: int
     Q: int
@@ -208,20 +212,25 @@ class TorusEmbedding:
         self.omega = np.asarray(self.omega, dtype=float)
         if self.omega.shape != (len(self.J),):
             raise ValueError("omega must have one entry per tangential mode")
+        outside = [j for j in self.J if abs(j) > self.M]
+        if outside:
+            raise ValueError(f"modes {outside} outside the window "
+                             f"|j| <= {self.M}")
+        self.qs, self.modes = _support(self.J, self.Q, self.M)
         self.coeffs = np.asarray(self.coeffs, dtype=complex)
-        shape = ((2 * self.Q + 1) ** self.N, 2 * self.M + 1)
-        if self.coeffs.shape != shape:
-            raise ValueError(f"coeffs must have shape {shape} (harmonic, "
-                             f"mode), not {self.coeffs.shape}")
+        if self.coeffs.shape != self.modes.shape:
+            raise ValueError(f"coeffs must have shape {self.modes.shape}, "
+                             f"one per supported harmonic")
 
     @property
     def N(self) -> int:
         return len(self.J)
 
     @property
-    def qs(self) -> np.ndarray:
-        """Harmonic rows, in the row order of `coeffs`."""
-        return np.array(_harmonics(self.N, self.Q), dtype=float)
+    def fundamentals(self) -> list[int]:
+        """Index in `coeffs` of the unit harmonic e_n, for each n."""
+        return [int(np.flatnonzero((self.qs == e).all(axis=1))[0])
+                for e in np.eye(self.N, dtype=int)]
 
     def copy(self) -> "TorusEmbedding":
         return TorusEmbedding(J=self.J, M=self.M, Q=self.Q,
@@ -229,28 +238,35 @@ class TorusEmbedding:
                               coeffs=self.coeffs.copy())
 
 
+def _on_modes(emb: TorusEmbedding, E: np.ndarray,
+              C: np.ndarray) -> np.ndarray:
+    """sum_s E[a, s] C[s] e_{k_s}: the values at the angle rows of E
+    (shape (A, 2M+1)) of an embedding with support coefficients C."""
+    out = np.zeros((E.shape[0], 2 * emb.M + 1), dtype=complex)
+    np.add.at(out, (slice(None), emb.modes + emb.M), E * C)
+    return out
+
+
 def linear_torus(xi, J, M: int, Q: int, omega) -> TorusEmbedding:
     """Fundamental-harmonic seed: z_{j_n}(theta) = sqrt(xi_n) e^{i theta_n}."""
-    J = tuple(J)
-    xi = np.atleast_1d(np.asarray(xi, dtype=float))
-    coeffs = np.zeros(((2 * Q + 1) ** len(J), 2 * M + 1), dtype=complex)
-    for n, (h, j) in enumerate(zip(_fundamentals(len(J), Q), J)):
-        coeffs[h] = FourierState.from_modes(M, {j: math.sqrt(xi[n])}).z
-    return TorusEmbedding(J=J, M=M, Q=Q, omega=omega, coeffs=coeffs)
+    emb = TorusEmbedding(J=tuple(J), M=M, Q=Q, omega=omega,
+                         coeffs=np.zeros(len(_support(J, Q, M)[0])))
+    emb.coeffs[emb.fundamentals] = np.sqrt(xi)
+    return emb
 
 
 # --- normal-form torus -----------------------------------------------------
 
-def flow_time1(G, state: FourierState, steps: int = 64,
-               ball_radius: float | None = None) -> FourierState:
-    """Time-1 flow of the polynomial field X_G by fixed-step RK4."""
+def flow_time1(G, state: FourierState, steps: int = 64) -> FourierState:
+    """Time-1 flow of the polynomial field X_G by fixed-step RK4; raises
+    if |z| leaves the ball of 10 times its starting radius."""
     from .hamiltonian import vector_field
 
     z = state.z.copy()
     zb = state.zbar.copy()
     h = 1.0 / steps
     start = float(np.max(np.abs(z)))
-    limit = ball_radius if ball_radius is not None else 10.0 * max(start, 1e-12)
+    limit = 10.0 * max(start, 1e-12)
     for _ in range(steps):
         def f(zz, zzb):
             return vector_field(G, FourierState(zz, zzb))
@@ -305,10 +321,9 @@ def invariance_residual(emb: TorusEmbedding,
                         system: TruncatedSystem) -> np.ndarray:
     """Stacked z-component residual omega . d_theta U - X(U) at the
     collocation angles (complex array, angle-major)."""
-    qs = emb.qs
-    E = _phases(_collocation_angles(emb.N, emb.Q), qs)
-    Z = E @ emb.coeffs
-    dZ = E @ (1j * (qs @ emb.omega)[:, None] * emb.coeffs)
+    E = _phases(_collocation_angles(emb.N, emb.Q), emb.qs)
+    Z = _on_modes(emb, E, emb.coeffs)
+    dZ = _on_modes(emb, E, 1j * (emb.qs @ emb.omega) * emb.coeffs)
     fZ = np.array([system.nonlinear_rhs(z) for z in Z]) \
         - 1j * system.linear_freqs * Z
     return (dZ - fZ).ravel()
@@ -323,108 +338,104 @@ def _conv_rows(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.array([np.convolve(x, y) for x, y in zip(a, b)])
 
 
-def _invariance_jacobian(C: np.ndarray, omega: np.ndarray,
-                         system: TruncatedSystem, E: np.ndarray,
-                         qs: np.ndarray, with_omega: bool) -> np.ndarray:
+def _invariance_jacobian(emb: TorusEmbedding, system: TruncatedSystem,
+                         E: np.ndarray, with_omega: bool) -> np.ndarray:
     """Real Jacobian of [Re r; Im r], r = `invariance_residual`, with respect
-    to [Re C, Im C] raveled (then omega when `with_omega`).
+    to [Re C, Im C] over the support (then omega when `with_omega`).
 
-    E[a, h] = exp(i q_h . theta_a) and z_a = sum_h E[a, h] C_h.  The cubic
-    field linearises as dN = P_a dz + Q_a conj(dz), with T(f)[m, k] = f_{m-k},
-    Rfl the reflection m -> -m, zeta_a = Rfl conj(z_a) and g_a the KG
-    dressing of `nonlinear_rhs`:
-        NLS: P_a = 2 kappa T(z_a * zeta_a),  Q_a = kappa T(z_a * z_a) Rfl
-        KG : P_a = kappa D T(g_a * g_a) D,   Q_a = P_a Rfl,  D = diag(w^-1/2)
-    (kappa = -3i / 8 pi).  Then dr_a = sum_h K_ah dC_h + L_ah conj(dC_h) with
-    K_ah = E_ah (i Lambda + i q_h . omega - P_a) and L_ah = -conj(E_ah) Q_a.
+    z_a = sum_s E[a, s] C_s e_{k_s}, and the cubic field linearises as
+    dN = P_a dz + Q_a conj(dz).  With (f)_i read from the full convolutions
+    of `_conv_rows`, zeta_a = conj(z_a) reflected, g_a the KG dressing of
+    `nonlinear_rhs` and kappa = -3i / 8 pi:
+        NLS: P_a[m, k] = 2 kappa (z_a * zeta_a)_{m-k},
+             Q_a[m, k] = kappa (z_a * z_a)_{m+k}
+        KG : P_a[m, k] = kappa (g_a * g_a)_{m-k} / sqrt(w_m w_k),
+             Q_a[m, k] = kappa (g_a * g_a)_{m+k} / sqrt(w_m w_k)
+    Only the columns k = k_s enter: dr_a[m] = sum_s K dC_s + L conj(dC_s),
+        K[a, m, s] = E[a, s] (i (lambda_m + q_s . omega) delta_{m, k_s}
+                              - P_a[m, k_s]),
+        L[a, m, s] = -conj(E[a, s]) Q_a[m, k_s].
     """
-    n = C.shape[1]
-    z = E @ C
+    M, k = emb.M, emb.modes
+    m = np.arange(-M, M + 1)[:, None]
+    minus, plus = m - k + 2 * M, m + k + 2 * M   # [m, s] -> convolution column
+    z = _on_modes(emb, E, emb.coeffs)
     kappa = -3j / (8.0 * math.pi)
-    toeplitz = np.subtract.outer(np.arange(n), np.arange(n)) + n - 1
     if system.kind == "kg":
         g = (z + np.conj(z)[:, ::-1]) / system._sw
-        P = kappa * _conv_rows(g, g)[:, toeplitz] \
-            / np.outer(system._sw, system._sw)
-        Q = P[:, :, ::-1]
+        gg = _conv_rows(g, g)
+        scale = kappa / np.outer(system._sw, system._sw[k + M])
+        P, Qk = gg[:, minus] * scale, gg[:, plus] * scale
     else:
-        P = 2.0 * kappa * _conv_rows(z, np.conj(z)[:, ::-1])[:, toeplitz]
-        Q = kappa * _conv_rows(z, z)[:, toeplitz][:, :, ::-1]
-    lin = 1j * (system.linear_freqs[None, :] + (qs @ omega)[:, None])
-    diag = np.eye(n)[:, None, :] * lin.T[:, :, None]          # [m, h, k]
-    K = E[:, None, :, None] * (diag[None] - P[:, :, None, :])  # [a, m, h, k]
-    L = -np.conj(E)[:, None, :, None] * Q[:, :, None, :]
-    rows = K.shape[0] * n
-    cols = np.hstack([(K + L).reshape(rows, -1),
-                      (1j * (K - L)).reshape(rows, -1)])
+        P = 2.0 * kappa * _conv_rows(z, np.conj(z)[:, ::-1])[:, minus]
+        Qk = kappa * _conv_rows(z, z)[:, plus]
+    K = -E[:, None, :] * P                                 # [a, m, s]
+    lin = 1j * (system.linear_freqs[k + M] + emb.qs @ emb.omega)
+    K[:, k + M, np.arange(len(k))] += E * lin
+    L = -np.conj(E)[:, None, :] * Qk
+    rows = K.shape[0] * K.shape[1]
+    cols = [(K + L).reshape(rows, -1), (1j * (K - L)).reshape(rows, -1)]
     if with_omega:
-        dw = np.einsum("ah,hk,hn->akn", E, C, 1j * qs).reshape(rows, -1)
-        cols = np.hstack([cols, dw])
+        cols += [_on_modes(emb, E, 1j * q * emb.coeffs).reshape(rows, 1)
+                 for q in emb.qs.T]
+    cols = np.hstack(cols)
     return np.vstack([cols.real, cols.imag])
 
 
-def refine_torus(emb: TorusEmbedding, system: TruncatedSystem,
-                 mode: str = "fixed_frequency", tol: float = 1e-10,
-                 max_iter: int = 25
-                 ) -> tuple[TorusEmbedding, RefineReport]:
-    """Gauss-Newton on the angle-collocated invariance residual, with the
-    closed-form Jacobian of `_invariance_jacobian`.
+_MAX_ITER = 25
 
-    mode 'fixed_frequency': omega held, amplitudes solved.
-    mode 'fixed_amplitude': omega free, fundamental amplitudes pinned.
-    A phase condition (vanishing imaginary part of each fundamental
-    tangential coefficient) removes the angle-shift null directions.
+
+def refine_torus(emb: TorusEmbedding, system: TruncatedSystem,
+                 mode: str = "fixed_frequency", tol: float = 1e-10
+                 ) -> tuple[TorusEmbedding, RefineReport]:
+    """Gauss-Newton over the support coefficients on every collocated
+    (angle, mode) row, with the closed-form Jacobian of
+    `_invariance_jacobian`: `invariance_defect` is the objective and the
+    verdict.  mode 'fixed_frequency' holds omega; 'fixed_amplitude' frees
+    omega and holds the fundamental amplitudes (Re C).  The seed's phase
+    (Im C) of each fundamental coefficient is held too, which removes the
+    angle-shift null directions; held unknowns stay out of the solve.  A
+    KG torus needs Q >= 3: its cubic puts harmonic 3 e_n on mode 3 j_n.
     """
     if mode not in ("fixed_frequency", "fixed_amplitude"):
         raise ValueError("unknown refinement mode")
+    if system.kind == "kg" and emb.Q < 3:
+        raise ValueError(f"a KG torus needs Q >= 3, not Q = {emb.Q}")
     with_omega = mode == "fixed_amplitude"
-    qs = emb.qs
-    E = _phases(_collocation_angles(emb.N, emb.Q), qs)
-    shape, size = emb.coeffs.shape, emb.coeffs.size
-    x = np.concatenate([emb.coeffs.real.ravel(), emb.coeffs.imag.ravel()]
+    E = _phases(_collocation_angles(emb.N, emb.Q), emb.qs)
+    size = len(emb.coeffs)
+    x = np.concatenate([emb.coeffs.real, emb.coeffs.imag]
                        + ([emb.omega] if with_omega else []))
-    # phase (Im) and amplitude (Re) conditions on each fundamental
-    # tangential coefficient: unit rows of the Jacobian, x[pin_cols] = targets
-    re_cols = [h * shape[1] + j + emb.M
-               for h, j in zip(_fundamentals(emb.N, emb.Q), emb.J)]
-    pin_cols = [size + c for c in re_cols] + (re_cols if with_omega else [])
-    targets = x[pin_cols]
-    targets[:emb.N] = 0.0
-    pins = np.zeros((len(pin_cols), len(x)))
-    pins[np.arange(len(pin_cols)), pin_cols] = 1.0
+    fund = emb.fundamentals
+    free = np.delete(np.arange(len(x)), [size + s for s in fund]
+                     + (fund if with_omega else []))
 
     def embedding(x: np.ndarray) -> TorusEmbedding:
         return TorusEmbedding(
             J=emb.J, M=emb.M, Q=emb.Q,
             omega=(x[2 * size:] if with_omega else emb.omega).copy(),
-            coeffs=(x[:size] + 1j * x[size:2 * size]).reshape(shape))
+            coeffs=x[:size] + 1j * x[size:2 * size])
 
     def residual(x: np.ndarray) -> np.ndarray:
         res = invariance_residual(embedding(x), system)
-        return np.concatenate([res.real, res.imag, x[pin_cols] - targets])
-
-    def jacobian(x: np.ndarray) -> np.ndarray:
-        e = embedding(x)
-        return np.vstack([_invariance_jacobian(e.coeffs, e.omega, system, E,
-                                               qs, with_omega), pins])
+        return np.concatenate([res.real, res.imag])
 
     r = residual(x)
     history = [float(np.max(np.abs(r)))]
-    smin = None
-    for it in range(max_iter):
+    smin, message = None, "max iterations reached"
+    for it in range(_MAX_ITER + 1):
         if history[-1] < tol:
-            return embedding(x), RefineReport(
-                converged=True, iterations=it, defect_history=history,
-                final_defect=history[-1],
-                smallest_singular_value=smin)
-        step, _, _, sv = np.linalg.lstsq(jacobian(x), -r, rcond=None)
+            message = ""
+            break
+        if it == _MAX_ITER:
+            break
+        jac = _invariance_jacobian(embedding(x), system, E, with_omega)
+        step = np.zeros_like(x)
+        step[free], _, _, sv = np.linalg.lstsq(jac[:, free], -r, rcond=None)
         smin = float(sv[-1])
         if smin < 1e-14 * sv[0]:
-            return embedding(x), RefineReport(
-                converged=False, iterations=it, defect_history=history,
-                final_defect=history[-1],
-                message="singular collocation matrix",
-                smallest_singular_value=smin)
+            message = "singular collocation matrix"
+            break
         lam = 1.0
         for _ in range(6):
             xn = x + lam * step
@@ -433,18 +444,13 @@ def refine_torus(emb: TorusEmbedding, system: TruncatedSystem,
                 break
             lam *= 0.5
         else:
-            return embedding(x), RefineReport(
-                converged=False, iterations=it, defect_history=history,
-                final_defect=history[-1],
-                message="line search stalled",
-                smallest_singular_value=smin)
+            message = "line search stalled"
+            break
         x, r = xn, rn
         history.append(float(np.max(np.abs(r))))
-    converged = history[-1] < tol
     return embedding(x), RefineReport(
-        converged=converged, iterations=max_iter, defect_history=history,
-        final_defect=history[-1],
-        message="" if converged else "max iterations reached",
+        converged=not message, iterations=it, defect_history=history,
+        final_defect=history[-1], message=message,
         smallest_singular_value=smin)
 
 
@@ -459,7 +465,8 @@ def gauge_distance(emb_kg: TorusEmbedding, emb_nls: TorusEmbedding,
     times = np.linspace(0.0, T, n_samples)
 
     def orbit(emb: TorusEmbedding) -> np.ndarray:
-        return _phases(np.outer(times, emb.omega), emb.qs) @ emb.coeffs
+        return _on_modes(emb, _phases(np.outer(times, emb.omega), emb.qs),
+                         emb.coeffs)
 
     diff = np.exp(1j * c * c * times)[:, None] * orbit(emb_kg) - orbit(emb_nls)
     pp = SpaceParams(a=params.a, p=params.p - 4.0 * sigma, beta=params.beta,
@@ -469,8 +476,7 @@ def gauge_distance(emb_kg: TorusEmbedding, emb_nls: TorusEmbedding,
     return out, float(np.max(out))
 
 
-def matched_torus_pair(R: float, c: float, J, M: int, Q: int,
-                       tol: float = 1e-10):
+def matched_torus_pair(R: float, c: float, J, M: int, Q: int):
     """Refined NLS torus at amplitude sqrt(xi), xi = R^2, plus the KG torus
     with exactly matching gauge-shifted frequency (fixed-frequency solve at
     omega_NLS - c^2 per angle).
@@ -484,8 +490,7 @@ def matched_torus_pair(R: float, c: float, J, M: int, Q: int,
     from .frequencies import build_model
 
     J = tuple(J)
-    N = len(J)
-    xi = np.full(N, R * R)
+    xi = np.full(len(J), R * R)
     model = build_model(c, J, M, R, require_min_N=1)
     order = [model.J.index(j) for j in J]
     cross = np.ix_(order, order)
@@ -493,8 +498,7 @@ def matched_torus_pair(R: float, c: float, J, M: int, Q: int,
     omega0 = -(np.array([0.5 * j * j for j in J], dtype=float)
                + model.A_nls[cross] @ xi)
     seed = linear_torus(xi, J, M, Q, omega0)
-    emb_nls, rep_nls = refine_torus(seed, nls, mode="fixed_amplitude",
-                                    tol=tol)
+    emb_nls, rep_nls = refine_torus(seed, nls, mode="fixed_amplitude")
     if not rep_nls.converged:
         raise RuntimeError(f"NLS torus did not converge: {rep_nls.message}")
     kg = TruncatedSystem(kind="kg", M=M, c=c)
@@ -507,13 +511,12 @@ def matched_torus_pair(R: float, c: float, J, M: int, Q: int,
     xi_kg = np.linalg.lstsq(model.A[cross],
                             -emb_nls.omega - model.nu_J[order],
                             rcond=None)[0]
-    for h, j, x in zip(_fundamentals(N, Q), J, xi_kg):
+    for s, j, x in zip(kg_seed.fundamentals, J, xi_kg):
         if not x > 0:
             raise RuntimeError(f"KG torus has no positive amplitude on mode "
                                f"{j}: the first-order map gives xi = {x:.3e}")
-        kg_seed.coeffs[h, j + M] = math.sqrt(x)
-    emb_kg, rep_kg = refine_torus(kg_seed, kg, mode="fixed_frequency",
-                                  tol=tol)
+        kg_seed.coeffs[s] = math.sqrt(x)
+    emb_kg, rep_kg = refine_torus(kg_seed, kg, mode="fixed_frequency")
     if not rep_kg.converged:
         raise RuntimeError(f"KG torus did not converge: {rep_kg.message}")
     return emb_nls, emb_kg, rep_nls, rep_kg
@@ -528,13 +531,11 @@ def fit_loglog(x, y) -> float:
 def scaling_study(R: float, c_list, sigma: float, T: float = 1e3,
                   J=(1,), M: int = 16, Q: int = 3,
                   params: SpaceParams | None = None,
-                  n_samples: int = 512, enforce_admissible: bool = True
-                  ) -> dict:
-    """Gauge distance between frequency-matched refined tori as a function
-    of c; fits the log-log slope.  Inadmissible c (< R^{-73/72}) are
-    rejected or flagged.  Each converged row also carries the KG solve's
-    Newton iterations, defect history, smallest singular value and the
-    coefficient-error bound final_defect / sigma_min."""
+                  n_samples: int = 512) -> dict:
+    """Gauge distance between frequency-matched refined tori over c, and its
+    log-log slope; inadmissible c (< R^{-73/72}) are rejected.  Each
+    converged row carries the KG solve's Newton iterations, defect history,
+    smallest singular value and coefficient error bound defect / sigma_min."""
     if params is None:
         params = SpaceParams(a=0.0, p=5.0, beta=0.0, M=M)
     # the threshold does not depend on c
@@ -542,30 +543,26 @@ def scaling_study(R: float, c_list, sigma: float, T: float = 1e3,
     rows = []
     for c in c_list:
         if c < c_adm:
-            if enforce_admissible:
-                rows.append({"c": c, "admissible": False, "converged": False,
-                             "distance": None})
-                continue
+            rows.append({"c": c, "admissible": False, "converged": False,
+                         "distance": None})
+            continue
         try:
             emb_nls, emb_kg, _, rep_kg = matched_torus_pair(R, c, J, M, Q)
         except RuntimeError as exc:
-            rows.append({"c": c, "admissible": c >= c_adm,
-                         "converged": False, "distance": None,
-                         "error": str(exc)})
+            rows.append({"c": c, "admissible": True, "converged": False,
+                         "distance": None, "error": str(exc)})
             continue
         _, sup = gauge_distance(emb_kg, emb_nls, params, c, sigma, T,
                                 n_samples)
         smin = rep_kg.smallest_singular_value
-        rows.append({"c": c, "admissible": c >= c_adm, "converged": True,
+        rows.append({"c": c, "admissible": True, "converged": True,
                      "distance": sup, "newton_iters": rep_kg.iterations,
                      "defect_history": rep_kg.defect_history,
                      "sigma_min": smin,
                      "coeff_error_bound": None if smin is None
                      else rep_kg.final_defect / smin})
-    good = [(r["c"], r["distance"]) for r in rows
-            if r["converged"] and r["admissible"]]
-    slope = fit_loglog([g[0] for g in good], [g[1] for g in good]) \
-        if len(good) >= 2 else None
+    good = [(r["c"], r["distance"]) for r in rows if r["converged"]]
+    slope = fit_loglog(*zip(*good)) if len(good) >= 2 else None
     return {"R": R, "sigma": sigma, "T": T, "J": list(J), "M": M, "Q": Q,
             "c_admissible": c_adm, "rows": rows, "slope_vs_c": slope,
             "predicted_slope": -2.0 * sigma}

@@ -294,6 +294,7 @@ INVALID = [
     ("simulate", {"T": None}),
     ("simulate", {"c": float("nan")}),
     ("scaling", {"Q": 0}),
+    ("scaling", {"Q": 2}),
     ("scaling", {"J": [17]}),
     ("scaling", {"R": 1.5}),
     ("scaling", {"sigma": -0.5}),

@@ -125,14 +125,13 @@ def test_refine_converges_from_perturbed_seed():
     out, rep = refine_torus(emb, system, mode="fixed_amplitude", tol=1e-12)
     assert rep.converged
     assert invariance_defect(out, system) < 1e-12
-    # pinned amplitude survived the solve
-    fund = _harmonics(1, 2).index((1,))
-    assert abs(out.coeffs[fund, 1 + 8].real - R) < 1e-12
+    # the held amplitude survived the solve
+    assert abs(out.coeffs[out.fundamentals[0]].real - R) < 1e-12
 
 
 def test_matched_pair_and_gauge_distance():
     R, c, M = 1e-2, 150.0, 12
-    emb_nls, emb_kg, rep_nls, rep_kg = matched_torus_pair(R, c, (1,), M, 2)
+    emb_nls, emb_kg, rep_nls, rep_kg = matched_torus_pair(R, c, (1,), M, 3)
     assert rep_nls.converged and rep_kg.converged
     # frequencies differ by exactly the gauge shift c^2
     assert np.max(np.abs(emb_kg.omega - (emb_nls.omega - c * c))) < 1e-9
@@ -151,10 +150,10 @@ def first_order_kg_xi(emb_kg, c):
 
 def test_kg_torus_keeps_its_first_order_amplitude():
     # the seed with NLS amplitudes used to collapse to 4e-8 at J = (2,)
-    M, Q, c = 8, 2, 160.0
+    M, Q, c = 8, 3, 160.0
     _, emb_kg, _, rep_kg = matched_torus_pair(1e-2, c, (2,), M, Q)
     assert rep_kg.converged
-    amp = abs(emb_kg.coeffs[_harmonics(1, Q).index((1,)), 2 + M])
+    amp = abs(emb_kg.coeffs[emb_kg.fundamentals[0]])
     root = math.sqrt(first_order_kg_xi(emb_kg, c)[0])
     assert abs(amp - root) < 0.1 * root
 
@@ -171,20 +170,54 @@ def test_kg_torus_without_positive_amplitude_raises():
 
 
 def test_two_mode_kg_torus_from_the_amplitude_map():
-    _, emb_kg, _, rep_kg = matched_torus_pair(1e-2, 240.0, (1, 2), 8, 2)
+    _, emb_kg, _, rep_kg = matched_torus_pair(1e-2, 240.0, (1, 2), 8, 3)
     assert rep_kg.converged and rep_kg.iterations < 4
     xi = first_order_kg_xi(emb_kg, 240.0)
     assert np.all(xi > 0)
 
 
-def test_embedding_store_is_a_harmonic_by_mode_array():
-    emb = linear_torus([1e-4, 4e-4], (1, 2), 6, 2, [-0.5, -2.0])
-    assert emb.coeffs.shape == (len(_harmonics(2, 2)), 13)
-    for shape in ((len(_harmonics(2, 2)), 12), (len(_harmonics(2, 1)), 13),
-                  (13,)):
+def test_embedding_store_is_one_coefficient_per_supported_harmonic():
+    J, M, Q = (1, 2), 3, 2
+    emb = linear_torus([1e-4, 4e-4], J, M, Q, [-0.5, -2.0])
+    support = [q for q in _harmonics(2, Q) if abs(q[0] + 2 * q[1]) <= M]
+    assert emb.coeffs.shape == (len(support),) == (17,)
+    assert [tuple(q) for q in emb.qs] == support
+    assert np.array_equal(emb.modes, [q[0] + 2 * q[1] for q in support])
+    assert np.array_equal(emb.coeffs[emb.fundamentals], [1e-2, 2e-2])
+    assert np.count_nonzero(emb.coeffs) == 2
+    for shape in ((16,), (len(_harmonics(2, Q)),), (17, 2 * M + 1)):
         with pytest.raises(ValueError, match="shape"):
-            TorusEmbedding(J=(1, 2), M=6, Q=2, omega=[-0.5, -2.0],
+            TorusEmbedding(J=J, M=M, Q=Q, omega=[-0.5, -2.0],
                            coeffs=np.zeros(shape, dtype=complex))
+
+
+def test_refine_rejects_a_kg_torus_below_q3():
+    # the KG cubic puts harmonic 3 e_n on mode 3 j_n, which Q = 2 cannot hold
+    emb = linear_torus([1e-4], (1,), 8, 2, [-0.5 - 150.0 ** 2])
+    with pytest.raises(ValueError, match="Q >= 3"):
+        refine_torus(emb, TruncatedSystem(kind="kg", M=8, c=150.0))
+
+
+def pad(emb, Q):
+    """The embedding in a store with more harmonics, entry by harmonic."""
+    out = linear_torus(np.zeros(emb.N), emb.J, emb.M, Q, emb.omega)
+    index = {tuple(q): s for s, q in enumerate(out.qs)}
+    for q, cq in zip(emb.qs, emb.coeffs):
+        out.coeffs[index[tuple(q)]] = cq
+    return out
+
+
+def test_converged_torus_is_invariant_off_the_grid():
+    # criterion 09's torus: the 7-point grid it was solved on does not
+    # alias its harmonics, so it is invariant on a finer angle grid too
+    c, M = 150.0, 16
+    emb_nls, emb_kg, _, rep_kg = matched_torus_pair(1e-2, c, (1,), M, 3)
+    assert rep_kg.converged
+    for emb, system in ((emb_kg, TruncatedSystem(kind="kg", M=M, c=c)),
+                        (emb_nls, TruncatedSystem(kind="nls", M=M))):
+        fine = pad(emb, 8)
+        assert len(fine.coeffs) == 17
+        assert invariance_defect(fine, system) < 1e-10
 
 
 @pytest.mark.parametrize("seed", [

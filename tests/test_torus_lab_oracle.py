@@ -1,18 +1,19 @@
 """The torus-lab kernels against the implementations they replaced.
 
 `ref_invariance_residual` is the per-angle, per-harmonic loop over a dict of
-harmonic tuples that the array residual `E @ C` replaced.
-`ref_refine_torus` is the forward-difference Gauss-Newton solve that the
+harmonic tuples that the array residual replaced.  `ref_refine_torus` is
+the forward-difference Gauss-Newton solve on the dense store, one
+coefficient per (harmonic, mode), that the support solve with the
 closed-form Jacobian of `kgnls.torus_lab._invariance_jacobian` replaced: it
-differences the public `invariance_residual` column by column and reads the
-smallest singular value from a separate SVD.  `ref_integrate` is the Strang
-step that carried zbar through the rotation and the RK4 stages as an
-independent component, with its own two-component nonlinear field
-`ref_nonlinear_rhs`: full convolutions with the reflected conjugate, read
-back on the mode window, in place of the valid-mode correlation of
-`TruncatedSystem.nonlinear_rhs`.  They share with the code under test only
-the residual, the harmonic and angle orders and the truncated system's
-tables.
+differences the dense residual `E @ C` column by column, pins the phase
+with a residual row and reads the smallest singular value from a separate
+SVD.  `ref_integrate` is the Strang step that carried zbar through the
+rotation and the RK4 stages as an independent component, with its own
+two-component nonlinear field `ref_nonlinear_rhs`: full convolutions with
+the reflected conjugate, read back on the mode window, in place of the
+valid-mode correlation of `TruncatedSystem.nonlinear_rhs`.  They share with
+the code under test only the truncated field, the harmonic and angle orders
+and the truncated system's tables.
 """
 
 import math
@@ -98,63 +99,67 @@ def ref_integrate(system, z0, T, record_every=100):
 
 
 def ref_invariance_residual(emb, system):
-    coeffs = dict(zip(_harmonics(emb.N, emb.Q), emb.coeffs))
+    coeffs = dict(zip(map(tuple, emb.qs), emb.coeffs))
     rows = []
     for theta in _collocation_angles(emb.N, emb.Q):
         z = np.zeros(2 * emb.M + 1, dtype=complex)
         dz = np.zeros(2 * emb.M + 1, dtype=complex)
         for q, cq in coeffs.items():
             ph = np.exp(1j * float(np.dot(q, theta)))
-            z += cq * ph
-            dz += 1j * float(np.dot(q, emb.omega)) * cq * ph
+            k = emb.M + int(np.dot(q, emb.J))
+            z[k] += cq * ph
+            dz[k] += 1j * float(np.dot(q, emb.omega)) * cq * ph
         fz, _ = system.rhs(FourierState(z=z, zbar=np.conj(z)))
         rows.append(dz - fz)
     return np.concatenate(rows)
 
 
-def pack(emb, with_omega):
-    """The unknowns [Re C, Im C(, omega)] of `refine_torus`."""
-    return np.concatenate([emb.coeffs.real.ravel(), emb.coeffs.imag.ravel()]
-                          + ([emb.omega] if with_omega else []))
-
-
-def unpack(x, emb, with_omega):
-    size = emb.coeffs.size
-    return TorusEmbedding(
-        J=emb.J, M=emb.M, Q=emb.Q,
-        omega=x[2 * size:].copy() if with_omega else emb.omega.copy(),
-        coeffs=(x[:size] + 1j * x[size:2 * size]).reshape(emb.coeffs.shape))
-
-
-def ref_refine_torus(emb, system, mode="fixed_frequency", tol=1e-10,
-                     max_iter=25, fd_eps=1e-7):
-    with_omega = mode == "fixed_amplitude"
+def dense(emb):
+    """The (harmonic, mode) array of the dense store: C_q on mode q . J."""
     order = _harmonics(emb.N, emb.Q)
-    fund = [order.index(tuple(1 if i == n else 0 for i in range(emb.N)))
-            for n in range(emb.N)]
-    targets = [float(emb.coeffs[h, j + emb.M].real)
-               for h, j in zip(fund, emb.J)]
+    C = np.zeros((len(order), 2 * emb.M + 1), dtype=complex)
+    for q, k, cq in zip(emb.qs, emb.modes, emb.coeffs):
+        C[order.index(tuple(q)), k + emb.M] = cq
+    return C
+
+
+def ref_dense_residual(C, omega, qs, E, system):
+    """[Re r; Im r] of the dense store, E[a, h] = exp(i q_h . theta_a)."""
+    Z = E @ C
+    dZ = E @ (1j * (qs @ omega)[:, None] * C)
+    fZ = np.array([system.nonlinear_rhs(z) for z in Z]) \
+        - 1j * system.linear_freqs * Z
+    res = (dZ - fZ).ravel()
+    return np.concatenate([res.real, res.imag])
+
+
+def ref_refine_torus(emb, system, tol=1e-10, max_iter=25, fd_eps=1e-7):
+    """Fixed-frequency solve over every (harmonic, mode) coefficient, with
+    one row Im C = 0 per fundamental; returns the dense coefficients, the
+    report and the last Jacobian."""
+    C0 = dense(emb)
+    shape, size = C0.shape, C0.size
+    order = _harmonics(emb.N, emb.Q)
+    fund = [order.index(tuple(int(i == n) for i in range(emb.N)))
+            * shape[1] + j + emb.M for n, j in enumerate(emb.J)]
+    qs = np.array(order, dtype=float)
+    E = _phases(_collocation_angles(emb.N, emb.Q), qs)
 
     def residual(x):
-        e = unpack(x, emb, with_omega)
-        res = invariance_residual(e, system)
-        rows = [res.real, res.imag]
-        for h, j in zip(fund, emb.J):
-            rows.append(np.array([e.coeffs[h, j + emb.M].imag]))
-        if with_omega:
-            for h, j, t in zip(fund, emb.J, targets):
-                rows.append(np.array([e.coeffs[h, j + emb.M].real - t]))
-        return np.concatenate(rows)
+        C = (x[:size] + 1j * x[size:]).reshape(shape)
+        return np.concatenate([ref_dense_residual(C, emb.omega, qs, E,
+                                                  system),
+                               x[size + np.array(fund)]])
 
-    x = pack(emb, with_omega)
+    x = np.concatenate([C0.real.ravel(), C0.imag.ravel()])
     r = residual(x)
     history = [float(np.max(np.abs(r)))]
-    smin = None
+    smin = Jac = None
     for it in range(max_iter):
         if history[-1] < tol:
-            return unpack(x, emb, with_omega), RefineReport(
+            return (x[:size] + 1j * x[size:]).reshape(shape), RefineReport(
                 converged=True, iterations=it, defect_history=history,
-                final_defect=history[-1], smallest_singular_value=smin)
+                final_defect=history[-1], smallest_singular_value=smin), Jac
         Jac = np.empty((len(r), len(x)))
         for col in range(len(x)):
             xp = x.copy()
@@ -177,8 +182,22 @@ def ref_refine_torus(emb, system, mode="fixed_frequency", tol=1e-10,
     raise AssertionError("reference solve did not converge")
 
 
+def pack(emb, with_omega):
+    """The unknowns [Re C, Im C(, omega)] of `_invariance_jacobian`."""
+    return np.concatenate([emb.coeffs.real, emb.coeffs.imag]
+                          + ([emb.omega] if with_omega else []))
+
+
+def unpack(x, emb, with_omega):
+    size = len(emb.coeffs)
+    return TorusEmbedding(
+        J=emb.J, M=emb.M, Q=emb.Q,
+        omega=x[2 * size:].copy() if with_omega else emb.omega.copy(),
+        coeffs=x[:size] + 1j * x[size:2 * size])
+
+
 def central_jacobian(emb, system, with_omega, h=1e-6):
-    """Central differences of [Re r; Im r] over the packed unknowns."""
+    """Central differences of [Re r; Im r] over the support unknowns."""
     def residual(x):
         res = invariance_residual(unpack(x, emb, with_omega), system)
         return np.concatenate([res.real, res.imag])
@@ -193,16 +212,15 @@ def central_jacobian(emb, system, with_omega, h=1e-6):
 
 
 def perturbed_seed(kind, c, J, M, Q, seed):
-    """A linear torus with every harmonic perturbed at 1% of its amplitude."""
+    """A linear torus with every supported harmonic perturbed at 1% of its
+    amplitude."""
     xi = np.full(len(J), 1e-4)
     omega = -np.array([0.5 * j * j for j in J]) - 3.0 / (8.0 * math.pi) * xi
     if kind == "kg":
         omega = omega - c * c
     emb = linear_torus(xi, J, M, Q, omega)
-    rng = np.random.default_rng(seed)
-    for h in range(len(emb.coeffs)):
-        noise = rng.normal(size=(2, 2 * M + 1))
-        emb.coeffs[h] += 1e-4 * (noise[0] + 1j * noise[1])
+    noise = np.random.default_rng(seed).normal(size=(2, len(emb.coeffs)))
+    emb.coeffs += 1e-4 * (noise[0] + 1j * noise[1])
     return emb
 
 
@@ -234,31 +252,35 @@ def test_analytic_jacobian_matches_central_differences(mode, kind, c, J, M,
     system = TruncatedSystem(kind=kind, M=M, c=c)
     with_omega = mode == "fixed_amplitude"
     E = _phases(_collocation_angles(emb.N, emb.Q), emb.qs)
-    jac = torus_lab._invariance_jacobian(emb.coeffs, emb.omega, system, E,
-                                         emb.qs, with_omega)
+    jac = torus_lab._invariance_jacobian(emb, system, E, with_omega)
     ref = central_jacobian(emb, system, with_omega)
     assert jac.shape == ref.shape
     assert np.max(np.abs(jac - ref)) < 1e-9 * np.max(np.abs(ref))
 
 
-@pytest.mark.parametrize("c", [110.0, 150.0, 240.0])
-def test_refined_kg_torus_matches_forward_difference_solve(c):
-    emb_nls, emb_kg, rep_nls, rep_kg = matched_torus_pair(1e-2, c, (1,),
-                                                          16, 3)
+@pytest.mark.parametrize("J,M,c", [((1,), 16, 110.0), ((1,), 16, 150.0),
+                                   ((1,), 16, 240.0), ((1, 2), 4, 240.0)])
+def test_refined_kg_torus_matches_forward_difference_solve(J, M, c):
+    emb_nls, emb_kg, rep_nls, rep_kg = matched_torus_pair(1e-2, c, J, M, 3)
     seed = emb_nls.copy()
     seed.omega = emb_nls.omega - c * c
-    kg = TruncatedSystem(kind="kg", M=16, c=c)
-    ref, ref_rep = ref_refine_torus(seed, kg)
+    kg = TruncatedSystem(kind="kg", M=M, c=c)
+    ref, ref_rep, ref_jac = ref_refine_torus(seed, kg)
     assert rep_kg.converged and rep_kg.iterations <= ref_rep.iterations
     # both solves stop within tol of the same torus; a defect d moves the
     # coefficients by at most about d / sigma_min
     bound = 2.0 * max(rep_kg.final_defect, ref_rep.final_defect) \
         / rep_kg.smallest_singular_value
-    gap = np.max(np.abs(emb_kg.coeffs - ref.coeffs))
-    assert gap <= bound
-    assert abs(rep_kg.smallest_singular_value
-               - ref_rep.smallest_singular_value) \
-        < 0.1 * ref_rep.smallest_singular_value
+    assert np.max(np.abs(dense(emb_kg) - ref)) <= bound
+    # the support solve's sigma_min is the reference Jacobian's on the
+    # support columns it solves for (the fundamentals' Im C are held)
+    order = _harmonics(emb_kg.N, emb_kg.Q)
+    cols = [order.index(tuple(q)) * (2 * M + 1) + k + M
+            for q, k in zip(emb_kg.qs, emb_kg.modes)]
+    held = [cols[s] for s in emb_kg.fundamentals]
+    cols += [ref.size + col for col in cols if col not in held]
+    smin = np.linalg.svd(ref_jac[:, cols], compute_uv=False)[-1]
+    assert abs(rep_kg.smallest_singular_value - smin) < 0.1 * smin
 
 
 def test_refine_makes_few_residual_calls(monkeypatch):
