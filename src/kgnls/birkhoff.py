@@ -117,10 +117,11 @@ class NormalFormResult:
 
 def _solve(P: PolyHamiltonian, freq: FrequencyTable | None, J,
            nongauge_floor: float | None
-           ) -> tuple[PolyHamiltonian, PolyHamiltonian, PolyHamiltonian, float]:
+           ) -> tuple[PolyHamiltonian, PolyHamiltonian, PolyHamiltonian, float,
+                      np.ndarray]:
     """Common cohomological solve with the divisors of `_divisor`.  Returns
-    (G, Lambda_plus, P_hat, kmin) where kmin is the smallest
-    gauge-invariant divisor met."""
+    (G, Lambda_plus, P_hat, kmin, d) where kmin is the smallest
+    gauge-invariant divisor met and d holds the divisors of G's rows."""
     rows, coefs, W = _quartic_table(P)
     touches = _touches(rows, W, J)
     resonant = touches & _paired(rows)
@@ -145,10 +146,12 @@ def _solve(P: PolyHamiltonian, freq: FrequencyTable | None, J,
         raise DivisorAnomaly(f"{kind} divisor {d[i]:.3e} below floor "
                              f"{floor[i]:.3e} at {m}")
 
-    return (_from_rows({4: (rows_g, _i_div(coefs[work], d))}, W),
+    g = _i_div(coefs[work], d)
+    # G's store drops zero coefficients: keep d on the rows it keeps
+    return (_from_rows({4: (rows_g, g)}, W),
             _from_rows({4: (rows[resonant], coefs[resonant] + 0)}, W),
             _from_rows({4: (rows[~touches], coefs[~touches] + 0)}, W),
-            kmin)
+            kmin, d[g != 0])
 
 
 def _check_window(J, M: int) -> None:
@@ -160,17 +163,17 @@ def _check_window(J, M: int) -> None:
             f"tangential modes {outside} outside the window |j| <= {M}")
 
 
-def _residual(freq: FrequencyTable | None, G: PolyHamiltonian,
-              P: PolyHamiltonian, Lp: PolyHamiltonian,
-              Ph: PolyHamiltonian) -> float:
+def _residual(G: PolyHamiltonian, d: np.ndarray, P: PolyHamiltonian,
+              Lp: PolyHamiltonian, Ph: PolyHamiltonian) -> float:
     """Max coefficient of {Lambda, G} + P - Lambda_plus - P_hat relative
-    to |P|_inf.  The diagonal bracket is evaluated monomial-wise as
-    i (sigma . lambda) G_m; the generic bracket implementation agrees but
-    loses ~c^2 * eps to float cancellation at large c."""
+    to |P|_inf, d being the divisors sigma . lambda of G's rows.  The
+    diagonal bracket is evaluated monomial-wise as i (sigma . lambda) G_m;
+    the generic bracket implementation agrees but loses ~c^2 * eps to
+    float cancellation at large c."""
     rows, coefs, W = _quartic_table(G)
     # one factor of i * d has a zero real part, so numpy rounds this product
     # as Python's scalar complex product does
-    bracket = _from_rows({4: (rows, 1j * _divisor(rows, W, freq) * coefs)}, W)
+    bracket = _from_rows({4: (rows, 1j * d * coefs)}, W)
     return ((P - Lp - Ph + bracket).max_abs_coeff()
             / (P.max_abs_coeff() or 1.0))
 
@@ -178,10 +181,10 @@ def _residual(freq: FrequencyTable | None, G: PolyHamiltonian,
 def _normal_form(P: PolyHamiltonian, freq: FrequencyTable | None, J, M: int,
                  nongauge_floor: float | None) -> NormalFormResult:
     _check_window(J, M)
-    G, Lp, Ph, kmin = _solve(P, freq, J, nongauge_floor)
+    G, Lp, Ph, kmin, d = _solve(P, freq, J, nongauge_floor)
     return NormalFormResult(G=G, Lambda_plus=Lp, P_hat=Ph, P=P,
                             J=tuple(sorted(J)), freq=freq,
-                            residual=_residual(freq, G, P, Lp, Ph),
+                            residual=_residual(G, d, P, Lp, Ph),
                             gauge_divisor_min=kmin)
 
 

@@ -18,17 +18,17 @@ values in blocks of points, so that no temporary of the kernel (values,
 table distances) holds more than `_BLOCK` values (512 KiB of float64).
 
 Resonant-set hits (`_hits`) take points inside the model's amplitude box
-[xi_lo, xi_hi], as `sample_xi` and the quadrature grid draw them, and
-evaluate only the pairs that can come below their threshold there.  On the
-box the affine part of a divisor ranges over <g, mid> + const +- <|g|, half>;
-a nearest-neighbour table adds one of its own rows, so the divisor also
-lies within the min and max over the rows of delta.values @ k and of the
-Delta row at the support of ell, times ell.  `_Divisors.floor` turns that
-range into a lower bound on |divisor|, less a rounding margin of
-1e-12 (|const| + <|g|, max |xi|> + max |correction|); a pair whose floor
-exceeds its threshold has no hit anywhere in the box and is dropped.  The
-bound is exact for a one-point table, sound for any table, and holds no
-correction term for the Schrodinger family.
+[xi_lo, xi_hi], as `sample_xi` draws them, and evaluate only the pairs that
+can come below their threshold there.  On the box the affine part of a
+divisor ranges over <g, mid> + const +- <|g|, half>; a nearest-neighbour
+table adds one of its own rows, so the divisor also lies within the min and
+max over the rows of delta.values @ k and of the Delta row at the support
+of ell, times ell.  `_Divisors.floor` turns that range into a lower bound
+on |divisor|, less a rounding margin of 1e-12 (|const| + <|g|, max |xi|> +
+max |correction|); a pair whose floor exceeds its threshold has no hit
+anywhere in the box and is dropped.  The bound is exact for a one-point
+table, sound for any table, and holds no correction term for the
+Schrodinger family.
 """
 
 from __future__ import annotations
@@ -373,19 +373,6 @@ def divisor(model: FrequencyModel, xi, pair: IndexPair,
     return float(div(model.check_xi(xi)[None, :])[0, 0])
 
 
-def divisor_parts(model: FrequencyModel, xi, pair: IndexPair) -> dict:
-    """Decomposition L c^2 + <nu, k> + sum ell_n nu_n + xi-linear part +
-    corrections."""
-    xi = model.check_xi(xi)
-    div = _Divisors(model, pair.k, [pair.ell_dict])
-    parts = {"gauge": pair.gauge_sum * model.c ** 2,
-             "nu": float(div.nu[0]), "xi_linear": float(div.grad[0] @ xi)}
-    total = float(div(xi[None, :])[0, 0])
-    parts["corrections"] = total - math.fsum(parts.values())
-    parts["total"] = total
-    return parts
-
-
 def is_resonant(model: FrequencyModel, xi, pair: IndexPair,
                 query: ResonantQuery, nls: bool = False) -> bool:
     div = _Divisors(model, pair.k, [pair.ell_dict], nls)
@@ -393,8 +380,8 @@ def is_resonant(model: FrequencyModel, xi, pair: IndexPair,
                 < div.threshold(query)[0])
 
 
-def wilson_interval(successes: int, n: int, z: float = 1.959963984540054
-                    ) -> tuple[float, float]:
+def wilson_interval(successes: int, n: int) -> tuple[float, float]:
+    z = 1.959963984540054   # the 95% two-sided normal quantile
     if n <= 0:
         raise ValueError("need at least one sample")
     phat = successes / n
@@ -440,21 +427,6 @@ def measure_estimate_mc(model: FrequencyModel, k, query: ResonantQuery,
                          hits=hits, n_ell=len(ells))
 
 
-def measure_estimate_grid(model: FrequencyModel, k, query: ResonantQuery,
-                          pts_per_dim: int = 32,
-                          ells: list[dict[int, int]] | None = None) -> float:
-    """Tensor-grid quadrature cross-check of the MC fraction (N = 3 scale)."""
-    k = np.asarray(k, dtype=int)
-    if ells is None:
-        ells = enumerate_ell(k, model.J, model.M)
-    axes = [np.linspace(model.xi_lo[i], model.xi_hi[i], pts_per_dim)
-            for i in range(model.N)]
-    mesh = np.stack([g.ravel() for g in np.meshgrid(*axes, indexing="ij")],
-                    axis=1)
-    div = _Divisors(model, k, [e for e in ells if k.any() or any(e.values())])
-    return float(np.count_nonzero(_hits(div, mesh, query))) / len(mesh)
-
-
 def nongauge_scan(model: FrequencyModel, kappa: float = 0.5,
                   kmax: int | None = None) -> dict:
     """Exhaustive scan of the non-gauge pairs (L != 0) under the size
@@ -496,22 +468,6 @@ def nongauge_scan(model: FrequencyModel, kappa: float = 0.5,
     return {"c": c, "kmax": kmax, "kappa": kappa, "pairs": n_pairs,
             "min_over_c2": (best if n_pairs else None), "argmin": arg,
             "s8_count": s8_count, "s8_argmin": s8_row}
-
-
-def k0_floor_scan(model: FrequencyModel, n_xi: int = 64, seed: int = 0
-                  ) -> dict:
-    """Verify that the k = 0 divisors over every (0, ell) in Z_M stay
-    above a positive floor (reported relative to c^2)."""
-    k = np.zeros(model.N, dtype=int)
-    ells = enumerate_ell(k, model.J, model.M)
-    xi = sample_xi(model, n_xi, seed)
-    best, arg = math.inf, None
-    if ells:
-        mins = _min_abs(_Divisors(model, k, ells), xi)
-        i = int(np.argmin(mins))
-        best, arg = float(mins[i]), dict(ells[i])
-    return {"floor": best, "floor_over_c2": best / model.c ** 2,
-            "argmin_ell": arg, "n_ell": len(ells)}
 
 
 def cantor_excision(model: FrequencyModel, query: ResonantQuery,

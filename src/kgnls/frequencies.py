@@ -1,6 +1,5 @@
 """Action-angle frequency maps for the tangential set J and the normal
-modes, their NLS counterparts, the rank-one (Bateman) inverse, and the
-first-Melnikov solvability bounds.
+modes, their NLS counterparts, and the rank-one (Bateman) inverse.
 
 Matrix conventions:
     A_ij = N_ij / (w_i w_j),         i, j in J
@@ -13,7 +12,6 @@ The NLS matrices drop the weight factors.  Frequency maps are affine:
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -186,92 +184,3 @@ def bateman_norm_bound(model: FrequencyModel) -> float:
     N = model.N
     return (4.0 * TWO_PI / 3.0) * (4 * N - 1) / (2 * N - 1) \
         * float(np.max(model.w_J)) ** 2
-
-
-def solve_first_melnikov(model: FrequencyModel, ell: dict[int, int]
-                         ) -> np.ndarray:
-    """Closed-form solution x of A x + B^T ell = 0:
-
-        x = <v_ell, ell> * sqrt(2)/(1 - 2N) * w,
-        v_ell_n = sqrt(2)/w_n over the normal modes.
-
-    For |ell|_1 in {1, 2} the components obey |x_j| <= 4 w_j / (2N - 1).
-    """
-    l1 = sum(abs(v) for v in ell.values())
-    if l1 > 2:
-        raise ValueError("first-Melnikov solve is restricted to |ell|_1 <= 2")
-    from .divisors import _Divisors  # local to avoid a cycle
-
-    table = _Divisors(model, np.zeros(model.N, dtype=int), [ell])
-    dot = math.sqrt(2.0) * float(np.sum(table.val / model.w_Jc[table.pos]))
-    return dot * math.sqrt(2.0) / (1.0 - 2 * model.N) * model.w_J
-
-
-def melnikov_residual(model: FrequencyModel, ell: dict[int, int],
-                      x: np.ndarray) -> float:
-    """|A x + B^T ell|_1, B^T ell being the gradient of the k = 0 divisor."""
-    from .divisors import _Divisors  # local to avoid a cycle
-
-    bt_ell = _Divisors(model, np.zeros(model.N, dtype=int), [ell]).grad[0]
-    return float(np.sum(np.abs(model.A @ x + bt_ell)))
-
-
-def melnikov_hypothesis_h(J) -> float:
-    """Largest h for which the first-Melnikov lower bound is guaranteed:
-    h <= 49 / (576 Jmax^2)."""
-    Jmax = max(abs(j) for j in J)
-    return 49.0 / (576.0 * Jmax * Jmax)
-
-
-def first_melnikov_lower_bound(model: FrequencyModel, kmax: int) -> dict:
-    """Scan min over (k, ell) in the momentum-zero class of
-    |A k + B^T ell|_1 / |k|_1 for 1 <= |k|_1 <= kmax."""
-    from .divisors import _Divisors, _pair_tables  # local to avoid a cycle
-
-    hyp = melnikov_hypothesis_h(model.J)
-    best, arg, count = math.inf, None, 0
-    for k, ells in _pair_tables(model, kmax, 1):
-        ratio = np.abs(_Divisors(model, k, ells).grad).sum(axis=1) \
-            / int(np.abs(k).sum())
-        count += len(ells)
-        i = int(np.argmin(ratio))
-        if ratio[i] < best:
-            best = float(ratio[i])
-            arg = (tuple(int(x) for x in k), dict(ells[i]))
-    return {"min_ratio": best, "argmin": arg, "pairs_scanned": count,
-            "h": model.h, "hypothesis_h": hyp,
-            "hypothesis_violated": model.h > hyp}
-
-
-def asymptotics_check(model: FrequencyModel,
-                      pairs: list[tuple[int, int]] | None = None) -> dict:
-    """For normal modes c^3 < |i| < |j|, the gap ratio
-    (Omega0_j - Omega0_i) / (c (|j| - |i|)) deviates from 1 by O(1/w_i^2).
-    Reports the empirical constant max deviation * w_i^2 over the box
-    corners."""
-    c = model.c
-    cut = c ** 3
-    normal = [int(j) for j in model.normal_modes]
-    if pairs is None:
-        cands = sorted(j for j in normal if j > cut)
-        pairs = [(i, j) for i in cands for j in cands if abs(i) < abs(j)]
-    if not pairs:
-        return {"empty": True, "constant": None, "pairs": 0}
-    idx = {j: i for i, j in enumerate(normal)}
-    best = 0.0
-    rows = []
-    for xi in model.xi_corners():
-        Om = model.lam_Jc + model.B @ xi
-        for (i, j) in pairs:
-            if not (cut < abs(i) < abs(j)):
-                raise ValueError(f"pair {(i, j)} violates c^3 < |i| < |j|")
-            gap = (Om[idx[j]] - Om[idx[i]]) / (c * (abs(j) - abs(i)))
-            dev = abs(gap - 1.0) * model.w_Jc[idx[i]] ** 2
-            best = max(best, dev)
-    for (i, j) in pairs[:32]:
-        Om = model.lam_Jc + model.B @ model.xi_hi
-        gap = (Om[idx[j]] - Om[idx[i]]) / (c * (abs(j) - abs(i)))
-        rows.append({"i": i, "j": j, "deviation": abs(gap - 1.0)})
-    return {"empty": False, "constant": best, "pairs": len(pairs),
-            "sample_rows": rows}
-

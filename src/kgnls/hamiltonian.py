@@ -15,7 +15,7 @@ in increasing order of their packed key (the row read as a number in base
 kernel (`value`, `vector_field`, `poisson_bracket`, `birkhoff`'s quartic
 classifier) works on this table.  ``terms``, the mapping from sorted slot
 tuples to coefficients, is a read-only view decoded from the table on
-first access, for text output and slot-tuple predicates.
+first access, for slot-tuple predicates.
 
 The real Hamiltonians (P, Lambda, Lambda+) have real coefficients, while
 normal-form generators obtained by dividing by ``i * (divisor)`` are purely
@@ -56,10 +56,6 @@ def momentum(slots: Slots) -> int:
 
 def gauge_sum(slots: Slots) -> int:
     return sum(s for _, s in slots)
-
-
-def sigma_string(slots: Slots) -> str:
-    return "".join("+" if s > 0 else "-" for _, s in slots)
 
 
 class PolyHamiltonian:
@@ -227,29 +223,17 @@ class PolyHamiltonian:
     # -- serialization ----------------------------------------------------
 
     def to_text(self) -> str:
+        """One line "signs modes coefficient" per row of the table, in
+        table order: by degree, then in sorted slot-tuple order."""
+        sign = ["-", "+"] * (2 * self._W + 1)
+        mode = [str(j) for j in range(-self._W, self._W + 1) for _ in "-+"]
         lines = []
-        for m in sorted(self.terms):
-            c = self.terms[m]
-            coeff = repr(c.real) if c.imag == 0 else repr(c).strip("()")
-            js = " ".join(str(j) for j, _ in m)
-            lines.append(f"{sigma_string(m)} {js} {coeff}")
+        for rows, coefs in self._tab.values():
+            for r, c in zip(rows.tolist(), coefs.tolist()):
+                coeff = repr(c.real) if c.imag == 0 else repr(c).strip("()")
+                lines.append(f"{''.join(map(sign.__getitem__, r))} "
+                             f"{' '.join(map(mode.__getitem__, r))} {coeff}")
         return "\n".join(lines) + ("\n" if lines else "")
-
-    @classmethod
-    def from_text(cls, text: str) -> "PolyHamiltonian":
-        terms: dict[Slots, complex] = {}
-        for line in text.splitlines():
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            parts = line.split()
-            sig, coeff = parts[0], complex(parts[-1])
-            js = [int(t) for t in parts[1:-1]]
-            if len(js) != len(sig):
-                raise ValueError(f"malformed term line: {line!r}")
-            signs = [1 if ch == "+" else -1 for ch in sig]
-            terms[canonical(zip(js, signs))] = coeff
-        return cls(terms)
 
 
 def _from_rows(tables: dict[int, tuple[np.ndarray, np.ndarray]], W: int

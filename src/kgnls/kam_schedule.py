@@ -24,7 +24,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-RHO_STAR_DEFAULT = 1e-2
+# Smallness margin rho_*: eps0/alpha0 + eps1/alpha1 must stay below it.
+RHO_STAR = 1e-2
 
 
 class ScheduleDivergence(RuntimeError):
@@ -55,8 +56,6 @@ class ScheduleParams:
     r0: float
     varsigma: float = 1.0 / 36.0
     C1: float = 1.0
-    K1: float | None = None      # None: minimal with K1^{tau+1} > 1/rho1
-    rho_star: float = RHO_STAR_DEFAULT
     s0: float = field(init=False, default=2.0)
 
     def __post_init__(self):
@@ -122,49 +121,28 @@ class KamSchedule:
         return self.log_eps[1:] / self.log_eps[:-1]
 
 
-def _log_eps0(eps0: float | None, log_eps0: float | None) -> float:
-    """eps shrinks past float range in meaningful runs, so the scale may be
-    given directly in natural log."""
-    if (eps0 is None) == (log_eps0 is None):
-        raise ValueError("give exactly one of eps0 and log_eps0")
-    if eps0 is not None:
-        if eps0 <= 0:
-            raise ValueError("eps0 must be positive")
-        return math.log(eps0)
-    return float(log_eps0)
-
-
-def smallness_check(params: ScheduleParams, eps0: float | None = None,
-                    eps1: float | None = None,
-                    log_eps0: float | None = None) -> dict:
+def smallness_check(params: ScheduleParams, log_eps0: float) -> dict:
+    """The smallness margin at the scale eps_0 = exp(log_eps0), given in
+    natural log: eps shrinks past float range in meaningful runs."""
     a0, a1, theta, alpha0, alpha1 = init_exponents(params.varsigma, params.r0)
-    L0 = _log_eps0(eps0, log_eps0)
-    L1 = math.log(eps1) if eps1 is not None \
-        else (4.0 / 3.0) * L0 - math.log(alpha0) / 3.0
-    ratio0 = math.exp(L0 - math.log(alpha0))
+    L1 = (4.0 / 3.0) * log_eps0 - math.log(alpha0) / 3.0
+    ratio0 = math.exp(log_eps0 - math.log(alpha0))
     ratio1 = math.exp(L1 - math.log(alpha1))
     # with the normal-form order eps0 ~ r0^2 these ratios scale as
     # r0^{2-a0} and r0^{(2-a0)/3 + 2 - a1}
     return {
         "ratio0": ratio0, "ratio1": ratio1,
-        "sum": ratio0 + ratio1, "rho_star": params.rho_star,
-        "passed": ratio0 + ratio1 < params.rho_star,
+        "sum": ratio0 + ratio1, "rho_star": RHO_STAR,
+        "passed": ratio0 + ratio1 < RHO_STAR,
         "predicted_exponent_ratio0": 2.0 - a0,
         "predicted_exponent_ratio1": (2.0 - a0) / 3.0 + 2.0 - a1,
         "theta": theta, "a0": a0, "a1": a1,
     }
 
 
-def minimal_K1(params: ScheduleParams, rho1: float | None = None,
-               log_rho1: float | None = None) -> int:
-    """Smallest integer with K1^(tau+1) > 1/rho1 (log arithmetic: rho1 can
-    be far below float range)."""
-    if (rho1 is None) == (log_rho1 is None):
-        raise ValueError("give exactly one of rho1 and log_rho1")
-    if rho1 is not None:
-        if rho1 <= 0:
-            raise ValueError("rho1 must be positive")
-        log_rho1 = math.log(rho1)
+def minimal_K1(params: ScheduleParams, log_rho1: float) -> int:
+    """Smallest integer with K1^(tau+1) > 1/rho1, rho1 = exp(log_rho1)
+    (log arithmetic: rho1 can be far below float range)."""
     target = -log_rho1 / (params.tau + 1.0)   # need log K1 > target
     if target <= 700.0:
         K1 = max(1, int(math.floor(math.exp(max(target, 0.0)))) + 1)
@@ -178,20 +156,17 @@ def minimal_K1(params: ScheduleParams, rho1: float | None = None,
     return K1
 
 
-def generate(params: ScheduleParams, eps0: float | None = None,
-             eps1: float | None = None, nu_max: int = 16,
-             log_eps0: float | None = None) -> KamSchedule:
-    L0 = _log_eps0(eps0, log_eps0)
-    check = smallness_check(params, eps1=eps1, log_eps0=L0)
+def generate(params: ScheduleParams, log_eps0: float, nu_max: int = 16
+             ) -> KamSchedule:
+    """The cascade from eps_0 = exp(log_eps0), with the minimal K1."""
+    check = smallness_check(params, log_eps0)
     if not check["passed"]:
         raise ScheduleDivergence(
             f"smallness margin violated: eps0/alpha0 + eps1/alpha1 = "
-            f"{check['sum']:.3e} >= rho_* = {params.rho_star:.3e}")
+            f"{check['sum']:.3e} >= rho_* = {RHO_STAR:.3e}")
     alpha1 = params.alpha1
-    L1 = math.log(eps1) if eps1 is not None \
-        else (4.0 / 3.0) * L0 - math.log(params.alpha0) / 3.0
-    K1 = params.K1 if params.K1 is not None \
-        else minimal_K1(params, log_rho1=L1 - math.log(alpha1))
+    L1 = (4.0 / 3.0) * log_eps0 - math.log(params.alpha0) / 3.0
+    K1 = minimal_K1(params, L1 - math.log(alpha1))
 
     n = nu_max + 1
     sigma = params.sigma0 * 0.5 ** np.arange(n)
@@ -203,7 +178,7 @@ def generate(params: ScheduleParams, eps0: float | None = None,
     mu = params.mu
     log_denom = np.log(alpha) + mu * np.log(sigma)   # log(alpha sigma^mu)
     log_eps = np.empty(n)
-    log_eps[0], log_eps[1] = L0, L1
+    log_eps[0], log_eps[1] = log_eps0, L1
     for nu in range(1, n - 1):
         log_eps[nu + 1] = math.log(params.C1) \
             + (4.0 / 3.0) * log_eps[nu] - log_denom[nu] / 3.0
@@ -231,20 +206,19 @@ def generate(params: ScheduleParams, eps0: float | None = None,
                        s=s, r=r)
 
 
-def predicted_bounds(R: float, c: float, sigma: float,
-                     const: float = 1.0) -> dict:
+def predicted_bounds(R: float, c: float, sigma: float) -> dict:
     """Closed-form limit-theorem quantities with unit constants:
-    distance const * R^{1/36 - (215/72) sigma} / c^{2 sigma},
-    excised-measure const * R^{1/36}, admissibility c >= R^{-73/72}."""
+    distance R^{1/36 - (215/72) sigma} / c^{2 sigma},
+    excised-measure R^{1/36}, admissibility c >= R^{-73/72}."""
     if not (0.0 <= sigma <= 1.0):
         raise ValueError("sigma must lie in [0, 1]")
     if not (0.0 < R < 1.0):
         raise ValueError("R must lie in (0, 1)")
     c_adm = R ** (-73.0 / 72.0)
     return {
-        "distance_bound": const * R ** (1.0 / 36.0 - 215.0 / 72.0 * sigma)
+        "distance_bound": R ** (1.0 / 36.0 - 215.0 / 72.0 * sigma)
         / c ** (2.0 * sigma),
-        "measure_bound": const * R ** (1.0 / 36.0),
+        "measure_bound": R ** (1.0 / 36.0),
         "c_admissible": c_adm,
         "admissible": c >= c_adm,
     }

@@ -174,29 +174,3 @@ def seq_norm(x: np.ndarray, params: SpaceParams, freq: FrequencyTable) -> float:
     terms = (np.abs(np.asarray(x)) ** 2) * wts
     # compensated accumulation keeps the sharp invariant tests honest
     return math.sqrt(math.fsum(terms.tolist()))
-
-
-def weighted_norm(state: FourierState, params: SpaceParams,
-                  freq: FrequencyTable) -> float:
-    """Doubled phase-space norm over (z, zbar)."""
-    if state.M != params.M:
-        raise ValueError("state truncation does not match SpaceParams")
-    wts = mode_weights(params, freq)
-    terms = (np.abs(state.z) ** 2 + np.abs(state.zbar) ** 2) * wts
-    return math.sqrt(math.fsum(terms.tolist()))
-
-
-def convolve(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """Truncated discrete convolution (x*y)_j = sum_k x_{j-k} y_k.
-
-    Both inputs live on {-M..M}; output is truncated back to the same
-    window (indices outside are discarded, consistent with Galerkin
-    projection).  Identity element delta_0; delta_a * delta_b = delta_{a+b}.
-    """
-    x = np.asarray(x)
-    y = np.asarray(y)
-    if x.shape != y.shape or x.ndim != 1 or len(x) % 2 != 1:
-        raise ValueError("convolve expects equal odd-length 1-d arrays")
-    M = (len(x) - 1) // 2
-    full = np.convolve(x, y)  # indices -2M .. 2M
-    return full[M:3 * M + 1]

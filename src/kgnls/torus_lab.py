@@ -35,11 +35,6 @@ def _cube(z: np.ndarray) -> np.ndarray:
     return np.correlate(np.convolve(z, z), z, "valid")
 
 
-def _require_real(state: FourierState) -> None:
-    if not state.real_representation():
-        raise ValueError("the state is not real: zbar must equal conj(z)")
-
-
 @dataclass
 class TruncatedSystem:
     """One truncated flow; kind 'kg' (needs c) or 'nls'."""
@@ -75,12 +70,6 @@ class TruncatedSystem:
             g = (z + np.conj(z)[::-1]) / self._sw
             return -1j / (8.0 * math.pi) * _cube(g) / self._sw
         return -3j / (8.0 * math.pi) * _cube(z)
-
-    def rhs(self, state: FourierState) -> tuple[np.ndarray, np.ndarray]:
-        """(dz/dt, dzbar/dt) at a real state; dzbar/dt = conj(dz/dt)."""
-        _require_real(state)
-        dz = self.nonlinear_rhs(state.z) - 1j * self._lam * state.z
-        return dz, np.conj(dz)
 
     def hamiltonian_value(self, state: FourierState) -> float:
         """Quadratic plus quartic energy at a real state (zbar = conj(z),
@@ -134,7 +123,8 @@ def integrate(system: TruncatedSystem, z0: FourierState, T: float,
     (z, conj(z))."""
     import warnings
 
-    _require_real(z0)
+    if not z0.real_representation():
+        raise ValueError("the state is not real: zbar must equal conj(z)")
 
     if dt is None:
         dt = default_dt(system)

@@ -6,6 +6,7 @@ import math
 
 import pytest
 
+from kgnls import birkhoff
 from kgnls.birkhoff import (DivisorAnomaly, lambda_plus_closed_form,
                             lie_transform, remainder_split,
                             solve_cohomological_nls,
@@ -33,6 +34,33 @@ def test_cohomological_residual(c, bracket_tol):
     # tolerance at large c
     Lam = build_Lambda(ft)
     assert residual_norm(nf, Lam) < bracket_tol
+
+
+def test_one_divisor_pass_per_solve(monkeypatch):
+    # the residual reuses the divisors the solve computed for G's rows
+    calls = []
+    divisor = birkhoff._divisor
+    monkeypatch.setattr(birkhoff, "_divisor",
+                        lambda *a: calls.append(a) or divisor(*a))
+    ft = FrequencyTable(c=10.0, M=8)
+    nf = solve_cohomological_quartic(build_P(ft, 8), ft, J)
+    assert len(calls) == 1
+    assert nf.residual < 1e-12
+
+
+@pytest.mark.parametrize("c", [10.0, 1e3, None])
+def test_residual_reuses_the_divisors_of_G(c):
+    # the divisors the solve hands to the residual are those of G's rows:
+    # recomputing them gives the same residual to the bit
+    if c is None:
+        nf = solve_cohomological_nls(build_P_nls(8), J, 8)
+    else:
+        ft = FrequencyTable(c=c, M=8)
+        nf = solve_cohomological_quartic(build_P(ft, 8), ft, J)
+    rows, _, W = birkhoff._quartic_table(nf.G)
+    d = birkhoff._divisor(rows, W, nf.freq)
+    assert nf.residual == birkhoff._residual(nf.G, d, nf.P, nf.Lambda_plus,
+                                             nf.P_hat)
 
 
 def test_lambda_plus_closed_form_match():

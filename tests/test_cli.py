@@ -44,6 +44,21 @@ def test_schedule_run_and_manifest(runner, tmp_path):
     assert len(lines) == 16
 
 
+def test_schedule_default_artifacts_are_golden(runner, tmp_path):
+    # changes to the cascade bookkeeping must keep its artifacts
+    # byte-identical at the default config
+    out = tmp_path / "run"
+    res = runner.invoke(main, ["schedule", "--out", str(out)])
+    assert res.exit_code == 0, res.output
+    digest = {name: hashlib.sha256((out / name).read_bytes()).hexdigest()
+              for name in ("schedule.csv", "schedule.json")}
+    assert digest == {
+        "schedule.csv": "79a9e703e45f3a06d119aa3a296dcc3a"
+                        "7256c52faafce6be876070b7479f184e",
+        "schedule.json": "fb92582d24aa0bb950896468730f0be5"
+                         "f096ea5b3b9ddeb5467bf687e7c3f3c3"}
+
+
 def test_unknown_config_key_exits_2(runner, tmp_path):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"nu_mx": 5}))

@@ -10,13 +10,13 @@ from hypothesis import strategies as st
 
 from kgnls.divisors import (IndexPair, ResonantQuery, S_CLASSES,
                             cantor_excision, center_pair_correction,
-                            classify_pair, divisor, divisor_parts,
-                            enumerate_ell, is_resonant, iter_k, k0_floor_scan,
-                            make_pair, measure_estimate_grid,
+                            classify_pair, divisor, enumerate_ell,
+                            is_resonant, iter_k, make_pair,
                             measure_estimate_mc, nongauge_scan,
                             s8_localization, sample_xi, threshold,
                             weight_w, wilson_interval)
-from kgnls.frequencies import build_model
+from kgnls.frequencies import (Omega0_nls, Omega0_remainder, build_model,
+                               omega0_nls, omega0_remainder)
 
 J3 = (1, 2, 3)
 
@@ -125,12 +125,22 @@ def test_divisor_affine_in_xi():
 
 
 def test_divisor_parts_decomposition():
+    # a divisor is its gauge part L c^2, the Schrodinger frequencies and
+    # the O(h) remainders, each paired with (k, ell)
     model = small_model()
     pair = make_pair((1, -1, 0), {-1: -1}, J3)
     xi = 0.5 * (model.xi_lo + model.xi_hi)
-    parts = divisor_parts(model, xi, pair)
-    assert abs(parts["total"] - divisor(model, xi, pair)) < 1e-9
-    assert parts["gauge"] == pair.gauge_sum * model.c ** 2
+    idx = {int(j): n for n, j in enumerate(model.normal_modes)}
+
+    def paired(om, Om):
+        return (float(np.dot(pair.k, om))
+                + sum(v * Om[idx[j]] for j, v in pair.ell_dict.items()))
+
+    parts = [pair.gauge_sum * model.c ** 2,
+             paired(omega0_nls(model, xi), Omega0_nls(model, xi)),
+             paired(omega0_remainder(model, xi),
+                    Omega0_remainder(model, xi))]
+    assert abs(math.fsum(parts) - divisor(model, xi, pair)) < 1e-9
 
 
 def test_threshold_weight_convention():
@@ -148,6 +158,12 @@ def test_wilson_interval_brackets_fraction():
     assert lo < 0.3 < hi
     assert wilson_interval(0, 100)[0] <= 1e-12
     assert wilson_interval(100, 100)[1] <= 1.0
+
+
+def test_wilson_interval_is_the_95_percent_interval():
+    # 50 of 100: the tabulated 95% Wilson interval (0.40383, 0.59617)
+    lo, hi = wilson_interval(50, 100)
+    assert abs(lo - 0.40383) < 1e-5 and abs(hi - 0.59617) < 1e-5
 
 
 def test_center_correction_zeroes_divisor():
@@ -175,13 +191,16 @@ def test_mc_fraction_monotone_in_alpha():
 
 
 def test_mc_grid_agreement():
+    # the MC fraction agrees with a tensor-grid quadrature of the same set
     model = small_model()
     pair = make_pair((1, -1, 0), {-1: -1}, J3)
     centered = center_pair_correction(model, pair)
     q = ResonantQuery(alpha=1e-6, tau=2.0, samples=4000, seed=5)
     mc = measure_estimate_mc(centered, pair.k, q, ells=[pair.ell_dict])
-    grid = measure_estimate_grid(centered, pair.k, q, pts_per_dim=16,
-                                 ells=[pair.ell_dict])
+    axes = [np.linspace(centered.xi_lo[i], centered.xi_hi[i], 16)
+            for i in range(3)]
+    grid = np.mean([is_resonant(centered, np.array(x), pair, q)
+                    for x in itertools.product(*axes)])
     assert abs(mc.fraction - grid) < 0.02
 
 
@@ -200,8 +219,13 @@ def test_nongauge_scan_positive_floor():
 
 
 def test_k0_floor_positive():
-    rep = k0_floor_scan(small_model())
-    assert rep["floor"] > 0
+    # the k = 0 divisors, sums of normal frequencies over every ell in
+    # Z_M, stay above a positive floor over the box
+    model = small_model()
+    ells = enumerate_ell(np.zeros(3, dtype=int), J3, model.M)
+    floor = min(abs(divisor(model, x, make_pair((0, 0, 0), ell, J3)))
+                for ell in ells for x in sample_xi(model, 16, 0))
+    assert ells and floor > 0
 
 
 def test_cantor_excision_monotone_in_alpha():

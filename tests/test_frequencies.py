@@ -1,17 +1,16 @@
-"""Frequency maps, the rank-one-update inverse, and Melnikov solves."""
+"""Frequency maps and the rank-one-update inverse."""
 
+import itertools
 import math
 
 import numpy as np
 import pytest
 
+from kgnls.divisors import enumerate_ell, iter_k
 from kgnls.frequencies import (CorrectionTable, Omega0, Omega0_nls,
-                               Omega0_remainder, asymptotics_check,
-                               bateman_inverse, bateman_norm_bound,
-                               build_model, first_melnikov_lower_bound,
-                               melnikov_hypothesis_h, melnikov_residual,
-                               omega0, omega0_nls, omega0_remainder,
-                               solve_first_melnikov)
+                               Omega0_remainder, bateman_inverse,
+                               bateman_norm_bound, build_model, omega0,
+                               omega0_nls, omega0_remainder)
 
 TWO_PI = 2.0 * math.pi
 
@@ -62,26 +61,35 @@ def test_frequency_map_decomposition():
     assert np.max(np.abs(Rem)) < 1e4 * model.h
 
 
+def b_transpose(model, ell):
+    """B^T ell, the gradient of sum ell_n Omega0_n."""
+    idx = {int(j): n for n, j in enumerate(model.normal_modes)}
+    return sum(v * model.B[idx[j]] for j, v in ell.items())
+
+
 def test_melnikov_solve_and_bound():
+    # the first-Melnikov system A x + B^T ell = 0, solved with the Bateman
+    # inverse, obeys |x_j| <= 4 w_j / (2N - 1) for |ell|_1 <= 2
     model = build_model(20.0, (1, 2, 3), 12, 1e-2)
+    Ainv = bateman_inverse(model)
     for ell in ({5: 1}, {4: 1, -6: -1}, {7: -2}):
-        x = solve_first_melnikov(model, ell)
-        assert melnikov_residual(model, ell, x) < 1e-12
+        bt_ell = b_transpose(model, ell)
+        x = -Ainv @ bt_ell
+        assert np.sum(np.abs(model.A @ x + bt_ell)) < 1e-12
         bound = 4.0 * model.w_J / (2 * model.N - 1)
         assert np.all(np.abs(x) <= bound + 1e-12)
-    with pytest.raises(ValueError):
-        solve_first_melnikov(model, {5: 2, 6: 1})
-
-
-def test_melnikov_hypothesis_threshold():
-    assert abs(melnikov_hypothesis_h((1, 2, 3)) - 49.0 / (576.0 * 9)) < 1e-15
 
 
 def test_first_melnikov_lower_bound_positive():
+    # min over the momentum-zero pairs of |A k + B^T ell|_1 / |k|_1 is
+    # positive, with h below the hypothesis threshold 49 / (576 Jmax^2)
     model = build_model(30.0, (1, 2, 3), 10, 1e-2)
-    rep = first_melnikov_lower_bound(model, kmax=2)
-    assert rep["min_ratio"] > 0
-    assert not rep["hypothesis_violated"]
+    ratios = [np.sum(np.abs(model.A @ k + b_transpose(model, ell)))
+              / np.sum(np.abs(k))
+              for k in iter_k(model.N, 2) if k.any()
+              for ell in enumerate_ell(k, model.J, model.M)]
+    assert ratios and min(ratios) > 0
+    assert model.h <= 49.0 / (576.0 * 9)
 
 
 def test_correction_table_nearest_sample():
@@ -98,8 +106,17 @@ def test_check_xi_rejects_outside_box():
 
 
 def test_asymptotics_gap_constant():
-    # c = 2: normal modes beyond c^3 = 8 exist at M = 24
+    # c = 2: normal modes beyond c^3 = 8 exist at M = 24.  For
+    # c^3 < |i| < |j| the gap ratio (Omega0_j - Omega0_i) / (c (|j| - |i|))
+    # deviates from 1 by O(1/w_i^2), here with a constant below 10
     model = build_model(2.0, (1, 2, 3), 24, 1e-2)
-    rep = asymptotics_check(model)
-    assert not rep["empty"]
-    assert rep["constant"] < 10.0
+    c = model.c
+    far = [n for n, j in enumerate(model.normal_modes) if j > c ** 3]
+    modes = model.normal_modes
+    const = 0.0
+    for xi in model.xi_corners():
+        Om = Omega0(model, xi)
+        for a, b in itertools.combinations(far, 2):
+            gap = (Om[b] - Om[a]) / (c * (modes[b] - modes[a]))
+            const = max(const, abs(gap - 1.0) * model.w_Jc[a] ** 2)
+    assert far and const < 10.0

@@ -132,10 +132,17 @@ def test_vector_field_matches_finite_difference():
 
 
 def test_text_roundtrip():
+    # the text form loses nothing: reading each line back as signs, modes
+    # and coefficient rebuilds the polynomial exactly, real and complex
     ft = FrequencyTable(c=2.0, M=3)
-    P = build_P(ft)
-    Q = PolyHamiltonian.from_text(P.to_text())
-    assert (P - Q).max_abs_coeff() == 0.0
+    for P in (build_P(ft), build_P(ft).scale(0.3 - 0.7j)):
+        terms = {}
+        for line in P.to_text().splitlines():
+            sig, *js, coeff = line.split()
+            terms[tuple((int(j), 1 if ch == "+" else -1)
+                        for j, ch in zip(js, sig))] = complex(coeff)
+        Q = PolyHamiltonian(terms)
+        assert len(Q) == len(P) and (P - Q).max_abs_coeff() == 0.0
 
 
 @given(st.integers(1, 4), st.integers(0, 10 ** 6))

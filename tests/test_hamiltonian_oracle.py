@@ -103,6 +103,18 @@ def ref_max_abs_coeff(H):
     return max((abs(c) for c in H.terms.values()), default=0.0)
 
 
+def ref_to_text(H):
+    """One line "signs modes coefficient" per term, by degree and then in
+    sorted slot-tuple order."""
+    lines = []
+    for m in sorted(H.terms, key=lambda m: (len(m), m)):
+        c = H.terms[m]
+        coeff = repr(c.real) if c.imag == 0 else repr(c).strip("()")
+        lines.append("".join("+" if s > 0 else "-" for _, s in m) + " "
+                     + " ".join(str(j) for j, _ in m) + " " + coeff + "\n")
+    return "".join(lines)
+
+
 def ref_quartic_multisets(M):
     slot_list = [(j, s) for j in range(-M, M + 1) for s in (-1, 1)]
     for combo in combinations_with_replacement(slot_list, 4):
@@ -241,6 +253,17 @@ def test_build_P_text_identical_to_reference(M, c):
     ft = FrequencyTable(c=c, M=M)
     assert build_P(ft).to_text() == ref_build_P(ft).to_text()
     assert build_P_nls(M).to_text() == ref_build_P_nls(M).to_text()
+
+
+@given(st.integers(1, 5), st.integers(0, 10 ** 6))
+@settings(max_examples=20, deadline=None)
+def test_to_text_matches_slot_tuple_reference(M, seed):
+    rng = np.random.default_rng(seed)
+    # complex coefficients from F, real ones from P, and mixed degrees
+    H = random_poly(rng, M, int(rng.integers(1, 40))) \
+        + build_P(FrequencyTable(c=2.0, M=M))
+    assert H.to_text() == ref_to_text(H)
+    assert PolyHamiltonian().to_text() == ""
 
 
 def test_build_P_truncated_below_table():

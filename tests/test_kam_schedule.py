@@ -87,19 +87,32 @@ def test_smallness_check():
     rep = smallness_check(params(), log_eps0=-2000.0)
     assert rep["passed"] and rep["sum"] < 1e-2
     assert abs(rep["predicted_exponent_ratio0"] - 0.25) < 1e-15
-    rep2 = smallness_check(params(), eps0=1e-3)
+    rep2 = smallness_check(params(), log_eps0=math.log(1e-3))
     assert not rep2["passed"]
-    with pytest.raises(ValueError):
-        smallness_check(params())
-    with pytest.raises(ValueError):
-        smallness_check(params(), eps0=1e-3, log_eps0=-10.0)
+
+
+def test_smallness_margin_is_rho_star():
+    # the margin rho_* = 1e-2 is reported and named when it fails
+    assert smallness_check(params(), log_eps0=-2000.0)["rho_star"] == 1e-2
+    with pytest.raises(ScheduleDivergence, match=r"rho_\* = 1\.000e-02"):
+        generate(params(), log_eps0=math.log(1e-3))
+
+
+def test_generate_uses_the_minimal_K1():
+    # K1 is the least with K1^(tau+1) > alpha1 / eps1, eps1 from eps0
+    p = params()
+    L0 = -2000.0
+    L1 = (4.0 / 3.0) * L0 - math.log(p.alpha0) / 3.0
+    sched = generate(p, log_eps0=L0, nu_max=4)
+    assert sched.K[1] == minimal_K1(p, log_rho1=L1 - math.log(p.alpha1))
+    assert sched.log_eps[1] == L1
 
 
 def test_minimal_K1_small_case():
     # tau = 1: need K1^2 > 1000 -> 32
     p = ScheduleParams(N=3, tau=1.0, r0=1e-3)
-    assert minimal_K1(p, rho1=1e-3) == 32
-    assert minimal_K1(p, rho1=0.5) == 2
+    assert minimal_K1(p, log_rho1=math.log(1e-3)) == 32
+    assert minimal_K1(p, log_rho1=math.log(0.5)) == 2
     # astronomically small rho1 terminates (log arithmetic)
     big = minimal_K1(p, log_rho1=-2000.0)
     assert (p.tau + 1.0) * math.log(big) > 2000.0

