@@ -157,6 +157,33 @@ def test_simulate_artifacts_are_golden(runner, tmp_path, config, digests):
             for name in digests} == digests
 
 
+@pytest.mark.parametrize("command,config,digests", [
+    ("divisor-scan", {"c_list": [25.0, 100.0], "Mmax": 8},
+     {"divisor_scan.json": "97b7d667be8d2c3a0bb008697852a9cb"
+                           "83ed1611dbdfd45af678943df2654482"}),
+    ("divisor-scan", {"c_list": [25.0, 100.0, 400.0], "Mmax": 12},
+     {"divisor_scan.json": "9ca2b70b4e3353b7772661ecaad5e356"
+                           "29d4bef95f46fa0cf15b1a955cf55de9"}),
+    ("measure", {},
+     {"measure.csv": "2245429f3dba1d1f411e07d33c2aa66a"
+                     "a925932c4b55b13c5ee536ebcf07303a",
+      "measure_fit.json": "90d096f8efe4494dc151369d9b028bf5"
+                          "983d70efbcfc7ff6807f39880ac4600f"})],
+    ids=["scan-M8", "scan-M12", "measure-default"])
+def test_divisor_artifacts_are_golden(runner, tmp_path, command, config,
+                                      digests):
+    # changes to the pair enumeration or the divisor kernel must keep the
+    # scan minima, their pairs and the measure rows byte-identical
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(config))
+    out = tmp_path / "run"
+    res = runner.invoke(main, [command, "--config", str(cfg),
+                               "--out", str(out)])
+    assert res.exit_code == 0, res.output
+    assert {name: hashlib.sha256((out / name).read_bytes()).hexdigest()
+            for name in digests} == digests
+
+
 def test_simulate_bad_system_exits_2(runner, tmp_path):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"system": "wave"}))
