@@ -9,9 +9,16 @@ Index classes (k an integer vector over J, ell sparse over J^c, |ell|_1 <= 2):
 Resonant set: |<omega(xi),k> + <Omega(xi),ell>| < alpha / (<k>^tau w(ell)^theta)
 with w(ell) = min over supp(ell) of the mode weight, w(0) = 1.
 
-One kernel, `_Divisors`, evaluates every divisor, for all pairs of one k
-at once, as L c^2 + <nu, (k, ell)> + <A k + B^T ell, xi> + corrections (the
-Schrodinger family: j^2/2 and the NLS matrices).  Correction rule: delta and
+The pairs form one array table: `_pairs` lists the momentum-zero pairs of
+a block of k rows as (kidx, at, val), the k row and the (P, 2) support and
+values of ell, in one fixed order.  `_tables` cuts the k rows into blocks
+of _BLOCK // (8 (5 + 4(2M+1))) rows, at most _BLOCK / 8 candidate slots;
+`iter_k` and `enumerate_ell` are views of the same table.
+
+One kernel, `_Divisors`, evaluates every divisor of such a table, as
+L c^2 + <nu, (k, ell)> + <A k + B^T ell, xi> + corrections (the
+Schrodinger family: j^2/2 and the NLS matrices); the products with k are
+taken once per k row and gathered per pair.  Correction rule: delta and
 Delta take their nearest-neighbour `CorrectionTable` values at each point;
 the Schrodinger family has none.  Callers reduce the (points x pairs)
 values in blocks of points, so that no temporary of the kernel (values,
@@ -34,7 +41,6 @@ Schrodinger family.
 from __future__ import annotations
 
 import copy
-import itertools
 import math
 from dataclasses import dataclass, replace
 
@@ -45,49 +51,68 @@ from .frequencies import CorrectionTable, FrequencyModel
 S_CLASSES = ("S0", "S1", "S2", "S4", "S5", "S6", "S7", "S8")
 
 
+def _k_rows(N: int, kmax: int) -> np.ndarray:
+    """All integer N-vectors with |k|_1 <= kmax (the zero vector included),
+    as rows in `itertools.product` order."""
+    k = np.indices((max(0, 2 * kmax + 1),) * N).reshape(N, -1).T - kmax
+    return k[np.abs(k).sum(axis=1) <= kmax]
+
+
 def iter_k(N: int, kmax: int):
-    """All integer N-vectors with |k|_1 <= kmax (the zero vector included)."""
-    for tup in itertools.product(range(-kmax, kmax + 1), repeat=N):
-        if sum(abs(t) for t in tup) <= kmax:
-            yield np.array(tup, dtype=int)
+    """The rows of `_k_rows`, one k at a time."""
+    yield from _k_rows(N, kmax)
+
+
+def _pairs(J, M: int, ks: np.ndarray
+           ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The momentum-zero pairs of the k rows `ks`: per pair its row `kidx`,
+    and ell as a (P, 2) support `at` with values `val` (0 pads), where
+    |ell|_1 <= 2 and supp(ell) lies in J^c intersect {-M..M}.  Integer
+    arithmetic throughout.
+
+    Each k has 5 + 4(2M+1) candidate slots: ell = 0, the single supports
+    ell_a = v for v in (1, -1, 2, -2) (a forced by the momentum equation),
+    and the double supports ell_a, ell_b = +-1 with a < b, a ascending and
+    (ell_a, ell_b) in (1, 1), (1, -1), (-1, 1), (-1, -1) order.  Pairs
+    come k-major, in slot order.
+    """
+    J = np.sort(np.asarray(J, dtype=int))
+    m = ks @ J
+    normal = ~np.isin(np.arange(-M, M + 1), J)
+
+    def admissible(n):
+        inside = np.abs(n) <= M
+        return inside & normal[np.where(inside, n + M, 0)]
+
+    v = np.array([1, -1, 2, -2])
+    a1 = -m[:, None] // v
+    a2 = np.repeat(np.arange(-M, M + 1), 4)
+    s1, s2 = np.tile([(1, 1), (1, -1), (-1, 1), (-1, -1)], (2 * M + 1, 1)).T
+    b = (-m[:, None] - s1 * a2) * s2
+    valid = np.hstack([((m == 0) & ks.any(axis=1))[:, None],
+                       (m[:, None] % np.abs(v) == 0) & admissible(a1),
+                       normal[a2 + M] & (b > a2) & admissible(b)])
+    pad = np.zeros((len(m), 1), dtype=int)
+    first = np.hstack([pad, a1, np.broadcast_to(a2, b.shape)])
+    second = np.hstack([pad, 0 * a1, b])
+    kidx, slot = np.nonzero(valid)
+    at = np.stack([first[kidx, slot], second[kidx, slot]], axis=1)
+    val = np.stack([np.concatenate([[0], v, s1]),
+                    np.concatenate([[0], 0 * v, s2])], axis=1)[slot]
+    return kidx, at, val
+
+
+def _ells(at: np.ndarray, val: np.ndarray) -> list[dict[int, int]]:
+    """The ell dicts of the (P, 2) supports `at`, `val` (0 pads)."""
+    return [{a: v for a, v in zip(ra, rv) if v}
+            for ra, rv in zip(at.tolist(), val.tolist())]
 
 
 def enumerate_ell(k, J, M: int) -> list[dict[int, int]]:
     """All sparse ell with |ell|_1 <= 2, support in J^c intersect {-M..M},
-    and (k, ell) of zero total momentum.  Integer arithmetic throughout.
-
-    For |ell|_1 = 1 the support index is forced by the linear momentum
-    equation; with the +-2 single-support case there are at most four
-    candidates.
-    """
-    J = tuple(sorted(J))
-    Jset = set(J)
-    k = np.asarray(k, dtype=int)
-    m = int(np.dot(k, np.array(J, dtype=int)))
-    out: list[dict[int, int]] = []
-
-    def admissible(n: int) -> bool:
-        return abs(n) <= M and n not in Jset
-
-    # ell = 0
-    if m == 0 and np.any(k != 0):
-        out.append({})
-    # single support: ell_a in {+-1, +-2}, a*ell_a = -m
-    for v in (1, -1, 2, -2):
-        if m % abs(v) == 0:
-            a = -m // v
-            if admissible(a):
-                out.append({a: v})
-    # double support: ell_a, ell_b in {+-1}, a != b
-    for a in range(-M, M + 1):
-        if not admissible(a):
-            continue
-        for (sa, sb) in ((1, 1), (1, -1), (-1, 1), (-1, -1)):
-            b = (-m - sa * a) * sb
-            if b <= a or not admissible(b):
-                continue
-            out.append({a: sa, b: sb})
-    return out
+    and (k, ell) of zero total momentum: the one-k view of `_pairs`."""
+    _, at, val = _pairs(J, M, np.asarray(k, dtype=int)[None, :])
+    return _ells(at, val)
 
 
 @dataclass(frozen=True)
@@ -147,10 +172,10 @@ def _supports(ells) -> tuple[np.ndarray, np.ndarray]:
     return flat[..., 0], flat[..., 1]
 
 
-def _s_classes(ksum: int, at: np.ndarray, val: np.ndarray, c: float
+def _s_classes(ksum, at: np.ndarray, val: np.ndarray, c: float
                ) -> np.ndarray:
-    """S-class tags of the momentum-zero pairs (k, ell) of one k with
-    sum(k) = ksum, ell given by its (P, 2) support `at`, `val` (0 pads).
+    """S-class tags of momentum-zero pairs (k, ell), per pair sum(k) =
+    ksum and ell given by its (P, 2) support `at`, `val` (0 pads).
     "" marks ell = 0, which carries no class; the classes partition all
     ell != 0.
 
@@ -166,7 +191,7 @@ def _s_classes(ksum: int, at: np.ndarray, val: np.ndarray, c: float
         S7: sgn(L) = -sgn(ell_i), sgn(i) = sgn(j)
         S8: sgn(L) = -sgn(ell_i), sgn(i) != sgn(j).
     """
-    # `_supports` pads at the end: val[:, 0] = 0 is ell = 0 and
+    # supports pad at the end: val[:, 0] = 0 is ell = 0 and
     # val[:, 1] = 0 a single support.  Later assignments take precedence.
     v0, v1 = val.T
     lo, hi = np.sort(np.abs(at), axis=1).T
@@ -225,38 +250,56 @@ _BLOCK = 1 << 16   # values per block of a call's widest temporary
 
 
 class _Divisors:
-    """The pairs (k, ell) of one k: ell support `at`, as positions `pos`
-    into `model.normal_modes`, with values `val` (0 pads), and per pair the
-    constant, the gradient A k + B^T ell and the weight w(ell).  Called on
-    points xi (n, N), it gives the (n, P) divisors, corrections added."""
+    """Pairs (k, ell) over the k rows `ks`: per pair the row `kidx`, the
+    ell support `at`, as positions `pos` into `model.normal_modes`, with
+    values `val` (0 pads), the constant, the gradient A k + B^T ell and the
+    weight w(ell).  Called on points xi (n, N), it gives the (n, P)
+    divisors, corrections added."""
 
-    ROWS = ("at", "pos", "val", "w", "const", "grad", "nu")   # per pair
+    ROWS = ("kidx", "at", "pos", "val", "w", "const", "grad")   # per pair
 
-    def __init__(self, model: FrequencyModel, k, ells: list[dict[int, int]],
+    def __init__(self, model: FrequencyModel, ks: np.ndarray,
+                 kidx: np.ndarray, at: np.ndarray, val: np.ndarray,
                  nls: bool = False):
         self.model, self.nls = model, nls
-        self.k = np.asarray(k, dtype=int)
-        self.at, self.val = _supports(ells)
+        self.ks, self.kidx, self.at, self.val = ks, kidx, at, val
         modes = model.normal_modes
-        self.pos = np.minimum(np.searchsorted(modes, self.at), len(modes) - 1)
-        if np.any((self.val != 0) & (modes[self.pos] != self.at)):
+        self.pos = np.minimum(np.searchsorted(modes, at), len(modes) - 1)
+        if np.any((val != 0) & (modes[self.pos] != at)):
             raise ValueError("ell support must lie in the normal modes")
-        w = np.where(self.val != 0, model.w_Jc[self.pos], np.inf).min(axis=1)
+        w = np.where(val != 0, model.w_Jc[self.pos], np.inf).min(axis=1)
         self.w = np.where(np.isinf(w), 1.0, w)
         if nls:
-            self.nu = None
-            self.const = 0.5 * (self.k @ np.square(model.J)
-                                + (self.val * self.at ** 2).sum(axis=1))
+            self.const = 0.5 * ((ks @ np.square(model.J))[kidx]
+                                + (val * at ** 2).sum(axis=1))
             A, B = model.A_nls, model.B_nls
         else:
-            self.nu = self.k @ model.nu_J \
-                + (self.val * model.nu_Jc[self.pos]).sum(axis=1)
-            self.const = (self.k.sum() + self.val.sum(axis=1)) * model.c ** 2 \
-                + self.nu
+            nu = self._by_k(model.nu_J)[kidx] \
+                + (val * model.nu_Jc[self.pos]).sum(axis=1)
+            self.const = (ks.sum(axis=1)[kidx] + val.sum(axis=1)) \
+                * model.c ** 2 + nu
             A, B = model.A, model.B
-        self.grad = (A @ self.k)[None, :] \
-            + self.val[:, :1] * B[self.pos[:, 0]] \
-            + self.val[:, 1:] * B[self.pos[:, 1]]
+        self.grad = self._by_k(A)[kidx] \
+            + val[:, :1] * B[self.pos[:, 0]] \
+            + val[:, 1:] * B[self.pos[:, 1]]
+
+    @classmethod
+    def of(cls, model: FrequencyModel, k, ells: list[dict[int, int]],
+           nls: bool = False) -> "_Divisors":
+        """The pairs (k, ell) of one k over the given ell dicts."""
+        at, val = _supports(ells)
+        return cls(model, np.asarray(k, dtype=int)[None, :],
+                   np.zeros(len(val), dtype=int), at, val, nls)
+
+    def _by_k(self, X: np.ndarray) -> np.ndarray:
+        """X @ k per k row: one product per k, as a batched product over
+        the rows rounds differently."""
+        return np.array([X @ k for k in self.ks])
+
+    def pair(self, i: int) -> IndexPair:
+        return make_pair(self.ks[self.kidx[i]],
+                         _ells(self.at[i:i + 1], self.val[i:i + 1])[0],
+                         self.model.J)
 
     @property
     def width(self) -> int:
@@ -269,11 +312,12 @@ class _Divisors:
                                       for t in tables])
 
     def rows(self, keep: np.ndarray) -> "_Divisors":
-        """The same k with only the pairs `keep` selects."""
+        """Only the pairs `keep` selects, over only the k rows they use."""
         sub = copy.copy(self)
         for name in self.ROWS:
-            if getattr(self, name) is not None:
-                setattr(sub, name, getattr(self, name)[keep])
+            setattr(sub, name, getattr(self, name)[keep])
+        used, sub.kidx = np.unique(sub.kidx, return_inverse=True)
+        sub.ks = self.ks[used]
         return sub
 
     def __call__(self, xi: np.ndarray) -> np.ndarray:
@@ -281,7 +325,7 @@ class _Divisors:
         out += self.const
         m = self.model
         if not self.nls and m.delta is not None:
-            out += (m.delta(xi) @ self.k)[:, None]
+            out += self._by_k(m.delta(xi))[self.kidx].T
         if not self.nls and m.Delta is not None:
             D = m.Delta(xi)
             out += D[:, self.pos[:, 0]] * self.val[:, 0]
@@ -298,10 +342,10 @@ class _Divisors:
         lo, hi = centre - spread, centre + spread
         corr = np.zeros_like(lo)
         if not self.nls and m.delta is not None:
-            dk = m.delta.values @ self.k
-            lo += dk.min()
-            hi += dk.max()
-            corr += np.abs(dk).max()
+            dk = self._by_k(m.delta.values)
+            lo += dk.min(axis=1)[self.kidx]
+            hi += dk.max(axis=1)[self.kidx]
+            corr += np.abs(dk).max(axis=1)[self.kidx]
         if not self.nls and m.Delta is not None:
             D = m.Delta.values
             dD = D[:, self.pos[:, 0]] * self.val[:, 0] \
@@ -314,18 +358,22 @@ class _Divisors:
         return np.maximum(lo, -hi) - margin
 
     def threshold(self, query: ResonantQuery) -> np.ndarray:
-        k1 = int(np.abs(self.k).sum())
-        kb = math.sqrt(1.0 + k1 * k1)
-        return query.alpha / (kb ** query.tau * self.w ** query.theta)
+        kb = [math.sqrt(1.0 + k1 * k1) ** query.tau
+              for k1 in np.abs(self.ks).sum(axis=1).tolist()]
+        return query.alpha / (np.array(kb)[self.kidx]
+                              * self.w ** query.theta)
 
 
-def _pair_tables(model: FrequencyModel, kmax: int, kmin: int = 0):
-    """(k, ells) for every k with kmin <= |k|_1 <= kmax and at least one
-    ell: the one loop over the momentum-zero pairs."""
-    for k in iter_k(model.N, kmax):
-        if int(np.abs(k).sum()) >= kmin \
-                and (ells := enumerate_ell(k, model.J, model.M)):
-            yield k, ells
+def _tables(model: FrequencyModel, kmax: int, kmin: int = 0):
+    """(ks, kidx, at, val) per block of the k rows with kmin <= |k|_1 <=
+    kmax, `_pairs` of each block: the one loop over the momentum-zero
+    pairs.  A block has at most _BLOCK / 8 candidate slots."""
+    ks = _k_rows(model.N, kmax)
+    ks = ks[np.abs(ks).sum(axis=1) >= kmin]
+    step = max(1, _BLOCK // (8 * (5 + 4 * (2 * model.M + 1))))
+    for i in range(0, len(ks), step):
+        yield (ks[i:i + step],
+               *_pairs(model.J, model.M, ks[i:i + step]))
 
 
 def _blocks(n: int, width: int):
@@ -357,25 +405,25 @@ def _min_abs(div: _Divisors, xi: np.ndarray) -> np.ndarray:
 
 def weight_w(model: FrequencyModel, ell: dict[int, int]) -> float:
     """min over supp(ell) of the mode weight w_i; w(0) = 1 for empty ell."""
-    return float(_Divisors(model, np.zeros(model.N, dtype=int), [ell]).w[0])
+    return float(_Divisors.of(model, np.zeros(model.N, dtype=int), [ell]).w[0])
 
 
 def threshold(model: FrequencyModel, query: ResonantQuery,
               pair: IndexPair) -> float:
-    div = _Divisors(model, pair.k, [pair.ell_dict])
+    div = _Divisors.of(model, pair.k, [pair.ell_dict])
     return float(div.threshold(query)[0])
 
 
 def divisor(model: FrequencyModel, xi, pair: IndexPair,
             nls: bool = False) -> float:
     """<omega(xi), k> + <Omega(xi), ell>, corrections included."""
-    div = _Divisors(model, pair.k, [pair.ell_dict], nls)
+    div = _Divisors.of(model, pair.k, [pair.ell_dict], nls)
     return float(div(model.check_xi(xi)[None, :])[0, 0])
 
 
 def is_resonant(model: FrequencyModel, xi, pair: IndexPair,
                 query: ResonantQuery, nls: bool = False) -> bool:
-    div = _Divisors(model, pair.k, [pair.ell_dict], nls)
+    div = _Divisors.of(model, pair.k, [pair.ell_dict], nls)
     return bool(abs(div(model.check_xi(xi)[None, :])[0, 0])
                 < div.threshold(query)[0])
 
@@ -418,8 +466,8 @@ def measure_estimate_mc(model: FrequencyModel, k, query: ResonantQuery,
     if ells is None:
         ells = enumerate_ell(k, model.J, model.M)
     xi = sample_xi(model, query.samples, query.seed)
-    div = _Divisors(model, k, [e for e in ells if k.any() or any(e.values())],
-                    nls)
+    div = _Divisors.of(model, k,
+                       [e for e in ells if k.any() or any(e.values())], nls)
     hits = int(np.count_nonzero(_hits(div, xi, query)))
     lo, hi = wilson_interval(hits, query.samples)
     return MeasureResult(fraction=hits / query.samples, ci_lo=lo, ci_hi=hi,
@@ -440,24 +488,26 @@ def nongauge_scan(model: FrequencyModel, kappa: float = 0.5,
     corners = model.xi_corners()
     best, arg, n_pairs = math.inf, None, 0
     s8_best, s8_row, s8_count = math.inf, None, 0
-    for k, ells in _pair_tables(model, kmax):
-        L = int(np.sum(k))
-        ells = [ell for ell in ells if L + sum(ell.values()) != 0
-                and all(abs(a) <= c / 2 for a in ell)]
-        if not ells:
+    for ks, kidx, at, val in _tables(model, kmax):
+        ksum = ks.sum(axis=1)[kidx]
+        keep = (ksum + val.sum(axis=1) != 0) \
+            & np.all(np.abs(at) <= c / 2, axis=1)
+        if not keep.any():
             continue
-        n_pairs += len(ells)
-        div = _Divisors(model, k, ells)
+        div = _Divisors(model, ks, kidx[keep], at[keep], val[keep])
+        n_pairs += len(div.val)
         mins = _min_abs(div, corners) / (c * c)
+        # first minima in enumeration order, strict < across blocks
         i = int(np.argmin(mins))
         if mins[i] < best:
-            best = float(mins[i])
-            arg = {"k": [int(v) for v in k], "ell": dict(ells[i])}
-        s8 = np.flatnonzero(_s_classes(L, div.at, div.val, c) == "S8")
+            best, pair = float(mins[i]), div.pair(i)
+            arg = {"k": list(pair.k), "ell": dict(pair.ell)}
+        s8 = np.flatnonzero(_s_classes(ksum[keep], div.at, div.val, c)
+                            == "S8")
         s8_count += len(s8)
         i = int(s8[np.argmin(mins[s8])]) if len(s8) else None
         if i is not None and mins[i] < s8_best:
-            pair = make_pair(k, ells[i], model.J)
+            pair = div.pair(i)
             s8_best, loc = float(mins[i]), s8_localization(pair, c)
             s8_row = {"k": list(pair.k), "ell": dict(pair.ell),
                       "center": loc["center"], "min_over_c2": s8_best,
@@ -480,10 +530,11 @@ def cantor_excision(model: FrequencyModel, query: ResonantQuery,
     xi = sample_xi(model, query.samples, query.seed)
     excised = np.zeros(query.samples, dtype=bool)
     n_sets = 0
-    for k, ells in _pair_tables(model, kmax, K_cut + 1):
+    for ks, kidx, at, val in _tables(model, kmax, K_cut + 1):
         for nls in (False, True):
-            excised |= _hits(_Divisors(model, k, ells, nls), xi, query)
-        n_sets += len(ells)
+            excised |= _hits(_Divisors(model, ks, kidx, at, val, nls), xi,
+                             query)
+        n_sets += len(kidx)
     hits = int(np.count_nonzero(excised))
     lo, hi = wilson_interval(hits, query.samples)
     return {"excised_fraction": hits / query.samples,

@@ -5,7 +5,6 @@ as they pass."""
 import math
 
 import numpy as np
-import pytest
 
 from kgnls.birkhoff import (lambda_plus_closed_form, remainder_split,
                             solve_cohomological_nls,
@@ -17,8 +16,7 @@ from kgnls.divisors import (ResonantQuery, cantor_excision,
 from kgnls.frequencies import (Omega0_remainder, bateman_inverse,
                                bateman_norm_bound, build_model,
                                omega0_remainder)
-from kgnls.hamiltonian import (build_Lambda_nls, build_P, build_P_nls,
-                               gauge_sum)
+from kgnls.hamiltonian import build_P, build_P_nls, gauge_sum
 from kgnls.kam_schedule import ScheduleParams, generate, init_exponents
 from kgnls.spectral_core import (FourierState, FrequencyTable, SpaceParams,
                                  lambda_freq, nu, seq_norm)

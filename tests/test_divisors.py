@@ -2,13 +2,15 @@
 
 import itertools
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from kgnls.divisors import (IndexPair, ResonantQuery, S_CLASSES,
+from kgnls import divisors
+from kgnls.divisors import (ResonantQuery, S_CLASSES,
                             cantor_excision, center_pair_correction,
                             classify_pair, divisor, enumerate_ell,
                             is_resonant, iter_k, make_pair,
@@ -51,6 +53,40 @@ def test_enumerate_ell_matches_brute_force(k):
     want = brute_force_ells(k, J3, M)
     key = lambda d: tuple(sorted(d.items()))  # noqa: E731
     assert sorted(map(key, got)) == sorted(map(key, want))
+
+
+def enumeration_order(ell):
+    """The documented pair order within one k: ell = 0, the single supports
+    by value in (1, -1, 2, -2), then the double supports {a, b}, a < b, by
+    a and by sign pair in (1,1), (1,-1), (-1,1), (-1,-1) order."""
+    items = sorted(ell.items())
+    if len(items) < 2:
+        return (len(items), [0, 1, -1, 2, -2].index(sum(ell.values())))
+    (a, sa), (_, sb) = items
+    return (2, a, [(1, 1), (1, -1), (-1, 1), (-1, -1)].index((sa, sb)))
+
+
+@pytest.mark.parametrize("J,M,kmax", [((1, 2, 3), 12, 3), ((1, 3, 5), 7, 3),
+                                      ((1, 2, 3, 4), 6, 2),
+                                      ((2, 5, 7), 8, 4)])
+def test_pair_table_is_brute_force_in_enumeration_order(J, M, kmax):
+    # argmin ties resolve to the first pair, so the order is part of the API
+    ks = [k for k in itertools.product(range(-kmax, kmax + 1), repeat=len(J))
+          if sum(map(abs, k)) <= kmax]
+    want = [(k, list(ell.items())) for k in ks
+            for ell in sorted(brute_force_ells(k, J, M),
+                              key=enumeration_order)]
+    model = build_model(10.0, J, M, 1e-2)
+    with mock.patch.object(divisors, "_BLOCK", 4000):   # several blocks
+        tables = list(divisors._tables(model, kmax))
+    assert len(tables) > 1
+    got = [(tuple(k.tolist()), list(ell.items()))
+           for rows, kidx, at, val in tables
+           for k, ell in zip(rows[kidx], divisors._ells(at, val))]
+    assert got == want
+    assert [tuple(k) for k in iter_k(len(J), kmax)] == ks
+    assert [(k, list(ell.items())) for k in ks
+            for ell in enumerate_ell(k, J, M)] == want
 
 
 def test_enumerated_pairs_have_zero_momentum():

@@ -242,12 +242,13 @@ def test_pruned_pairs_stay_above_threshold_in_the_box(model, alpha, theta,
     for nls in (False, True):
         om, Om = (np.array(f) for f in zip(*(ref_freqs(model, x, nls)
                                              for x in xi)))
-        for k, ells in divisors._pair_tables(model, 2, 1):
-            div = divisors._Divisors(model, k, ells, nls)
+        for ks, kidx, at, val in divisors._tables(model, 2, 1):
+            div = divisors._Divisors(model, ks, kidx, at, val, nls)
             floor = div.floor()
             dropped = floor > div.threshold(q)
             n_dropped += int(dropped.sum())
-            for ell, fl, drop in zip(ells, floor, dropped):
+            for k, ell, fl, drop in zip(ks[kidx], divisors._ells(at, val),
+                                        floor, dropped):
                 d = np.abs(om @ k + sum(v * Om[:, idx[a]]
                                         for a, v in ell.items()))
                 assert np.all(d >= fl)
@@ -282,10 +283,9 @@ def test_cantor_excision_evaluates_only_pairs_that_can_hit(theta):
 def test_s_classes_match_scalar_reference(c):
     model = build_model(c, J3, 12, 1e-2)
     seen = set()
-    for k, ells in divisors._pair_tables(model, 4):
-        div = divisors._Divisors(model, k, ells)
-        tags = divisors._s_classes(int(k.sum()), div.at, div.val, c)
-        for ell, tag in zip(ells, tags):
+    for ks, kidx, at, val in divisors._tables(model, 4):
+        tags = divisors._s_classes(ks.sum(axis=1)[kidx], at, val, c)
+        for k, ell, tag in zip(ks[kidx], divisors._ells(at, val), tags):
             if not ell:
                 assert tag == ""
                 continue
@@ -313,3 +313,22 @@ def test_nongauge_scan_matches_per_pair_reference(c, kmax):
     assert abs(got.pop("min_over_c2") - want.pop("min_over_c2")) \
         <= 1e-12 * best
     assert got == want
+
+
+@pytest.mark.parametrize("c", [25.0, 100.0])
+def test_nongauge_scan_is_the_same_across_block_boundaries(c):
+    # +-(k, ell) tie exactly, so the first minimum must survive the blocks
+    model = build_model(c, J3, 12, 1e-2)
+    with mock.patch.object(divisors, "_BLOCK", 2000):   # two k per block
+        small = nongauge_scan(model, kappa=0.5)
+    assert small == nongauge_scan(model, kappa=0.5)
+
+
+def test_cantor_excision_is_the_same_across_block_boundaries():
+    model = center_pair_correction(build_model(10.0, J3, 20, 1e-2),
+                                   make_pair((1, -1, 0), {-1: -1}, J3))
+    q = ResonantQuery(alpha=1e-6, tau=2.0, theta=0.4, samples=500, seed=3)
+    with mock.patch.object(divisors, "_BLOCK", 2000):   # one k per block
+        small = cantor_excision(model, q, K_cut=0, kmax=3)
+    rep = cantor_excision(model, q, K_cut=0, kmax=3)
+    assert small == rep and rep["excised_fraction"] > 0

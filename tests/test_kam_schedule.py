@@ -5,10 +5,10 @@ import math
 import numpy as np
 import pytest
 
-from kgnls.kam_schedule import (KamSchedule, ScheduleDivergence,
-                                ScheduleParams, generate, init_exponents,
-                                minimal_K1, predicted_bounds,
-                                smallness_check, write_schedule_csv)
+from kgnls.kam_schedule import (ScheduleDivergence, ScheduleParams,
+                                generate, init_exponents, minimal_K1,
+                                predicted_bounds, smallness_check,
+                                write_schedule_csv)
 
 
 def params(**kw):
