@@ -13,29 +13,23 @@ The pairs form one array table: `_pairs` lists the momentum-zero pairs of
 a block of k rows as (kidx, at, val), the k row and the (P, 2) support and
 values of ell, in one fixed order.  `_tables` cuts the k rows into blocks
 of _BLOCK // (8 (5 + 4(2M+1))) rows, at most _BLOCK / 8 candidate slots;
-`iter_k` and `enumerate_ell` are views of the same table.
+`enumerate_ell` is the one-k view of the same table.
 
 One kernel, `_Divisors`, evaluates every divisor of such a table, as
-L c^2 + <nu, (k, ell)> + <A k + B^T ell, xi> + corrections (the
-Schrodinger family: j^2/2 and the NLS matrices); the products with k are
-taken once per k row and gathered per pair.  Correction rule: delta and
-Delta take their nearest-neighbour `CorrectionTable` values at each point;
-the Schrodinger family has none.  Callers reduce the (points x pairs)
-values in blocks of points, so that no temporary of the kernel (values,
-table distances) holds more than `_BLOCK` values (512 KiB of float64).
+L c^2 + <nu, (k, ell)> + <A k + B^T ell, xi> + <delta, k> (the
+Schrodinger family: j^2/2 and the NLS matrices, no delta); the products
+with k are taken once per k row and gathered per pair.  delta is the
+model's constant tangential-frequency shift, if any.  Callers reduce the
+(points x pairs) values in blocks of points, so that no temporary of the
+kernel holds more than `_BLOCK` values (512 KiB of float64).
 
 Resonant-set hits (`_hits`) take points inside the model's amplitude box
 [xi_lo, xi_hi], as `sample_xi` draws them, and evaluate only the pairs that
-can come below their threshold there.  On the box the affine part of a
-divisor ranges over <g, mid> + const +- <|g|, half>; a nearest-neighbour
-table adds one of its own rows, so the divisor also lies within the min and
-max over the rows of delta.values @ k and of the Delta row at the support
-of ell, times ell.  `_Divisors.floor` turns that range into a lower bound
-on |divisor|, less a rounding margin of 1e-12 (|const| + <|g|, max |xi|> +
-max |correction|); a pair whose floor exceeds its threshold has no hit
-anywhere in the box and is dropped.  The bound is exact for a one-point
-table, sound for any table, and holds no correction term for the
-Schrodinger family.
+can come below their threshold there.  On the box a divisor ranges over
+<g, mid> + const + <delta, k> +- <|g|, half>.  `_Divisors.floor` turns that
+range into a lower bound on |divisor|, less a rounding margin of 1e-12
+(|const| + <|g|, max |xi|> + |<delta, k>|); a pair whose floor exceeds its
+threshold has no hit anywhere in the box and is dropped.
 """
 
 from __future__ import annotations
@@ -46,7 +40,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .frequencies import CorrectionTable, FrequencyModel
+from .frequencies import FrequencyModel
 
 S_CLASSES = ("S0", "S1", "S2", "S4", "S5", "S6", "S7", "S8")
 
@@ -56,11 +50,6 @@ def _k_rows(N: int, kmax: int) -> np.ndarray:
     as rows in `itertools.product` order."""
     k = np.indices((max(0, 2 * kmax + 1),) * N).reshape(N, -1).T - kmax
     return k[np.abs(k).sum(axis=1) <= kmax]
-
-
-def iter_k(N: int, kmax: int):
-    """The rows of `_k_rows`, one k at a time."""
-    yield from _k_rows(N, kmax)
 
 
 def _pairs(J, M: int, ks: np.ndarray
@@ -143,17 +132,8 @@ class IndexPair:
         return sum(abs(v) for _, v in self.ell)
 
     @property
-    def momentum(self) -> int:
-        return (sum(j * v for j, v in zip(self.J, self.k))
-                + sum(n * v for n, v in self.ell))
-
-    @property
     def gauge_sum(self) -> int:
         return sum(self.k) + sum(v for _, v in self.ell)
-
-    @property
-    def in_ZM(self) -> bool:
-        return self.momentum == 0
 
 
 def make_pair(k, ell: dict[int, int], J) -> IndexPair:
@@ -209,16 +189,6 @@ def _s_classes(ksum, at: np.ndarray, val: np.ndarray, c: float
     return out
 
 
-def classify_pair(pair: IndexPair, c: float) -> str:
-    """S-class tag of one pair: the one-row case of `_s_classes`."""
-    if not pair.in_ZM:
-        raise ValueError("classification requires zero momentum")
-    if not pair.ell:
-        raise ValueError("ell = 0 carries no S-class")
-    at, val = _supports([pair.ell_dict])
-    return str(_s_classes(sum(pair.k), at, val, c)[0])
-
-
 def s8_localization(pair: IndexPair, c: float) -> dict:
     """For the sum class with opposite gauge sign (S8): both support
     magnitudes must sit near c*x_L with x_L = sqrt(L/2 (L/2 + 2))."""
@@ -251,12 +221,11 @@ _BLOCK = 1 << 16   # values per block of a call's widest temporary
 
 class _Divisors:
     """Pairs (k, ell) over the k rows `ks`: per pair the row `kidx`, the
-    ell support `at`, as positions `pos` into `model.normal_modes`, with
-    values `val` (0 pads), the constant, the gradient A k + B^T ell and the
-    weight w(ell).  Called on points xi (n, N), it gives the (n, P)
-    divisors, corrections added."""
+    ell support `at` with values `val` (0 pads), the constant, the gradient
+    A k + B^T ell and the weight w(ell).  Called on points xi (n, N), it gives the (n, P)
+    divisors, the model's delta included."""
 
-    ROWS = ("kidx", "at", "pos", "val", "w", "const", "grad")   # per pair
+    ROWS = ("kidx", "at", "val", "w", "const", "grad")   # per pair
 
     def __init__(self, model: FrequencyModel, ks: np.ndarray,
                  kidx: np.ndarray, at: np.ndarray, val: np.ndarray,
@@ -264,10 +233,10 @@ class _Divisors:
         self.model, self.nls = model, nls
         self.ks, self.kidx, self.at, self.val = ks, kidx, at, val
         modes = model.normal_modes
-        self.pos = np.minimum(np.searchsorted(modes, at), len(modes) - 1)
-        if np.any((val != 0) & (modes[self.pos] != at)):
+        pos = np.minimum(np.searchsorted(modes, at), len(modes) - 1)
+        if np.any((val != 0) & (modes[pos] != at)):
             raise ValueError("ell support must lie in the normal modes")
-        w = np.where(val != 0, model.w_Jc[self.pos], np.inf).min(axis=1)
+        w = np.where(val != 0, model.w_Jc[pos], np.inf).min(axis=1)
         self.w = np.where(np.isinf(w), 1.0, w)
         if nls:
             self.const = 0.5 * ((ks @ np.square(model.J))[kidx]
@@ -275,13 +244,13 @@ class _Divisors:
             A, B = model.A_nls, model.B_nls
         else:
             nu = self._by_k(model.nu_J)[kidx] \
-                + (val * model.nu_Jc[self.pos]).sum(axis=1)
+                + (val * model.nu_Jc[pos]).sum(axis=1)
             self.const = (ks.sum(axis=1)[kidx] + val.sum(axis=1)) \
                 * model.c ** 2 + nu
             A, B = model.A, model.B
         self.grad = self._by_k(A)[kidx] \
-            + val[:, :1] * B[self.pos[:, 0]] \
-            + val[:, 1:] * B[self.pos[:, 1]]
+            + val[:, :1] * B[pos[:, 0]] \
+            + val[:, 1:] * B[pos[:, 1]]
 
     @classmethod
     def of(cls, model: FrequencyModel, k, ells: list[dict[int, int]],
@@ -301,16 +270,6 @@ class _Divisors:
                          _ells(self.at[i:i + 1], self.val[i:i + 1])[0],
                          self.model.J)
 
-    @property
-    def width(self) -> int:
-        """Per point, the widest temporary of a call: one value per pair,
-        or a table's nearest-neighbour distances and gathered values."""
-        tables = [] if self.nls else [t for t in (self.model.delta,
-                                                  self.model.Delta)
-                                      if t is not None]
-        return max([len(self.val)] + [t.points.size + t.values.shape[1]
-                                      for t in tables])
-
     def rows(self, keep: np.ndarray) -> "_Divisors":
         """Only the pairs `keep` selects, over only the k rows they use."""
         sub = copy.copy(self)
@@ -320,41 +279,29 @@ class _Divisors:
         sub.ks = self.ks[used]
         return sub
 
+    def shift(self) -> np.ndarray | float:
+        """Per pair <delta, k>; 0 for the Schrodinger family or no delta."""
+        if self.nls or self.model.delta is None:
+            return 0.0
+        return self._by_k(self.model.delta)[self.kidx]
+
     def __call__(self, xi: np.ndarray) -> np.ndarray:
         out = xi @ self.grad.T
         out += self.const
-        m = self.model
-        if not self.nls and m.delta is not None:
-            out += self._by_k(m.delta(xi))[self.kidx].T
-        if not self.nls and m.Delta is not None:
-            D = m.Delta(xi)
-            out += D[:, self.pos[:, 0]] * self.val[:, 0]
-            out += D[:, self.pos[:, 1]] * self.val[:, 1]
+        out += self.shift()
         return out
 
     def floor(self) -> np.ndarray:
         """Per pair: a lower bound on |divisor| over the model's amplitude
         box, less the rounding margin of the module docstring."""
-        m = self.model
+        m, dk = self.model, self.shift()
         mid, half = 0.5 * (m.xi_hi + m.xi_lo), 0.5 * (m.xi_hi - m.xi_lo)
         centre = self.grad @ mid + self.const
         spread = np.abs(self.grad) @ half
-        lo, hi = centre - spread, centre + spread
-        corr = np.zeros_like(lo)
-        if not self.nls and m.delta is not None:
-            dk = self._by_k(m.delta.values)
-            lo += dk.min(axis=1)[self.kidx]
-            hi += dk.max(axis=1)[self.kidx]
-            corr += np.abs(dk).max(axis=1)[self.kidx]
-        if not self.nls and m.Delta is not None:
-            D = m.Delta.values
-            dD = D[:, self.pos[:, 0]] * self.val[:, 0] \
-                + D[:, self.pos[:, 1]] * self.val[:, 1]
-            lo += dD.min(axis=0)
-            hi += dD.max(axis=0)
-            corr += np.abs(dD).max(axis=0)
+        lo, hi = centre - spread + dk, centre + spread + dk
         xmax = np.maximum(np.abs(m.xi_lo), np.abs(m.xi_hi))
-        margin = 1e-12 * (np.abs(self.const) + np.abs(self.grad) @ xmax + corr)
+        margin = 1e-12 * (np.abs(self.const) + np.abs(self.grad) @ xmax
+                          + np.abs(dk))
         return np.maximum(lo, -hi) - margin
 
     def threshold(self, query: ResonantQuery) -> np.ndarray:
@@ -391,7 +338,7 @@ def _hits(div: _Divisors, xi: np.ndarray, query: ResonantQuery
     hit = np.zeros(len(xi), dtype=bool)
     if keep.any():
         div, thr = div.rows(keep), thr[keep]
-        for s in _blocks(len(xi), div.width):
+        for s in _blocks(len(xi), len(div.val)):
             vals = div(xi[s])
             hit[s] = (np.abs(vals, out=vals) < thr).any(axis=1)
     return hit
@@ -400,32 +347,14 @@ def _hits(div: _Divisors, xi: np.ndarray, query: ResonantQuery
 def _min_abs(div: _Divisors, xi: np.ndarray) -> np.ndarray:
     """Per pair: min |divisor| over the points."""
     return np.min([np.abs(div(xi[s])).min(axis=0)
-                   for s in _blocks(len(xi), div.width)], axis=0)
-
-
-def weight_w(model: FrequencyModel, ell: dict[int, int]) -> float:
-    """min over supp(ell) of the mode weight w_i; w(0) = 1 for empty ell."""
-    return float(_Divisors.of(model, np.zeros(model.N, dtype=int), [ell]).w[0])
-
-
-def threshold(model: FrequencyModel, query: ResonantQuery,
-              pair: IndexPair) -> float:
-    div = _Divisors.of(model, pair.k, [pair.ell_dict])
-    return float(div.threshold(query)[0])
+                   for s in _blocks(len(xi), len(div.val))], axis=0)
 
 
 def divisor(model: FrequencyModel, xi, pair: IndexPair,
             nls: bool = False) -> float:
-    """<omega(xi), k> + <Omega(xi), ell>, corrections included."""
+    """<omega(xi), k> + <Omega(xi), ell>, the model's delta included."""
     div = _Divisors.of(model, pair.k, [pair.ell_dict], nls)
     return float(div(model.check_xi(xi)[None, :])[0, 0])
-
-
-def is_resonant(model: FrequencyModel, xi, pair: IndexPair,
-                query: ResonantQuery, nls: bool = False) -> bool:
-    div = _Divisors.of(model, pair.k, [pair.ell_dict], nls)
-    return bool(abs(div(model.check_xi(xi)[None, :])[0, 0])
-                < div.threshold(query)[0])
 
 
 def wilson_interval(successes: int, n: int) -> tuple[float, float]:
@@ -555,6 +484,4 @@ def center_pair_correction(model: FrequencyModel,
         raise ValueError("centering requires k != 0")
     center = 0.5 * (model.xi_lo + model.xi_hi)
     d = divisor(model, center, pair)
-    shift = (-d / k2) * k
-    return replace(model, delta=CorrectionTable(
-        points=center[None, :], values=shift[None, :]))
+    return replace(model, delta=(-d / k2) * k)

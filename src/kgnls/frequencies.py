@@ -6,8 +6,10 @@ Matrix conventions:
     B_nj = N_nj / (w_n w_j),         n in J^c, j in J
     N_ij = 3/(8 pi) (2 - delta_ij),  w_j = sqrt(1 + h j^2) = 1 + h nu_j.
 The NLS matrices drop the weight factors.  Frequency maps are affine:
-    omega0(xi)  = lambda|_J   + A xi  (+ delta correction)
-    Omega0(xi)  = lambda|_J^c + B xi  (+ Delta correction)
+    omega0(xi)  = lambda|_J   + A xi  (+ delta)
+    Omega0(xi)  = lambda|_J^c + B xi
+where delta, when set, is a constant shift of the tangential frequencies
+(`divisors.center_pair_correction` sets one).
 """
 
 from __future__ import annotations
@@ -20,24 +22,6 @@ from .spectral_core import TWO_PI, FrequencyTable
 
 N_OFFDIAG = 3.0 / (4.0 * TWO_PI) * 2.0   # 3/(4 pi)
 N_DIAG = 3.0 / (4.0 * TWO_PI)            # 3/(8 pi)
-
-
-@dataclass
-class CorrectionTable:
-    """Tabulated frequency corrections on a sample grid of xi values,
-    extended off the samples by nearest neighbour (a deliberate, documented
-    simplification of a Lipschitz extension)."""
-    points: np.ndarray   # (n_samples, N)
-    values: np.ndarray   # (n_samples, dim_out)
-
-    def __call__(self, xi: np.ndarray) -> np.ndarray:
-        """Values at the nearest sample of each point: (n, N) points give
-        (n, dim_out) values; a single point (N,) is the one-row case."""
-        xi = np.asarray(xi, dtype=float)
-        d = np.linalg.norm(self.points[None, :, :]
-                           - np.atleast_2d(xi)[:, None, :], axis=2)
-        out = self.values[np.argmin(d, axis=1)]
-        return out if xi.ndim == 2 else out[0]
 
 
 @dataclass
@@ -58,8 +42,7 @@ class FrequencyModel:
     nu_Jc: np.ndarray
     w_J: np.ndarray
     w_Jc: np.ndarray
-    delta: CorrectionTable | None = None
-    Delta: CorrectionTable | None = None
+    delta: np.ndarray | None = None   # (N,) constant shift of omega0
     xi_lo: np.ndarray = field(default=None)  # type: ignore[assignment]
     xi_hi: np.ndarray = field(default=None)  # type: ignore[assignment]
 
@@ -134,16 +117,13 @@ def omega0(model: FrequencyModel, xi) -> np.ndarray:
     xi = model.check_xi(xi)
     out = model.lam_J + model.A @ xi
     if model.delta is not None:
-        out = out + model.delta(xi)
+        out = out + model.delta
     return out
 
 
 def Omega0(model: FrequencyModel, xi) -> np.ndarray:
     xi = model.check_xi(xi)
-    out = model.lam_Jc + model.B @ xi
-    if model.Delta is not None:
-        out = out + model.Delta(xi)
-    return out
+    return model.lam_Jc + model.B @ xi
 
 
 def omega0_nls(model: FrequencyModel, xi) -> np.ndarray:

@@ -158,7 +158,9 @@ def minimal_K1(params: ScheduleParams, log_rho1: float) -> int:
 
 def generate(params: ScheduleParams, log_eps0: float, nu_max: int = 16
              ) -> KamSchedule:
-    """The cascade from eps_0 = exp(log_eps0), with the minimal K1."""
+    """The cascade from eps_0 = exp(log_eps0), with the minimal K1.  Raises
+    ScheduleDivergence if the smallness margin fails, eps stops shrinking,
+    s_nu is exhausted or some K_nu is too large for a float."""
     check = smallness_check(params, log_eps0)
     if not check["passed"]:
         raise ScheduleDivergence(
@@ -174,7 +176,14 @@ def generate(params: ScheduleParams, log_eps0: float, nu_max: int = 16
     alpha[0] = params.alpha0
     nus = np.arange(1, n)
     alpha[1:] = (alpha1 / 2.0) * (1.0 + 2.0 ** (1.0 - nus))
-    K = K1 * 2.0 ** (np.arange(n) - 1.0)
+    K = np.empty(n)
+    for nu in range(n):
+        try:   # int division rounds once, and raises past the float range
+            K[nu] = K1 * 2 ** nu / 2
+        except OverflowError:
+            raise ScheduleDivergence(
+                f"K_nu = 2^(nu-1) K_1 is not a finite float at nu = {nu}"
+            ) from None
     mu = params.mu
     log_denom = np.log(alpha) + mu * np.log(sigma)   # log(alpha sigma^mu)
     log_eps = np.empty(n)

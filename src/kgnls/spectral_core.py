@@ -40,13 +40,6 @@ def nu(h: float, j: int | np.ndarray) -> float | np.ndarray:
     return out.item() if out.ndim == 0 else out
 
 
-def bracket(j: int | np.ndarray) -> float | np.ndarray:
-    """Japanese bracket <j> = sqrt(1 + j^2)."""
-    j = np.asarray(j, dtype=float)
-    out = np.sqrt(1.0 + j * j)
-    return out.item() if out.ndim == 0 else out
-
-
 @dataclass(frozen=True)
 class SpaceParams:
     """Parameters (a, p, beta) of the weighted sequence space, plus the

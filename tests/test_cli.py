@@ -87,6 +87,25 @@ def test_schedule_divergence_exits_3(runner, tmp_path):
     assert (man["status"], man["exit_code"]) == ("numeric_anomaly", 3)
 
 
+@pytest.mark.parametrize("log_eps0,nu", [(-4790.0, 5), (-6000.0, 0)])
+def test_schedule_K_overflow_exits_3(runner, tmp_path, log_eps0, nu):
+    # K_nu = 2^(nu-1) K_1 outgrows the float range: at -4790 from nu = 5,
+    # at -6000 already K_1 (an exact big integer) has no float
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"log_eps0": log_eps0}))
+    out = tmp_path / "run"
+    res = runner.invoke(main, ["schedule", "--config", str(cfg),
+                               "--out", str(out)])
+    assert res.exit_code == 3
+    assert f"not a finite float at nu = {nu}" in res.output
+    man = json.loads((out / "manifest.json").read_text())
+    assert (man["status"], man["exit_code"]) == ("numeric_anomaly", 3)
+    assert man["warnings"] == []
+    for path in out.iterdir():
+        text = path.read_text().lower()
+        assert "inf" not in text and "nan" not in text, path.name
+
+
 def test_measure_reproducible(runner, tmp_path):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"samples": 500, "M": 12,

@@ -12,19 +12,32 @@ from hypothesis import strategies as st
 from kgnls import divisors
 from kgnls.divisors import (ResonantQuery, S_CLASSES,
                             cantor_excision, center_pair_correction,
-                            classify_pair, divisor, enumerate_ell,
-                            is_resonant, iter_k, make_pair,
+                            divisor, enumerate_ell, make_pair,
                             measure_estimate_mc, nongauge_scan,
-                            s8_localization, sample_xi, threshold,
-                            weight_w, wilson_interval)
-from kgnls.frequencies import (Omega0_nls, Omega0_remainder, build_model,
-                               omega0_nls, omega0_remainder)
+                            s8_localization, sample_xi, wilson_interval)
+from kgnls.frequencies import (Omega0, Omega0_nls, Omega0_remainder,
+                               build_model, omega0, omega0_nls,
+                               omega0_remainder)
 
 J3 = (1, 2, 3)
 
 
 def small_model(c=10.0, M=20, R=1e-2):
     return build_model(c, J3, M, R)
+
+
+def one_pair(model, pair, nls=False):
+    """The divisor table of one pair."""
+    return divisors._Divisors.of(model, pair.k, [pair.ell_dict], nls)
+
+
+def pair_tags(J, M, kmax, c):
+    """(k, ell, S-class tag) over the momentum-zero pairs with ell != 0."""
+    ks = divisors._k_rows(len(J), kmax)
+    kidx, at, val = divisors._pairs(J, M, ks)
+    tags = divisors._s_classes(ks.sum(axis=1)[kidx], at, val, c)
+    return [(k, ell, str(t)) for k, ell, t
+            in zip(ks[kidx], divisors._ells(at, val), tags) if ell]
 
 
 def brute_force_ells(k, J, M):
@@ -84,13 +97,13 @@ def test_pair_table_is_brute_force_in_enumeration_order(J, M, kmax):
            for rows, kidx, at, val in tables
            for k, ell in zip(rows[kidx], divisors._ells(at, val))]
     assert got == want
-    assert [tuple(k) for k in iter_k(len(J), kmax)] == ks
+    assert [tuple(k) for k in divisors._k_rows(len(J), kmax)] == ks
     assert [(k, list(ell.items())) for k in ks
             for ell in enumerate_ell(k, J, M)] == want
 
 
 def test_enumerated_pairs_have_zero_momentum():
-    for k in iter_k(3, 2):
+    for k in divisors._k_rows(3, 2):
         for ell in enumerate_ell(k, J3, 10):
             mom = sum(int(kv) * j for kv, j in zip(k, J3)) \
                 + sum(a * v for a, v in ell.items())
@@ -103,38 +116,23 @@ def test_pair_validation():
     with pytest.raises(ValueError):
         make_pair((1, 0, 0), {5: 2, 6: 1}, J3)  # |ell|_1 > 2
     p = make_pair((1, -1, 0), {-1: -1}, J3)
-    assert p.in_ZM and p.k_l1 == 2 and p.ell_l1 == 1
+    assert p.k_l1 == 2 and p.ell_l1 == 1 and p.gauge_sum == -1
 
 
 def test_classification_is_total_and_exclusive():
-    c = 10.0
-    for k in iter_k(3, 1):
-        for ell in enumerate_ell(k, J3, 20):
-            if not any(k) and not ell:
-                continue
-            if not ell:
-                continue
-            pair = make_pair(k, ell, J3)
-            label = classify_pair(pair, c)
-            assert label in S_CLASSES
+    tags = pair_tags(J3, 20, 1, 10.0)
+    assert tags and all(tag in S_CLASSES for _, _, tag in tags)
 
 
 def test_classification_examples():
     c = 4.0
     # single support -> S0
-    assert classify_pair(make_pair((1, 0, 0), {-1: 1}, J3), c) == "S0"
-    with pytest.raises(ValueError, match="zero momentum"):
-        classify_pair(make_pair((1, 0, 0), {5: 1}, J3), c)
-    with pytest.raises(ValueError, match="carries no S-class"):
-        classify_pair(make_pair((1, 1, -1), {}, J3), c)
+    at, val = divisors._supports([{-1: 1}])
+    assert divisors._s_classes(1, at, val, c).tolist() == ["S0"]
     # every taxonomy branch is reachable in a broad momentum-zero sweep
     labels = {}
-    for k in iter_k(3, 3):
-        for ell in enumerate_ell(k, J3, 40):
-            if not ell:
-                continue
-            pair = make_pair(k, ell, J3)
-            labels.setdefault(classify_pair(pair, c), pair)
+    for k, ell, tag in pair_tags(J3, 40, 3, c):
+        labels.setdefault(tag, make_pair(k, ell, J3))
     assert {"S0", "S1", "S2", "S6"} <= set(labels)
     if "S8" in labels:
         p = labels["S8"]
@@ -184,9 +182,14 @@ def test_threshold_weight_convention():
     q = ResonantQuery(alpha=1e-3, tau=2.0, theta=0.5)
     pair = make_pair((1, -1, 0), {-1: -1}, J3)
     kb = math.sqrt(1.0 + pair.k_l1 ** 2)
-    expect = 1e-3 / (kb ** 2 * weight_w(model, {-1: -1}) ** 0.5)
-    assert abs(threshold(model, q, pair) - expect) < 1e-15
-    assert weight_w(model, {}) == 1.0
+    w = model.w_Jc[list(model.normal_modes).index(-1)]
+    assert one_pair(model, pair).w[0] == w
+    expect = 1e-3 / (kb ** 2 * w ** 0.5)
+    assert abs(one_pair(model, pair).threshold(q)[0] - expect) < 1e-15
+    # w(0) = 1: ell = 0 leaves the threshold alpha / <k>^tau
+    div = divisors._Divisors.of(model, pair.k, [{}])
+    assert div.w[0] == 1.0
+    assert abs(div.threshold(q)[0] - 1e-3 / kb ** 2) < 1e-15
 
 
 def test_wilson_interval_brackets_fraction():
@@ -209,6 +212,10 @@ def test_center_correction_zeroes_divisor():
     xi_c = 0.5 * (model.xi_lo + model.xi_hi)
     assert abs(divisor(centered, xi_c, pair)) < 1e-9
     assert model.delta is None                    # original untouched
+    # a constant shift of omega only: Omega is the uncorrected map
+    assert np.array_equal(omega0(centered, xi_c),
+                          omega0(model, xi_c) + centered.delta)
+    assert np.array_equal(Omega0(centered, xi_c), Omega0(model, xi_c))
 
 
 def test_mc_fraction_monotone_in_alpha():
@@ -235,8 +242,8 @@ def test_mc_grid_agreement():
     mc = measure_estimate_mc(centered, pair.k, q, ells=[pair.ell_dict])
     axes = [np.linspace(centered.xi_lo[i], centered.xi_hi[i], 16)
             for i in range(3)]
-    grid = np.mean([is_resonant(centered, np.array(x), pair, q)
-                    for x in itertools.product(*axes)])
+    pts = np.array(list(itertools.product(*axes)))
+    grid = np.mean(divisors._hits(one_pair(centered, pair), pts, q))
     assert abs(mc.fraction - grid) < 0.02
 
 
@@ -286,8 +293,7 @@ def test_resonant_set_nesting(seed, alpha):
     pair = make_pair((1, -1, 0), {-1: -1}, J3)
     centered = center_pair_correction(model, pair)
     xi = sample_xi(centered, 50, seed)
-    q1 = ResonantQuery(alpha=alpha, tau=2.0)
-    q2 = ResonantQuery(alpha=2 * alpha, tau=2.0)
-    for x in xi:
-        if is_resonant(centered, x, pair, q1):
-            assert is_resonant(centered, x, pair, q2)
+    div = one_pair(centered, pair)
+    h1 = divisors._hits(div, xi, ResonantQuery(alpha=alpha, tau=2.0))
+    h2 = divisors._hits(div, xi, ResonantQuery(alpha=2 * alpha, tau=2.0))
+    assert not np.any(h1 & ~h2)

@@ -3,11 +3,9 @@
 The references below are the per-pair, per-sample loops the kernel
 replaced: a divisor is <omega0(xi), k> + <Omega0(xi), ell> summed with
 fsum from the frequency maps of `kgnls.frequencies`, one point and one
-pair at a time, and the scans loop over `iter_k` x `enumerate_ell`; the
+pair at a time, and the scans loop over the k rows x `enumerate_ell`; the
 S-class rule is the scalar per-pair classifier that the array classifier
-replaced.  They share with the kernel only the model, the enumeration and
-`CorrectionTable.__call__`, which the first test checks on its own against
-a one-point nearest-neighbour reference.
+replaced.  They share with the kernel only the model and the enumeration.
 """
 
 import math
@@ -19,26 +17,21 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from kgnls import divisors
-from kgnls.divisors import (S_CLASSES, ResonantQuery, cantor_excision,
-                            center_pair_correction, classify_pair, divisor,
-                            enumerate_ell, is_resonant, iter_k, make_pair,
+from kgnls.divisors import (S_CLASSES, ResonantQuery, _k_rows,
+                            cantor_excision, center_pair_correction,
+                            divisor, enumerate_ell, make_pair,
                             measure_estimate_mc, nongauge_scan,
                             s8_localization, sample_xi)
-from kgnls.frequencies import (CorrectionTable, Omega0, Omega0_nls,
-                               build_model, omega0, omega0_nls)
+from kgnls.frequencies import (Omega0, Omega0_nls, build_model, omega0,
+                               omega0_nls)
 
 J3 = (1, 2, 3)
 
 
 # --- references ------------------------------------------------------------
 
-def ref_nearest(table, x):
-    d = np.linalg.norm(table.points - x[None, :], axis=1)
-    return table.values[int(np.argmin(d))]
-
-
 def ref_freqs(model, x, nls=False):
-    """(omega, Omega) at one point, corrections included (none for nls)."""
+    """(omega, Omega) at one point, delta included (none for nls)."""
     if nls:
         return omega0_nls(model, x), Omega0_nls(model, x)
     return omega0(model, x), Omega0(model, x)
@@ -111,7 +104,7 @@ def ref_nongauge(model, kmax):
     corners = model.xi_corners()
     best, arg, n_pairs = math.inf, None, 0
     s8_rows = []
-    for k in iter_k(model.N, kmax):
+    for k in _k_rows(model.N, kmax):
         for ell in enumerate_ell(k, model.J, model.M):
             if any(abs(a) > c / 2 for a in ell):
                 continue
@@ -134,46 +127,25 @@ def ref_nongauge(model, kmax):
 
 # --- strategies ------------------------------------------------------------
 
-def tables(draw, model, scale):
-    """Multi-point delta and Delta tables with values of size ~scale."""
+def shift(draw, model, scale):
+    """A random constant delta of size ~scale."""
     rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
-    out = []
-    for dim in (model.N, len(model.normal_modes)):
-        S = draw(st.integers(1, 5))
-        pts = rng.uniform(model.xi_lo, model.xi_hi, size=(S, model.N))
-        vals = scale * rng.standard_normal((S, dim))
-        out.append(CorrectionTable(points=pts, values=vals))
-    return out
+    return scale * rng.standard_normal(model.N)
 
 
 @st.composite
 def corrected_models(draw):
     """A model whose (1,-1,0), {-1:-1} divisor vanishes near the box centre,
-    with multi-point delta and Delta tables of size ~1e-6 on top."""
+    with a random constant delta of size ~2e-6 on top."""
     c = draw(st.sampled_from([3.0, 10.0, 40.0]))
     M = draw(st.integers(4, 9))
     model = center_pair_correction(build_model(c, J3, M, 1e-2),
                                    make_pair((1, -1, 0), {-1: -1}, J3))
-    delta, Delta = tables(draw, model, 2e-6)
-    model.delta = CorrectionTable(points=delta.points,
-                                  values=model.delta.values + delta.values)
-    model.Delta = Delta
+    model.delta = model.delta + shift(draw, model, 2e-6)
     return model
 
 
 # --- tests -----------------------------------------------------------------
-
-def test_correction_table_batch_matches_nearest_reference():
-    rng = np.random.default_rng(1)
-    tab = CorrectionTable(points=rng.uniform(size=(7, 3)),
-                          values=rng.standard_normal((7, 4)))
-    xi = rng.uniform(size=(50, 3))
-    got = tab(xi)
-    assert got.shape == (50, 4)
-    for x, row in zip(xi, got):
-        assert np.array_equal(row, ref_nearest(tab, x))
-        assert np.array_equal(tab(x), row)
-
 
 @given(st.data())
 @settings(max_examples=60, deadline=None, derandomize=True)
@@ -181,8 +153,8 @@ def test_divisor_matches_scalar_reference(data):
     c = data.draw(st.sampled_from([2.0, 10.0, 100.0, 1e3]))
     M = data.draw(st.integers(3, 12))
     model = build_model(c, J3, M, 1e-2)
-    model.delta, model.Delta = tables(data.draw, model, 1e-3 * c * c)
-    ks = [k for k in iter_k(3, 3) if enumerate_ell(k, J3, M)]
+    model.delta = shift(data.draw, model, 1e-3 * c * c)
+    ks = [k for k in _k_rows(3, 3) if enumerate_ell(k, J3, M)]
     k = ks[data.draw(st.integers(0, len(ks) - 1))]
     ells = enumerate_ell(k, J3, M)
     ell = ells[data.draw(st.integers(0, len(ells) - 1))]
@@ -213,19 +185,19 @@ def test_measure_hits_match_per_sample_reference(model, alpha, seed, nls):
 @given(corrected_models(), st.floats(1e-7, 1e-5), st.integers(0, 10 ** 6))
 @settings(max_examples=5, deadline=None, derandomize=True)
 def test_cantor_excision_matches_per_sample_union(model, alpha, seed):
-    # the tabulated delta and Delta act at each sample, as in is_resonant
     q = ResonantQuery(alpha=alpha, tau=2.0, samples=120, seed=seed)
     with mock.patch.object(divisors, "_BLOCK", 2000):  # several blocks
         rep = cantor_excision(model, q, K_cut=0, kmax=2)
-    pairs = [p for k in iter_k(3, 2) if any(k)
+    pairs = [p for k in _k_rows(3, 2) if any(k)
              for p in ref_pairs(model, k, enumerate_ell(k, J3, model.M))]
     assert rep["sets"] == len(pairs)
     xi = sample_xi(model, q.samples, q.seed)
     want = ref_union(model, xi, pairs, q, (False, True))
     assert rep["excised_fraction"] == np.mean(want)
-    # spot-check the union against the public per-point predicate
+    # spot-check the union against the public one-pair divisor
     for x, h in list(zip(xi, want))[:3]:
-        assert h == any(is_resonant(model, x, p, q, nls=nls)
+        assert h == any(abs(divisor(model, x, p, nls))
+                        < ref_threshold(model, q, p)
                         for p in pairs for nls in (False, True))
 
 
@@ -290,7 +262,7 @@ def test_s_classes_match_scalar_reference(c):
                 assert tag == ""
                 continue
             pair = make_pair(k, ell, J3)
-            assert tag == ref_classify_pair(pair, c) == classify_pair(pair, c)
+            assert tag == ref_classify_pair(pair, c)
             seen.add(str(tag))
     if c == 2.0:   # c^3 = 8 < M, so S5 is reached too
         assert seen == set(S_CLASSES)

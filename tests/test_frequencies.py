@@ -6,11 +6,11 @@ import math
 import numpy as np
 import pytest
 
-from kgnls.divisors import enumerate_ell, iter_k
-from kgnls.frequencies import (CorrectionTable, Omega0, Omega0_nls,
-                               Omega0_remainder, bateman_inverse,
-                               bateman_norm_bound, build_model, omega0,
-                               omega0_nls, omega0_remainder)
+from kgnls.divisors import _k_rows, enumerate_ell
+from kgnls.frequencies import (Omega0, Omega0_nls, Omega0_remainder,
+                               bateman_inverse, bateman_norm_bound,
+                               build_model, omega0, omega0_nls,
+                               omega0_remainder)
 
 TWO_PI = 2.0 * math.pi
 
@@ -86,17 +86,10 @@ def test_first_melnikov_lower_bound_positive():
     model = build_model(30.0, (1, 2, 3), 10, 1e-2)
     ratios = [np.sum(np.abs(model.A @ k + b_transpose(model, ell)))
               / np.sum(np.abs(k))
-              for k in iter_k(model.N, 2) if k.any()
+              for k in _k_rows(model.N, 2) if k.any()
               for ell in enumerate_ell(k, model.J, model.M)]
     assert ratios and min(ratios) > 0
     assert model.h <= 49.0 / (576.0 * 9)
-
-
-def test_correction_table_nearest_sample():
-    tab = CorrectionTable(points=np.array([[0.0, 0.0], [1.0, 1.0]]),
-                          values=np.array([[1.0, 2.0], [3.0, 4.0]]))
-    assert np.allclose(tab(np.array([0.1, 0.0])), [1.0, 2.0])
-    assert np.allclose(tab(np.array([0.9, 1.0])), [3.0, 4.0])
 
 
 def test_check_xi_rejects_outside_box():

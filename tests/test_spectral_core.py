@@ -8,8 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from kgnls.spectral_core import (FourierState, FrequencyTable, SpaceParams,
-                                 bracket, lambda_freq, mode_weights, nu,
-                                 seq_norm)
+                                 lambda_freq, mode_weights, nu, seq_norm)
 
 
 def test_lambda_hand_values():
@@ -50,9 +49,7 @@ def test_lambda_monotone_in_abs_j():
     assert np.allclose(ft.lam, ft.lam[::-1])   # even in j
 
 
-def test_bracket_and_validation():
-    assert bracket(0) == 1.0
-    assert abs(bracket(1) - math.sqrt(2.0)) < 1e-15
+def test_parameter_validation():
     with pytest.raises(ValueError):
         lambda_freq(0.0, 1)
     with pytest.raises(ValueError):
