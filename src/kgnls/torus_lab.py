@@ -9,10 +9,12 @@ The cube on the mode window is one valid-mode correlation of the full
 self-convolution: sum_{j1+j2-j3=m} z z zbar = correlate(z*z, z)_m, and for
 KG, where g is Hermitian (g_{-j} = conj(g_j)), (g*g*g)_m = correlate(g*g, g)_m.
 Time stepping is Strang splitting on z only (states are real,
-zbar = conj(z)): exact linear rotation halves around an RK4 step of the
-nonlinear part.  A torus stores one coefficient per harmonic q, on its
-momentum support q . J (translation equivariance, which the KG dressing
-keeps), and is refined by Gauss-Newton over that support with the
+zbar = conj(z)): exact linear rotation halves around the RK4 step `_rk4`
+of the nonlinear part, which the normal-form flow shares.  A trajectory is
+one (frames, 2M+1) array of z rows, and `frames.bin` one structured array
+of (t, z, zbar) records.  A torus stores one coefficient per harmonic q,
+on its momentum support q . J (translation equivariance, which the KG
+dressing keeps), and is refined by Gauss-Newton over that support with the
 closed-form Jacobian of the collocated invariance residual.
 """
 
@@ -20,7 +22,6 @@ from __future__ import annotations
 
 import itertools
 import math
-import struct
 from dataclasses import dataclass
 
 import numpy as np
@@ -71,63 +72,66 @@ class TruncatedSystem:
             return -1j / (8.0 * math.pi) * _cube(g) / self._sw
         return -3j / (8.0 * math.pi) * _cube(z)
 
-    def hamiltonian_value(self, state: FourierState) -> float:
-        """Quadratic plus quartic energy at a real state (zbar = conj(z),
-        so the KG dressing g is Hermitian, as `_cube` needs)."""
-        z, zbar = state.z, state.zbar
-        quad = np.sum(self._lam * z * zbar)
-        if self.kind == "kg":
-            g = (z + zbar[::-1]) / self._sw
-            quart = np.sum(g * _cube(g)[::-1]) / (32.0 * math.pi)
-        else:
-            quart = 3.0 / (16.0 * math.pi) \
-                * np.sum(np.convolve(z, z) * np.convolve(zbar, zbar))
-        return float((quad + quart).real)
-
-    def mass(self, state: FourierState) -> float:
-        return float(np.sum(state.z * state.zbar).real)
-
-    def momentum(self, state: FourierState) -> float:
+    def traces(self, z: np.ndarray
+               ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Energy (quadratic plus quartic), mass and momentum at each row of
+        z, a (frames, 2M+1) array of real states (zbar = conj(z), so the KG
+        dressing g is Hermitian, as `_cube` needs)."""
+        zbar = np.conj(z)
         j = np.arange(-self.M, self.M + 1, dtype=float)
-        return float(np.sum(j * state.z * state.zbar).real)
+        if self.kind == "kg":
+            g = (z + zbar[:, ::-1]) / self._sw
+            quart = [np.sum(r * _cube(r)[::-1]) / (32.0 * math.pi)
+                     for r in g]
+        else:
+            quart = [3.0 / (16.0 * math.pi)
+                     * np.sum(np.convolve(a, a) * np.convolve(b, b))
+                     for a, b in zip(z, zbar)]
+        quad = np.sum(self._lam * z * zbar, axis=1)
+        return ((quad + quart).real, np.sum(z * zbar, axis=1).real,
+                np.sum(j * z * zbar, axis=1).real)
 
 
 @dataclass
 class SimulationRecord:
+    """Real-state frames z (F, 2M+1) at times (F,), and their traces."""
     times: np.ndarray
-    states: list
+    z: np.ndarray
     hamiltonian: np.ndarray
     mass: np.ndarray
     momentum: np.ndarray
-
-    def __post_init__(self):
-        n = len(self.times)
-        if np.any(np.diff(self.times) <= 0):
-            raise ValueError("time grid must be strictly increasing")
-        for tr in (self.states, self.hamiltonian, self.mass, self.momentum):
-            if len(tr) != n:
-                raise ValueError("trace length must match the time grid")
 
 
 def default_dt(system: TruncatedSystem) -> float:
     return 0.05 / system.fastest_frequency
 
 
+def _rk4(f, y: np.ndarray, h: float) -> np.ndarray:
+    """One classical Runge-Kutta step of dy/dt = f(y)."""
+    k1 = f(y)
+    k2 = f(y + 0.5 * h * k1)
+    k3 = f(y + 0.5 * h * k2)
+    k4 = f(y + h * k3)
+    return y + h / 6.0 * (k1 + 2 * k2 + 2 * k3 + k4)
+
+
 def integrate(system: TruncatedSystem, z0: FourierState, T: float,
               dt: float | None = None, record_every: int = 100,
               strict: bool = False) -> SimulationRecord:
     """Strang splitting with exact linear rotation and an RK4 nonlinear
-    step; records Hamiltonian/mass/momentum traces every `record_every`
-    steps (and always the final state).  The state must be real
-    (zbar = conj(z)); only z is stepped, and each frame records
-    (z, conj(z))."""
+    step over round(T / dt) steps; a frame every `record_every` steps (and
+    always the final state) and the energy, mass and momentum traces there.
+    The state must be real (zbar = conj(z)); only z is stepped.  T and dt
+    must be finite and positive and `record_every` at least 1."""
     import warnings
 
     if not z0.real_representation():
         raise ValueError("the state is not real: zbar must equal conj(z)")
-
     if dt is None:
         dt = default_dt(system)
+    if not (0 < T < math.inf and 0 < dt < math.inf and record_every >= 1):
+        raise ValueError(f"T = {T}, dt = {dt} must be finite and positive "
+                         f"and record_every = {record_every} at least 1")
     if dt * system.fastest_frequency > 0.1:
         msg = (f"dt = {dt:.3e} does not resolve the fastest frequency "
                f"{system.fastest_frequency:.3e}")
@@ -136,33 +140,18 @@ def integrate(system: TruncatedSystem, z0: FourierState, T: float,
         warnings.warn(msg)
     n_steps = max(1, int(round(T / dt)))
     rot_half = np.exp(-0.5j * dt * system.linear_freqs)
-    f = system.nonlinear_rhs
 
     z = z0.z.copy()
-    times, states, ham, mass, mom = [], [], [], [], []
-
-    def record(t):
-        st = FourierState(z.copy(), np.conj(z))
-        times.append(t)
-        states.append(st)
-        ham.append(system.hamiltonian_value(st))
-        mass.append(system.mass(st))
-        mom.append(system.momentum(st))
-
-    record(0.0)
+    times, frames = [0.0], [z.copy()]
     for step in range(1, n_steps + 1):
         z *= rot_half
-        k1 = f(z)
-        k2 = f(z + 0.5 * dt * k1)
-        k3 = f(z + 0.5 * dt * k2)
-        k4 = f(z + dt * k3)
-        z = z + dt / 6.0 * (k1 + 2 * k2 + 2 * k3 + k4)
+        z = _rk4(system.nonlinear_rhs, z, dt)
         z *= rot_half
         if step % record_every == 0 or step == n_steps:
-            record(step * dt)
-    return SimulationRecord(times=np.array(times), states=states,
-                            hamiltonian=np.array(ham), mass=np.array(mass),
-                            momentum=np.array(mom))
+            times.append(step * dt)
+            frames.append(z.copy())
+    frames = np.array(frames)
+    return SimulationRecord(np.array(times), frames, *system.traces(frames))
 
 
 # --- torus embeddings ------------------------------------------------------
@@ -248,27 +237,21 @@ def linear_torus(xi, J, M: int, Q: int, omega) -> TorusEmbedding:
 # --- normal-form torus -----------------------------------------------------
 
 def flow_time1(G, state: FourierState, steps: int = 64) -> FourierState:
-    """Time-1 flow of the polynomial field X_G by fixed-step RK4; raises
-    if |z| leaves the ball of 10 times its starting radius."""
+    """Time-1 flow of the polynomial field X_G by fixed-step RK4 on the
+    stacked [z, zbar]; raises if |z| leaves the ball of 10 times its
+    starting radius."""
     from .hamiltonian import vector_field
 
-    z = state.z.copy()
-    zb = state.zbar.copy()
-    h = 1.0 / steps
-    start = float(np.max(np.abs(z)))
-    limit = 10.0 * max(start, 1e-12)
+    def f(y: np.ndarray) -> np.ndarray:
+        return np.array(vector_field(G, FourierState(*y)))
+
+    y = np.array([state.z, state.zbar])
+    limit = 10.0 * max(float(np.max(np.abs(state.z))), 1e-12)
     for _ in range(steps):
-        def f(zz, zzb):
-            return vector_field(G, FourierState(zz, zzb))
-        k1 = f(z, zb)
-        k2 = f(z + 0.5 * h * k1[0], zb + 0.5 * h * k1[1])
-        k3 = f(z + 0.5 * h * k2[0], zb + 0.5 * h * k2[1])
-        k4 = f(z + h * k3[0], zb + h * k3[1])
-        z = z + h / 6.0 * (k1[0] + 2 * k2[0] + 2 * k3[0] + k4[0])
-        zb = zb + h / 6.0 * (k1[1] + 2 * k2[1] + 2 * k3[1] + k4[1])
-        if np.max(np.abs(z)) > limit:
+        y = _rk4(f, y, 1.0 / steps)
+        if np.max(np.abs(y[0])) > limit:
             raise RuntimeError("flow escaped the analyticity ball")
-    return FourierState(z, zb)
+    return FourierState(*y)
 
 
 def normal_form_torus(xi, J, M: int, G, theta=None,
@@ -520,14 +503,12 @@ def fit_loglog(x, y) -> float:
 
 def scaling_study(R: float, c_list, sigma: float, T: float = 1e3,
                   J=(1,), M: int = 16, Q: int = 3,
-                  params: SpaceParams | None = None,
                   n_samples: int = 512) -> dict:
     """Gauge distance between frequency-matched refined tori over c, and its
     log-log slope; inadmissible c (< R^{-73/72}) are rejected.  Each
     converged row carries the KG solve's Newton iterations, defect history,
     smallest singular value and coefficient error bound defect / sigma_min."""
-    if params is None:
-        params = SpaceParams(a=0.0, p=5.0, beta=0.0, M=M)
+    params = SpaceParams(a=0.0, p=5.0, beta=0.0, M=M)
     # the threshold does not depend on c
     c_adm = predicted_bounds(R, 1.0, sigma)["c_admissible"]
     rows = []
@@ -563,30 +544,35 @@ def scaling_study(R: float, c_list, sigma: float, T: float = 1e3,
 _FRAME_MAGIC = b"TLAB"
 
 
+def _frame_dtype(n: int) -> np.dtype:
+    return np.dtype([("t", "<f8"), ("z", "<c16", (n,)),
+                     ("zbar", "<c16", (n,))])
+
+
 def save_record(path, record: SimulationRecord) -> None:
-    """Header: magic, M, frame count; frames: time + interleaved complex
-    doubles (z then zbar)."""
-    M = record.states[0].M
+    """Header: magic, then M and the frame count as little-endian int64;
+    frames: time, z and zbar = conj(z) as little-endian doubles."""
+    count, n = record.z.shape
+    frames = np.empty(count, _frame_dtype(n))
+    frames["t"], frames["z"], frames["zbar"] = \
+        record.times, record.z, np.conj(record.z)
     with open(path, "wb") as fh:
-        fh.write(_FRAME_MAGIC)
-        fh.write(struct.pack("<qq", M, len(record.times)))
-        for t, st in zip(record.times, record.states):
-            fh.write(struct.pack("<d", float(t)))
-            fh.write(np.ascontiguousarray(st.z, dtype=complex).tobytes())
-            fh.write(np.ascontiguousarray(st.zbar, dtype=complex).tobytes())
+        fh.write(_FRAME_MAGIC + np.array([n // 2, count], "<i8").tobytes())
+        fh.write(frames.tobytes())
 
 
 def load_record(path) -> tuple[np.ndarray, list[FourierState]]:
+    """Frame times and states of a `save_record` file; a file whose length
+    is not that of its header's frame count raises ValueError."""
     with open(path, "rb") as fh:
-        if fh.read(4) != _FRAME_MAGIC:
-            raise ValueError("not a trajectory frame file")
-        M, count = struct.unpack("<qq", fh.read(16))
-        n = 2 * M + 1
-        times = np.empty(count)
-        states = []
-        for i in range(count):
-            times[i] = struct.unpack("<d", fh.read(8))[0]
-            z = np.frombuffer(fh.read(16 * n), dtype=complex).copy()
-            zb = np.frombuffer(fh.read(16 * n), dtype=complex).copy()
-            states.append(FourierState(z, zb))
-    return times, states
+        data = fh.read()
+    if data[:4] != _FRAME_MAGIC or len(data) < 20:
+        raise ValueError("not a trajectory frame file, or its header is cut")
+    M, count = map(int, np.frombuffer(data, dtype="<i8", count=2, offset=4))
+    frame = _frame_dtype(2 * max(M, 0) + 1)
+    if M < 0 or len(data) != 20 + count * frame.itemsize:
+        raise ValueError(f"frame file of {len(data)} bytes does not hold "
+                         f"the {count} frames its header counts")
+    frames = np.frombuffer(data, dtype=frame, count=count, offset=20)
+    z, zbar = frames["z"].copy(), frames["zbar"].copy()
+    return frames["t"].copy(), [FourierState(*st) for st in zip(z, zbar)]

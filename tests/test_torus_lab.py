@@ -48,10 +48,10 @@ def test_hamiltonian_value_matches_polynomial():
     kg = TruncatedSystem(kind="kg", M=M, c=5.0)
     ft = FrequencyTable(c=5.0, M=M)
     H = build_Lambda(ft) + build_P(ft)
-    assert abs(kg.hamiltonian_value(st) - H.value(st).real) < 1e-11
+    assert abs(kg.traces(st.z[None])[0][0] - H.value(st).real) < 1e-11
     nls = TruncatedSystem(kind="nls", M=M)
     Hn = build_Lambda_nls(M) + build_P_nls(M)
-    assert abs(nls.hamiltonian_value(st) - Hn.value(st).real) < 1e-12
+    assert abs(nls.traces(st.z[None])[0][0] - Hn.value(st).real) < 1e-12
 
 
 def test_conservation_short_run():
@@ -98,9 +98,42 @@ def test_record_roundtrip(tmp_path):
     save_record(path, rec)
     times, states = load_record(path)
     assert np.array_equal(times, rec.times)
-    for a, b in zip(states, rec.states):
-        assert np.array_equal(a.z, b.z)
-        assert np.array_equal(a.zbar, b.zbar)
+    assert np.array_equal([st.z for st in states], rec.z)
+    assert np.array_equal([st.zbar for st in states], np.conj(rec.z))
+
+
+@pytest.mark.parametrize("cut", ["frame boundary", "mid-frame", "header",
+                                 "trailing bytes"])
+def test_damaged_record_is_rejected(tmp_path, cut):
+    system = TruncatedSystem(kind="nls", M=4)
+    rec = integrate(system, FourierState.from_modes(4, {1: 0.05}), T=1.0,
+                    record_every=20)
+    path = tmp_path / "frames.bin"
+    save_record(path, rec)
+    data = path.read_bytes()
+    frame = 8 + 2 * 16 * 9
+    assert len(data) == 20 + len(rec.times) * frame
+    path.write_bytes({"frame boundary": data[:-frame],
+                      "mid-frame": data[:-frame // 2],
+                      "header": data[:12],
+                      "trailing bytes": data + b"\0"}[cut])
+    with pytest.raises(ValueError):
+        load_record(path)
+
+
+@pytest.mark.parametrize("bad", [{"T": 0.0}, {"T": -1.0}, {"T": math.nan},
+                                 {"T": math.inf}, {"dt": -1e-3},
+                                 {"dt": 0.0}, {"dt": math.nan},
+                                 {"record_every": 0}, {"record_every": -3}])
+def test_integrate_rejects_invalid_grid(bad, monkeypatch):
+    system = TruncatedSystem(kind="nls", M=4)
+    z0 = FourierState.from_modes(4, {1: 0.05})
+    calls = []
+    monkeypatch.setattr(system, "nonlinear_rhs",
+                        lambda z: calls.append(1) or 0 * z)
+    with pytest.raises(ValueError):
+        integrate(system, z0, **({"T": 1.0} | bad))
+    assert not calls   # rejected before any step
 
 
 def test_single_mode_nls_rotating_wave_exact():

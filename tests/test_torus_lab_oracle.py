@@ -11,9 +11,13 @@ SVD.  `ref_integrate` is the Strang step that carried zbar through the
 rotation and the RK4 stages as an independent component, with its own
 two-component nonlinear field `ref_nonlinear_rhs`: full convolutions with
 the reflected conjugate, read back on the mode window, in place of the
-valid-mode correlation of `TruncatedSystem.nonlinear_rhs`.  They share with
-the code under test only the truncated field, the harmonic and angle orders
-and the truncated system's tables.
+valid-mode correlation of `TruncatedSystem.nonlinear_rhs`.
+`ref_flow_time1` is the normal-form flow's two-component RK4 loop that the
+stacked [z, zbar] step of the shared `_rk4` replaced.  They share with the
+code under test only the truncated field (and, for the flow, the
+polynomial vector field), the harmonic and angle orders and the truncated
+system's tables; `ref_integrate` reads its traces from
+`TruncatedSystem.traces`.
 """
 
 import math
@@ -22,10 +26,14 @@ import numpy as np
 import pytest
 
 from kgnls import torus_lab
-from kgnls.spectral_core import FourierState
+from kgnls.birkhoff import (solve_cohomological_nls,
+                            solve_cohomological_quartic)
+from kgnls.hamiltonian import (PolyHamiltonian, build_P, build_P_nls,
+                               vector_field)
+from kgnls.spectral_core import FourierState, FrequencyTable
 from kgnls.torus_lab import (RefineReport, SimulationRecord, TorusEmbedding,
                              TruncatedSystem, _collocation_angles, _harmonics,
-                             _phases, default_dt, integrate,
+                             _phases, default_dt, flow_time1, integrate,
                              invariance_residual, linear_torus,
                              matched_torus_pair)
 
@@ -59,6 +67,8 @@ def ref_nonlinear_rhs(system, z, zbar):
 
 
 def ref_integrate(system, z0, T, record_every=100):
+    """The record, with the traces of `TruncatedSystem.traces` at the
+    frames, and the independently stepped zbar at each frame."""
     dt = default_dt(system)
     n_steps = max(1, int(round(T / dt)))
     rot_half_z = np.exp(-0.5j * dt * system.linear_freqs)
@@ -66,20 +76,11 @@ def ref_integrate(system, z0, T, record_every=100):
 
     z = z0.z.copy()
     zb = z0.zbar.copy()
-    times, states, ham, mass, mom = [], [], [], [], []
-
-    def record(t):
-        st = FourierState(z.copy(), zb.copy())
-        times.append(t)
-        states.append(st)
-        ham.append(system.hamiltonian_value(st))
-        mass.append(system.mass(st))
-        mom.append(system.momentum(st))
+    times, zs, zbs = [0.0], [z.copy()], [zb.copy()]
 
     def f(a, b):
         return ref_nonlinear_rhs(system, a, b)
 
-    record(0.0)
     for step in range(1, n_steps + 1):
         z *= rot_half_z
         zb *= rot_half_zb
@@ -92,10 +93,32 @@ def ref_integrate(system, z0, T, record_every=100):
         z *= rot_half_z
         zb *= rot_half_zb
         if step % record_every == 0 or step == n_steps:
-            record(step * dt)
-    return SimulationRecord(times=np.array(times), states=states,
-                            hamiltonian=np.array(ham), mass=np.array(mass),
-                            momentum=np.array(mom))
+            times.append(step * dt)
+            zs.append(z.copy())
+            zbs.append(zb.copy())
+    zs = np.array(zs)
+    return (SimulationRecord(np.array(times), zs, *system.traces(zs)),
+            np.array(zbs))
+
+
+def ref_flow_time1(G, state, steps=64):
+    z = state.z.copy()
+    zb = state.zbar.copy()
+    h = 1.0 / steps
+    start = float(np.max(np.abs(z)))
+    limit = 10.0 * max(start, 1e-12)
+    for _ in range(steps):
+        def f(zz, zzb):
+            return vector_field(G, FourierState(zz, zzb))
+        k1 = f(z, zb)
+        k2 = f(z + 0.5 * h * k1[0], zb + 0.5 * h * k1[1])
+        k3 = f(z + 0.5 * h * k2[0], zb + 0.5 * h * k2[1])
+        k4 = f(z + h * k3[0], zb + h * k3[1])
+        z = z + h / 6.0 * (k1[0] + 2 * k2[0] + 2 * k3[0] + k4[0])
+        zb = zb + h / 6.0 * (k1[1] + 2 * k2[1] + 2 * k3[1] + k4[1])
+        if np.max(np.abs(z)) > limit:
+            raise RuntimeError("flow escaped the analyticity ball")
+    return FourierState(z, zb)
 
 
 def ref_invariance_residual(emb, system):
@@ -321,12 +344,11 @@ def test_nls_integrate_is_bit_identical_to_two_component_step():
     nls = TruncatedSystem(kind="nls", M=16)
     T = 2000 * default_dt(nls)
     rec = integrate(nls, Z0, T=T, record_every=250)
-    ref = ref_integrate(nls, Z0, T=T, record_every=250)
-    assert len(rec.states) == len(ref.states) == 9
+    ref, ref_zbar = ref_integrate(nls, Z0, T=T, record_every=250)
+    assert rec.z.shape == ref.z.shape == (9, 33)
     assert np.array_equal(rec.times, ref.times)
-    for a, b in zip(rec.states, ref.states):
-        assert np.array_equal(a.z, b.z)
-        assert np.array_equal(a.zbar, b.zbar)
+    assert np.array_equal(rec.z, ref.z)
+    assert np.array_equal(np.conj(rec.z), ref_zbar)
     for name in ("hamiltonian", "mass", "momentum"):
         assert np.array_equal(getattr(rec, name), getattr(ref, name))
 
@@ -335,9 +357,40 @@ def test_kg_integrate_matches_two_component_step():
     kg = TruncatedSystem(kind="kg", M=16, c=10.0)
     T = 2000 * default_dt(kg)
     rec = integrate(kg, Z0, T=T, record_every=250)
-    ref = ref_integrate(kg, Z0, T=T, record_every=250)
+    ref, ref_zbar = ref_integrate(kg, Z0, T=T, record_every=250)
     assert np.array_equal(rec.times, ref.times)
     scale = np.max(np.abs(Z0.z))
-    for a, b in zip(rec.states, ref.states):
-        assert np.max(np.abs(a.z - b.z)) <= 1e-13 * scale
-        assert np.max(np.abs(a.zbar - b.zbar)) <= 1e-13 * scale
+    assert np.max(np.abs(rec.z - ref.z)) <= 1e-13 * scale
+    assert np.max(np.abs(np.conj(rec.z) - ref_zbar)) <= 1e-13 * scale
+
+
+# --- the stacked RK4 step of the normal-form flow --------------------------
+
+J3 = (1, 2, 3)
+
+
+def _normal_form_G(kind, M):
+    if kind == "kg":
+        ft = FrequencyTable(c=10.0, M=M)
+        return solve_cohomological_quartic(build_P(ft), ft, J3).G
+    return solve_cohomological_nls(build_P_nls(M), J3, M).G
+
+
+@pytest.mark.parametrize("kind", ["kg", "nls"])
+def test_flow_time1_is_bit_identical_to_two_component_rk4(kind):
+    M = 6
+    G = _normal_form_G(kind, M)
+    st = FourierState.from_modes(M, {1: 0.01, 2: 0.01j, 3: -0.01})
+    a = flow_time1(G, st, steps=8)
+    b = ref_flow_time1(G, st, steps=8)
+    assert np.array_equal(a.z, b.z)
+    assert np.array_equal(a.zbar, b.zbar)
+    assert not np.array_equal(a.z, st.z)
+
+
+def test_flow_time1_raises_when_the_flow_leaves_the_ball():
+    # G = 50i z_1 zbar_1: z_1' = -i dG/dzbar_1 = 50 z_1 grows like e^{50 t}
+    G = PolyHamiltonian({((1, 1), (1, -1)): 50j})
+    st = FourierState.from_modes(2, {1: 0.01})
+    with pytest.raises(RuntimeError, match="escaped the analyticity ball"):
+        flow_time1(G, st)
