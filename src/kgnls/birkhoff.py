@@ -66,26 +66,23 @@ def _i_div(c: np.ndarray, d: np.ndarray) -> np.ndarray:
 _FSUM_ROWS = 1024
 
 
-def _divisor(rows: np.ndarray, W: int, freq: FrequencyTable | None
-             ) -> np.ndarray:
+def _divisor(rows: np.ndarray, W: int, freq: FrequencyTable) -> np.ndarray:
     """sigma . lambda per code row in the split form
-    (sum sigma) c^2 + fsum(sigma nu_j): the c^2 blocks cancel exactly for
-    gauge-invariant monomials, which keeps divisors accurate at large c
-    where the direct lambda sum loses ~c^2 eps.  freq=None gives the
-    parabolic frequencies, fsum(sigma j^2 / 2)."""
+    (sum sigma) rest + fsum(sigma nu_j), rest = c^2 (0 for the c = inf
+    table, whose nu_j = j^2/2 are the parabolic frequencies): the c^2
+    blocks cancel exactly for gauge-invariant monomials, which keeps
+    divisors accurate at large c where the direct lambda sum loses
+    ~c^2 eps."""
     j, s = _decode(rows, W)
-    if freq is None:
-        parts = 0.5 * s * j * j
-    else:
-        if j.size and np.abs(j).max() > freq.M:
-            raise IndexError(f"mode outside truncation |j| <= {freq.M}")
-        parts = s * freq.nu[j + freq.M]
+    if j.size and np.abs(j).max() > freq.M:
+        raise IndexError(f"mode outside truncation |j| <= {freq.M}")
+    parts = s * freq.nu[j + freq.M]
     # exact row sums; rows pass through Python lists in blocks, so the
     # lists of a large scan stay small
     d = np.fromiter((math.fsum(r) for i in range(0, len(parts), _FSUM_ROWS)
                      for r in parts[i:i + _FSUM_ROWS].tolist()),
                     dtype=float, count=len(parts))
-    return d if freq is None else s.sum(axis=1) * freq.c ** 2 + d
+    return s.sum(axis=1) * freq.rest + d
 
 
 @dataclass
@@ -95,15 +92,17 @@ class NormalFormResult:
     P_hat: PolyHamiltonian
     P: PolyHamiltonian
     J: tuple[int, ...]
-    freq: FrequencyTable | None          # None for the NLS solve
+    freq: FrequencyTable                 # the c = inf table for NLS
     residual: float = 0.0
     gauge_divisor_min: float = 0.0
 
     def header(self) -> dict:
+        # the NLS solve records neither c nor M
+        kg = self.freq.h > 0
         return {
             "J": list(self.J),
-            "c": None if self.freq is None else self.freq.c,
-            "M": None if self.freq is None else self.freq.M,
+            "c": self.freq.c if kg else None,
+            "M": self.freq.M if kg else None,
             "residual": self.residual,
         }
 
@@ -115,13 +114,14 @@ class NormalFormResult:
                           "# P_hat", self.P_hat.to_text()])
 
 
-def _solve(P: PolyHamiltonian, freq: FrequencyTable | None, J,
-           nongauge_floor: float | None
+def _solve(P: PolyHamiltonian, freq: FrequencyTable, J, nongauge_floor: float
            ) -> tuple[PolyHamiltonian, PolyHamiltonian, PolyHamiltonian, float,
                       np.ndarray]:
     """Common cohomological solve with the divisors of `_divisor`.  Returns
     (G, Lambda_plus, P_hat, kmin, d) where kmin is the smallest
-    gauge-invariant divisor met and d holds the divisors of G's rows."""
+    gauge-invariant divisor met and d holds the divisors of G's rows.  A
+    gauge divisor below 1e-8 kmin or a non-gauge one below `nongauge_floor`
+    raises DivisorAnomaly."""
     rows, coefs, W = _quartic_table(P)
     touches = _touches(rows, W, J)
     resonant = touches & _paired(rows)
@@ -135,8 +135,7 @@ def _solve(P: PolyHamiltonian, freq: FrequencyTable | None, J,
     if kmin == 0.0:
         raise DivisorAnomaly(
             "exact zero gauge-invariant divisor outside the resonant set")
-    floor = np.where(gauge, 1e-8 * kmin,
-                     -1.0 if nongauge_floor is None else nongauge_floor)
+    floor = np.where(gauge, 1e-8 * kmin, nongauge_floor)
     low = np.flatnonzero(absd < floor)
     if low.size:
         i = low[0]
@@ -154,15 +153,6 @@ def _solve(P: PolyHamiltonian, freq: FrequencyTable | None, J,
             kmin, d[g != 0])
 
 
-def _check_window(J, M: int) -> None:
-    """A tangential mode outside the window has no monomials to touch;
-    solving without it would silently drop it from J."""
-    outside = [j for j in J if abs(j) > M]
-    if outside:
-        raise ValueError(
-            f"tangential modes {outside} outside the window |j| <= {M}")
-
-
 def _residual(G: PolyHamiltonian, d: np.ndarray, P: PolyHamiltonian,
               Lp: PolyHamiltonian, Ph: PolyHamiltonian) -> float:
     """Max coefficient of {Lambda, G} + P - Lambda_plus - P_hat relative
@@ -178,10 +168,16 @@ def _residual(G: PolyHamiltonian, d: np.ndarray, P: PolyHamiltonian,
             / (P.max_abs_coeff() or 1.0))
 
 
-def _normal_form(P: PolyHamiltonian, freq: FrequencyTable | None, J, M: int,
-                 nongauge_floor: float | None) -> NormalFormResult:
-    _check_window(J, M)
-    G, Lp, Ph, kmin, d = _solve(P, freq, J, nongauge_floor)
+def _normal_form(P: PolyHamiltonian, freq: FrequencyTable, J
+                 ) -> NormalFormResult:
+    # a tangential mode outside the window has no monomials to touch;
+    # solving without it would silently drop it from J
+    outside = [j for j in J if abs(j) > freq.M]
+    if outside:
+        raise ValueError(
+            f"tangential modes {outside} outside the window |j| <= {freq.M}")
+    # non-gauge floor 1e-8 c^2: 0 at c = inf, where no row can trip it
+    G, Lp, Ph, kmin, d = _solve(P, freq, J, 1e-8 * freq.rest)
     return NormalFormResult(G=G, Lambda_plus=Lp, P_hat=Ph, P=P,
                             J=tuple(sorted(J)), freq=freq,
                             residual=_residual(G, d, P, Lp, Ph),
@@ -196,30 +192,31 @@ def solve_cohomological_quartic(P: PolyHamiltonian, freq: FrequencyTable,
         1/2 sum_{i or j in J} N_ij / ((1+h nu_i)(1+h nu_j)) |z_i|^2 |z_j|^2,
     N_ij = 3/(8 pi) (2 - delta_ij).
 
-    Raises ValueError when a mode of J lies outside |j| <= freq.M or P is
-    not quartic.
+    Raises ValueError when a mode of J lies outside |j| <= freq.M, P is
+    not quartic or freq is the c = inf table (`solve_cohomological_nls`).
     """
-    return _normal_form(P, freq, J, freq.M, 1e-8 * freq.c ** 2)
+    if freq.h == 0:
+        raise ValueError("the c = inf table is the NLS solve")
+    return _normal_form(P, freq, J)
 
 
 def solve_cohomological_nls(P_nls: PolyHamiltonian, J, M: int
                             ) -> NormalFormResult:
-    """Same solve with the parabolic frequencies lambda_j = j^2/2.
+    """Same solve with the parabolic frequencies lambda_j = j^2/2 of the
+    c = inf table.
 
     The momentum selection rule excludes exact zero divisors outside the
     resonant pairing set; an exact zero raises DivisorAnomaly.  A mode of
     J outside |j| <= M or a P_nls that is not quartic raises ValueError.
     """
-    return _normal_form(P_nls, None, J, M, None)
+    return _normal_form(P_nls, FrequencyTable(c=math.inf, M=M), J)
 
 
-def lambda_plus_closed_form(freq: FrequencyTable | None, J,
-                            M: int | None = None) -> PolyHamiltonian:
-    """Closed-form normal-form correction.  freq=None gives the NLS one
-    (h = 0, every factor 1 + h nu_j is 1) and then needs M."""
-    M = freq.M if M is None else M
-    fac = np.ones(2 * M + 1) if freq is None else \
-        1.0 + freq.h * freq.nu[freq.index(-M):freq.index(M) + 1]
+def lambda_plus_closed_form(freq: FrequencyTable, J) -> PolyHamiltonian:
+    """Closed-form normal-form correction on the window of `freq`; the
+    c = inf table gives the NLS one (h = 0, every factor 1 + h nu_j is 1)."""
+    M = freq.M
+    fac = 1.0 + freq.h * freq.nu
     # index pairs i <= j of the window, in code-row order
     i, j = np.triu_indices(2 * M + 1)
     touch = np.isin(i - M, list(J)) | np.isin(j - M, list(J))
@@ -245,7 +242,7 @@ class RemainderSplit:
 
 def remainder_split(result: NormalFormResult,
                     result_nls: NormalFormResult) -> RemainderSplit:
-    if result.freq is None or result_nls.freq is not None:
+    if result.freq.h == 0 or result_nls.freq.h != 0:
         raise ValueError("expected a KG result and an NLS result")
     G_rem = result.G - result_nls.G
     G_ng = result.G._select(lambda rows, _: ~_gauge(rows))
@@ -256,7 +253,7 @@ def remainder_split(result: NormalFormResult,
     P_r = result.P._select(lambda rows, _: _gauge(rows)) - P_nls
     rows, _, W = _quartic_table(result_nls.G)
     d_kg = _divisor(rows, W, result.freq)
-    d_nls = _divisor(rows, W, None)
+    d_nls = _divisor(rows, W, result_nls.freq)
     G_r1 = _from_rows({4: (rows, _i_div(P_r._at(rows, W), d_kg))}, W)
     G_div = _from_rows({4: (rows, 1j * P_nls._at(rows, W)
                             * (1.0 / d_kg - 1.0 / d_nls) + 0)}, W)

@@ -16,16 +16,20 @@ of _BLOCK // (8 (5 + 4(2M+1))) rows, at most _BLOCK / 8 candidate slots;
 `enumerate_ell` is the one-k view of the same table.
 
 One kernel, `_Divisors`, evaluates every divisor of such a table, as
-L c^2 + <nu, (k, ell)> + <A k + B^T ell, xi> + <delta, k> (the
-Schrodinger family: j^2/2 and the NLS matrices, no delta); the products
-with k are taken once per k row and gathered per pair.  delta is the
-model's constant tangential-frequency shift, if any.  Callers reduce the
-(points x pairs) values in blocks of points, so that no temporary of the
-kernel holds more than `_BLOCK` values (512 KiB of float64).
+L rest + <nu, (k, ell)> + <A k + B^T ell, xi> + <delta, k>, rest = c^2 the
+table's rest energy; the products with k are taken once per k row and
+gathered per pair.  delta is the model's constant tangential-frequency
+shift, if any.  The Schrodinger family is the same kernel on the c = inf
+model (`frequencies.nls_model`: rest = 0, nu = j^2/2, A and B without
+weights).  Callers reduce the (points x pairs) values in blocks of
+points, so that no temporary of the kernel holds more than `_BLOCK` values
+(512 KiB of float64).
 
 Resonant-set hits (`_hits`) take points inside the model's amplitude box
-[xi_lo, xi_hi], as `sample_xi` draws them, and evaluate only the pairs that
-can come below their threshold there.  On the box a divisor ranges over
+[xi_lo, xi_hi], as `sample_xi` draws them, and per-pair thresholds, and
+evaluate only the pairs that can come below their threshold there; both
+families take the thresholds, and so the weights w(ell), of the full
+model.  On the box a divisor ranges over
 <g, mid> + const + <delta, k> +- <|g|, half>.  `_Divisors.floor` turns that
 range into a lower bound on |divisor|, less a rounding margin of 1e-12
 (|const| + <|g|, max |xi|> + |<delta, k>|); a pair whose floor exceeds its
@@ -40,7 +44,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .frequencies import FrequencyModel
+from .frequencies import FrequencyModel, nls_model
 
 S_CLASSES = ("S0", "S1", "S2", "S4", "S5", "S6", "S7", "S8")
 
@@ -228,9 +232,8 @@ class _Divisors:
     ROWS = ("kidx", "at", "val", "w", "const", "grad")   # per pair
 
     def __init__(self, model: FrequencyModel, ks: np.ndarray,
-                 kidx: np.ndarray, at: np.ndarray, val: np.ndarray,
-                 nls: bool = False):
-        self.model, self.nls = model, nls
+                 kidx: np.ndarray, at: np.ndarray, val: np.ndarray):
+        self.model = model
         self.ks, self.kidx, self.at, self.val = ks, kidx, at, val
         modes = model.normal_modes
         pos = np.minimum(np.searchsorted(modes, at), len(modes) - 1)
@@ -238,27 +241,21 @@ class _Divisors:
             raise ValueError("ell support must lie in the normal modes")
         w = np.where(val != 0, model.w_Jc[pos], np.inf).min(axis=1)
         self.w = np.where(np.isinf(w), 1.0, w)
-        if nls:
-            self.const = 0.5 * ((ks @ np.square(model.J))[kidx]
-                                + (val * at ** 2).sum(axis=1))
-            A, B = model.A_nls, model.B_nls
-        else:
-            nu = self._by_k(model.nu_J)[kidx] \
-                + (val * model.nu_Jc[pos]).sum(axis=1)
-            self.const = (ks.sum(axis=1)[kidx] + val.sum(axis=1)) \
-                * model.c ** 2 + nu
-            A, B = model.A, model.B
-        self.grad = self._by_k(A)[kidx] \
-            + val[:, :1] * B[pos[:, 0]] \
-            + val[:, 1:] * B[pos[:, 1]]
+        nu = self._by_k(model.nu_J)[kidx] \
+            + (val * model.nu_Jc[pos]).sum(axis=1)
+        self.const = (ks.sum(axis=1)[kidx] + val.sum(axis=1)) \
+            * model.freq.rest + nu
+        self.grad = self._by_k(model.A)[kidx] \
+            + val[:, :1] * model.B[pos[:, 0]] \
+            + val[:, 1:] * model.B[pos[:, 1]]
 
     @classmethod
-    def of(cls, model: FrequencyModel, k, ells: list[dict[int, int]],
-           nls: bool = False) -> "_Divisors":
+    def of(cls, model: FrequencyModel, k, ells: list[dict[int, int]]
+           ) -> "_Divisors":
         """The pairs (k, ell) of one k over the given ell dicts."""
         at, val = _supports(ells)
         return cls(model, np.asarray(k, dtype=int)[None, :],
-                   np.zeros(len(val), dtype=int), at, val, nls)
+                   np.zeros(len(val), dtype=int), at, val)
 
     def _by_k(self, X: np.ndarray) -> np.ndarray:
         """X @ k per k row: one product per k, as a batched product over
@@ -280,8 +277,8 @@ class _Divisors:
         return sub
 
     def shift(self) -> np.ndarray | float:
-        """Per pair <delta, k>; 0 for the Schrodinger family or no delta."""
-        if self.nls or self.model.delta is None:
+        """Per pair <delta, k>; 0 when the model has no delta."""
+        if self.model.delta is None:
             return 0.0
         return self._by_k(self.model.delta)[self.kidx]
 
@@ -328,12 +325,10 @@ def _blocks(n: int, width: int):
     return (slice(i, i + step) for i in range(0, n, step))
 
 
-def _hits(div: _Divisors, xi: np.ndarray, query: ResonantQuery
-          ) -> np.ndarray:
-    """Per point: whether any pair of `div` is below its threshold.  The
-    points must lie in the model's amplitude box: only the pairs whose
+def _hits(div: _Divisors, xi: np.ndarray, thr: np.ndarray) -> np.ndarray:
+    """Per point: whether any pair of `div` is below its threshold `thr`.
+    The points must lie in the model's amplitude box: only the pairs whose
     `floor` there does not exceed their threshold are evaluated."""
-    thr = div.threshold(query)
     keep = div.floor() <= thr
     hit = np.zeros(len(xi), dtype=bool)
     if keep.any():
@@ -350,10 +345,9 @@ def _min_abs(div: _Divisors, xi: np.ndarray) -> np.ndarray:
                    for s in _blocks(len(xi), len(div.val))], axis=0)
 
 
-def divisor(model: FrequencyModel, xi, pair: IndexPair,
-            nls: bool = False) -> float:
+def divisor(model: FrequencyModel, xi, pair: IndexPair) -> float:
     """<omega(xi), k> + <Omega(xi), ell>, the model's delta included."""
-    div = _Divisors.of(model, pair.k, [pair.ell_dict], nls)
+    div = _Divisors.of(model, pair.k, [pair.ell_dict])
     return float(div(model.check_xi(xi)[None, :])[0, 0])
 
 
@@ -388,16 +382,21 @@ def measure_estimate_mc(model: FrequencyModel, k, query: ResonantQuery,
                         ells: list[dict[int, int]] | None = None,
                         nls: bool = False) -> MeasureResult:
     """Fraction of uniform xi in the amplitude box falling in the union of
-    the resonant sets of (k, ell) over the momentum-compatible ell."""
+    the resonant sets of (k, ell) over the momentum-compatible ell; `nls`
+    takes the divisors of the Schrodinger limit (`nls_model`), with the
+    thresholds of `model`."""
     if query.samples < 1:
         raise ValueError("need at least one sample")
     k = np.asarray(k, dtype=int)
     if ells is None:
         ells = enumerate_ell(k, model.J, model.M)
     xi = sample_xi(model, query.samples, query.seed)
-    div = _Divisors.of(model, k,
-                       [e for e in ells if k.any() or any(e.values())], nls)
-    hits = int(np.count_nonzero(_hits(div, xi, query)))
+    used = [e for e in ells if k.any() or any(e.values())]
+    div = _Divisors.of(model, k, used)
+    thr = div.threshold(query)
+    if nls:
+        div = _Divisors.of(nls_model(model), k, used)
+    hits = int(np.count_nonzero(_hits(div, xi, thr)))
     lo, hi = wilson_interval(hits, query.samples)
     return MeasureResult(fraction=hits / query.samples, ci_lo=lo, ci_hi=hi,
                          samples=query.samples, seed=query.seed,
@@ -453,16 +452,19 @@ def cantor_excision(model: FrequencyModel, query: ResonantQuery,
                     K_cut: int, kmax: int) -> dict:
     """MC indicator of the amplitude box minus the union of the resonant
     sets over K_cut < |k|_1 <= kmax, for both divisor families (the full
-    dispersion and its Schrodinger limit)."""
+    dispersion and its Schrodinger limit), each at the thresholds of
+    `model`."""
     if K_cut < 0:
         raise ValueError("K_cut must be >= 0")
     xi = sample_xi(model, query.samples, query.seed)
     excised = np.zeros(query.samples, dtype=bool)
     n_sets = 0
+    limit = nls_model(model)
     for ks, kidx, at, val in _tables(model, kmax, K_cut + 1):
-        for nls in (False, True):
-            excised |= _hits(_Divisors(model, ks, kidx, at, val, nls), xi,
-                             query)
+        div = _Divisors(model, ks, kidx, at, val)
+        thr = div.threshold(query)
+        excised |= _hits(div, xi, thr)
+        excised |= _hits(_Divisors(limit, ks, kidx, at, val), xi, thr)
         n_sets += len(kidx)
     hits = int(np.count_nonzero(excised))
     lo, hi = wilson_interval(hits, query.samples)

@@ -1,11 +1,12 @@
 """Action-angle frequency maps for the tangential set J and the normal
-modes, their NLS counterparts, and the rank-one (Bateman) inverse.
+modes, and the rank-one (Bateman) inverse.
 
 Matrix conventions:
     A_ij = N_ij / (w_i w_j),         i, j in J
     B_nj = N_nj / (w_n w_j),         n in J^c, j in J
     N_ij = 3/(8 pi) (2 - delta_ij),  w_j = sqrt(1 + h j^2) = 1 + h nu_j.
-The NLS matrices drop the weight factors.  Frequency maps are affine:
+The NLS maps are those of the c = inf model (`nls_model`): there w = 1,
+so A = B = N, and lambda = j^2/2.  Frequency maps are affine:
     omega0(xi)  = lambda|_J   + A xi  (+ delta)
     Omega0(xi)  = lambda|_J^c + B xi
 where delta, when set, is a constant shift of the tangential frequencies
@@ -14,6 +15,7 @@ where delta, when set, is a constant shift of the tangential frequencies
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -33,8 +35,6 @@ class FrequencyModel:
     freq: FrequencyTable
     A: np.ndarray
     B: np.ndarray
-    A_nls: np.ndarray
-    B_nls: np.ndarray
     normal_modes: np.ndarray          # sorted j in J^c, |j| <= M
     lam_J: np.ndarray
     lam_Jc: np.ndarray
@@ -84,33 +84,27 @@ def build_model(c: float, J, M: int, R: float,
     if any(abs(j) > M for j in Jt):
         raise ValueError("tangential modes must lie inside the truncation")
     ft = FrequencyTable(c=c, M=M)
-    normal = np.array([j for j in range(-M, M + 1) if j not in set(Jt)])
+    normal = np.array([j for j in range(-M, M + 1) if j not in set(Jt)],
+                      dtype=int)
+    iJ, iJc = np.array(Jt, dtype=int) + M, normal + M
+    wJ, wJc = ft.w[iJ], ft.w[iJc]
 
-    wJ = np.array([ft.w_at(j) for j in Jt])
-    wJc = np.array([ft.w_at(j) for j in normal])
-
-    def nmat(rows_w, cols_w, diag_equal):
-        Amat = N_OFFDIAG / np.outer(rows_w, cols_w)
-        if diag_equal:
-            Amat[np.diag_indices_from(Amat)] = N_DIAG / rows_w ** 2
-        return Amat
-
-    A = nmat(wJ, wJ, True)
+    A = N_OFFDIAG / np.outer(wJ, wJ)
+    A[np.diag_indices_from(A)] = N_DIAG / wJ ** 2
     B = N_OFFDIAG / np.outer(wJc, wJ)
-    A_nls = np.full((N, N), N_OFFDIAG)
-    A_nls[np.diag_indices_from(A_nls)] = N_DIAG
-    B_nls = np.full((len(normal), N), N_OFFDIAG)
 
     xi_lo = np.full(N, 0.5 * R * R)
     xi_hi = np.full(N, 1.5 * R * R)
     return FrequencyModel(
-        J=Jt, M=M, R=R, freq=ft, A=A, B=B, A_nls=A_nls, B_nls=B_nls,
-        normal_modes=normal,
-        lam_J=np.array([ft.lam_at(j) for j in Jt]),
-        lam_Jc=np.array([ft.lam_at(j) for j in normal]),
-        nu_J=np.array([ft.nu_at(j) for j in Jt]),
-        nu_Jc=np.array([ft.nu_at(j) for j in normal]),
-        w_J=wJ, w_Jc=wJc, xi_lo=xi_lo, xi_hi=xi_hi)
+        J=Jt, M=M, R=R, freq=ft, A=A, B=B, normal_modes=normal,
+        lam_J=ft.lam[iJ], lam_Jc=ft.lam[iJc], nu_J=ft.nu[iJ],
+        nu_Jc=ft.nu[iJc], w_J=wJ, w_Jc=wJc, xi_lo=xi_lo, xi_hi=xi_hi)
+
+
+def nls_model(model: FrequencyModel) -> FrequencyModel:
+    """The c = inf model on the same J, M and amplitude box: the NLS
+    frequency maps, with no delta."""
+    return build_model(math.inf, model.J, model.M, model.R, require_min_N=0)
 
 
 def omega0(model: FrequencyModel, xi) -> np.ndarray:
@@ -126,24 +120,13 @@ def Omega0(model: FrequencyModel, xi) -> np.ndarray:
     return model.lam_Jc + model.B @ xi
 
 
-def omega0_nls(model: FrequencyModel, xi) -> np.ndarray:
-    xi = model.check_xi(xi)
-    return 0.5 * np.array([j * j for j in model.J], dtype=float) \
-        + model.A_nls @ xi
-
-
-def Omega0_nls(model: FrequencyModel, xi) -> np.ndarray:
-    xi = model.check_xi(xi)
-    return 0.5 * model.normal_modes.astype(float) ** 2 + model.B_nls @ xi
-
-
 def omega0_remainder(model: FrequencyModel, xi) -> np.ndarray:
-    """omega0 - 1/h - omega0_nls: the gap to the NLS map."""
-    return omega0(model, xi) - 1.0 / model.h - omega0_nls(model, xi)
+    """omega0 - 1/h - the NLS map: the gap to the Schrodinger limit."""
+    return omega0(model, xi) - 1.0 / model.h - omega0(nls_model(model), xi)
 
 
 def Omega0_remainder(model: FrequencyModel, xi) -> np.ndarray:
-    return Omega0(model, xi) - 1.0 / model.h - Omega0_nls(model, xi)
+    return Omega0(model, xi) - 1.0 / model.h - Omega0(nls_model(model), xi)
 
 
 def bateman_inverse(model: FrequencyModel) -> np.ndarray:

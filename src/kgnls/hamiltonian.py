@@ -246,21 +246,12 @@ def _from_rows(tables: dict[int, tuple[np.ndarray, np.ndarray]], W: int
     return H
 
 
-def _diagonal(lam: np.ndarray, M: int) -> PolyHamiltonian:
-    """sum_j lam[j + M] z_j zbar_j on |j| <= M."""
-    zbar = 2 * np.arange(2 * M + 1)
-    return _from_rows({2: (np.column_stack([zbar, zbar + 1]), lam)}, M)
-
-
 def build_Lambda(freq: FrequencyTable) -> PolyHamiltonian:
-    """Diagonal quadratic sum lambda_j z_j zbar_j."""
-    return _diagonal(freq.lam, freq.M)
-
-
-def build_Lambda_nls(M: int) -> PolyHamiltonian:
-    """Diagonal quadratic with the parabolic frequencies j^2/2."""
-    j = np.arange(-M, M + 1)
-    return _diagonal(0.5 * j * j, M)
+    """Diagonal quadratic sum lambda_j z_j zbar_j on |j| <= M; the c = inf
+    table gives the parabolic frequencies j^2/2."""
+    zbar = 2 * np.arange(2 * freq.M + 1)
+    return _from_rows({2: (np.column_stack([zbar, zbar + 1]), freq.lam)},
+                      freq.M)
 
 
 def _slot_values(state: FourierState) -> np.ndarray:

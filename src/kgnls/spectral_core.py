@@ -4,6 +4,9 @@ Modes live on the symmetric index window ``j in {-M..M}``.  The linear
 dispersion is ``lambda_j = c*sqrt(j^2 + c^2)``; with ``h = 1/c^2`` it splits
 as ``lambda_j = 1/h + nu_j`` where ``nu_j = j^2/(1 + sqrt(1 + h j^2))``.
 The mode weights are ``w_j = lambda_j / c^2 = sqrt(1 + j^2/c^2)``.
+The Schrodinger limit is the table at ``c = inf``: there h = 0,
+``nu_j = j^2/2`` and ``w_j = 1`` exactly, and in the gauge frame
+``lambda_j = nu_j``.
 
 Norm convention: ``<j> := sqrt(1 + j^2)`` throughout (documented choice; the
 bracket is only fixed up to equivalent rescalings).
@@ -31,10 +34,11 @@ def lambda_freq(c: float, j: int | np.ndarray) -> float | np.ndarray:
 def nu(h: float, j: int | np.ndarray) -> float | np.ndarray:
     """Shifted frequency j^2/(1 + sqrt(1 + h j^2)), so lambda_j = 1/h + nu_j.
 
-    Satisfies 0 <= nu_j <= j^2/2 and |nu_j - j^2/2| <= h*j^4/2.
+    Satisfies 0 <= nu_j <= j^2/2 and |nu_j - j^2/2| <= h*j^4/2; h = 0
+    gives the Schrodinger frequencies j^2/2 exactly.
     """
-    if h <= 0:
-        raise ValueError(f"h must be positive, got h={h}")
+    if h < 0:
+        raise ValueError(f"h must be nonnegative, got h={h}")
     j = np.asarray(j, dtype=float)
     out = j * j / (1.0 + np.sqrt(1.0 + h * j * j))
     return out.item() if out.ndim == 0 else out
@@ -63,43 +67,37 @@ class SpaceParams:
 
 @dataclass(frozen=True)
 class FrequencyTable:
-    """Immutable per-(c, M) table of lambda_j, nu_j and weights w_j."""
+    """Immutable per-(c, M) table of lambda_j, nu_j and weights w_j, and
+    `rest`, the rest energy c^2 that the split forms multiply by the gauge
+    charge.  c = inf is the Schrodinger table: h = 0, lambda = nu = j^2/2,
+    w = 1 and rest = 0."""
 
     c: float
     M: int
     h: float = field(init=False)
+    rest: float = field(init=False)
     lam: np.ndarray = field(init=False)
     nu: np.ndarray = field(init=False)
     w: np.ndarray = field(init=False)
 
     def __post_init__(self):
-        if self.c <= 0:
+        if not self.c > 0:   # NaN too
             raise ValueError("speed parameter c must be positive")
         if self.M < 1:
             raise ValueError("truncation M must be >= 1")
         h = 1.0 / (self.c * self.c)
         j = np.arange(-self.M, self.M + 1)
+        shifted = nu(h, j)
+        kg = math.isfinite(self.c)
         object.__setattr__(self, "h", h)
-        object.__setattr__(self, "lam", lambda_freq(self.c, j))
-        object.__setattr__(self, "nu", nu(h, j))
+        object.__setattr__(self, "rest", self.c ** 2 if kg else 0.0)
+        object.__setattr__(self, "lam",
+                           lambda_freq(self.c, j) if kg else shifted)
+        object.__setattr__(self, "nu", shifted)
         object.__setattr__(self, "w", np.sqrt(1.0 + h * j.astype(float) ** 2))
         self.lam.setflags(write=False)
         self.nu.setflags(write=False)
         self.w.setflags(write=False)
-
-    def index(self, j: int) -> int:
-        if abs(j) > self.M:
-            raise IndexError(f"mode {j} outside truncation |j| <= {self.M}")
-        return j + self.M
-
-    def lam_at(self, j: int) -> float:
-        return float(self.lam[self.index(j)])
-
-    def nu_at(self, j: int) -> float:
-        return float(self.nu[self.index(j)])
-
-    def w_at(self, j: int) -> float:
-        return float(self.w[self.index(j)])
 
 
 @dataclass

@@ -22,10 +22,12 @@ from __future__ import annotations
 
 import itertools
 import math
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
+from .frequencies import build_model
 from .kam_schedule import predicted_bounds
 from .spectral_core import (TWO_PI, FourierState, FrequencyTable,
                             SpaceParams, seq_norm)
@@ -38,7 +40,8 @@ def _cube(z: np.ndarray) -> np.ndarray:
 
 @dataclass
 class TruncatedSystem:
-    """One truncated flow; kind 'kg' (needs c) or 'nls'."""
+    """One truncated flow; kind 'kg' (needs a finite c) or 'nls', whose
+    frequencies are those of the c = inf table."""
     kind: str
     M: int
     c: float | None = None
@@ -46,16 +49,13 @@ class TruncatedSystem:
     def __post_init__(self):
         if self.kind not in ("kg", "nls"):
             raise ValueError("kind must be 'kg' or 'nls'")
-        if self.kind == "kg":
-            if self.c is None or self.c <= 0:
-                raise ValueError("the KG system needs a positive c")
-            self._ft = FrequencyTable(c=self.c, M=self.M)
-            self._lam = self._ft.lam
-            self._sw = np.sqrt(self._ft.w)
-        else:
-            j = np.arange(-self.M, self.M + 1, dtype=float)
-            self._lam = 0.5 * j * j
-            self._sw = np.ones(2 * self.M + 1)
+        if self.kind == "kg" and not (self.c is not None
+                                      and 0 < self.c < math.inf):
+            raise ValueError("the KG system needs a positive finite c")
+        ft = FrequencyTable(c=self.c if self.kind == "kg" else math.inf,
+                            M=self.M)
+        self._lam = ft.lam
+        self._sw = np.sqrt(ft.w)
 
     @property
     def linear_freqs(self) -> np.ndarray:
@@ -123,8 +123,6 @@ def integrate(system: TruncatedSystem, z0: FourierState, T: float,
     always the final state) and the energy, mass and momentum traces there.
     The state must be real (zbar = conj(z)); only z is stepped.  T and dt
     must be finite and positive and `record_every` at least 1."""
-    import warnings
-
     if not z0.real_representation():
         raise ValueError("the state is not real: zbar must equal conj(z)")
     if dt is None:
@@ -449,39 +447,40 @@ def gauge_distance(emb_kg: TorusEmbedding, emb_nls: TorusEmbedding,
     return out, float(np.max(out))
 
 
-def matched_torus_pair(R: float, c: float, J, M: int, Q: int):
-    """Refined NLS torus at amplitude sqrt(xi), xi = R^2, plus the KG torus
-    with exactly matching gauge-shifted frequency (fixed-frequency solve at
-    omega_NLS - c^2 per angle).
-
-    Both Newton solves start from the first-order amplitude-frequency maps
-    of `frequencies.build_model`: the NLS seed has omega = -(j^2/2 + A_nls
-    xi), and the KG seed has the fundamental amplitudes sqrt(xi_KG) with
-    A xi_KG = -omega_KG - lambda_J.  A non-positive xi_KG component means
-    the first-order map has no KG torus at that frequency, and raises
-    RuntimeError."""
-    from .frequencies import build_model
-
-    J = tuple(J)
+def _nls_torus(R: float, J, M: int, Q: int
+               ) -> tuple[TorusEmbedding, RefineReport]:
+    """Refined NLS torus at amplitude sqrt(xi), xi = R^2, from the
+    first-order amplitude-frequency map of the c = inf model of
+    `frequencies.build_model`: omega = -(lambda_J + A xi)."""
     xi = np.full(len(J), R * R)
-    model = build_model(c, J, M, R, require_min_N=1)
+    model = build_model(math.inf, J, M, R, require_min_N=1)
     order = [model.J.index(j) for j in J]
-    cross = np.ix_(order, order)
-    nls = TruncatedSystem(kind="nls", M=M)
-    omega0 = -(np.array([0.5 * j * j for j in J], dtype=float)
-               + model.A_nls[cross] @ xi)
-    seed = linear_torus(xi, J, M, Q, omega0)
-    emb_nls, rep_nls = refine_torus(seed, nls, mode="fixed_amplitude")
+    omega0 = -(model.lam_J[order] + model.A[np.ix_(order, order)] @ xi)
+    return refine_torus(linear_torus(xi, J, M, Q, omega0),
+                        TruncatedSystem(kind="nls", M=M),
+                        mode="fixed_amplitude")
+
+
+def _kg_torus(emb_nls: TorusEmbedding, rep_nls: RefineReport, R: float,
+              c: float) -> tuple[TorusEmbedding, RefineReport]:
+    """The KG torus with exactly the gauge-shifted frequency of the NLS
+    torus (fixed-frequency solve at omega_NLS - c^2 per angle), from the
+    fundamental amplitudes sqrt(xi_KG) with A xi_KG = -omega_KG - lambda_J.
+    An NLS torus that did not converge, a non-positive xi_KG component (the
+    first-order map has no KG torus at that frequency) or a KG solve that
+    does not converge raises RuntimeError."""
     if not rep_nls.converged:
         raise RuntimeError(f"NLS torus did not converge: {rep_nls.message}")
-    kg = TruncatedSystem(kind="kg", M=M, c=c)
+    J, M = emb_nls.J, emb_nls.M
+    model = build_model(c, J, M, R, require_min_N=1)
+    order = [model.J.index(j) for j in J]
     kg_seed = emb_nls.copy()
     kg_seed.omega = emb_nls.omega - c * c
     # -omega_KG - lambda_J = -omega_NLS - nu_J (lambda_J = c^2 + nu_J),
     # which does not cancel c^2.  A is invertible; lstsq, which the Newton
     # solve already calls, spares paging in another LAPACK routine
     # (np.linalg.solve: +0.3 MiB peak RSS).
-    xi_kg = np.linalg.lstsq(model.A[cross],
+    xi_kg = np.linalg.lstsq(model.A[np.ix_(order, order)],
                             -emb_nls.omega - model.nu_J[order],
                             rcond=None)[0]
     for s, j, x in zip(kg_seed.fundamentals, J, xi_kg):
@@ -489,9 +488,19 @@ def matched_torus_pair(R: float, c: float, J, M: int, Q: int):
             raise RuntimeError(f"KG torus has no positive amplitude on mode "
                                f"{j}: the first-order map gives xi = {x:.3e}")
         kg_seed.coeffs[s] = math.sqrt(x)
+    kg = TruncatedSystem(kind="kg", M=M, c=c)
     emb_kg, rep_kg = refine_torus(kg_seed, kg, mode="fixed_frequency")
     if not rep_kg.converged:
         raise RuntimeError(f"KG torus did not converge: {rep_kg.message}")
+    return emb_kg, rep_kg
+
+
+def matched_torus_pair(R: float, c: float, J, M: int, Q: int):
+    """Refined NLS torus at amplitude sqrt(xi), xi = R^2, plus the KG torus
+    with exactly matching gauge-shifted frequency: `_nls_torus` then
+    `_kg_torus`, whose RuntimeErrors it raises."""
+    emb_nls, rep_nls = _nls_torus(R, tuple(J), M, Q)
+    emb_kg, rep_kg = _kg_torus(emb_nls, rep_nls, R, c)
     return emb_nls, emb_kg, rep_nls, rep_kg
 
 
@@ -505,20 +514,24 @@ def scaling_study(R: float, c_list, sigma: float, T: float = 1e3,
                   J=(1,), M: int = 16, Q: int = 3,
                   n_samples: int = 512) -> dict:
     """Gauge distance between frequency-matched refined tori over c, and its
-    log-log slope; inadmissible c (< R^{-73/72}) are rejected.  Each
+    log-log slope; inadmissible c (< R^{-73/72}) are rejected, and fewer
+    than two converged rows leave the slope None with a warning.  The NLS
+    torus is refined once per study.  Each
     converged row carries the KG solve's Newton iterations, defect history,
     smallest singular value and coefficient error bound defect / sigma_min."""
     params = SpaceParams(a=0.0, p=5.0, beta=0.0, M=M)
-    # the threshold does not depend on c
+    # neither the threshold nor the NLS torus depends on c
     c_adm = predicted_bounds(R, 1.0, sigma)["c_admissible"]
-    rows = []
+    rows, nls = [], None
     for c in c_list:
         if c < c_adm:
             rows.append({"c": c, "admissible": False, "converged": False,
                          "distance": None})
             continue
+        nls = nls or _nls_torus(R, tuple(J), M, Q)
+        emb_nls = nls[0]
         try:
-            emb_nls, emb_kg, _, rep_kg = matched_torus_pair(R, c, J, M, Q)
+            emb_kg, rep_kg = _kg_torus(*nls, R, c)
         except RuntimeError as exc:
             rows.append({"c": c, "admissible": True, "converged": False,
                          "distance": None, "error": str(exc)})
@@ -534,6 +547,9 @@ def scaling_study(R: float, c_list, sigma: float, T: float = 1e3,
                      else rep_kg.final_defect / smin})
     good = [(r["c"], r["distance"]) for r in rows if r["converged"]]
     slope = fit_loglog(*zip(*good)) if len(good) >= 2 else None
+    if slope is None:
+        warnings.warn(f"scaling study has no slope_vs_c: {len(good)} of "
+                      f"{len(rows)} rows converged, it needs 2")
     return {"R": R, "sigma": sigma, "T": T, "J": list(J), "M": M, "Q": Q,
             "c_admissible": c_adm, "rows": rows, "slope_vs_c": slope,
             "predicted_slope": -2.0 * sigma}

@@ -66,7 +66,7 @@ def test_residual_reuses_the_divisors_of_G(c):
 def test_lambda_plus_closed_form_match():
     ft = FrequencyTable(c=10.0, M=8)
     nf = solve_cohomological_quartic(build_P(ft, 8), ft, J)
-    cf = lambda_plus_closed_form(ft, J, 8)
+    cf = lambda_plus_closed_form(ft, J)
     diff = (nf.Lambda_plus - cf).max_abs_coeff()
     assert diff < 1e-12 * cf.max_abs_coeff()
 
@@ -74,8 +74,14 @@ def test_lambda_plus_closed_form_match():
 def test_lambda_plus_nls_closed_form_match():
     M = 6
     nf = solve_cohomological_nls(build_P_nls(M), J, M)
-    cf = lambda_plus_closed_form(None, J, M)
+    cf = lambda_plus_closed_form(FrequencyTable(c=math.inf, M=M), J)
     assert (nf.Lambda_plus - cf).max_abs_coeff() < 1e-12
+
+
+def test_kg_solve_rejects_the_infinite_c_table():
+    ft = FrequencyTable(c=math.inf, M=4)
+    with pytest.raises(ValueError, match="NLS"):
+        solve_cohomological_quartic(build_P(ft), ft, J)
 
 
 def test_normal_form_properties():

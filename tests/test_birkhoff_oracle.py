@@ -42,7 +42,7 @@ def _has_pairing(jv, sv):
 def _divisor_split(m, freq):
     """sigma . lambda via the split lambda_j = c^2 + nu_j, summed exactly."""
     return gauge_sum(m) * freq.c ** 2 \
-        + math.fsum(s * freq.nu_at(j) for j, s in m)
+        + math.fsum(s * freq.nu[j + freq.M] for j, s in m)
 
 
 def _divisor_nls(m):
@@ -93,12 +93,15 @@ def ref_residual(div_of, G, P, Lp, Ph):
 
 
 def ref_normal_form(P, freq, J, M):
+    """freq=None is the NLS solve: its divisors come from `_divisor_nls`,
+    and the c = inf table only labels the result."""
     div_of = (_divisor_nls if freq is None
               else lambda m: _divisor_split(m, freq))
     floor = None if freq is None else 1e-8 * freq.c ** 2
     G, Lp, Ph, kmin = ref_solve(P, div_of, J, floor)
     return NormalFormResult(G=G, Lambda_plus=Lp, P_hat=Ph, P=P,
-                            J=tuple(sorted(J)), freq=freq,
+                            J=tuple(sorted(J)),
+                            freq=freq or FrequencyTable(c=math.inf, M=M),
                             residual=ref_residual(div_of, G, P, Lp, Ph),
                             gauge_divisor_min=kmin)
 
@@ -229,4 +232,4 @@ def test_non_quartic_polynomial_is_rejected():
     P = build_P(ft, 4) + PolyHamiltonian(
         {((1, -1), (1, 1), (2, -1), (2, 1), (3, -1), (3, 1)): 1.0})
     with pytest.raises(ValueError, match="quartic"):
-        _solve(P, ft, (1,), nongauge_floor=None)
+        _solve(P, ft, (1,), nongauge_floor=0.0)

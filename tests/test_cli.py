@@ -231,6 +231,22 @@ def test_scaling_rows_record_the_kg_solve(runner, tmp_path):
     assert header == "c,admissible,converged,distance"
 
 
+def test_scaling_without_a_slope_warns(runner, tmp_path):
+    # both c lie below c_adm ~ 106: no torus, no slope, and a warning
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"c_list": [50.0, 60.0]}))
+    out = tmp_path / "run"
+    res = runner.invoke(main, ["scaling", "--config", str(cfg),
+                               "--out", str(out)])
+    assert res.exit_code == 0, res.output
+    assert json.loads((out / "scaling.json").read_text())["slope_vs_c"] \
+        is None
+    man = json.loads((out / "manifest.json").read_text())
+    assert man["status"] == "ok"
+    assert [w for w in man["warnings"] if "no slope_vs_c" in w] == [
+        "scaling study has no slope_vs_c: 0 of 2 rows converged, it needs 2"]
+
+
 def test_scaling_defaults_take_one_newton_step(runner, tmp_path):
     # the KG seed from the amplitude-frequency map is one step from the torus
     out = tmp_path / "run"

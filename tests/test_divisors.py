@@ -15,9 +15,8 @@ from kgnls.divisors import (ResonantQuery, S_CLASSES,
                             divisor, enumerate_ell, make_pair,
                             measure_estimate_mc, nongauge_scan,
                             s8_localization, sample_xi, wilson_interval)
-from kgnls.frequencies import (Omega0, Omega0_nls, Omega0_remainder,
-                               build_model, omega0, omega0_nls,
-                               omega0_remainder)
+from kgnls.frequencies import (Omega0, Omega0_remainder, build_model,
+                               nls_model, omega0, omega0_remainder)
 
 J3 = (1, 2, 3)
 
@@ -26,9 +25,9 @@ def small_model(c=10.0, M=20, R=1e-2):
     return build_model(c, J3, M, R)
 
 
-def one_pair(model, pair, nls=False):
+def one_pair(model, pair):
     """The divisor table of one pair."""
-    return divisors._Divisors.of(model, pair.k, [pair.ell_dict], nls)
+    return divisors._Divisors.of(model, pair.k, [pair.ell_dict])
 
 
 def pair_tags(J, M, kmax, c):
@@ -171,7 +170,8 @@ def test_divisor_parts_decomposition():
                 + sum(v * Om[idx[j]] for j, v in pair.ell_dict.items()))
 
     parts = [pair.gauge_sum * model.c ** 2,
-             paired(omega0_nls(model, xi), Omega0_nls(model, xi)),
+             paired(omega0(nls_model(model), xi),
+                    Omega0(nls_model(model), xi)),
              paired(omega0_remainder(model, xi),
                     Omega0_remainder(model, xi))]
     assert abs(math.fsum(parts) - divisor(model, xi, pair)) < 1e-9
@@ -243,7 +243,8 @@ def test_mc_grid_agreement():
     axes = [np.linspace(centered.xi_lo[i], centered.xi_hi[i], 16)
             for i in range(3)]
     pts = np.array(list(itertools.product(*axes)))
-    grid = np.mean(divisors._hits(one_pair(centered, pair), pts, q))
+    div = one_pair(centered, pair)
+    grid = np.mean(divisors._hits(div, pts, div.threshold(q)))
     assert abs(mc.fraction - grid) < 0.02
 
 
@@ -294,6 +295,7 @@ def test_resonant_set_nesting(seed, alpha):
     centered = center_pair_correction(model, pair)
     xi = sample_xi(centered, 50, seed)
     div = one_pair(centered, pair)
-    h1 = divisors._hits(div, xi, ResonantQuery(alpha=alpha, tau=2.0))
-    h2 = divisors._hits(div, xi, ResonantQuery(alpha=2 * alpha, tau=2.0))
+    h1, h2 = (divisors._hits(div, xi,
+                             div.threshold(ResonantQuery(alpha=a, tau=2.0)))
+              for a in (alpha, 2 * alpha))
     assert not np.any(h1 & ~h2)

@@ -2,8 +2,8 @@
 
 The references below are the per-pair, per-sample loops the kernel
 replaced: a divisor is <omega0(xi), k> + <Omega0(xi), ell> summed with
-fsum from the frequency maps of `kgnls.frequencies`, one point and one
-pair at a time, and the scans loop over the k rows x `enumerate_ell`; the
+fsum from the frequency maps of `kgnls.frequencies` (the Schrodinger maps
+j^2/2 + N xi are written out here), one point and one pair at a time, and the scans loop over the k rows x `enumerate_ell`; the
 S-class rule is the scalar per-pair classifier that the array classifier
 replaced.  They share with the kernel only the model and the enumeration.
 """
@@ -22,8 +22,7 @@ from kgnls.divisors import (S_CLASSES, ResonantQuery, _k_rows,
                             divisor, enumerate_ell, make_pair,
                             measure_estimate_mc, nongauge_scan,
                             s8_localization, sample_xi)
-from kgnls.frequencies import (Omega0, Omega0_nls, build_model, omega0,
-                               omega0_nls)
+from kgnls.frequencies import Omega0, build_model, nls_model, omega0
 
 J3 = (1, 2, 3)
 
@@ -31,10 +30,22 @@ J3 = (1, 2, 3)
 # --- references ------------------------------------------------------------
 
 def ref_freqs(model, x, nls=False):
-    """(omega, Omega) at one point, delta included (none for nls)."""
+    """(omega, Omega) at one point, delta included; nls gives the
+    Schrodinger maps j^2/2 + N xi, N_ij = 3/(8 pi) (2 - delta_ij), with no
+    delta, written out here."""
     if nls:
-        return omega0_nls(model, x), Omega0_nls(model, x)
+        n = 3.0 / (8.0 * math.pi)
+        J = np.array(model.J, dtype=float)
+        modes = model.normal_modes.astype(float)
+        A = n * (2.0 - np.eye(model.N))
+        B = np.full((len(modes), model.N), 2.0 * n)
+        return 0.5 * J * J + A @ x, 0.5 * modes ** 2 + B @ x
     return omega0(model, x), Omega0(model, x)
+
+
+def family(model, nls):
+    """The model whose divisors are the given family's."""
+    return nls_model(model) if nls else model
 
 
 def ref_index(model):
@@ -164,7 +175,7 @@ def test_divisor_matches_scalar_reference(data):
     rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1)))
     for x in rng.uniform(model.xi_lo, model.xi_hi, size=(4, 3)):
         want = ref_divisor(model, x, pair, nls)
-        assert abs(divisor(model, x, pair, nls) - want) <= scale
+        assert abs(divisor(family(model, nls), x, pair) - want) <= scale
 
 
 @given(corrected_models(), st.floats(1e-7, 1e-5), st.integers(0, 10 ** 6),
@@ -196,7 +207,7 @@ def test_cantor_excision_matches_per_sample_union(model, alpha, seed):
     assert rep["excised_fraction"] == np.mean(want)
     # spot-check the union against the public one-pair divisor
     for x, h in list(zip(xi, want))[:3]:
-        assert h == any(abs(divisor(model, x, p, nls))
+        assert h == any(abs(divisor(family(model, nls), x, p))
                         < ref_threshold(model, q, p)
                         for p in pairs for nls in (False, True))
 
@@ -215,9 +226,11 @@ def test_pruned_pairs_stay_above_threshold_in_the_box(model, alpha, theta,
         om, Om = (np.array(f) for f in zip(*(ref_freqs(model, x, nls)
                                              for x in xi)))
         for ks, kidx, at, val in divisors._tables(model, 2, 1):
-            div = divisors._Divisors(model, ks, kidx, at, val, nls)
+            div = divisors._Divisors(family(model, nls), ks, kidx, at, val)
             floor = div.floor()
-            dropped = floor > div.threshold(q)
+            # both families take the thresholds of the full model
+            dropped = floor > divisors._Divisors(
+                model, ks, kidx, at, val).threshold(q)
             n_dropped += int(dropped.sum())
             for k, ell, fl, drop in zip(ks[kidx], divisors._ells(at, val),
                                         floor, dropped):

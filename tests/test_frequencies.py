@@ -7,10 +7,9 @@ import numpy as np
 import pytest
 
 from kgnls.divisors import _k_rows, enumerate_ell
-from kgnls.frequencies import (Omega0, Omega0_nls, Omega0_remainder,
-                               bateman_inverse, bateman_norm_bound,
-                               build_model, omega0, omega0_nls,
-                               omega0_remainder)
+from kgnls.frequencies import (Omega0, Omega0_remainder, bateman_inverse,
+                               bateman_norm_bound, build_model, nls_model,
+                               omega0, omega0_remainder)
 
 TWO_PI = 2.0 * math.pi
 
@@ -32,16 +31,43 @@ def test_bateman_norm_bound():
     assert norm <= bateman_norm_bound(model)
 
 
+def nls_maps(model, xi):
+    """The Schrodinger maps j^2/2 + N xi, N_ij = 3/(8 pi) (2 - delta_ij)."""
+    J = np.array(model.J, dtype=float)
+    modes = model.normal_modes.astype(float)
+    n = 3.0 / (8.0 * math.pi)
+    return (0.5 * J * J + n * (2.0 - np.eye(model.N)) @ xi,
+            0.5 * modes ** 2 + 2.0 * n * np.sum(xi))
+
+
 def test_matrix_entries_oracle():
-    # A_ij = (3/8pi)(2 - delta_ij) / (w_i w_j); NLS variant drops weights
+    # A_ij = (3/8pi)(2 - delta_ij) / (w_i w_j)
     model = build_model(3.0, (1, 2), 8, 1e-2, require_min_N=2)
     off = 3.0 / TWO_PI / 2.0      # 3/(4 pi)
     diag = 3.0 / TWO_PI / 4.0     # 3/(8 pi)
     w = model.w_J
     assert abs(model.A[0, 1] - off / (w[0] * w[1])) < 1e-14
     assert abs(model.A[0, 0] - diag / w[0] ** 2) < 1e-14
-    assert abs(model.A_nls[0, 1] - off) < 1e-14
-    assert abs(model.A_nls[1, 1] - diag) < 1e-14
+
+
+def test_infinite_c_model_has_the_weight_free_matrices():
+    # c = inf: w = 1, so A = B = 3/(8pi)(2 - delta) exactly, lambda = j^2/2
+    J = (-2, 1, 3)
+    model = build_model(math.inf, J, 6, 1e-2)
+    N = 3.0 / (8.0 * math.pi) * (2 - np.eye(3))
+    assert np.array_equal(model.A, N)
+    assert np.array_equal(model.B, np.full((10, 3), N[0, 1]))
+    assert np.array_equal(model.lam_J, [j * j / 2 for j in J])
+    assert np.array_equal(model.lam_Jc,
+                          [j * j / 2 for j in model.normal_modes.tolist()])
+    assert model.h == 0.0 and model.freq.rest == 0.0
+    # nls_model keeps J, M and the box and drops delta
+    kg = build_model(5.0, J, 6, 1e-2)
+    kg.delta = np.ones(3)
+    lim = nls_model(kg)
+    assert lim.J == model.J and lim.delta is None
+    assert np.array_equal(lim.A, model.A)
+    assert np.array_equal(lim.xi_hi, kg.xi_hi)
 
 
 def test_frequency_map_decomposition():
@@ -51,12 +77,12 @@ def test_frequency_map_decomposition():
     om = omega0(model, xi)
     assert np.max(np.abs(om - (model.lam_J + model.A @ xi))) < 1e-12
     # shifted map = full map minus the c^2 block; remainder is O(h)
+    om_nls, Om_nls = nls_maps(model, xi)
     rem = omega0_remainder(model, xi)
-    assert np.max(np.abs((om - c2) - omega0_nls(model, xi) - rem)) < 1e-12
+    assert np.max(np.abs((om - c2) - om_nls - rem)) < 1e-12
     assert np.max(np.abs(rem)) < 10.0 * model.h
     Rem = Omega0_remainder(model, xi)
-    assert np.max(np.abs((Omega0(model, xi) - c2)
-                         - Omega0_nls(model, xi) - Rem)) < 1e-10
+    assert np.max(np.abs((Omega0(model, xi) - c2) - Om_nls - Rem)) < 1e-10
     # normal remainder grows like nu^2 h but stays O(h) at fixed truncation
     assert np.max(np.abs(Rem)) < 1e4 * model.h
 

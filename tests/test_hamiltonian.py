@@ -62,7 +62,7 @@ def test_build_P_coefficient_oracle():
     # weights lower the coefficient at finite c
     ft2 = FrequencyTable(c=2.0, M=2)
     P2 = build_P(ft2)
-    wprod = ft2.w_at(1) * ft2.w_at(-1)
+    wprod = ft2.w[1 + 2] * ft2.w[-1 + 2]
     assert abs(P2.terms[m]
                - 12.0 / (16.0 * TWO_PI) / math.sqrt(wprod)) < 1e-12
 
@@ -81,7 +81,8 @@ def test_bracket_diagonal_eigenvalue():
     m = canonical([(1, 1), (3, 1), (4, -1), (0, -1)])
     F = PolyHamiltonian({m: 2.5})
     out = poisson_bracket(Lam, F)
-    div = ft.lam_at(1) + ft.lam_at(3) - ft.lam_at(4) - ft.lam_at(0)
+    lam = dict(zip(range(-4, 5), ft.lam))
+    div = lam[1] + lam[3] - lam[4] - lam[0]
     assert len(out) == 1
     assert abs(out.terms[m] - 1j * div * 2.5) < 1e-12
 

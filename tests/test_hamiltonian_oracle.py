@@ -136,7 +136,7 @@ def ref_build_P(freq, M=None):
     for combo, mult in ref_quartic_multisets(M):
         wprod = 1.0
         for j, _ in combo:
-            wprod *= freq.w_at(j)
+            wprod *= freq.w[j + freq.M]
         terms[combo] = mult * base / math.sqrt(wprod)
     return PolyHamiltonian(terms)
 

@@ -57,14 +57,29 @@ def test_parameter_validation():
     with pytest.raises(ValueError):
         FrequencyTable(c=1.0, M=0)
     with pytest.raises(ValueError):
+        FrequencyTable(c=math.nan, M=4)
+    with pytest.raises(ValueError):
         SpaceParams(p=0.25)
 
 
-def test_table_accessors():
+def test_table_arrays_are_indexed_by_j_plus_M():
     ft = FrequencyTable(c=2.0, M=4)
-    assert ft.lam_at(-3) == ft.lam_at(3)
-    with pytest.raises(IndexError):
-        ft.lam_at(5)
+    assert ft.lam[-3 + ft.M] == ft.lam[3 + ft.M] == 2.0 * math.sqrt(13.0)
+    assert ft.nu[0 + ft.M] == 0.0 and ft.w[0 + ft.M] == 1.0
+    assert ft.rest == 4.0
+
+
+def test_infinite_c_table_is_the_schrodinger_limit():
+    # c = inf: h = 0, nu = lambda = j^2/2, w = 1 and rest = 0, exactly
+    M = 40
+    ft = FrequencyTable(c=math.inf, M=M)
+    j = np.arange(-M, M + 1)
+    half_j2 = np.array([jj * jj / 2 for jj in j.tolist()])
+    assert ft.h == 0.0 and ft.rest == 0.0
+    assert np.array_equal(ft.nu, half_j2)
+    assert np.array_equal(ft.lam, half_j2)
+    assert np.array_equal(ft.w, np.ones(2 * M + 1))
+    assert nu(0.0, 7) == 24.5
 
 
 def test_mode_weights_structure():
@@ -72,7 +87,7 @@ def test_mode_weights_structure():
     params = SpaceParams(a=0.1, p=2.0, beta=1.0, M=8)
     wts = mode_weights(params, ft)
     j = 3
-    expect = math.exp(0.2 * j) * (1 + j * j) ** 2.0 * ft.w_at(j) ** 2
+    expect = math.exp(0.2 * j) * (1 + j * j) ** 2.0 * ft.w[j + 8] ** 2
     assert abs(wts[j + 8] - expect) < 1e-12 * expect
     assert np.allclose(wts, wts[::-1])
 

@@ -6,8 +6,7 @@ import numpy as np
 import pytest
 
 from kgnls.frequencies import build_model
-from kgnls.hamiltonian import (build_Lambda, build_Lambda_nls, build_P,
-                               build_P_nls, vector_field)
+from kgnls.hamiltonian import build_Lambda, build_P, build_P_nls, vector_field
 from kgnls.kam_schedule import predicted_bounds
 from kgnls.spectral_core import FourierState, FrequencyTable, SpaceParams
 from kgnls.torus_lab import (TorusEmbedding, TruncatedSystem, _harmonics,
@@ -35,7 +34,7 @@ def test_rhs_matches_polynomial_vector_field(kind, c):
         ft = FrequencyTable(c=c, M=M)
         H = build_Lambda(ft) + build_P(ft)
     else:
-        H = build_Lambda_nls(M) + build_P_nls(M)
+        H = build_Lambda(FrequencyTable(c=math.inf, M=M)) + build_P_nls(M)
     pz, pzb = vector_field(H, st)
     scale = np.max(np.abs(pz)) or 1.0
     assert np.max(np.abs(dz - pz)) < 1e-12 * scale
@@ -50,7 +49,7 @@ def test_hamiltonian_value_matches_polynomial():
     H = build_Lambda(ft) + build_P(ft)
     assert abs(kg.traces(st.z[None])[0][0] - H.value(st).real) < 1e-11
     nls = TruncatedSystem(kind="nls", M=M)
-    Hn = build_Lambda_nls(M) + build_P_nls(M)
+    Hn = build_Lambda(FrequencyTable(c=math.inf, M=M)) + build_P_nls(M)
     assert abs(nls.traces(st.z[None])[0][0] - Hn.value(st).real) < 1e-12
 
 
@@ -80,6 +79,19 @@ def test_non_real_state_is_rejected(kind, c):
     st.zbar = st.zbar + 1e-6
     with pytest.raises(ValueError, match="not real"):
         integrate(system, st, T=0.1)
+
+
+def test_nls_system_has_the_parabolic_frequencies():
+    j = np.arange(-5, 6)
+    nls = TruncatedSystem(kind="nls", M=5)
+    assert np.array_equal(nls.linear_freqs, 0.5 * j * j)
+    assert np.array_equal(nls._sw, np.ones(11))
+
+
+@pytest.mark.parametrize("c", [None, 0.0, math.inf])
+def test_kg_system_needs_a_positive_finite_c(c):
+    with pytest.raises(ValueError, match="positive finite c"):
+        TruncatedSystem(kind="kg", M=4, c=c)
 
 
 def test_strict_mode_rejects_coarse_dt():
@@ -270,7 +282,9 @@ def test_normal_form_torus_displacement_small():
 
 
 def test_scaling_study_admissibility_filter():
-    rep = scaling_study(1e-2, [50.0], 1.0, T=10.0, M=8, Q=2, n_samples=8)
+    with pytest.warns(UserWarning, match="no slope_vs_c: 0 of 1 rows"):
+        rep = scaling_study(1e-2, [50.0], 1.0, T=10.0, M=8, Q=2,
+                            n_samples=8)
     assert rep["rows"][0]["admissible"] is False
     assert rep["slope_vs_c"] is None
 
