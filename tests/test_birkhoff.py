@@ -1,6 +1,7 @@
 """Cohomological solve, normal-form correction, remainders, divisor scans."""
 
 import ast
+import hashlib
 import itertools
 import math
 
@@ -61,6 +62,47 @@ def test_residual_reuses_the_divisors_of_G(c):
     d = birkhoff._divisor(rows, W, nf.freq)
     assert nf.residual == birkhoff._residual(nf.G, d, nf.P, nf.Lambda_plus,
                                              nf.P_hat)
+
+
+def _kg_normal_form(c, M):
+    ft = FrequencyTable(c=c, M=M)
+    return solve_cohomological_quartic(build_P(ft), ft, J)
+
+
+def _lie_text():
+    ft = FrequencyTable(c=10.0, M=4)
+    P = build_P(ft)
+    nf = solve_cohomological_quartic(P, ft, J)
+    return lie_transform(build_Lambda(ft) + P, nf.G, max_order=2).to_text()
+
+
+def _split_text(block):
+    split = remainder_split(_kg_normal_form(10.0, 6),
+                            solve_cohomological_nls(build_P_nls(6), J, 6))
+    return getattr(split, block).to_text()
+
+
+@pytest.mark.parametrize("text,digest", [
+    (lambda: _kg_normal_form(10.0, 16).to_text(),
+     "6231f1b09af13406801daeba793354baec055c41cdbb798fdc5da6f677c1dda3"),
+    (lambda: solve_cohomological_nls(build_P_nls(8), J, 8).to_text(),
+     "83eb98daf67a70f9331a5d5f5563a378281c1dd50e96c74534cd73add6914966"),
+    (_lie_text,
+     "d4a78cb45b9b4eda4e92fe67067d119dee3cb61e2ddc5c791770792c1f4f2ce2"),
+    (lambda: _split_text("G_remainder"),
+     "eca343deebcc4edef5c9add3c837e14600f1406c4dded9d7e2b874e0adc64c3b"),
+    (lambda: _split_text("G_ng"),
+     "d6c5468d91d83726dad0480023fdfec51439a99eed1de470fbc956befb0ee2ae"),
+    (lambda: _split_text("G_r1"),
+     "98f64950774244b2f4a708a24ab1f7893b5244f1ebe14b24dc3d29cd765c3cb4"),
+    (lambda: _split_text("G_div"),
+     "1c187b456b13bb6d055333172d3524c4f98593d48a40bc666c10d8b534ed1478")],
+    ids=["kg-M16", "nls-M8", "lie-M4", "split-remainder", "split-ng",
+         "split-r1", "split-div"])
+def test_normal_form_texts_are_golden(text, digest):
+    # changes to the polynomial store, the bracket or the classifier must
+    # keep every coefficient and the row order byte-identical
+    assert hashlib.sha256(text().encode()).hexdigest() == digest
 
 
 def test_lambda_plus_closed_form_match():
