@@ -19,8 +19,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .spectral_core import TWO_PI, FrequencyTable
-from .hamiltonian import (PolyHamiltonian, _decode, _from_rows, _paired,
-                          _quartic_rows, poisson_bracket)
+from .hamiltonian import (PolyHamiltonian, _decode, _from_rows, _gauge,
+                          _paired, _quartic_rows, poisson_bracket)
 
 # lie_transform raises MemoryError when its running sum would exceed this
 # many terms.
@@ -32,25 +32,18 @@ class DivisorAnomaly(RuntimeError):
     silently in that situation."""
 
 
-def _quartic_table(H: PolyHamiltonian
-                   ) -> tuple[np.ndarray, np.ndarray, int]:
-    """(code rows, coefficients, window) of a quartic polynomial's store."""
+def _quartic_table(H: PolyHamiltonian) -> tuple[np.ndarray, np.ndarray]:
+    """(code rows, coefficients) of a quartic polynomial's store."""
     if set(H._tab) - {4}:
         raise ValueError("the normal-form step is defined for quartic "
                          f"polynomials, got degrees {sorted(H._tab)}")
-    rows, coefs = H._tab.get(4, (np.zeros((0, 4), dtype=np.int32),
-                                 np.zeros(0, dtype=complex)))
-    return rows, coefs, H._W
+    return H._tab.get(4, (np.zeros((0, 4), dtype=np.int32),
+                          np.zeros(0, dtype=complex)))
 
 
-def _touches(rows: np.ndarray, W: int, J) -> np.ndarray:
+def _touches(rows: np.ndarray, J) -> np.ndarray:
     """Per code row: some slot's mode lies in J."""
-    return np.isin(_decode(rows, W)[0], list(J)).any(axis=1)
-
-
-def _gauge(rows: np.ndarray) -> np.ndarray:
-    """Per code row: zero gauge charge (as many z as zbar slots)."""
-    return 2 * (rows & 1).sum(axis=1) == rows.shape[1]
+    return np.isin(rows >> 1, list(J)).any(axis=1)
 
 
 def _i_div(c: np.ndarray, d: np.ndarray) -> np.ndarray:
@@ -66,14 +59,14 @@ def _i_div(c: np.ndarray, d: np.ndarray) -> np.ndarray:
 _FSUM_ROWS = 1024
 
 
-def _divisor(rows: np.ndarray, W: int, freq: FrequencyTable) -> np.ndarray:
+def _divisor(rows: np.ndarray, freq: FrequencyTable) -> np.ndarray:
     """sigma . lambda per code row in the split form
     (sum sigma) rest + fsum(sigma nu_j), rest = c^2 (0 for the c = inf
     table, whose nu_j = j^2/2 are the parabolic frequencies): the c^2
     blocks cancel exactly for gauge-invariant monomials, which keeps
     divisors accurate at large c where the direct lambda sum loses
     ~c^2 eps."""
-    j, s = _decode(rows, W)
+    j, s = _decode(rows)
     if j.size and np.abs(j).max() > freq.M:
         raise IndexError(f"mode outside truncation |j| <= {freq.M}")
     parts = s * freq.nu[j + freq.M]
@@ -122,12 +115,12 @@ def _solve(P: PolyHamiltonian, freq: FrequencyTable, J, nongauge_floor: float
     gauge-invariant divisor met and d holds the divisors of G's rows.  A
     gauge divisor below 1e-8 kmin or a non-gauge one below `nongauge_floor`
     raises DivisorAnomaly."""
-    rows, coefs, W = _quartic_table(P)
-    touches = _touches(rows, W, J)
+    rows, coefs = _quartic_table(P)
+    touches = _touches(rows, J)
     resonant = touches & _paired(rows)
     work = np.flatnonzero(touches & ~resonant)
     rows_g = rows[work]
-    d = _divisor(rows_g, W, freq)
+    d = _divisor(rows_g, freq)
     gauge = _gauge(rows_g)
     absd = np.abs(d)
 
@@ -139,7 +132,7 @@ def _solve(P: PolyHamiltonian, freq: FrequencyTable, J, nongauge_floor: float
     low = np.flatnonzero(absd < floor)
     if low.size:
         i = low[0]
-        j, s = _decode(rows_g[i], W)
+        j, s = _decode(rows_g[i])
         m = tuple(zip(j.tolist(), s.tolist()))
         kind = "gauge" if gauge[i] else "non-gauge"
         raise DivisorAnomaly(f"{kind} divisor {d[i]:.3e} below floor "
@@ -147,9 +140,9 @@ def _solve(P: PolyHamiltonian, freq: FrequencyTable, J, nongauge_floor: float
 
     g = _i_div(coefs[work], d)
     # G's store drops zero coefficients: keep d on the rows it keeps
-    return (_from_rows({4: (rows_g, g)}, W),
-            _from_rows({4: (rows[resonant], coefs[resonant] + 0)}, W),
-            _from_rows({4: (rows[~touches], coefs[~touches] + 0)}, W),
+    return (_from_rows({4: (rows_g, g)}),
+            _from_rows({4: (rows[resonant], coefs[resonant] + 0)}),
+            _from_rows({4: (rows[~touches], coefs[~touches] + 0)}),
             kmin, d[g != 0])
 
 
@@ -160,10 +153,10 @@ def _residual(G: PolyHamiltonian, d: np.ndarray, P: PolyHamiltonian,
     diagonal bracket is evaluated monomial-wise as i (sigma . lambda) G_m;
     the generic bracket implementation agrees but loses ~c^2 * eps to
     float cancellation at large c."""
-    rows, coefs, W = _quartic_table(G)
+    rows, coefs = _quartic_table(G)
     # one factor of i * d has a zero real part, so numpy rounds this product
     # as Python's scalar complex product does
-    bracket = _from_rows({4: (rows, 1j * d * coefs)}, W)
+    bracket = _from_rows({4: (rows, 1j * d * coefs)})
     return ((P - Lp - Ph + bracket).max_abs_coeff()
             / (P.max_abs_coeff() or 1.0))
 
@@ -217,16 +210,16 @@ def lambda_plus_closed_form(freq: FrequencyTable, J) -> PolyHamiltonian:
     c = inf table gives the NLS one (h = 0, every factor 1 + h nu_j is 1)."""
     M = freq.M
     fac = 1.0 + freq.h * freq.nu
-    # index pairs i <= j of the window, in code-row order
-    i, j = np.triu_indices(2 * M + 1)
-    touch = np.isin(i - M, list(J)) | np.isin(j - M, list(J))
+    # mode pairs i <= j of the window, in code-row order
+    i, j = (k - M for k in np.triu_indices(2 * M + 1))
+    touch = np.isin(i, list(J)) | np.isin(j, list(J))
     i, j = i[touch], j[touch]
     diag = i == j
-    coefs = 3.0 / (4.0 * TWO_PI) * (2 - diag) / (fac[i] * fac[j])
+    coefs = 3.0 / (4.0 * TWO_PI) * (2 - diag) / (fac[i + M] * fac[j + M])
     coefs[diag] *= 0.5
     rows = np.sort(np.column_stack([2 * i, 2 * i + 1, 2 * j, 2 * j + 1]),
                    axis=1)
-    return _from_rows({4: (rows, coefs)}, M)
+    return _from_rows({4: (rows, coefs)})
 
 
 @dataclass
@@ -251,12 +244,12 @@ def remainder_split(result: NormalFormResult,
     # P_nls times the difference of the inverse divisors
     P_nls = result_nls.P
     P_r = result.P._select(lambda rows, _: _gauge(rows)) - P_nls
-    rows, _, W = _quartic_table(result_nls.G)
-    d_kg = _divisor(rows, W, result.freq)
-    d_nls = _divisor(rows, W, result_nls.freq)
-    G_r1 = _from_rows({4: (rows, _i_div(P_r._at(rows, W), d_kg))}, W)
-    G_div = _from_rows({4: (rows, 1j * P_nls._at(rows, W)
-                            * (1.0 / d_kg - 1.0 / d_nls) + 0)}, W)
+    rows, _ = _quartic_table(result_nls.G)
+    d_kg = _divisor(rows, result.freq)
+    d_nls = _divisor(rows, result_nls.freq)
+    G_r1 = _from_rows({4: (rows, _i_div(P_r._at(rows), d_kg))})
+    G_div = _from_rows({4: (rows, 1j * P_nls._at(rows)
+                            * (1.0 / d_kg - 1.0 / d_nls) + 0)})
     err = (G_rem - (G_ng + G_r1 + G_div)).max_abs_coeff()
     return RemainderSplit(G_remainder=G_rem, G_ng=G_ng, G_r1=G_r1,
                           G_div=G_div, recombination_error=err)
@@ -284,11 +277,11 @@ def _scan_min_divisors(J, c_grid, Mmax: int) -> list[tuple[float, float]]:
     J and are not paired (resonant), in the split form of `_divisor`.
     Returns per c (min gauge |divisor|, min non-gauge |divisor| / c^2)."""
     rows = _quartic_rows(Mmax)
-    rows = rows[_touches(rows, Mmax, J) & ~_paired(rows)]
+    rows = rows[_touches(rows, J) & ~_paired(rows)]
     gauge = _gauge(rows)
     out = []
     for c in c_grid:
-        d = np.abs(_divisor(rows, Mmax, FrequencyTable(c=c, M=Mmax)))
+        d = np.abs(_divisor(rows, FrequencyTable(c=c, M=Mmax)))
         out.append((float(d[gauge].min(initial=np.inf)),
                     float(d[~gauge].min(initial=np.inf)) / (c * c)))
     return out

@@ -5,15 +5,16 @@ factor and ``s = -1`` for a ``zbar_j`` factor.  Every monomial must satisfy
 the translation-invariance selection rule ``sum s_i j_i = 0`` (module-wide
 policy; the quartic constructors and the Poisson bracket both preserve it).
 
-A `PolyHamiltonian` is one table: a window ``|j| <= W``, the smallest
-holding every mode, and per degree the distinct rows of slot codes
-``2 (j + W) + (s > 0)`` with their nonzero complex coefficients.  Code
-order equals slot-tuple order, so a sorted code row is a canonical
-monomial and ``code ^ 1`` is the conjugate slot.  The rows of a degree are
-in increasing order of their packed key (the row read as a number in base
-``2 (2W + 1)``), which is row-lexicographic order.  Every operation and
-kernel (`value`, `vector_field`, `poisson_bracket`, `birkhoff`'s quartic
-classifier) works on this table.  ``terms``, the mapping from sorted slot
+A `PolyHamiltonian` is one table: per degree the distinct rows of slot
+codes ``2 j + (s > 0)`` (signed int32) with their nonzero complex
+coefficients.  A code does not depend on any window: ``code >> 1`` is j,
+``code & 1`` the z bit and ``code ^ 1`` the conjugate slot, and code order
+equals slot-tuple order, so a sorted code row is a canonical monomial.
+The rows of a degree are in increasing row-lexicographic order.  Only the
+packed key of `_pack`/`_unpack` knows a window: it reads a row as a number
+in base ``2 (2W + 1)`` with W the largest |j| of its operands.  Every
+operation and kernel (`value`, `vector_field`, `poisson_bracket`,
+`birkhoff`'s quartic classifier) works on this table.  ``terms``, the mapping from sorted slot
 tuples to coefficients, is a read-only view decoded from the table on
 first access, for slot-tuple predicates.
 
@@ -76,22 +77,20 @@ class PolyHamiltonian:
                 raise ValueError(
                     f"monomial {m} violates momentum selection rule")
             merged[m] = merged.get(m, 0) + c
-        W = max((abs(j) for m in merged for j, _ in m), default=0)
         groups: dict[int, tuple[list, list]] = {}
         for m in sorted(merged):
             rows, coefs = groups.setdefault(len(m), ([], []))
-            rows.append([2 * (j + W) + (s > 0) for j, s in m])
+            rows.append([2 * j + (s > 0) for j, s in m])
             coefs.append(merged[m])
         self._adopt({d: (np.array(r, dtype=np.int32).reshape(len(r), d),
                          np.array(c, dtype=complex))
-                     for d, (r, c) in groups.items()}, W)
+                     for d, (r, c) in groups.items()})
 
-    def _adopt(self, tables: dict[int, tuple[np.ndarray, np.ndarray]],
-               W: int) -> None:
-        """The one constructor of the store: per degree, code rows on the
-        window |j| <= W in increasing packed-key order, and coefficients.
-        Zero coefficients are dropped and the window shrinks to the modes
-        left."""
+    def _adopt(self, tables: dict[int, tuple[np.ndarray, np.ndarray]]
+               ) -> None:
+        """The one constructor of the store: per degree, code rows in
+        increasing row-lexicographic order, and coefficients.  Zero
+        coefficients are dropped; `_W` caches the largest |j| left."""
         tab = {}
         for d in sorted(tables):
             rows, coefs = tables[d]
@@ -101,25 +100,8 @@ class PolyHamiltonian:
                 rows, coefs = rows[keep], coefs[keep]
             if len(coefs):
                 tab[d] = (rows.astype(np.int32, copy=False), coefs)
-        W0 = max((max(W - int(rows.min() >> 1), int(rows.max() >> 1) - W)
-                  for rows, _ in tab.values() if rows.size), default=0)
-        if W0 < W:
-            shift = 2 * (W - W0)
-            tab = {d: (rows - shift, c) for d, (rows, c) in tab.items()}
-        self._W, self._tab, self._terms = W0, tab, None
-
-    def _table(self, W: int | None = None
-               ) -> dict[int, tuple[np.ndarray, np.ndarray]]:
-        """The store on the window |j| <= W (default: its own): degree ->
-        (codes (T, d), coefficients (T,))."""
-        if W is None or W == self._W:
-            return self._tab
-        if W < self._W:
-            raise ValueError(
-                f"polynomial has modes up to |j| = {self._W}, outside the "
-                f"window |j| <= {W}")
-        shift = 2 * (W - self._W)
-        return {d: (codes + shift, c) for d, (codes, c) in self._tab.items()}
+        self._W = max((_reach(rows) for rows, _ in tab.values()), default=0)
+        self._tab, self._terms = tab, None
 
     def _select(self, keep: Callable[[np.ndarray, np.ndarray], np.ndarray]
                 ) -> "PolyHamiltonian":
@@ -129,18 +111,16 @@ class PolyHamiltonian:
         for d, (rows, coefs) in self._tab.items():
             k = keep(rows, coefs)
             out[d] = (rows[k], coefs[k])
-        return _from_rows(out, self._W)
+        return _from_rows(out)
 
-    def _at(self, rows: np.ndarray, W: int) -> np.ndarray:
-        """Coefficients at the code rows `rows` on |j| <= W, 0 where the
-        polynomial has no such term; looked up by packed key."""
-        if W < self._W:
-            rows, W = rows + 2 * (self._W - W), self._W
+    def _at(self, rows: np.ndarray) -> np.ndarray:
+        """Coefficients at the code rows `rows`, 0 where the polynomial has
+        no such term; looked up by packed key."""
         out = np.zeros(len(rows), dtype=complex)
-        own = self._table(W).get(rows.shape[1])
+        own = self._tab.get(rows.shape[1])
         if own is not None:
-            B = 2 * (2 * W + 1)
-            keys, want = _pack(own[0], B), _pack(rows, B)
+            W = max(self._W, _reach(rows))
+            keys, want = _pack(own[0], W), _pack(rows, W)
             i = np.minimum(np.searchsorted(keys, want), len(keys) - 1)
             hit = keys[i] == want
             out[hit] = own[1][i[hit]]
@@ -151,20 +131,19 @@ class PolyHamiltonian:
         """Read-only view: sorted slot tuple -> coefficient, decoded from
         the table on first access and cached."""
         if self._terms is None:
-            slot = [(j, s) for j in range(-self._W, self._W + 1)
-                    for s in (-1, 1)]
+            W = self._W
+            slot = [(j, s) for j in range(-W, W + 1) for s in (-1, 1)]
             self._terms = MappingProxyType({
                 tuple(map(slot.__getitem__, r)): c
                 for rows, coefs in self._tab.values()
-                for r, c in zip(rows.tolist(), coefs.tolist())})
+                for r, c in zip((rows + 2 * W).tolist(), coefs.tolist())})
         return self._terms
 
     # -- basic algebra ----------------------------------------------------
 
     def __add__(self, other: "PolyHamiltonian") -> "PolyHamiltonian":
         W = max(self._W, other._W)
-        B = 2 * (2 * W + 1)
-        a, b = self._table(W), other._table(W)
+        a, b = self._tab, other._tab
         out = {}
         for d in a.keys() | b.keys():
             parts = [t[d] for t in (a, b) if d in t]
@@ -172,17 +151,17 @@ class PolyHamiltonian:
                 out[d] = parts[0]
                 continue
             keys, coefs = _reduce(
-                np.concatenate([_pack(rows, B) for rows, _ in parts]),
+                np.concatenate([_pack(rows, W) for rows, _ in parts]),
                 np.concatenate([c for _, c in parts]))
-            out[d] = (_unpack(keys, d, B), coefs)
-        return _from_rows(out, W)
+            out[d] = (_unpack(keys, d, W), coefs)
+        return _from_rows(out)
 
     def __sub__(self, other: "PolyHamiltonian") -> "PolyHamiltonian":
         return self + other.scale(-1.0)
 
     def scale(self, a: complex) -> "PolyHamiltonian":
         return _from_rows({d: (rows, a * c)
-                           for d, (rows, c) in self._tab.items()}, self._W)
+                           for d, (rows, c) in self._tab.items()})
 
     def prune(self) -> "PolyHamiltonian":
         """Drop the coefficients of modulus <= PRUNE_TOL."""
@@ -211,12 +190,12 @@ class PolyHamiltonian:
     # -- evaluation -------------------------------------------------------
 
     def value(self, state: FourierState) -> complex:
-        zz = _slot_values(state)
+        zz, off = _slot_values(self, state)
         tot = 0.0 + 0.0j
-        for codes, coef in self._table(state.M).values():
+        for codes, coef in self._tab.values():
             v = coef.copy()
             for k in range(codes.shape[1]):
-                v *= zz[codes[:, k]]
+                v *= zz[codes[:, k] + off]
             tot += v.sum()
         return tot
 
@@ -225,50 +204,64 @@ class PolyHamiltonian:
     def to_text(self) -> str:
         """One line "signs modes coefficient" per row of the table, in
         table order: by degree, then in sorted slot-tuple order."""
-        sign = ["-", "+"] * (2 * self._W + 1)
-        mode = [str(j) for j in range(-self._W, self._W + 1) for _ in "-+"]
+        W = self._W
+        sign = ["-", "+"] * (2 * W + 1)
+        mode = [str(j) for j in range(-W, W + 1) for _ in "-+"]
         lines = []
         for rows, coefs in self._tab.values():
-            for r, c in zip(rows.tolist(), coefs.tolist()):
+            for r, c in zip((rows + 2 * W).tolist(), coefs.tolist()):
                 coeff = repr(c.real) if c.imag == 0 else repr(c).strip("()")
                 lines.append(f"{''.join(map(sign.__getitem__, r))} "
                              f"{' '.join(map(mode.__getitem__, r))} {coeff}")
         return "\n".join(lines) + ("\n" if lines else "")
 
 
-def _from_rows(tables: dict[int, tuple[np.ndarray, np.ndarray]], W: int
+def _from_rows(tables: dict[int, tuple[np.ndarray, np.ndarray]]
                ) -> PolyHamiltonian:
-    """Polynomial from per-degree (code rows, coefficients) on the window
-    |j| <= W.  Rows must be distinct, momentum zero and in increasing
-    packed-key order; they are adopted as is."""
+    """Polynomial from per-degree (code rows, coefficients).  Rows must be
+    distinct, momentum zero and in increasing row-lexicographic order;
+    they are adopted as is."""
     H = PolyHamiltonian.__new__(PolyHamiltonian)
-    H._adopt(tables, W)
+    H._adopt(tables)
     return H
+
+
+def _reach(rows: np.ndarray) -> int:
+    """Largest |j| of the code rows (0 without slots)."""
+    if not rows.size:
+        return 0
+    return max(-(int(rows.min()) >> 1), int(rows.max()) >> 1)
 
 
 def build_Lambda(freq: FrequencyTable) -> PolyHamiltonian:
     """Diagonal quadratic sum lambda_j z_j zbar_j on |j| <= M; the c = inf
     table gives the parabolic frequencies j^2/2."""
-    zbar = 2 * np.arange(2 * freq.M + 1)
-    return _from_rows({2: (np.column_stack([zbar, zbar + 1]), freq.lam)},
-                      freq.M)
+    zbar = 2 * np.arange(-freq.M, freq.M + 1)
+    return _from_rows({2: (np.column_stack([zbar, zbar + 1]), freq.lam)})
 
 
-def _slot_values(state: FourierState) -> np.ndarray:
-    """[z, zbar] interleaved in slot-code order on the state's window."""
+def _slot_values(H: PolyHamiltonian, state: FourierState
+                 ) -> tuple[np.ndarray, int]:
+    """[zbar, z] interleaved in slot-code order on the state's window, and
+    the offset 2M at which code 0 sits.  H's modes must lie in the
+    window."""
+    if H._W > state.M:
+        raise ValueError(
+            f"polynomial has modes up to |j| = {H._W}, outside the "
+            f"window |j| <= {state.M}")
     zz = np.empty(2 * len(state.z), dtype=complex)
     zz[0::2] = state.zbar
     zz[1::2] = state.z
-    return zz
+    return zz, 2 * state.M
 
 
 # Bracket contractions formed per batch: bounds a kernel's transient arrays.
 _PAIR_CHUNK = 4096
 
 
-def _decode(rows: np.ndarray, W: int) -> tuple[np.ndarray, np.ndarray]:
-    """Code rows on the window |j| <= W -> (modes j, signs s), same shape."""
-    return (rows >> 1) - W, 2 * (rows & 1) - 1
+def _decode(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Code rows -> (modes j, signs s), same shape."""
+    return rows >> 1, 2 * (rows & 1) - 1
 
 
 def _paired(rows: np.ndarray) -> np.ndarray:
@@ -277,20 +270,25 @@ def _paired(rows: np.ndarray) -> np.ndarray:
     return np.all(np.sort(rows ^ 1, axis=1) == rows, axis=1)
 
 
+def _gauge(rows: np.ndarray) -> np.ndarray:
+    """Per code row: zero gauge charge (as many z as zbar slots)."""
+    return 2 * (rows & 1).sum(axis=1) == rows.shape[1]
+
+
 def _quartic_rows(M: int) -> np.ndarray:
     """Sorted slot-code rows of every momentum-zero degree-4 multiset on
     |j| <= M, in lexicographic order."""
-    n = 2 * (2 * M + 1)
-    tri = np.fromiter(combinations_with_replacement(range(n), 3),
-                      dtype=(np.int32, 3), count=math.comb(n + 2, 3))
+    codes = range(-2 * M, 2 * M + 2)
+    tri = np.fromiter(combinations_with_replacement(codes, 3),
+                      dtype=(np.int32, 3), count=math.comb(len(codes) + 2, 3))
     mom = np.zeros(len(tri), dtype=np.int32)
     for k in range(3):
-        mom += ((tri[:, k] >> 1) - M) * (2 * (tri[:, k] & 1) - 1)
+        mom += (tri[:, k] >> 1) * (2 * (tri[:, k] & 1) - 1)
     picks, fourth = [], []
     for s4 in (-1, 1):
         # s4 * j4 = -mom; the 4th slot closes a sorted row iff code >= 3rd
         j4 = -s4 * mom
-        code4 = 2 * (j4 + M) + (s4 > 0)
+        code4 = 2 * j4 + (s4 > 0)
         ok = (np.abs(j4) <= M) & (code4 >= tri[:, 2])
         picks.append(np.flatnonzero(ok))
         fourth.append(code4[ok])
@@ -320,22 +318,19 @@ def build_P(freq: FrequencyTable, M: int | None = None) -> PolyHamiltonian:
     if M > freq.M:
         raise ValueError("requested truncation exceeds frequency table")
     rows = _quartic_rows(M)
-    w = [freq.w[(rows[:, k] >> 1) - M + freq.M] for k in range(4)]
+    w = [freq.w[(rows[:, k] >> 1) + freq.M] for k in range(4)]
     wprod = w[0] * w[1] * w[2] * w[3]
     base = 1.0 / (16.0 * TWO_PI)
     coefs = _multiplicity(rows) * base / np.sqrt(wprod)
-    return _from_rows({4: (rows, coefs)}, M)
+    return _from_rows({4: (rows, coefs)})
 
 
 def build_P_nls(M: int) -> PolyHamiltonian:
-    """Quartic NLS Hamiltonian: the gauge-invariant, weight-free limit of
-    build_P (per-arrangement coefficient 1/32pi, i.e. 3/(16pi) per
-    sigma-pattern)."""
-    rows = _quartic_rows(M)
-    rows = rows[(rows & 1).sum(axis=1) == 2]
-    base = 1.0 / (16.0 * TWO_PI)
-    coefs = _multiplicity(rows) * base
-    return _from_rows({4: (rows, coefs)}, M)
+    """Quartic NLS Hamiltonian: the gauge-invariant rows of build_P on the
+    c = inf table, whose weights are 1 (per-arrangement coefficient
+    1/32pi, i.e. 3/(16pi) per sigma-pattern)."""
+    return build_P(FrequencyTable(c=math.inf, M=M))._select(
+        lambda rows, _: _gauge(rows))
 
 
 def _reduce(keys: np.ndarray, vals: np.ndarray
@@ -383,24 +378,25 @@ def _join(want: np.ndarray, col: np.ndarray):
         r0 = r1
 
 
-def _pack(rows: np.ndarray, B: int) -> np.ndarray:
-    """One int64 key per code row, its codes read as base-B digits: key
-    order is row-lexicographic order."""
-    D = rows.shape[1]
+def _pack(rows: np.ndarray, W: int) -> np.ndarray:
+    """One int64 key per code row with modes |j| <= W, its codes shifted
+    by 2W and read as digits in base 2 (2W + 1): key order is
+    row-lexicographic order."""
+    D, B = rows.shape[1], 2 * (2 * W + 1)
     if B ** D >= 2 ** 63:
-        raise ValueError(f"degree {D} on window |j| <= {B // 4} "
+        raise ValueError(f"degree {D} on window |j| <= {W} "
                          f"overflows the packed monomial key")
     keys = np.zeros(len(rows), dtype=np.int64)
     for k in range(D):
-        keys = keys * B + rows[:, k]
+        keys = keys * B + (rows[:, k] + 2 * W)
     return keys
 
 
-def _unpack(keys: np.ndarray, D: int, B: int) -> np.ndarray:
+def _unpack(keys: np.ndarray, D: int, W: int) -> np.ndarray:
     rows = np.empty((len(keys), D), dtype=np.int64)
     for k in range(D - 1, -1, -1):
-        keys, rows[:, k] = np.divmod(keys, B)
-    return rows
+        keys, rows[:, k] = np.divmod(keys, 2 * (2 * W + 1))
+    return rows - 2 * W
 
 
 def poisson_bracket(F: PolyHamiltonian, G: PolyHamiltonian,
@@ -418,11 +414,9 @@ def poisson_bracket(F: PolyHamiltonian, G: PolyHamiltonian,
     a running sum per output degree.
     """
     W = max(F._W, G._W)
-    B = 2 * (2 * W + 1)
-    tf, tg = F._table(W), G._table(W)
     acc: dict[int, list[tuple[np.ndarray, np.ndarray]]] = {}
-    for df, (f_codes, f_coef) in tf.items():
-        for dg, (g_codes, g_coef) in tg.items():
+    for df, (f_codes, f_coef) in F._tab.items():
+        for dg, (g_codes, g_coef) in G._tab.items():
             D = df + dg - 2
             if D > max_deg:
                 continue
@@ -436,15 +430,15 @@ def poisson_bracket(F: PolyHamiltonian, G: PolyHamiltonian,
                                               axis=1)
                         rows.sort(axis=1)
                         vals = g_w[gi] * f_coef[fi] * g_coef[gi]
-                        _push_run(acc.setdefault(D, []), _pack(rows, B), vals)
+                        _push_run(acc.setdefault(D, []), _pack(rows, W), vals)
     tables = {}
     for D, runs in acc.items():
         while len(runs) > 1:
             _merge_last(runs)
         keys, vals = runs[0]
         keep = np.abs(vals) > PRUNE_TOL
-        tables[D] = (_unpack(keys[keep], D, B), vals[keep])
-    return _from_rows(tables, W)
+        tables[D] = (_unpack(keys[keep], D, W), vals[keep])
+    return _from_rows(tables)
 
 
 def vector_field(H: PolyHamiltonian, state: FourierState
@@ -455,12 +449,13 @@ def vector_field(H: PolyHamiltonian, state: FourierState
     factors; summing over every slot position counts repeated slots with
     their multiplicity.
     """
-    zz = _slot_values(state)
+    zz, off = _slot_values(H, state)
     idx, val = [], []
-    for codes, coef in H._table(state.M).values():
+    for codes, coef in H._tab.values():
         d = codes.shape[1]
         if d == 0:
             continue
+        codes = codes + off
         v = zz[codes]
         # leave-one-out products from prefix and suffix products: no
         # division, so zero factors are safe

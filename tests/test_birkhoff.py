@@ -58,8 +58,8 @@ def test_residual_reuses_the_divisors_of_G(c):
     else:
         ft = FrequencyTable(c=c, M=8)
         nf = solve_cohomological_quartic(build_P(ft, 8), ft, J)
-    rows, _, W = birkhoff._quartic_table(nf.G)
-    d = birkhoff._divisor(rows, W, nf.freq)
+    rows, _ = birkhoff._quartic_table(nf.G)
+    d = birkhoff._divisor(rows, nf.freq)
     assert nf.residual == birkhoff._residual(nf.G, d, nf.P, nf.Lambda_plus,
                                              nf.P_hat)
 

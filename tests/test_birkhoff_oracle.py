@@ -177,7 +177,7 @@ def assert_same_normal_form(got, ref):
 
 def test_pairing_mask_matches_permutation_search():
     rows = _quartic_rows(6)
-    j, s = _decode(rows, 6)
+    j, s = _decode(rows)
     ref = [_has_pairing(jv, sv) for jv, sv in zip(j.tolist(), s.tolist())]
     assert _paired(rows).tolist() == ref
     assert 0 < sum(ref) < len(ref)
