@@ -119,8 +119,9 @@ def integrate(system: TruncatedSystem, z0: FourierState, T: float,
               dt: float | None = None, record_every: int = 100,
               strict: bool = False) -> SimulationRecord:
     """Strang splitting with exact linear rotation and an RK4 nonlinear
-    step over round(T / dt) steps; a frame every `record_every` steps (and
-    always the final state) and the energy, mass and momentum traces there.
+    step over n = ceil(T / dt) equal steps of T / n; a frame every
+    `record_every` steps (and always the final state, at time T) and the
+    energy, mass and momentum traces there.
     The state must be real (zbar = conj(z)); only z is stepped.  T and dt
     must be finite and positive and `record_every` at least 1."""
     if not z0.real_representation():
@@ -136,7 +137,8 @@ def integrate(system: TruncatedSystem, z0: FourierState, T: float,
         if strict:
             raise ValueError(msg)
         warnings.warn(msg)
-    n_steps = max(1, int(round(T / dt)))
+    n_steps = math.ceil(T / dt)
+    dt = T / n_steps
     rot_half = np.exp(-0.5j * dt * system.linear_freqs)
 
     z = z0.z.copy()
@@ -148,6 +150,7 @@ def integrate(system: TruncatedSystem, z0: FourierState, T: float,
         if step % record_every == 0 or step == n_steps:
             times.append(step * dt)
             frames.append(z.copy())
+    times[-1] = T
     frames = np.array(frames)
     return SimulationRecord(np.array(times), frames, *system.traces(frames))
 

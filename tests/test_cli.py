@@ -158,10 +158,10 @@ def test_simulate_writes_frames(runner, tmp_path):
           "simulate.json": "447cf2f63a75f5c0c8096845e905bb34"
                            "1e3fd2664a2c7315fa2d9cf038f01bd6"}),
     ({"system": "kg", "T": 1.0},
-     {"frames.bin": "cb9eee67cf7ea06d5f702819fe8a1fa0"
-                    "cf2ebe91cc5b600f945de64b0a4c5c4d",
-      "simulate.json": "59c9c594673bf5cfc5ff557e0e5ab7e1"
-                       "fbe5022be9eb100861164bce4be91be5"})],
+     {"frames.bin": "09fc06993be7a46da57e447273a8d5ec"
+                    "012a45d159328e91e5e66f61e184d060",
+      "simulate.json": "a67ec776f4123e976dc228365209dfb1"
+                       "c42a36d6acc244fff9f1fd0f46ec3252"})],
     ids=["nls-default", "kg-T1"])
 def test_simulate_artifacts_are_golden(runner, tmp_path, config, digests):
     # changes to the truncated field or the Strang step must keep the

@@ -102,6 +102,17 @@ def test_strict_mode_rejects_coarse_dt():
     assert default_dt(system) * system.fastest_frequency <= 0.05 + 1e-12
 
 
+@pytest.mark.parametrize("kind,c,T", [("nls", None, 1e-9), ("kg", 10.0, 1.0)])
+def test_last_frame_is_at_T(kind, c, T):
+    # T is not a multiple of the default dt: the run takes ceil(T / dt)
+    # equal steps and its last frame is at T, not at a rounded step count
+    system = TruncatedSystem(kind=kind, M=16, c=c)
+    z0 = FourierState.from_modes(16, {1: 0.01, 2: 0.005 + 0.003j})
+    rec = integrate(system, z0, T=T)
+    assert rec.times[-1] == T
+    assert np.all(np.diff(rec.times) > 0)
+
+
 def test_record_roundtrip(tmp_path):
     system = TruncatedSystem(kind="nls", M=4)
     z0 = FourierState.from_modes(4, {1: 0.05})
