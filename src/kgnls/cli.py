@@ -406,7 +406,7 @@ _FITS = {"measure": ("measure_fit.json", "slope", "predicted_slope"),
 def report(run_dirs, out_path):
     """Aggregate fitted exponents from run directories against the
     predicted ones their artifacts record, with each run's status."""
-    rows = [["experiment", "seed", "run", "fitted", "predicted", "status"]]
+    rows = [["experiment", "run", "fitted", "predicted", "status"]]
     for d in map(pathlib.Path, run_dirs):
         if not (d / "manifest.json").exists():
             click.echo(f"skipped (no manifest): {d}", err=True)
@@ -419,8 +419,7 @@ def report(run_dirs, out_path):
             doc = json.loads((d / name).read_text())
             fitted = doc[fit_key]
             pred = doc.get(pred_key, "")
-        rows.append([exp, man["config"].get("seed", ""), str(d), fitted, pred,
-                     man.get("status", "")])
+        rows.append([exp, str(d), fitted, pred, man.get("status", "")])
     with click.open_file(out_path, "w") as fh:
         csv.writer(fh).writerows(rows)
 

@@ -324,11 +324,11 @@ def test_report_aggregates_and_skips(runner, tmp_path):
     assert res.exit_code == 0
     lines = res.output.strip().splitlines()
     assert "skipped (no manifest)" in lines[0]
-    assert lines[1] == "experiment,seed,run,fitted,predicted,status"
+    assert lines[1] == "experiment,run,fitted,predicted,status"
     assert lines[2].startswith("schedule,") and lines[2].endswith(",ok")
-    assert float(lines[2].split(",")[4]) == 4.0 / 3.0
-    assert lines[3] == f"schedule,,{failed},,,numeric_anomaly"
-    assert lines[4] == f"schedule,,{crashed},,,running"
+    assert float(lines[2].split(",")[3]) == 4.0 / 3.0
+    assert lines[3] == f"schedule,{failed},,,numeric_anomaly"
+    assert lines[4] == f"schedule,{crashed},,,running"
 
 
 def test_report_leaves_missing_prediction_blank(runner, tmp_path):
@@ -341,8 +341,8 @@ def test_report_leaves_missing_prediction_blank(runner, tmp_path):
     res = runner.invoke(main, ["report", str(out)])
     assert res.exit_code == 0
     row = res.output.strip().splitlines()[1].split(",")
-    assert float(row[3]) == doc["growth_factor_mean_4_12"]
-    assert row[4] == ""
+    assert float(row[2]) == doc["growth_factor_mean_4_12"]
+    assert row[3] == ""
 
 
 # Each must exit 2 with a one-line message and write nothing.
