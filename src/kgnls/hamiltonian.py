@@ -14,9 +14,9 @@ The rows of a degree are in increasing row-lexicographic order.  Only the
 packed key of `_pack`/`_unpack` knows a window: it reads a row as a number
 in base ``2 (2W + 1)`` with W the largest |j| of its operands.  Every
 operation and kernel (`value`, `vector_field`, `poisson_bracket`,
-`birkhoff`'s quartic classifier) works on this table.  ``terms``, the mapping from sorted slot
-tuples to coefficients, is a read-only view decoded from the table on
-first access, for slot-tuple predicates.
+`birkhoff`'s quartic classifier) works on this table.  ``terms``, the
+mapping from sorted slot tuples to coefficients, is a read-only view
+decoded from the table on first access, for slot-tuple predicates.
 
 The real Hamiltonians (P, Lambda, Lambda+) have real coefficients, while
 normal-form generators obtained by dividing by ``i * (divisor)`` are purely
