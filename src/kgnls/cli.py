@@ -221,7 +221,8 @@ def _simulate(cfg: dict, out: pathlib.Path) -> None:
     rec = torus_lab.integrate(
         system, spectral_core.FourierState.from_modes(cfg["M"], modes),
         T=float(cfg["T"]), dt=None if cfg["dt"] is None else float(cfg["dt"]),
-        record_every=cfg["record_every"], strict=cfg["strict"])
+        frame_dt=None if cfg["frame_dt"] is None
+        else float(cfg["frame_dt"]), strict=cfg["strict"])
     bad = ~np.isfinite(rec.z).all(axis=1)
     if bad.any():
         raise FloatingPointError(
@@ -314,7 +315,7 @@ COMMANDS = (
         "c": Key(float, 10.0, _POSITIVE),
         "T": Key(float, 10.0, _POSITIVE),
         "dt": Key(float, None, _POSITIVE),
-        "record_every": Key(int, 100, _POSITIVE),
+        "frame_dt": Key(float, None, _POSITIVE),
         "modes": Key(dict, {"1": [0.01, 0.0], "2": [0.005, 0.003]},
                      _mode_map("[re, im] pairs", lambda vals: all(
                          isinstance(a, list) and len(a) == 2

@@ -8,14 +8,16 @@ Right sides (modes |j| <= M, dressing g_j = (z_j + zbar_{-j}) / sqrt(w_j)):
 The cube on the mode window is one valid-mode correlation of the full
 self-convolution: sum_{j1+j2-j3=m} z z zbar = correlate(z*z, z)_m, and for
 KG, where g is Hermitian (g_{-j} = conj(g_j)), (g*g*g)_m = correlate(g*g, g)_m.
-Time stepping is Strang splitting on z only (states are real,
-zbar = conj(z)): exact linear rotation halves around the RK4 step `_rk4`
-of the nonlinear part, which the normal-form flow shares.  A trajectory is
-one (frames, 2M+1) array of z rows, and `frames.bin` one structured array
-of (t, z, zbar) records.  A torus stores one coefficient per harmonic q,
-on its momentum support q . J (translation equivariance, which the KG
-dressing keeps), and is refined by Gauss-Newton over that support with the
-closed-form Jacobian of the collocated invariance residual.
+Time stepping is Lawson (integrating-factor) RK4 on z only (states are
+real, zbar = conj(z)): classical RK4 on e^{i Lambda t} z, so the linear
+rotation is exact, at dt = 0.4 / lambda_max by default.  Frames are taken
+at fixed times k frame_dt and at the end time.  A trajectory is one
+(frames, 2M+1) array of z rows, and `frames.bin` one structured array of
+(t, z, zbar) records; the normal-form flow steps [z, zbar] with `_rk4`.
+A torus stores one coefficient per harmonic q, on its momentum support
+q . J (translation equivariance, which the KG dressing keeps), and is
+refined by Gauss-Newton over that support with the closed-form Jacobian
+of the collocated invariance residual.
 """
 
 from __future__ import annotations
@@ -103,7 +105,7 @@ class SimulationRecord:
 
 
 def default_dt(system: TruncatedSystem) -> float:
-    return 0.05 / system.fastest_frequency
+    return 0.4 / system.fastest_frequency
 
 
 def _rk4(f, y: np.ndarray, h: float) -> np.ndarray:
@@ -115,44 +117,73 @@ def _rk4(f, y: np.ndarray, h: float) -> np.ndarray:
     return y + h / 6.0 * (k1 + 2 * k2 + 2 * k3 + k4)
 
 
+# `integrate` warns (or, when strict, raises) above this dt * lambda_max.
+# Below it dt * lambda_j <= 0.8 and the KG phase dt * 2 c^2 <= 1.6 stay
+# under 2 pi, where no exponential can resonate
+_DT_LAMBDA_GUARD = 0.8
+
+
+def _lawson_rk4(f, z: np.ndarray, h: float, half: np.ndarray,
+                full: np.ndarray) -> np.ndarray:
+    """One Lawson step of dz/dt = -i Lambda z + f(z): classical RK4 on
+    e^{i Lambda t} z, written with half = e^{-i Lambda h/2} and
+    full = e^{-i Lambda h}, so the linear rotation is exact."""
+    zh, zf = half * z, full * z
+    k1 = half * f(z)
+    k2 = f(zh + 0.5 * h * k1)
+    k3 = f(zh + 0.5 * h * k2)
+    k4 = f(zf + h * half * k3)
+    return zf + h / 6.0 * (half * (k1 + 2 * (k2 + k3)) + k4)
+
+
+def _parts(length: float, step: float) -> int:
+    """The number of pieces of at most `step` that `length` splits into; a
+    quotient within 1e-9 above an integer counts as that integer."""
+    return max(1, math.ceil(length / step - 1e-9))
+
+
 def integrate(system: TruncatedSystem, z0: FourierState, T: float,
-              dt: float | None = None, record_every: int = 100,
+              dt: float | None = None, frame_dt: float | None = None,
               strict: bool = False) -> SimulationRecord:
-    """Strang splitting with exact linear rotation and an RK4 nonlinear
-    step over n = ceil(T / dt) equal steps of T / n; a frame every
-    `record_every` steps (and always the final state, at time T) and the
-    energy, mass and momentum traces there.
-    The state must be real (zbar = conj(z)); only z is stepped.  T and dt
-    must be finite and positive and `record_every` at least 1."""
+    """Lawson RK4 (`_lawson_rk4`) from 0 to T, with a frame at each
+    k frame_dt < T and at T, and the energy, mass and momentum traces there.
+    Each interval between frames takes ceil(interval / dt) equal steps, so
+    no step is longer than dt and every frame lands on its time.  dt
+    defaults to `default_dt`, frame_dt to 5 / lambda_max.
+    The state must be real (zbar = conj(z)); only z is stepped.  T, dt and
+    frame_dt must be finite and positive."""
     if not z0.real_representation():
         raise ValueError("the state is not real: zbar must equal conj(z)")
+    lam_max = system.fastest_frequency
     if dt is None:
         dt = default_dt(system)
-    if not (0 < T < math.inf and 0 < dt < math.inf and record_every >= 1):
-        raise ValueError(f"T = {T}, dt = {dt} must be finite and positive "
-                         f"and record_every = {record_every} at least 1")
-    if dt * system.fastest_frequency > 0.1:
+    if frame_dt is None:
+        frame_dt = 5.0 / lam_max
+    if not all(0 < v < math.inf for v in (T, dt, frame_dt)):
+        raise ValueError(f"T = {T}, dt = {dt} and frame_dt = {frame_dt} "
+                         f"must be finite and positive")
+    if dt * lam_max > _DT_LAMBDA_GUARD:
         msg = (f"dt = {dt:.3e} does not resolve the fastest frequency "
-               f"{system.fastest_frequency:.3e}")
+               f"{lam_max:.3e}: dt * lambda_max > {_DT_LAMBDA_GUARD}")
         if strict:
             raise ValueError(msg)
         warnings.warn(msg)
-    n_steps = math.ceil(T / dt)
-    dt = T / n_steps
-    rot_half = np.exp(-0.5j * dt * system.linear_freqs)
-
+    times = np.append(frame_dt * np.arange(_parts(T, frame_dt)), T)
     z = z0.z.copy()
-    times, frames = [0.0], [z.copy()]
-    for step in range(1, n_steps + 1):
-        z *= rot_half
-        z = _rk4(system.nonlinear_rhs, z, dt)
-        z *= rot_half
-        if step % record_every == 0 or step == n_steps:
-            times.append(step * dt)
-            frames.append(z.copy())
-    times[-1] = T
+    frames = [z.copy()]
+    steppers = {}
+    for length in [frame_dt] * (len(times) - 2) + [T - times[-2]]:
+        if length not in steppers:
+            n = _parts(length, dt)
+            h = length / n
+            steppers[length] = (n, h, np.exp(-0.5j * h * system.linear_freqs),
+                                np.exp(-1j * h * system.linear_freqs))
+        n, h, half, full = steppers[length]
+        for _ in range(n):
+            z = _lawson_rk4(system.nonlinear_rhs, z, h, half, full)
+        frames.append(z.copy())
     frames = np.array(frames)
-    return SimulationRecord(np.array(times), frames, *system.traces(frames))
+    return SimulationRecord(times, frames, *system.traces(frames))
 
 
 # --- torus embeddings ------------------------------------------------------

@@ -139,7 +139,7 @@ def test_measure_seed_override_changes_output(runner, tmp_path):
 
 def test_simulate_writes_frames(runner, tmp_path):
     cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps({"M": 8, "T": 2.0, "record_every": 50}))
+    cfg.write_text(json.dumps({"M": 8, "T": 2.0, "frame_dt": 0.078125}))
     out = tmp_path / "run"
     res = runner.invoke(main, ["simulate", "--config", str(cfg),
                                "--out", str(out)])
@@ -164,7 +164,7 @@ def test_simulate_writes_frames(runner, tmp_path):
                        "c42a36d6acc244fff9f1fd0f46ec3252"})],
     ids=["nls-default", "kg-T1"])
 def test_simulate_artifacts_are_golden(runner, tmp_path, config, digests):
-    # changes to the truncated field or the Strang step must keep the
+    # changes to the truncated field or the Lawson step must keep the
     # trajectory byte-identical
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps(config))
@@ -365,7 +365,7 @@ INVALID = [
     ("simulate", {"M": 4, "modes": {"9": [0.01, 0.0]}}),
     ("simulate", {"M": 4, "modes": {"-9": [0.01, 0.0]}}),
     ("simulate", {"modes": {"1": [0.01]}}),
-    ("simulate", {"record_every": 0}),
+    ("simulate", {"frame_dt": 0}),
     ("simulate", {"T": -1}),
     ("simulate", {"dt": 0}),
     ("simulate", {"T": None}),
@@ -378,6 +378,7 @@ INVALID = [
     ("schedule", {"r0": 2}),
     ("schedule", {"nu_max": 0}),
     ("schedule", {"varsigma": 0.1}),
+    ("simulate", {"record_every": 100}),   # replaced by frame_dt
 ]
 
 

@@ -1,6 +1,7 @@
 """Truncated flows, conservation, torus refinement, and gauge distances."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -56,7 +57,7 @@ def test_hamiltonian_value_matches_polynomial():
 def test_conservation_short_run():
     system = TruncatedSystem(kind="nls", M=8)
     z0 = FourierState.from_modes(8, {1: 0.02, -2: 0.01 + 0.005j})
-    rec = integrate(system, z0, T=5.0, record_every=50)
+    rec = integrate(system, z0, T=5.0, frame_dt=0.078125)
     assert np.max(np.abs(rec.mass - rec.mass[0])) < 1e-12
     assert np.max(np.abs(rec.momentum - rec.momentum[0])) < 1e-12
     h0 = rec.hamiltonian[0]
@@ -66,7 +67,7 @@ def test_conservation_short_run():
 def test_kg_conservation_short_run():
     system = TruncatedSystem(kind="kg", M=8, c=4.0)
     z0 = FourierState.from_modes(8, {1: 0.02})
-    rec = integrate(system, z0, T=2.0, record_every=50)
+    rec = integrate(system, z0, T=2.0, frame_dt=0.07)
     assert np.max(np.abs(rec.momentum - rec.momentum[0])) < 1e-12
     h0 = rec.hamiltonian[0]
     assert np.max(np.abs(rec.hamiltonian - h0)) < 1e-9 * abs(h0)
@@ -99,7 +100,7 @@ def test_strict_mode_rejects_coarse_dt():
     z0 = FourierState.from_modes(8, {1: 0.01})
     with pytest.raises(ValueError):
         integrate(system, z0, T=1.0, dt=1.0, strict=True)
-    assert default_dt(system) * system.fastest_frequency <= 0.05 + 1e-12
+    assert default_dt(system) * system.fastest_frequency <= 0.4 + 1e-12
 
 
 @pytest.mark.parametrize("kind,c,T", [("nls", None, 1e-9), ("kg", 10.0, 1.0)])
@@ -113,10 +114,103 @@ def test_last_frame_is_at_T(kind, c, T):
     assert np.all(np.diff(rec.times) > 0)
 
 
+@pytest.mark.parametrize("kind,c,T,frames", [("nls", None, 4.0, 104),
+                                              ("kg", 10.0, 1.0, 39),
+                                              ("nls", None, 10.0, 257)])
+def test_default_frames_fall_at_multiples_of_5_over_lambda_max(kind, c, T,
+                                                                frames):
+    system = TruncatedSystem(kind=kind, M=16, c=c)
+    z0 = FourierState.from_modes(16, {1: 0.01, 2: 0.005 + 0.003j})
+    rec = integrate(system, z0, T=T)
+    frame_dt = 5.0 / system.fastest_frequency
+    assert len(rec.times) == frames
+    assert np.array_equal(rec.times[:-1], frame_dt * np.arange(frames - 1))
+    assert rec.times[-1] == T
+
+
+def test_a_frame_is_the_state_at_its_time():
+    # each interval between frames is stepped on its own, so the run to
+    # T = 1 passes through the end state of the run to T = 0.5
+    system = TruncatedSystem(kind="kg", M=8, c=4.0)
+    z0 = FourierState.from_modes(8, {1: 0.02})
+    rec = integrate(system, z0, T=1.0, frame_dt=0.25)
+    half = integrate(system, z0, T=0.5, frame_dt=0.25)
+    assert np.array_equal(rec.times, [0.0, 0.25, 0.5, 0.75, 1.0])
+    assert np.array_equal(rec.z[2], half.z[-1])
+
+
+# Lawson RK4 at dt * lambda_max = r against a reference at r = 0.05, from
+# criterion 09's state at M = 16: the largest |z(T) - z_ref(T)|, measured
+# at r = 0.1, 0.4 and 1.6.  A reference at r = 0.0125 agrees with the one
+# at r = 0.05 to 2.6e-14 / 3.2e-14 / 2.9e-14, the rounding floor.  KG at
+# c = 40 runs to T = 1: its lambda_max is 1723, so T = 10 would take 345k
+# reference steps.
+ORDER_STUDY = [("nls", None, 10.0, (1.4e-14, 9.0e-15, 8.7e-15)),
+               ("kg", 10.0, 10.0, (1.5e-14, 6.1e-14, 2.3e-11)),
+               ("kg", 40.0, 1.0, (1.0e-14, 3.4e-14, 9.5e-11))]
+
+
+@pytest.mark.parametrize("kind,c,T,measured", ORDER_STUDY,
+                         ids=["nls", "kg-c10", "kg-c40"])
+def test_lawson_order_study(kind, c, T, measured):
+    system = TruncatedSystem(kind=kind, M=16, c=c)
+    z0 = FourierState.from_modes(16, {1: 0.01, 2: 0.005 + 0.003j})
+
+    def end(r):
+        return integrate(system, z0, T=T, dt=r / system.fastest_frequency,
+                         frame_dt=T).z[-1]
+
+    ref = end(0.05)
+    err = {r: np.max(np.abs(end(r) - ref)) for r in (0.1, 0.4)}
+    with pytest.warns(UserWarning, match="does not resolve"):
+        err[1.6] = np.max(np.abs(end(1.6) - ref))
+    # every error within 10 times its measured value; at the default step
+    # (r = 0.4) that is below 1e-12, or 1e-10 of |z0|
+    for r, value in zip((0.1, 0.4, 1.6), measured):
+        assert err[r] <= 10.0 * value, (r, err[r])
+    if kind == "kg":
+        # past the guard (r = 1.6) the KG error leaves the rounding floor:
+        # the step no longer resolves the e^{+-2 i c^2 t} terms
+        assert err[1.6] > 100.0 * err[0.4]
+
+
+@pytest.mark.parametrize("r", [0.1, 0.4, 1.6, 6.4])
+def test_lawson_keeps_the_single_mode_nls_rotating_wave(r):
+    # z_1 = R e^{i omega t}, omega = -1/2 - 3 R^2 / (8 pi), solves the
+    # truncated NLS flow exactly; the linear part is exact in the step and
+    # RK4 errs by (3 R^2 h / 8 pi)^5 on the nonlinear phase
+    R, M, T = 1e-2, 16, 10.0
+    system = TruncatedSystem(kind="nls", M=M)
+    z0 = FourierState.from_modes(M, {1: R})
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")   # r = 1.6 and 6.4 pass the guard
+        rec = integrate(system, z0, T=T, dt=r / system.fastest_frequency)
+    omega = -0.5 - 3.0 * R * R / (8.0 * math.pi)
+    exact = np.zeros_like(rec.z)
+    exact[:, M + 1] = R * np.exp(1j * omega * rec.times)
+    # 10 times the largest measured error, 5.3e-15 at r = 0.1 (12,800
+    # steps); it falls with the step count, to 3.3e-17 at r = 6.4
+    assert np.max(np.abs(rec.z - exact)) < 5e-14
+
+
+@pytest.mark.parametrize("kind,c,j", [("nls", None, 16), ("nls", None, 1),
+                                      ("kg", 10.0, 0)])
+def test_strict_mode_rejects_a_resonant_step(kind, c, j):
+    # dt * lambda_j = 2 pi: the exponentials of mode j are 1, and the step
+    # lies above the dt * lambda_max <= 0.8 guard
+    system = TruncatedSystem(kind=kind, M=16, c=c)
+    z0 = FourierState.from_modes(16, {1: 0.01})
+    dt = 2.0 * math.pi / system.linear_freqs[16 + j]
+    with pytest.raises(ValueError, match="does not resolve"):
+        integrate(system, z0, T=dt, dt=dt, strict=True)
+    with pytest.warns(UserWarning, match="does not resolve"):
+        integrate(system, z0, T=dt, dt=dt)
+
+
 def test_record_roundtrip(tmp_path):
     system = TruncatedSystem(kind="nls", M=4)
     z0 = FourierState.from_modes(4, {1: 0.05})
-    rec = integrate(system, z0, T=1.0, record_every=20)
+    rec = integrate(system, z0, T=1.0, frame_dt=0.125)
     path = tmp_path / "frames.bin"
     save_record(path, rec)
     times, states = load_record(path)
@@ -130,7 +224,7 @@ def test_record_roundtrip(tmp_path):
 def test_damaged_record_is_rejected(tmp_path, cut):
     system = TruncatedSystem(kind="nls", M=4)
     rec = integrate(system, FourierState.from_modes(4, {1: 0.05}), T=1.0,
-                    record_every=20)
+                    frame_dt=0.125)
     path = tmp_path / "frames.bin"
     save_record(path, rec)
     data = path.read_bytes()
@@ -147,7 +241,9 @@ def test_damaged_record_is_rejected(tmp_path, cut):
 @pytest.mark.parametrize("bad", [{"T": 0.0}, {"T": -1.0}, {"T": math.nan},
                                  {"T": math.inf}, {"dt": -1e-3},
                                  {"dt": 0.0}, {"dt": math.nan},
-                                 {"record_every": 0}, {"record_every": -3}])
+                                 {"frame_dt": 0.0}, {"frame_dt": -3.0},
+                                 {"frame_dt": math.nan},
+                                 {"frame_dt": math.inf}])
 def test_integrate_rejects_invalid_grid(bad, monkeypatch):
     system = TruncatedSystem(kind="nls", M=4)
     z0 = FourierState.from_modes(4, {1: 0.05})

@@ -7,8 +7,8 @@ coefficient per (harmonic, mode), that the support solve with the
 closed-form Jacobian of `kgnls.torus_lab._invariance_jacobian` replaced: it
 differences the dense residual `E @ C` column by column, pins the phase
 with a residual row and reads the smallest singular value from a separate
-SVD.  `ref_integrate` is the Strang step that carried zbar through the
-rotation and the RK4 stages as an independent component, with its own
+SVD.  `ref_integrate` is the Lawson RK4 step with zbar carried as an
+independent component, rotated by the conjugate exponentials, and its own
 two-component nonlinear field `ref_nonlinear_rhs`: full convolutions with
 the reflected conjugate, read back on the mode window, in place of the
 valid-mode correlation of `TruncatedSystem.nonlinear_rhs`.
@@ -66,36 +66,43 @@ def ref_nonlinear_rhs(system, z, zbar):
     return dz, dzb
 
 
-def ref_integrate(system, z0, T, record_every=100):
+def ref_integrate(system, z0, T, frame_dt):
     """The record, with the traces of `TruncatedSystem.traces` at the
-    frames, and the independently stepped zbar at each frame."""
+    frames, and the independently stepped zbar at each frame: frames at
+    k frame_dt < T and at T, ceil(interval / dt) equal steps per interval."""
     dt = default_dt(system)
-    n_steps = max(1, int(round(T / dt)))
-    rot_half_z = np.exp(-0.5j * dt * system.linear_freqs)
-    rot_half_zb = np.conj(rot_half_z)
+    n_frames = math.ceil(T / frame_dt - 1e-9)
+    times = [k * frame_dt for k in range(n_frames)] + [T]
 
     z = z0.z.copy()
     zb = z0.zbar.copy()
-    times, zs, zbs = [0.0], [z.copy()], [zb.copy()]
+    zs, zbs = [z.copy()], [zb.copy()]
 
     def f(a, b):
         return ref_nonlinear_rhs(system, a, b)
 
-    for step in range(1, n_steps + 1):
-        z *= rot_half_z
-        zb *= rot_half_zb
-        k1 = f(z, zb)
-        k2 = f(z + 0.5 * dt * k1[0], zb + 0.5 * dt * k1[1])
-        k3 = f(z + 0.5 * dt * k2[0], zb + 0.5 * dt * k2[1])
-        k4 = f(z + dt * k3[0], zb + dt * k3[1])
-        z = z + dt / 6.0 * (k1[0] + 2 * k2[0] + 2 * k3[0] + k4[0])
-        zb = zb + dt / 6.0 * (k1[1] + 2 * k2[1] + 2 * k3[1] + k4[1])
-        z *= rot_half_z
-        zb *= rot_half_zb
-        if step % record_every == 0 or step == n_steps:
-            times.append(step * dt)
-            zs.append(z.copy())
-            zbs.append(zb.copy())
+    for k in range(n_frames):
+        length = frame_dt if k < n_frames - 1 else T - times[-2]
+        n_steps = math.ceil(length / dt - 1e-9)
+        h = length / n_steps
+        half_z = np.exp(-0.5j * h * system.linear_freqs)
+        full_z = np.exp(-1j * h * system.linear_freqs)
+        half_zb, full_zb = np.conj(half_z), np.conj(full_z)
+        for _ in range(n_steps):
+            # RK4 on (e^{i Lambda t} z, e^{-i Lambda t} zbar)
+            zh, zbh = half_z * z, half_zb * zb
+            zf, zbf = full_z * z, full_zb * zb
+            k1 = f(z, zb)
+            k1 = (half_z * k1[0], half_zb * k1[1])
+            k2 = f(zh + 0.5 * h * k1[0], zbh + 0.5 * h * k1[1])
+            k3 = f(zh + 0.5 * h * k2[0], zbh + 0.5 * h * k2[1])
+            k4 = f(zf + h * half_z * k3[0], zbf + h * half_zb * k3[1])
+            z = zf + h / 6.0 * (half_z * (k1[0] + 2 * (k2[0] + k3[0]))
+                                + k4[0])
+            zb = zbf + h / 6.0 * (half_zb * (k1[1] + 2 * (k2[1] + k3[1]))
+                                  + k4[1])
+        zs.append(z.copy())
+        zbs.append(zb.copy())
     zs = np.array(zs)
     return (SimulationRecord(np.array(times), zs, *system.traces(zs)),
             np.array(zbs))
@@ -324,7 +331,7 @@ def test_refine_makes_few_residual_calls(monkeypatch):
     assert len(calls) <= 2 + 6 * rep_kg.iterations
 
 
-# --- the valid-mode cube and the z-only Strang step ------------------------
+# --- the valid-mode cube and the z-only Lawson step ------------------------
 
 @pytest.mark.parametrize("kind", ["kg", "nls"])
 @pytest.mark.parametrize("M", [1, 2, 7, 16, 40])
@@ -344,10 +351,12 @@ Z0 = FourierState.from_modes(16, {1: 0.01, 2: 0.005 + 0.003j})
 
 def test_nls_integrate_is_bit_identical_to_two_component_step():
     nls = TruncatedSystem(kind="nls", M=16)
-    T = 2000 * default_dt(nls)
-    rec = integrate(nls, Z0, T=T, record_every=250)
-    ref, ref_zbar = ref_integrate(nls, Z0, T=T, record_every=250)
-    assert rec.z.shape == ref.z.shape == (9, 33)
+    # 8 frame intervals of 250 steps, then a shorter one of 100
+    T = 2100 * default_dt(nls)
+    frame_dt = 250 * default_dt(nls)
+    rec = integrate(nls, Z0, T=T, frame_dt=frame_dt)
+    ref, ref_zbar = ref_integrate(nls, Z0, T=T, frame_dt=frame_dt)
+    assert rec.z.shape == ref.z.shape == (10, 33)
     assert np.array_equal(rec.times, ref.times)
     assert np.array_equal(rec.z, ref.z)
     assert np.array_equal(np.conj(rec.z), ref_zbar)
@@ -357,9 +366,10 @@ def test_nls_integrate_is_bit_identical_to_two_component_step():
 
 def test_kg_integrate_matches_two_component_step():
     kg = TruncatedSystem(kind="kg", M=16, c=10.0)
-    T = 2000 * default_dt(kg)
-    rec = integrate(kg, Z0, T=T, record_every=250)
-    ref, ref_zbar = ref_integrate(kg, Z0, T=T, record_every=250)
+    T = 2100 * default_dt(kg)
+    frame_dt = 250 * default_dt(kg)
+    rec = integrate(kg, Z0, T=T, frame_dt=frame_dt)
+    ref, ref_zbar = ref_integrate(kg, Z0, T=T, frame_dt=frame_dt)
     assert np.array_equal(rec.times, ref.times)
     scale = np.max(np.abs(Z0.z))
     assert np.max(np.abs(rec.z - ref.z)) <= 1e-13 * scale
