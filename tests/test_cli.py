@@ -153,15 +153,15 @@ def test_simulate_writes_frames(runner, tmp_path):
 
 
 @pytest.mark.parametrize("config,digests", [
-    ({}, {"frames.bin": "e554dce672a01513dac343a66ba1fdf0"
-                        "7a1a9287bab792fb803d1581530327a2",
-          "simulate.json": "447cf2f63a75f5c0c8096845e905bb34"
-                           "1e3fd2664a2c7315fa2d9cf038f01bd6"}),
+    ({}, {"frames.bin": "8b9d9aecfbf24fdcfdb1d244e28c473b"
+                        "79b038c051427be6770dc693eb6524f6",
+          "simulate.json": "3fe896565b128e3fc3ef51b67c565bc2"
+                           "725c7ee4486c7685d95f4d809e5e65a4"}),
     ({"system": "kg", "T": 1.0},
-     {"frames.bin": "09fc06993be7a46da57e447273a8d5ec"
-                    "012a45d159328e91e5e66f61e184d060",
-      "simulate.json": "a67ec776f4123e976dc228365209dfb1"
-                       "c42a36d6acc244fff9f1fd0f46ec3252"})],
+     {"frames.bin": "8c264adb37b4148a4e3fa1ff89af19c7"
+                    "accb2da272a79e63ed750913f2f871c7",
+      "simulate.json": "6bccd75fe9889e58e5e9c249e4fdaa57"
+                       "031d9e488f649bc518b9c95215839188"})],
     ids=["nls-default", "kg-T1"])
 def test_simulate_artifacts_are_golden(runner, tmp_path, config, digests):
     # changes to the truncated field or the Lawson step must keep the
