@@ -32,7 +32,6 @@ so that for the diagonal quadratic Lambda = sum lambda_j z_j zbar_j,
 from __future__ import annotations
 
 import math
-from itertools import combinations_with_replacement
 from types import MappingProxyType
 from typing import Callable, Iterable, Mapping
 
@@ -203,16 +202,38 @@ class PolyHamiltonian:
 
     def to_text(self) -> str:
         """One line "signs modes coefficient" per row of the table, in
-        table order: by degree, then in sorted slot-tuple order."""
+        table order: by degree, then in sorted slot-tuple order.
+
+        Signs and modes come from lookup tables: a sign string per z-bit
+        pattern of a group of up to 8 columns, a "j1 j2" token per pair of
+        columns and a "j" token for the odd column left."""
         W = self._W
-        sign = ["-", "+"] * (2 * W + 1)
-        mode = [str(j) for j in range(-W, W + 1) for _ in "-+"]
+        n = 2 * W + 1
+        mode = [str(j) for j in range(-W, W + 1)]
+        pair = [f"{a} {b}" for a in mode for b in mode]
         lines = []
         for rows, coefs in self._tab.values():
-            for r, c in zip((rows + 2 * W).tolist(), coefs.tolist()):
-                coeff = repr(c.real) if c.imag == 0 else repr(c).strip("()")
-                lines.append(f"{''.join(map(sign.__getitem__, r))} "
-                             f"{' '.join(map(mode.__getitem__, r))} {coeff}")
+            d = rows.shape[1]
+            signs = []
+            for g in [rows[:, k:k + 8] for k in range(0, d, 8)] or [rows]:
+                w = g.shape[1]
+                table = ["".join("-+"[p >> k & 1] for k in range(w))
+                         for p in range(1 << w)]
+                key = ((g & 1) << np.arange(w, dtype=np.int32)).sum(axis=1)
+                signs.append(list(map(table.__getitem__, key.tolist())))
+            cols = [signs[0] if len(signs) == 1
+                    else list(map("".join, zip(*signs)))]
+            j = (rows >> 1) + W
+            for k in range(0, d - 1, 2):
+                cols.append(list(map(pair.__getitem__,
+                                     (j[:, k] * n + j[:, k + 1]).tolist())))
+            if d % 2:
+                cols.append(list(map(mode.__getitem__, j[:, -1].tolist())))
+            if d == 0:
+                cols.append([""] * len(rows))
+            cols.append([repr(c.real) if c.imag == 0 else repr(c).strip("()")
+                         for c in coefs.tolist()])
+            lines.extend(map(" ".join, zip(*cols)))
         return "\n".join(lines) + ("\n" if lines else "")
 
 
@@ -278,23 +299,25 @@ def _gauge(rows: np.ndarray) -> np.ndarray:
 def _quartic_rows(M: int) -> np.ndarray:
     """Sorted slot-code rows of every momentum-zero degree-4 multiset on
     |j| <= M, in lexicographic order."""
-    codes = range(-2 * M, 2 * M + 2)
-    tri = np.fromiter(combinations_with_replacement(codes, 3),
-                      dtype=(np.int32, 3), count=math.comb(len(codes) + 2, 3))
-    mom = np.zeros(len(tri), dtype=np.int32)
-    for k in range(3):
-        mom += (tri[:, k] >> 1) * (2 * (tri[:, k] & 1) - 1)
-    picks, fourth = [], []
-    for s4 in (-1, 1):
-        # s4 * j4 = -mom; the 4th slot closes a sorted row iff code >= 3rd
-        j4 = -s4 * mom
-        code4 = 2 * j4 + (s4 > 0)
-        ok = (np.abs(j4) <= M) & (code4 >= tri[:, 2])
-        picks.append(np.flatnonzero(ok))
-        fourth.append(code4[ok])
-    idx, code4 = np.concatenate(picks), np.concatenate(fourth)
-    order = np.lexsort((code4, idx))
-    return np.column_stack([tri[idx[order]], code4[order]])
+    n = 4 * M + 2                       # codes -2M .. 2M + 1, by index
+    code = np.arange(-2 * M, 2 * M + 2, dtype=np.int32)
+    mom_of = (code >> 1) * (2 * (code & 1) - 1)
+    # index triples a <= b <= c in lexicographic order: each pair a <= b
+    # of triu_indices, repeated over c = b .. n - 1
+    a, b = (x.astype(np.int32) for x in np.triu_indices(n))
+    reps = n - b
+    start = np.cumsum(reps, dtype=np.int32) - reps
+    c = np.arange(start[-1] + reps[-1], dtype=np.int32) \
+        + np.repeat(b - start, reps)
+    a, b = np.repeat(a, reps), np.repeat(b, reps)
+    mom = mom_of[a] + mom_of[b] + mom_of[c]
+    # the 4th slot s4 * j4 = -mom: code 2 mom (s4 = -1) or 1 - 2 mom
+    # (s4 = +1), one of them below the other; it closes a sorted row iff
+    # its code is >= the 3rd
+    fourth = np.sort(np.stack([2 * mom, 1 - 2 * mom], axis=1), axis=1)
+    ok = (np.abs(mom) <= M)[:, None] & (fourth >= (c - 2 * M)[:, None])
+    t = np.flatnonzero(ok) >> 1
+    return np.column_stack([code[a[t]], code[b[t]], code[c[t]], fourth[ok]])
 
 
 def _multiplicity(rows: np.ndarray) -> np.ndarray:
@@ -456,16 +479,21 @@ def vector_field(H: PolyHamiltonian, state: FourierState
         if d == 0:
             continue
         codes = codes + off
-        v = zz[codes]
-        # leave-one-out products from prefix and suffix products: no
-        # division, so zero factors are safe
+        v = zz[codes.T]
+        # leave-one-out products, slot by slot: prefix products
+        # coef v_0 ... v_{k-1} times suffix products v_{k+1} ... v_{d-1};
+        # no division, so zero factors are safe
         loo = np.empty_like(v)
-        loo[:, 0] = coef
-        loo[:, 1:] = v[:, :-1]
-        np.cumprod(loo, axis=1, out=loo)
-        loo[:, :-1] *= np.cumprod(v[:, :0:-1], axis=1)[:, ::-1]
+        loo[0] = coef
+        for k in range(1, d):
+            np.multiply(loo[k - 1], v[k - 1], out=loo[k])
+        suffix = v[d - 1].copy()
+        for k in range(d - 2, -1, -1):
+            loo[k] *= suffix
+            if k:
+                suffix *= v[k]
         idx.append(codes.ravel())
-        val.append(loo.ravel())
+        val.append(loo.T.ravel())
     n = len(zz)
     if idx:
         idx, val = np.concatenate(idx), np.concatenate(val)
