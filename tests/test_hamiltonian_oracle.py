@@ -15,9 +15,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from kgnls.hamiltonian import (PolyHamiltonian, build_P, build_P_nls,
-                               canonical, momentum, poisson_bracket,
-                               vector_field)
+from kgnls.birkhoff import solve_cohomological_quartic
+from kgnls.hamiltonian import (PolyHamiltonian, _quartic_rows, build_P,
+                               build_P_nls, canonical, momentum,
+                               poisson_bracket, vector_field)
 from kgnls.spectral_core import FourierState, FrequencyTable
 
 TWO_PI = 2.0 * math.pi
@@ -115,6 +116,28 @@ def ref_to_text(H):
     return "".join(lines)
 
 
+def ref_quartic_rows(M):
+    """Sorted code rows of the momentum-zero quartic multisets on |j| <= M
+    from itertools triples, each closed by its 4th code."""
+    codes = range(-2 * M, 2 * M + 2)
+    tri = np.fromiter(combinations_with_replacement(codes, 3),
+                      dtype=(np.int32, 3), count=math.comb(len(codes) + 2, 3))
+    mom = np.zeros(len(tri), dtype=np.int32)
+    for k in range(3):
+        mom += (tri[:, k] >> 1) * (2 * (tri[:, k] & 1) - 1)
+    picks, fourth = [], []
+    for s4 in (-1, 1):
+        # s4 * j4 = -mom; the 4th slot closes a sorted row iff code >= 3rd
+        j4 = -s4 * mom
+        code4 = 2 * j4 + (s4 > 0)
+        ok = (np.abs(j4) <= M) & (code4 >= tri[:, 2])
+        picks.append(np.flatnonzero(ok))
+        fourth.append(code4[ok])
+    idx, code4 = np.concatenate(picks), np.concatenate(fourth)
+    order = np.lexsort((code4, idx))
+    return np.column_stack([tri[idx[order]], code4[order]])
+
+
 def ref_quartic_multisets(M):
     slot_list = [(j, s) for j in range(-M, M + 1) for s in (-1, 1)]
     for combo in combinations_with_replacement(slot_list, 4):
@@ -159,7 +182,7 @@ def random_poly(rng, M, n_terms, degrees=(2, 4, 6)):
     while len(terms) < n_terms:
         d = int(rng.choice(degrees))
         slots = []
-        if rng.random() < 0.5:
+        if d > 1 and rng.random() < 0.5:
             k = int(rng.integers(2, min(4, d) + 1))
             slot = (int(rng.integers(-M, M + 1)), int(rng.choice((-1, 1))))
             slots = [slot] * k
@@ -229,6 +252,38 @@ def test_vector_field_on_wider_state_window():
         vector_field(H, random_state(rng, 1))
 
 
+@given(st.integers(0, 10 ** 6))
+@settings(max_examples=20, deadline=None)
+def test_odd_degrees_and_two_digit_modes_match_reference(seed):
+    # odd degrees leave one mode token after the column pairs; |j| <= 12
+    # writes two-digit and negative modes; degree 0 writes no mode and
+    # degrees 9 and 10 span two groups of sign columns
+    rng = np.random.default_rng(seed)
+    H = random_poly(rng, 12, int(rng.integers(1, 40)),
+                    degrees=(0, 1, 3, 4, 5, 9, 10))
+    assert H.to_text() == ref_to_text(H)
+    state = random_state(rng, 12)
+    assert max_rel_diff(np.concatenate(vector_field(H, state)),
+                        np.concatenate(ref_vector_field(H, state))) < 1e-13
+
+
+def test_vector_field_on_torus_seed_state():
+    # z nonzero on J only, as normal_form_torus starts its flow: most
+    # factors of most terms are zero
+    J, M = (1, 2, 3), 8
+    ft = FrequencyTable(c=10.0, M=M)
+    G = solve_cohomological_quartic(build_P(ft), ft, J).G
+    rng = np.random.default_rng(8)
+    H = random_poly(rng, M, 40, degrees=(1, 2, 3, 4, 5, 6))
+    state = FourierState.from_modes(M, {
+        j: math.sqrt(x) * np.exp(1j * t)
+        for j, x, t in zip(J, (0.3, 0.2, 0.1), rng.uniform(0, TWO_PI, 3))})
+    for F in (G, H):
+        got = np.concatenate(vector_field(F, state))
+        want = np.concatenate(ref_vector_field(F, state))
+        assert max_rel_diff(got, want) < 1e-13
+
+
 @given(st.integers(1, 4), st.integers(0, 10 ** 6), st.sampled_from([4, 6, 10]))
 @settings(max_examples=40, deadline=None)
 def test_poisson_bracket_matches_reference(M, seed, max_deg):
@@ -264,6 +319,14 @@ def test_to_text_matches_slot_tuple_reference(M, seed):
         + build_P(FrequencyTable(c=2.0, M=M))
     assert H.to_text() == ref_to_text(H)
     assert PolyHamiltonian().to_text() == ""
+
+
+@pytest.mark.parametrize("M", range(13))
+def test_quartic_rows_match_reference(M):
+    # same rows in the same order, as int32
+    got = _quartic_rows(M)
+    assert got.dtype == np.int32
+    assert np.array_equal(got, ref_quartic_rows(M))
 
 
 def test_build_P_truncated_below_table():
