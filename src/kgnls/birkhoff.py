@@ -20,7 +20,8 @@ import numpy as np
 
 from .spectral_core import TWO_PI, FrequencyTable
 from .hamiltonian import (PolyHamiltonian, _decode, _from_rows, _gauge,
-                          _paired, _quartic_rows, poisson_bracket)
+                          _pack, _paired, _quartic_rows, _reduce,
+                          poisson_bracket)
 
 # lie_transform raises MemoryError when its running sum would exceed this
 # many terms.
@@ -149,15 +150,19 @@ def _solve(P: PolyHamiltonian, freq: FrequencyTable, J, nongauge_floor: float
 def _residual(G: PolyHamiltonian, d: np.ndarray, P: PolyHamiltonian,
               Lp: PolyHamiltonian, Ph: PolyHamiltonian) -> float:
     """Max coefficient of {Lambda, G} + P - Lambda_plus - P_hat relative
-    to |P|_inf, d being the divisors sigma . lambda of G's rows.  The
+    to |P|_inf, d being the divisors sigma . lambda of G's rows, summed
+    per monomial over the rows of all four tables in one `_reduce`.  The
     diagonal bracket is evaluated monomial-wise as i (sigma . lambda) G_m;
     the generic bracket implementation agrees but loses ~c^2 * eps to
     float cancellation at large c."""
-    rows, coefs = _quartic_table(G)
+    rows, (p, lp, ph, g) = zip(*map(_quartic_table, (P, Lp, Ph, G)))
     # one factor of i * d has a zero real part, so numpy rounds this product
     # as Python's scalar complex product does
-    bracket = _from_rows({4: (rows, 1j * d * coefs)})
-    return ((P - Lp - Ph + bracket).max_abs_coeff()
+    W = max(P._W, Lp._W, Ph._W, G._W)
+    _, r = _reduce(_pack(np.concatenate(rows).T, W),
+                   np.concatenate([p, -lp, -ph, 1j * d * g]))
+    # np.hypot, as in max_abs_coeff
+    return (float(np.hypot(r.real, r.imag).max(initial=0.0))
             / (P.max_abs_coeff() or 1.0))
 
 

@@ -119,7 +119,7 @@ class PolyHamiltonian:
         own = self._tab.get(rows.shape[1])
         if own is not None:
             W = max(self._W, _reach(rows))
-            keys, want = _pack(own[0], W), _pack(rows, W)
+            keys, want = _pack(own[0].T, W), _pack(rows.T, W)
             i = np.minimum(np.searchsorted(keys, want), len(keys) - 1)
             hit = keys[i] == want
             out[hit] = own[1][i[hit]]
@@ -132,10 +132,15 @@ class PolyHamiltonian:
         if self._terms is None:
             W = self._W
             slot = [(j, s) for j in range(-W, W + 1) for s in (-1, 1)]
-            self._terms = MappingProxyType({
-                tuple(map(slot.__getitem__, r)): c
-                for rows, coefs in self._tab.values()
-                for r, c in zip((rows + 2 * W).tolist(), coefs.tolist())})
+            terms = {}
+            for rows, coefs in self._tab.values():
+                # one slot lookup per column, zipped into the row tuples;
+                # a degree-0 table has no column to zip
+                cols = [map(slot.__getitem__, col)
+                        for col in (rows.T + 2 * W).tolist()]
+                terms.update(zip(zip(*cols) if cols else [()] * len(rows),
+                                 coefs.tolist()))
+            self._terms = MappingProxyType(terms)
         return self._terms
 
     # -- basic algebra ----------------------------------------------------
@@ -150,7 +155,7 @@ class PolyHamiltonian:
                 out[d] = parts[0]
                 continue
             keys, coefs = _reduce(
-                np.concatenate([_pack(rows, W) for rows, _ in parts]),
+                np.concatenate([_pack(rows.T, W) for rows, _ in parts]),
                 np.concatenate([c for _, c in parts]))
             out[d] = (_unpack(keys, d, W), coefs)
         return _from_rows(out)
@@ -206,7 +211,8 @@ class PolyHamiltonian:
 
         Signs and modes come from lookup tables: a sign string per z-bit
         pattern of a group of up to 8 columns, a "j1 j2" token per pair of
-        columns and a "j" token for the odd column left."""
+        columns and a "j" token for the odd column left; each distinct
+        coefficient is formatted once."""
         W = self._W
         n = 2 * W + 1
         mode = [str(j) for j in range(-W, W + 1)]
@@ -231,8 +237,11 @@ class PolyHamiltonian:
                 cols.append(list(map(mode.__getitem__, j[:, -1].tolist())))
             if d == 0:
                 cols.append([""] * len(rows))
-            cols.append([repr(c.real) if c.imag == 0 else repr(c).strip("()")
-                         for c in coefs.tolist()])
+            # distinct by their 16 bytes, so -0.0 is not 0.0
+            uniq, inv = np.unique(coefs.view("V16"), return_inverse=True)
+            text = [repr(c.real) if c.imag == 0 else repr(c).strip("()")
+                    for c in uniq.view(complex).tolist()]
+            cols.append(list(map(text.__getitem__, inv.tolist())))
             lines.extend(map(" ".join, zip(*cols)))
         return "\n".join(lines) + ("\n" if lines else "")
 
@@ -361,18 +370,25 @@ def _reduce(keys: np.ndarray, vals: np.ndarray
     """Sorted distinct keys and the sum of the values of each."""
     order = np.argsort(keys)
     keys = keys[order]
-    first = np.flatnonzero(np.concatenate(([True], keys[1:] != keys[:-1])))
+    first = np.flatnonzero(np.diff(keys, prepend=keys[:1] - 1))
     return keys[first], np.add.reduceat(vals[order], first)
 
 
 def _merge_last(runs: list) -> None:
+    """Merge the top two reduced runs: a key of both adds its values, a
+    key of the top one only is inserted at its searchsorted place."""
     (k1, v1), (k2, v2) = runs[-2], runs[-1]
-    runs[-2:] = [_reduce(np.concatenate([k1, k2]), np.concatenate([v1, v2]))]
+    at = np.searchsorted(k1, k2)
+    hit = k1[np.minimum(at, len(k1) - 1)] == k2
+    v1[at[hit]] += v2[hit]
+    new = ~hit
+    runs[-2:] = [(np.insert(k1, at[new], k2[new]),
+                  np.insert(v1, at[new], v2[new]))]
 
 
 def _push_run(runs: list, keys: np.ndarray, vals: np.ndarray) -> None:
     """Add a batch to a stack of reduced runs, merging the top two while
-    they are of similar size, so each key is re-sorted O(log n) times."""
+    they are of similar size, so each key is merged O(log n) times."""
     runs.append(_reduce(keys, vals))
     while len(runs) > 1 and len(runs[-2][0]) <= 2 * len(runs[-1][0]):
         _merge_last(runs)
@@ -401,17 +417,17 @@ def _join(want: np.ndarray, col: np.ndarray):
         r0 = r1
 
 
-def _pack(rows: np.ndarray, W: int) -> np.ndarray:
-    """One int64 key per code row with modes |j| <= W, its codes shifted
-    by 2W and read as digits in base 2 (2W + 1): key order is
-    row-lexicographic order."""
-    D, B = rows.shape[1], 2 * (2 * W + 1)
+def _pack(cols: np.ndarray, W: int) -> np.ndarray:
+    """One int64 key per code row with modes |j| <= W, from the (D, rows)
+    array of the rows' columns: its codes shifted by 2W and read as
+    digits in base 2 (2W + 1), so key order is row-lexicographic order."""
+    D, B = len(cols), 2 * (2 * W + 1)
     if B ** D >= 2 ** 63:
         raise ValueError(f"degree {D} on window |j| <= {W} "
                          f"overflows the packed monomial key")
-    keys = np.zeros(len(rows), dtype=np.int64)
-    for k in range(D):
-        keys = keys * B + (rows[:, k] + 2 * W)
+    keys = np.zeros(cols.shape[1], dtype=np.int64)
+    for col in cols:
+        keys = keys * B + (col + 2 * W)
     return keys
 
 
@@ -432,9 +448,10 @@ def poisson_bracket(F: PolyHamiltonian, G: PolyHamiltonian,
 
     Every F slot a and G slot b holding conjugate slots contribute
     i * s_b * F_m * G_m' to the monomial left after dropping both.  The
-    pairs come from joining F's column a with G's column b; each batch of
-    them is packed into one int64 key per sorted code row and merged into
-    a running sum per output degree.
+    pairs come from joining F's column a with G's column b; per batch of
+    them a network of minima and maxima merges the columns of the two
+    sorted halves left, packs them into one int64 key per sorted code row
+    and merges the batch into a running sum per output degree.
     """
     W = max(F._W, G._W)
     acc: dict[int, list[tuple[np.ndarray, np.ndarray]]] = {}
@@ -444,16 +461,24 @@ def poisson_bracket(F: PolyHamiltonian, G: PolyHamiltonian,
             if D > max_deg:
                 continue
             for a in range(df):
-                f_rest = np.delete(f_codes, a, axis=1)
+                f_rest = np.delete(f_codes.T, a, axis=0)
                 for b in range(dg):
-                    g_rest = np.delete(g_codes, b, axis=1)
+                    g_rest = np.delete(g_codes.T, b, axis=0)
                     g_w = np.where(g_codes[:, b] & 1, 1j, -1j)  # i * s_b
                     for fi, gi in _join(f_codes[:, a] ^ 1, g_codes[:, b]):
-                        rows = np.concatenate([f_rest[fi], g_rest[gi]],
-                                              axis=1)
-                        rows.sort(axis=1)
+                        cols = np.empty((D, len(fi)), dtype=np.int32)
+                        f_rest.take(fi, axis=1, out=cols[:df - 1])
+                        g_rest.take(gi, axis=1, out=cols[df - 1:])
+                        # insert G's columns one by one into F's; the one
+                        # at k ends at k - df + 1 or later, as the G
+                        # columns before it are not larger
+                        for k in range(df - 1, D):
+                            for i in range(k, k - df + 1, -1):
+                                cols[i - 1], cols[i] = (
+                                    np.minimum(cols[i - 1], cols[i]),
+                                    np.maximum(cols[i - 1], cols[i]))
                         vals = g_w[gi] * f_coef[fi] * g_coef[gi]
-                        _push_run(acc.setdefault(D, []), _pack(rows, W), vals)
+                        _push_run(acc.setdefault(D, []), _pack(cols, W), vals)
     tables = {}
     for D, runs in acc.items():
         while len(runs) > 1:
