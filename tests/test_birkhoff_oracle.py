@@ -17,7 +17,7 @@ from itertools import permutations
 import numpy as np
 import pytest
 
-from kgnls.birkhoff import (DivisorAnomaly, NormalFormResult,
+from kgnls.birkhoff import (DivisorAnomaly, NormalFormResult, _residual,
                             _scan_min_divisors, _solve, remainder_split,
                             solve_cohomological_nls,
                             solve_cohomological_quartic)
@@ -173,6 +173,31 @@ def assert_same_normal_form(got, ref):
     assert got.residual == ref.residual
     assert got.gauge_divisor_min == ref.gauge_divisor_min
     assert got.to_text() == ref.to_text()
+
+
+@pytest.mark.parametrize("c", [10.0, 1e3])
+def test_residual_sees_a_wrong_split(c):
+    # one Lambda_plus coefficient off, or one P_hat row missing: the
+    # residual sums over the rows of all four tables, not only G's
+    ft = FrequencyTable(c=c, M=6)
+    P = build_P(ft)
+    G, Lp, Ph, _, d = _solve(P, ft, (1, 2, 3), 1e-8 * ft.rest)
+
+    def div_of(m):
+        return _divisor_split(m, ft)
+
+    m = next(iter(Lp.terms))
+    wrong_Lp = PolyHamiltonian({**Lp.terms, m: Lp.terms[m] * (1 + 1e-6)})
+    m = list(Ph.terms)[len(Ph) // 2]
+    wrong_Ph = Ph.restrict(lambda k: k != m)
+    assert len(wrong_Ph) == len(Ph) - 1
+    for lp, ph in ((wrong_Lp, Ph), (Lp, wrong_Ph)):
+        assert _residual(G, d, P, lp, ph) == ref_residual(div_of, G, P, lp,
+                                                          ph) > 0
+    assert _residual(G, d, P, Lp, Ph) == ref_residual(div_of, G, P, Lp, Ph)
+    # nothing to solve: no rows in any table
+    empty = solve_cohomological_quartic(PolyHamiltonian(), ft, (1,))
+    assert (empty.residual, len(empty.G)) == (0.0, 0)
 
 
 def test_pairing_mask_matches_permutation_search():

@@ -3,7 +3,9 @@
 The references below are the per-monomial loop implementations the array
 kernels and the array algebra replaced.  They share no code with them
 beyond the dict constructor `PolyHamiltonian({slots: coeff})` and the
-read-only `terms` view.
+read-only `terms` view.  `ref_batched_bracket` is the earlier batched
+bracket, with its own copies of the helpers it used: the array bracket
+must return its rows and coefficient bytes.
 """
 
 import math
@@ -16,7 +18,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from kgnls.birkhoff import solve_cohomological_quartic
-from kgnls.hamiltonian import (PolyHamiltonian, _quartic_rows, build_P,
+from kgnls.hamiltonian import (PRUNE_TOL, PolyHamiltonian, _PAIR_CHUNK,
+                               _from_rows, _quartic_rows, build_Lambda,
+                               build_P,
                                build_P_nls, canonical, momentum,
                                poisson_bracket, vector_field)
 from kgnls.spectral_core import FourierState, FrequencyTable
@@ -81,6 +85,90 @@ def ref_poisson_bracket(F, G, max_deg=6, prune=1e-16):
         {m: c for m, c in out.items() if abs(c) > prune})
 
 
+def _ref_reduce(keys, vals):
+    order = np.argsort(keys)
+    keys = keys[order]
+    first = np.flatnonzero(np.concatenate(([True], keys[1:] != keys[:-1])))
+    return keys[first], np.add.reduceat(vals[order], first)
+
+
+def _ref_merge_last(runs):
+    (k1, v1), (k2, v2) = runs[-2], runs[-1]
+    runs[-2:] = [_ref_reduce(np.concatenate([k1, k2]),
+                             np.concatenate([v1, v2]))]
+
+
+def _ref_join(want, col):
+    order = np.argsort(col, kind="stable")
+    col = col[order]
+    lo = np.searchsorted(col, want, "left")
+    cnt = np.searchsorted(col, want, "right") - lo
+    end = np.cumsum(cnt)
+    r0 = 0
+    while r0 < len(cnt):
+        done = int(end[r0 - 1]) if r0 else 0
+        r1 = max(r0 + 1, int(np.searchsorted(end, done + _PAIR_CHUNK,
+                                             "right")))
+        n = int(end[r1 - 1]) - done
+        if n:
+            c = cnt[r0:r1]
+            fi = np.repeat(np.arange(r0, r1), c)
+            gi = order[np.arange(n)
+                       + np.repeat(lo[r0:r1] - (np.cumsum(c) - c), c)]
+            yield fi, gi
+        r0 = r1
+
+
+def ref_batched_bracket(F, G, max_deg=6):
+    """The batched bracket before the merge network: per batch the two
+    row halves are concatenated, sorted row by row and packed, and two
+    runs merge by re-sorting their concatenation.  Returns per degree
+    (code rows, coefficients) after the prune."""
+    W = max(F._W, G._W)
+    B = 2 * (2 * W + 1)
+
+    def pack(rows):
+        keys = np.zeros(len(rows), dtype=np.int64)
+        for k in range(rows.shape[1]):
+            keys = keys * B + (rows[:, k] + 2 * W)
+        return keys
+
+    acc = {}
+    for df, (f_codes, f_coef) in F._tab.items():
+        for dg, (g_codes, g_coef) in G._tab.items():
+            D = df + dg - 2
+            if D > max_deg:
+                continue
+            for a in range(df):
+                f_rest = np.delete(f_codes, a, axis=1)
+                for b in range(dg):
+                    g_rest = np.delete(g_codes, b, axis=1)
+                    g_w = np.where(g_codes[:, b] & 1, 1j, -1j)
+                    for fi, gi in _ref_join(f_codes[:, a] ^ 1, g_codes[:, b]):
+                        rows = np.concatenate([f_rest[fi], g_rest[gi]],
+                                              axis=1)
+                        rows.sort(axis=1)
+                        vals = g_w[gi] * f_coef[fi] * g_coef[gi]
+                        runs = acc.setdefault(D, [])
+                        runs.append(_ref_reduce(pack(rows), vals))
+                        while (len(runs) > 1
+                               and len(runs[-2][0]) <= 2 * len(runs[-1][0])):
+                            _ref_merge_last(runs)
+    tables = {}
+    for D, runs in acc.items():
+        while len(runs) > 1:
+            _ref_merge_last(runs)
+        keys, vals = runs[0]
+        keep = np.abs(vals) > PRUNE_TOL
+        keys, vals = keys[keep], vals[keep]
+        rows = np.empty((len(keys), D), dtype=np.int64)
+        for k in range(D - 1, -1, -1):
+            keys, rows[:, k] = np.divmod(keys, B)
+        if len(vals):
+            tables[D] = (rows - 2 * W, vals)
+    return tables
+
+
 def ref_add(F, G):
     out = dict(F.terms)
     for m, c in G.terms.items():
@@ -114,6 +202,14 @@ def ref_to_text(H):
         lines.append("".join("+" if s > 0 else "-" for _, s in m) + " "
                      + " ".join(str(j) for j, _ in m) + " " + coeff + "\n")
     return "".join(lines)
+
+
+def ref_terms(H):
+    """(slot tuple, coefficient) per row of the table, in table order, each
+    row decoded on its own."""
+    return [(tuple((code >> 1, 1 if code & 1 else -1) for code in row), c)
+            for rows, coefs in H._tab.values()
+            for row, c in zip(rows.tolist(), coefs.tolist())]
 
 
 def ref_quartic_rows(M):
@@ -302,6 +398,49 @@ def test_poisson_bracket_matches_reference(M, seed, max_deg):
     assert all(momentum(m) == 0 and len(m) <= max_deg for m in got.terms)
 
 
+def contractions(F, G):
+    """Pairs of an F slot and a G slot holding conjugate slots."""
+    return sum(int(np.sum((f[:, a, None] ^ 1) == g[:, b]))
+               for f, _ in F._tab.values() for g, _ in G._tab.values()
+               for a in range(f.shape[1]) for b in range(g.shape[1]))
+
+
+def assert_same_tables(H, tables):
+    """H's store holds exactly these rows and coefficient bytes."""
+    assert sorted(H._tab) == sorted(tables)
+    for d, (rows, coefs) in tables.items():
+        got_rows, got_coefs = H._tab[d]
+        assert np.array_equal(got_rows, rows)
+        assert got_coefs.tobytes() == coefs.tobytes()
+
+
+@given(st.integers(0, 10 ** 6), st.sampled_from([4, 6, 10]))
+@settings(max_examples=40, deadline=None)
+def test_poisson_bracket_bytes_match_batched_reference(seed, max_deg):
+    # degrees 0 to 6 on |j| <= 16: degree-0 outputs, and keys of up to
+    # 10 digits in base 66
+    rng = np.random.default_rng(seed)
+    F = random_poly(rng, 16, int(rng.integers(1, 60)), degrees=range(7))
+    G = random_poly(rng, int(rng.integers(1, 17)), int(rng.integers(1, 60)),
+                    degrees=range(7))
+    assert_same_tables(poisson_bracket(F, G, max_deg=max_deg),
+                       ref_batched_bracket(F, G, max_deg=max_deg))
+
+
+def test_lie_brackets_bytes_match_batched_reference():
+    # the two brackets of lie_transform(Lambda + P, G, max_order=2) at
+    # M = 4: about 50 batches of _PAIR_CHUNK contractions each, and the
+    # run merges between them
+    ft = FrequencyTable(c=10.0, M=4)
+    P = build_P(ft)
+    G = solve_cohomological_quartic(P, ft, (1, 2, 3)).G
+    H = build_Lambda(ft) + P
+    first = poisson_bracket(H, G)
+    assert contractions(H, G) > 10 * _PAIR_CHUNK
+    assert_same_tables(first, ref_batched_bracket(H, G))
+    assert_same_tables(poisson_bracket(first, G), ref_batched_bracket(first, G))
+
+
 @pytest.mark.parametrize("M", range(1, 7))
 @pytest.mark.parametrize("c", [2.0, 1e3])
 def test_build_P_text_identical_to_reference(M, c):
@@ -319,6 +458,43 @@ def test_to_text_matches_slot_tuple_reference(M, seed):
         + build_P(FrequencyTable(c=2.0, M=M))
     assert H.to_text() == ref_to_text(H)
     assert PolyHamiltonian().to_text() == ""
+
+
+def test_to_text_coefficient_edge_cases_match_reference():
+    # signed zeros in either part (-0.0 and 0.0 have different bytes and
+    # text), integral values, the smallest subnormal, large magnitudes and
+    # repeats, real and complex in one table; one zbar_j z_j row each
+    coefs = [complex(-0.0, 2.0), complex(0.0, 2.0), complex(1.0, -0.0),
+             complex(1.0, 0.0), -1.0, 1j, -1j, complex(-0.0, -1.0), 5e-324,
+             complex(0.0, 5e-324), -5e-324, 1e16, 1e22, -1e22,
+             complex(1e16, 1.0), complex(1e22, -0.0), 0.1, 0.1,
+             complex(0.1, -0.0), complex(0.1, 0.1), complex(0.1, 0.1),
+             complex(-0.0, 0.1), 2.0, 2.0]
+    W = len(coefs) // 2
+    zbar = 2 * np.arange(-W, len(coefs) - W)
+    H = _from_rows({2: (np.column_stack([zbar, zbar + 1]),
+                        np.array(coefs))})
+    assert H._tab[2][1].tobytes() == np.array(coefs).tobytes()
+    assert H.to_text() == ref_to_text(H)
+    lines = H.to_text().splitlines()
+    assert [ln.split(" ", 3)[3] for ln in lines[:4]] == [
+        "-0+2j", "2j", "1.0", "1.0"]
+
+
+def test_terms_decode_every_degree_in_table_order():
+    # a degree-0 term, odd and even degrees, repeated slots and |j| <= 12:
+    # `restrict` pairs the flags it reads from `terms` with table rows
+    rng = np.random.default_rng(5)
+    H = PolyHamiltonian({(): 1.5, ((0, 1),): -2.0}) \
+        + random_poly(rng, 12, 60, degrees=(1, 2, 3, 4, 6))
+    assert H.degrees[0] == 0
+    assert list(H.terms.items()) == ref_terms(H)
+
+    def pred(m):
+        return len(m) % 2 == 0 and (not m or m[0][1] > 0)
+
+    assert dict(H.restrict(pred).terms) == dict(ref_restrict(H, pred).terms)
+    assert list(PolyHamiltonian().terms.items()) == []
 
 
 @pytest.mark.parametrize("M", range(13))
