@@ -3,9 +3,10 @@
 Each experiment command is an entry of `COMMANDS`: a schema giving every
 config key its type, default and range check, a body `run(cfg, out)` and
 the errors that mean a numeric anomaly.  One runner checks the config,
-runs the body between two writes of `manifest.json` (status `running`, then
-`ok` or `numeric_anomaly` with the exit code and the Python warnings the
-body raised) and exits 0, 2 (config error, nothing written) or 3 (numeric
+runs the body between two writes of `manifest.json` (the Python and numpy
+versions, the BLAS thread settings and status `running`, then `ok` or
+`numeric_anomaly` with the exit code and the Python warnings the body
+raised) and exits 0, 2 (config error, nothing written) or 3 (numeric
 anomaly; no artifact holds NaN or Infinity).
 """
 
@@ -15,7 +16,9 @@ import csv
 import hashlib
 import json
 import math
+import os
 import pathlib
+import platform
 import sys
 import warnings
 from functools import partial
@@ -356,6 +359,9 @@ def _run(cmd: Command, config_path, out_dir, **flags) -> None:
     blob = json.dumps(cfg, sort_keys=True).encode()
     man = {"experiment": cmd.name, "version": __version__, "config": cfg,
            "config_sha256": hashlib.sha256(blob).hexdigest(),
+           "python": platform.python_version(), "numpy": np.__version__,
+           "blas_threads": {k: os.environ.get(k) for k in (  # None: unset
+               "OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")},
            "status": "running", "exit_code": None}
     _dump_json(out / "manifest.json", man)
     with warnings.catch_warnings(record=True) as caught:

@@ -3,7 +3,9 @@
 import hashlib
 import json
 import math
+import platform
 
+import numpy as np
 import pytest
 from click.testing import CliRunner
 
@@ -29,7 +31,18 @@ def test_version(runner):
     assert res.exit_code == 0
 
 
-def test_schedule_run_and_manifest(runner, tmp_path):
+def set_blas_threads(monkeypatch):
+    """One thread setting set and two unset, as the manifest records
+    them."""
+    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
+    monkeypatch.delenv("OMP_NUM_THREADS", raising=False)
+    monkeypatch.delenv("MKL_NUM_THREADS", raising=False)
+    return {"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": None,
+            "MKL_NUM_THREADS": None}
+
+
+def test_schedule_run_and_manifest(runner, tmp_path, monkeypatch):
+    blas = set_blas_threads(monkeypatch)
     out = tmp_path / "run"
     res = runner.invoke(main, ["schedule", "--out", str(out)])
     assert res.exit_code == 0, res.output
@@ -37,6 +50,8 @@ def test_schedule_run_and_manifest(runner, tmp_path):
     assert man["experiment"] == "schedule"
     assert len(man["config_sha256"]) == 64
     assert (man["status"], man["exit_code"]) == ("ok", 0)
+    assert (man["python"], man["numpy"], man["blas_threads"]) == (
+        platform.python_version(), np.__version__, blas)
     doc = json.loads((out / "schedule.json").read_text())
     assert doc["eps_decreasing"]
     assert abs(doc["growth_factor_mean_4_12"] - 4.0 / 3.0) < 0.02
@@ -76,7 +91,8 @@ def test_wrong_config_type_exits_2(runner, tmp_path):
     assert res.exit_code == 2
 
 
-def test_schedule_divergence_exits_3(runner, tmp_path):
+def test_schedule_divergence_exits_3(runner, tmp_path, monkeypatch):
+    blas = set_blas_threads(monkeypatch)
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"log_eps0": -20.0}))
     res = runner.invoke(main, ["schedule", "--config", str(cfg),
@@ -85,6 +101,8 @@ def test_schedule_divergence_exits_3(runner, tmp_path):
     assert "numeric anomaly" in res.output
     man = json.loads((tmp_path / "run" / "manifest.json").read_text())
     assert (man["status"], man["exit_code"]) == ("numeric_anomaly", 3)
+    assert (man["python"], man["numpy"], man["blas_threads"]) == (
+        platform.python_version(), np.__version__, blas)
 
 
 @pytest.mark.parametrize("log_eps0,nu", [(-4790.0, 5), (-6000.0, 0)])
