@@ -134,8 +134,7 @@ class PolyHamiltonian:
             slot = [(j, s) for j in range(-W, W + 1) for s in (-1, 1)]
             terms = {}
             for rows, coefs in self._tab.values():
-                # one slot lookup per column, zipped into the row tuples;
-                # a degree-0 table has no column to zip
+                # a slot lookup per column; degree 0 has no column to zip
                 cols = [map(slot.__getitem__, col)
                         for col in (rows.T + 2 * W).tolist()]
                 terms.update(zip(zip(*cols) if cols else [()] * len(rows),
@@ -382,8 +381,8 @@ def _merge_last(runs: list) -> None:
     hit = k1[np.minimum(at, len(k1) - 1)] == k2
     v1[at[hit]] += v2[hit]
     new = ~hit
-    runs[-2:] = [(np.insert(k1, at[new], k2[new]),
-                  np.insert(v1, at[new], v2[new]))]
+    at = at[new]
+    runs[-2:] = [(np.insert(k1, at, k2[new]), np.insert(v1, at, v2[new]))]
 
 
 def _push_run(runs: list, keys: np.ndarray, vals: np.ndarray) -> None:
@@ -420,14 +419,17 @@ def _join(want: np.ndarray, col: np.ndarray):
 def _pack(cols: np.ndarray, W: int) -> np.ndarray:
     """One int64 key per code row with modes |j| <= W, from the (D, rows)
     array of the rows' columns: its codes shifted by 2W and read as
-    digits in base 2 (2W + 1), so key order is row-lexicographic order."""
+    digits in base B = 2 (2W + 1), so key order is row-lexicographic
+    order.  The shifts add up to 2W (B^D - 1) / (B - 1)."""
     D, B = len(cols), 2 * (2 * W + 1)
     if B ** D >= 2 ** 63:
         raise ValueError(f"degree {D} on window |j| <= {W} "
                          f"overflows the packed monomial key")
     keys = np.zeros(cols.shape[1], dtype=np.int64)
     for col in cols:
-        keys = keys * B + (col + 2 * W)
+        keys *= B
+        keys += col
+    keys += 2 * W * ((B ** D - 1) // (B - 1))
     return keys
 
 
@@ -469,9 +471,8 @@ def poisson_bracket(F: PolyHamiltonian, G: PolyHamiltonian,
                         cols = np.empty((D, len(fi)), dtype=np.int32)
                         f_rest.take(fi, axis=1, out=cols[:df - 1])
                         g_rest.take(gi, axis=1, out=cols[df - 1:])
-                        # insert G's columns one by one into F's; the one
-                        # at k ends at k - df + 1 or later, as the G
-                        # columns before it are not larger
+                        # insert G's columns one by one: as the halves are
+                        # sorted, the one at k stops at k - df + 1 or later
                         for k in range(df - 1, D):
                             for i in range(k, k - df + 1, -1):
                                 cols[i - 1], cols[i] = (
