@@ -375,14 +375,20 @@ def _reduce(keys: np.ndarray, vals: np.ndarray
 
 def _merge_last(runs: list) -> None:
     """Merge the top two reduced runs: a key of both adds its values, a
-    key of the top one only is inserted at its searchsorted place."""
+    key of the top one only goes after the keys below it in either run."""
     (k1, v1), (k2, v2) = runs[-2], runs[-1]
     at = np.searchsorted(k1, k2)
     hit = k1[np.minimum(at, len(k1) - 1)] == k2
     v1[at[hit]] += v2[hit]
-    new = ~hit
-    at = at[new]
-    runs[-2:] = [(np.insert(k1, at, k2[new]), np.insert(v1, at, v2[new]))]
+    new = np.flatnonzero(~hit)
+    put = at[new] + np.arange(len(new))
+    own = np.ones(len(k1) + len(new), dtype=bool)
+    own[put] = False
+    keys = np.empty(len(own), dtype=np.int64)
+    vals = np.empty(len(own), dtype=complex)
+    keys[put], vals[put] = k2[new], v2[new]
+    keys[own], vals[own] = k1, v1
+    runs[-2:] = [(keys, vals)]
 
 
 def _push_run(runs: list, keys: np.ndarray, vals: np.ndarray) -> None:
