@@ -18,7 +18,6 @@ import json
 import math
 import os
 import pathlib
-import platform
 import sys
 import warnings
 from functools import partial
@@ -359,7 +358,8 @@ def _run(cmd: Command, config_path, out_dir, **flags) -> None:
     blob = json.dumps(cfg, sort_keys=True).encode()
     man = {"experiment": cmd.name, "version": __version__, "config": cfg,
            "config_sha256": hashlib.sha256(blob).hexdigest(),
-           "python": platform.python_version(), "numpy": np.__version__,
+           # the version string platform.python_version() parses
+           "python": sys.version.split()[0], "numpy": np.__version__,
            "blas_threads": {k: os.environ.get(k) for k in (  # None: unset
                "OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")},
            "status": "running", "exit_code": None}

@@ -16,7 +16,9 @@ in base ``2 (2W + 1)`` with W the largest |j| of its operands.  Every
 operation and kernel (`value`, `vector_field`, `poisson_bracket`,
 `birkhoff`'s quartic classifier) works on this table.  ``terms``, the
 mapping from sorted slot tuples to coefficients, is a read-only view
-decoded from the table on first access, for slot-tuple predicates.
+decoded from the table on first access, for slot-tuple predicates; the
+index work of `vector_field` on a window is a plan cached on first use.
+Both are derived from the table, so the polynomial stays immutable.
 
 The real Hamiltonians (P, Lambda, Lambda+) have real coefficients, while
 normal-form generators obtained by dividing by ``i * (divisor)`` are purely
@@ -64,7 +66,7 @@ class PolyHamiltonian:
     zero coefficients.  Instances are immutable: every operation returns a
     new object."""
 
-    __slots__ = ("_W", "_tab", "_terms")
+    __slots__ = ("_W", "_tab", "_terms", "_plan")
 
     def __init__(self, terms: Mapping[Slots, complex] | None = None):
         merged: dict[Slots, complex] = {}
@@ -89,7 +91,8 @@ class PolyHamiltonian:
                ) -> None:
         """The one constructor of the store: per degree, code rows in
         increasing row-lexicographic order, and coefficients.  Zero
-        coefficients are dropped; `_W` caches the largest |j| left."""
+        coefficients are dropped; `_W` caches the largest |j| left and
+        `_plan` the index work of `vector_field` on its last window."""
         tab = {}
         for d in sorted(tables):
             rows, coefs = tables[d]
@@ -100,7 +103,7 @@ class PolyHamiltonian:
             if len(coefs):
                 tab[d] = (rows.astype(np.int32, copy=False), coefs)
         self._W = max((_reach(rows) for rows, _ in tab.values()), default=0)
-        self._tab, self._terms = tab, None
+        self._tab, self._terms, self._plan = tab, None, None
 
     def _select(self, keep: Callable[[np.ndarray, np.ndarray], np.ndarray]
                 ) -> "PolyHamiltonian":
@@ -236,10 +239,15 @@ class PolyHamiltonian:
                 cols.append(list(map(mode.__getitem__, j[:, -1].tolist())))
             if d == 0:
                 cols.append([""] * len(rows))
-            # distinct by their 16 bytes, so -0.0 is not 0.0
-            uniq, inv = np.unique(coefs.view("V16"), return_inverse=True)
+            # distinct by the bits of both parts, so -0.0 is not 0.0
+            bits = coefs.view(np.uint64).reshape(-1, 2)
+            order = np.lexsort(bits.T[::-1])
+            new = np.ones(len(order), dtype=bool)
+            np.any(np.diff(bits[order], axis=0) != 0, axis=1, out=new[1:])
+            inv = np.empty(len(order), dtype=np.intp)
+            inv[order] = np.cumsum(new) - 1
             text = [repr(c.real) if c.imag == 0 else repr(c).strip("()")
-                    for c in uniq.view(complex).tolist()]
+                    for c in coefs[order[new]].tolist()]
             cols.append(list(map(text.__getitem__, inv.tolist())))
             lines.extend(map(" ".join, zip(*cols)))
         return "\n".join(lines) + ("\n" if lines else "")
@@ -496,6 +504,25 @@ def poisson_bracket(F: PolyHamiltonian, G: PolyHamiltonian,
     return _from_rows(tables)
 
 
+def _field_plan(H: PolyHamiltonian, M: int) -> tuple:
+    """The index work of `vector_field` on the window |j| <= M, cached on
+    H: per degree d >= 1 the (d, terms) slot indices into `_slot_values`'
+    array with the coefficients; the stable order that sorts the
+    flattened slot indices of all degrees, the first position of each
+    distinct slot in it and those slots, so that the gradient is one
+    `np.add.reduceat` over the values in that order."""
+    plan = H._plan
+    if plan is None or plan[0] != M:
+        gather = [(np.array(codes.T, dtype=np.intp) + 2 * M, coef)
+                  for codes, coef in H._tab.values() if codes.shape[1]]
+        slot = np.concatenate([at.ravel() for at, _ in gather]
+                              or [np.zeros(0, dtype=np.intp)])
+        order = np.argsort(slot, kind="stable")
+        first = np.flatnonzero(np.diff(slot[order], prepend=-1))
+        H._plan = plan = (M, gather, order, first, slot[order[first]])
+    return plan
+
+
 def vector_field(H: PolyHamiltonian, state: FourierState
                  ) -> tuple[np.ndarray, np.ndarray]:
     """Hamiltonian vector field ( -i dH/dzbar, +i dH/dz ) at `state`.
@@ -504,18 +531,28 @@ def vector_field(H: PolyHamiltonian, state: FourierState
     factors; summing over every slot position counts repeated slots with
     their multiplicity.
     """
-    zz, off = _slot_values(H, state)
-    idx, val = [], []
-    for codes, coef in H._tab.values():
-        d = codes.shape[1]
-        if d == 0:
+    zz, _ = _slot_values(H, state)
+    _, gather, order, first, slots = _field_plan(H, state.M)
+    val = np.empty(len(order), dtype=complex)
+    i = 0
+    for at, coef in gather:
+        d, n = at.shape
+        v = zz[at]
+        loo = val[i:i + d * n].reshape(d, n)
+        i += d * n
+        if d == 4:
+            # from the pair products coef v2 v3 and coef v0 v1
+            np.multiply(v[2], v[3], out=loo[1])
+            loo[1] *= coef
+            np.multiply(loo[1], v[1], out=loo[0])
+            loo[1] *= v[0]
+            np.multiply(v[0], v[1], out=loo[3])
+            loo[3] *= coef
+            np.multiply(loo[3], v[3], out=loo[2])
+            loo[3] *= v[2]
             continue
-        codes = codes + off
-        v = zz[codes.T]
-        # leave-one-out products, slot by slot: prefix products
-        # coef v_0 ... v_{k-1} times suffix products v_{k+1} ... v_{d-1};
-        # no division, so zero factors are safe
-        loo = np.empty_like(v)
+        # prefix products coef v_0 ... v_{k-1} times suffix products
+        # v_{k+1} ... v_{d-1}; no division, so zero factors are safe
         loo[0] = coef
         for k in range(1, d):
             np.multiply(loo[k - 1], v[k - 1], out=loo[k])
@@ -524,13 +561,6 @@ def vector_field(H: PolyHamiltonian, state: FourierState
             loo[k] *= suffix
             if k:
                 suffix *= v[k]
-        idx.append(codes.ravel())
-        val.append(loo.T.ravel())
-    n = len(zz)
-    if idx:
-        idx, val = np.concatenate(idx), np.concatenate(val)
-        grad = (np.bincount(idx, weights=val.real, minlength=n)
-                + 1j * np.bincount(idx, weights=val.imag, minlength=n))
-    else:
-        grad = np.zeros(n, dtype=complex)
+    grad = np.zeros(len(zz), dtype=complex)
+    grad[slots] = np.add.reduceat(val[order], first)
     return -1j * grad[0::2], 1j * grad[1::2]

@@ -17,8 +17,9 @@ from itertools import permutations
 import numpy as np
 import pytest
 
-from kgnls.birkhoff import (DivisorAnomaly, NormalFormResult, _residual,
-                            _scan_min_divisors, _solve, remainder_split,
+from kgnls.birkhoff import (DivisorAnomaly, NormalFormResult, _fsum_rows,
+                            _residual, _scan_min_divisors, _solve,
+                            remainder_split,
                             solve_cohomological_nls,
                             solve_cohomological_quartic)
 from kgnls.hamiltonian import (PolyHamiltonian, _decode, _paired,
@@ -249,6 +250,80 @@ def test_scan_matches_meshgrid_reference(J, Mmax, c):
     ref_gauge, ref_nongauge = ref_scan_min_divisors(J, c, Mmax)
     assert abs(gauge - ref_gauge) <= 1e-14 * ref_gauge
     assert abs(nongauge - ref_nongauge) <= 1e-14 * ref_nongauge
+
+
+def _fsum_spy(monkeypatch):
+    """Count the rows `_fsum_rows` hands to math.fsum."""
+    seen = []
+    fsum = math.fsum
+    monkeypatch.setattr(math, "fsum", lambda r: seen.append(r) or fsum(r))
+    return seen
+
+
+def same_bits(a, b):
+    return np.array_equal(np.asarray(a).view(np.int64),
+                          np.asarray(b).view(np.int64))
+
+
+@pytest.mark.parametrize("M", [8, 12, 16])
+def test_certified_row_sums_are_fsum_on_every_quartic_row(M, monkeypatch):
+    # every quartic row, paired ones included: only the zero sums (the
+    # signs of zero are fsum's) leave the vectorised path
+    j, s = _decode(_quartic_rows(M))
+    for c in (2.0, 10.0, 1e3, 1e6, math.inf):
+        x = s * FrequencyTable(c=c, M=M).nu[j + M]
+        want = np.array([math.fsum(r) for r in x.tolist()])
+        with monkeypatch.context() as mp:
+            seen = _fsum_spy(mp)
+            got = _fsum_rows(x)
+        assert same_bits(got, want)
+        assert len(seen) == np.count_nonzero(want == 0)
+
+
+def test_certified_row_sums_are_fsum_on_adversarial_rows(monkeypatch):
+    u = 2.0 ** -53
+    rows = [
+        [1.0, -1.0, 1e-300, -1e-300],          # exact cancellation
+        [3.0, -1.0, -2.0, 0.0],
+        [1e16, 1.0, -1e16, 0.0],               # the small part survives
+        [-0.0, -0.0, -0.0, -0.0],              # signed zeros
+        [-0.0, 0.0, -0.0, -0.0],
+        [0.0, -0.0, 1.0, -1.0],
+        [1.0, u, 0.0, 0.0],                    # half-ulp ties: to even
+        [1.0 + 2 * u, u, 0.0, 0.0],
+        [1.0, u, u * u, 0.0],                  # just above and below a tie
+        [1.0, u, -u * u, 0.0],
+        [2.0, -u, 0.0, 0.0],                   # ties across a binade
+        [2.0, -u, -u * u, 0.0],
+        [2.0, -u, u * u, 0.0],
+        [1.5, u, u ** 3, 0.0],                 # a tie the second-order
+        [1.5, u, -u ** 3, 0.0],                # error decides
+        [1.5, u / 2, u ** 3, 0.0],
+        [0.5, 0.25, 0.25, u],
+        [1e300, 1e-300, -1e300, 1e-300],       # mixed magnitudes
+        [1e300, 1.0, 1e-300, -1e300],
+        [1e-300, 1e300, -1e-300, 1.0],
+        [-1e300, 1e-300, 1e300, -3e-300],
+        [5e-324, 5e-324, -5e-324, 0.0],        # subnormal
+        [1.7e308, -1.7e308, 1e308, 0.5],       # near overflow, finite
+        [math.inf, 1.0, 0.0, 0.0],             # non-finite
+        [math.nan, 1.0, 2.0, 3.0],
+        [0.1, 0.2, 0.3, -0.6],
+        [0.1, 0.7, -0.3, 1e-17],
+    ]
+    x = np.array(rows)
+    want = np.array([math.fsum(r) for r in rows])
+    seen = _fsum_spy(monkeypatch)
+    got = _fsum_rows(x)
+    assert same_bits(got, want)
+    assert 0 < len(seen) < len(rows)
+    # the second-order error sends a tie to fsum, and passes the test in
+    # the row without one
+    assert [1.5, u, u ** 3, 0.0] in seen
+    assert [1.5, u / 2, u ** 3, 0.0] not in seen
+    # an intermediate overflow raises as fsum raises
+    with pytest.raises(OverflowError):
+        _fsum_rows(np.array([[1.7e308, 1.7e308, -1.7e308, 0.0]]))
 
 
 def test_non_quartic_polynomial_is_rejected():

@@ -380,6 +380,27 @@ def test_vector_field_on_torus_seed_state():
         assert max_rel_diff(got, want) < 1e-13
 
 
+def test_cached_field_plan_gives_the_bits_of_a_fresh_one():
+    # the quartic G takes the pair-product path, the mixed table the
+    # prefix/suffix one; the plan is built by the first call on a window
+    # and reused by the next ones, and rebuilt on another window
+    ft = FrequencyTable(c=10.0, M=8)
+    G = solve_cohomological_quartic(build_P(ft), ft, (1, 2, 3)).G
+    rng = np.random.default_rng(21)
+    mixed = random_poly(rng, 6, 60, degrees=(1, 2, 3, 4, 5, 6))
+    for H in (G, mixed):
+        for M in (8, 8, 8, 10, 8):
+            state = random_state(rng, M)
+            got = np.concatenate(vector_field(H, state))
+            assert H._plan[0] == M
+            fresh = _from_rows(dict(H._tab))
+            assert fresh._plan is None
+            want = np.concatenate(vector_field(fresh, state))
+            assert got.tobytes() == want.tobytes()
+            assert max_rel_diff(
+                got, np.concatenate(ref_vector_field(H, state))) < 1e-13
+
+
 @given(st.integers(1, 4), st.integers(0, 10 ** 6), st.sampled_from([4, 6, 10]))
 @settings(max_examples=40, deadline=None)
 def test_poisson_bracket_matches_reference(M, seed, max_deg):
@@ -479,6 +500,25 @@ def test_to_text_coefficient_edge_cases_match_reference():
     lines = H.to_text().splitlines()
     assert [ln.split(" ", 3)[3] for ln in lines[:4]] == [
         "-0+2j", "2j", "1.0", "1.0"]
+
+
+def test_to_text_many_repeats_match_reference():
+    # a few coefficients repeated over many rows in shuffled order, pairs
+    # among them differing only in the sign of a zero part, over several
+    # degrees; and the M=16 quartic P, 17,101 rows with 1,071 distinct
+    # coefficients
+    pool = [complex(-0.0, 2.0), complex(0.0, 2.0), complex(3.0, -0.0),
+            complex(3.0, 0.0), complex(-0.0, -0.5), complex(0.0, -0.5),
+            -3.0, 0.25, complex(0.25, 1e-300), 7j]
+    rng = np.random.default_rng(12)
+    H = random_poly(rng, 10, 600, degrees=(1, 2, 3, 4, 6))
+    tables = {d: (rows, np.array(pool)[rng.integers(0, len(pool), len(c))])
+              for d, (rows, c) in H._tab.items()}
+    R = _from_rows(tables)
+    assert all(len(np.unique(c.view("V16"))) > 1 for _, c in R._tab.values())
+    assert R.to_text() == ref_to_text(R)
+    P16 = build_P(FrequencyTable(c=10.0, M=16))
+    assert P16.to_text() == ref_to_text(P16)
 
 
 def test_terms_decode_every_degree_in_table_order():

@@ -13,7 +13,9 @@ two-component nonlinear field `ref_nonlinear_rhs`: full convolutions with
 the reflected conjugate, read back on the mode window, in place of the
 valid-mode correlation of `TruncatedSystem.nonlinear_rhs`.
 `ref_flow_time1` is the normal-form flow's two-component RK4 loop that the
-stacked [z, zbar] step of the shared `_rk4` replaced.  They share with the
+stacked [z, zbar] step of the shared `_rk4` replaced.  `ref_gauge_distance`
+takes `seq_norm` of each sample, weights and all, as the one-array form of
+`gauge_distance` replaced.  They share with the
 code under test only the truncated field (and, for the flow, the
 polynomial vector field), the harmonic and angle orders and the truncated
 system's tables; `ref_integrate` reads its traces from
@@ -30,12 +32,13 @@ from kgnls.birkhoff import (solve_cohomological_nls,
                             solve_cohomological_quartic)
 from kgnls.hamiltonian import (PolyHamiltonian, build_P, build_P_nls,
                                vector_field)
-from kgnls.spectral_core import FourierState, FrequencyTable
+from kgnls.spectral_core import (FourierState, FrequencyTable, SpaceParams,
+                                 seq_norm)
 from kgnls.torus_lab import (RefineReport, SimulationRecord, TorusEmbedding,
                              TruncatedSystem, _collocation_angles, _harmonics,
-                             _phases, default_dt, flow_time1, integrate,
-                             invariance_residual, linear_torus,
-                             matched_torus_pair)
+                             _on_modes, _phases, default_dt, flow_time1,
+                             gauge_distance, integrate, invariance_residual,
+                             linear_torus, matched_torus_pair)
 
 
 # --- references ------------------------------------------------------------
@@ -126,6 +129,20 @@ def ref_flow_time1(G, state, steps=64):
         if np.max(np.abs(z)) > limit:
             raise RuntimeError("flow escaped the analyticity ball")
     return FourierState(z, zb)
+
+
+def ref_gauge_distance(emb_kg, emb_nls, params, c, sigma, T, n_samples):
+    times = np.linspace(0.0, T, n_samples)
+
+    def orbit(emb):
+        return _on_modes(emb, _phases(np.outer(times, emb.omega), emb.qs),
+                         emb.coeffs)
+
+    diff = np.exp(1j * c * c * times)[:, None] * orbit(emb_kg) - orbit(emb_nls)
+    pp = SpaceParams(a=params.a, p=params.p - 4.0 * sigma, beta=params.beta,
+                     M=params.M)
+    ft = FrequencyTable(c=c, M=params.M)
+    return np.array([seq_norm(d, pp, ft) for d in diff])
 
 
 def ref_invariance_residual(emb, system):
@@ -398,6 +415,19 @@ def test_flow_time1_is_bit_identical_to_two_component_rk4(kind):
     assert np.array_equal(a.z, b.z)
     assert np.array_equal(a.zbar, b.zbar)
     assert not np.array_equal(a.z, st.z)
+
+
+@pytest.mark.parametrize("sigma", [0.0, 1.0])
+def test_gauge_distance_is_bit_identical_to_per_sample_norms(sigma):
+    # at N=2 a plain row sum differs from fsum in the last bit of some
+    # samples
+    c, M = 300.0, 8
+    emb_nls, emb_kg, _, _ = matched_torus_pair(1e-2, c, (1, 2), M, 3)
+    params = SpaceParams(a=0.1, p=5.0, beta=0.5, M=M)
+    trace, sup = gauge_distance(emb_kg, emb_nls, params, c, sigma, 40.0, 96)
+    want = ref_gauge_distance(emb_kg, emb_nls, params, c, sigma, 40.0, 96)
+    assert trace.tobytes() == want.tobytes()
+    assert sup == np.max(want)
 
 
 def test_flow_time1_raises_when_the_flow_leaves_the_ball():
