@@ -239,15 +239,10 @@ class PolyHamiltonian:
                 cols.append(list(map(mode.__getitem__, j[:, -1].tolist())))
             if d == 0:
                 cols.append([""] * len(rows))
-            # distinct by the bits of both parts, so -0.0 is not 0.0
-            bits = coefs.view(np.uint64).reshape(-1, 2)
-            order = np.lexsort(bits.T[::-1])
-            new = np.ones(len(order), dtype=bool)
-            np.any(np.diff(bits[order], axis=0) != 0, axis=1, out=new[1:])
-            inv = np.empty(len(order), dtype=np.intp)
-            inv[order] = np.cumsum(new) - 1
+            # distinct by their 16 bytes, so -0.0 is not 0.0
+            uniq, inv = np.unique(coefs.view("V16"), return_inverse=True)
             text = [repr(c.real) if c.imag == 0 else repr(c).strip("()")
-                    for c in coefs[order[new]].tolist()]
+                    for c in uniq.view(complex).tolist()]
             cols.append(list(map(text.__getitem__, inv.tolist())))
             lines.extend(map(" ".join, zip(*cols)))
         return "\n".join(lines) + ("\n" if lines else "")
@@ -540,17 +535,6 @@ def vector_field(H: PolyHamiltonian, state: FourierState
         v = zz[at]
         loo = val[i:i + d * n].reshape(d, n)
         i += d * n
-        if d == 4:
-            # from the pair products coef v2 v3 and coef v0 v1
-            np.multiply(v[2], v[3], out=loo[1])
-            loo[1] *= coef
-            np.multiply(loo[1], v[1], out=loo[0])
-            loo[1] *= v[0]
-            np.multiply(v[0], v[1], out=loo[3])
-            loo[3] *= coef
-            np.multiply(loo[3], v[3], out=loo[2])
-            loo[3] *= v[2]
-            continue
         # prefix products coef v_0 ... v_{k-1} times suffix products
         # v_{k+1} ... v_{d-1}; no division, so zero factors are safe
         loo[0] = coef

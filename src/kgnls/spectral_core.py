@@ -159,9 +159,11 @@ def mode_weights(params: SpaceParams, freq: FrequencyTable) -> np.ndarray:
             * freq.w ** (2.0 * params.beta))
 
 
-def seq_norm(x: np.ndarray, params: SpaceParams, freq: FrequencyTable) -> float:
-    """Weighted norm of a single sequence (not doubled)."""
-    wts = mode_weights(params, freq)
-    terms = (np.abs(np.asarray(x)) ** 2) * wts
+def seq_norm(x: np.ndarray, params: SpaceParams, freq: FrequencyTable
+             ) -> float | np.ndarray:
+    """Weighted norm of a single sequence (not doubled); of each row when
+    x is 2-D."""
+    terms = (np.abs(np.asarray(x)) ** 2) * mode_weights(params, freq)
     # compensated accumulation keeps the sharp invariant tests honest
-    return math.sqrt(math.fsum(terms.tolist()))
+    norms = [math.sqrt(math.fsum(r)) for r in np.atleast_2d(terms).tolist()]
+    return norms[0] if terms.ndim == 1 else np.array(norms)

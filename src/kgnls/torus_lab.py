@@ -32,7 +32,7 @@ import numpy as np
 from .frequencies import build_model
 from .kam_schedule import predicted_bounds
 from .spectral_core import (TWO_PI, FourierState, FrequencyTable,
-                            SpaceParams, mode_weights)
+                            SpaceParams, seq_norm)
 
 
 def _cube(z: np.ndarray) -> np.ndarray:
@@ -476,10 +476,7 @@ def gauge_distance(emb_kg: TorusEmbedding, emb_nls: TorusEmbedding,
     diff = np.exp(1j * c * c * times)[:, None] * orbit(emb_kg) - orbit(emb_nls)
     pp = SpaceParams(a=params.a, p=params.p - 4.0 * sigma, beta=params.beta,
                      M=params.M)
-    wts = mode_weights(pp, FrequencyTable(c=c, M=params.M))
-    # seq_norm per sample: its terms, and a compensated sum per row
-    terms = np.abs(diff) ** 2 * wts
-    out = np.array([math.sqrt(math.fsum(r)) for r in terms.tolist()])
+    out = seq_norm(diff, pp, FrequencyTable(c=c, M=params.M))
     return out, float(np.max(out))
 
 

@@ -381,13 +381,19 @@ def test_vector_field_on_torus_seed_state():
 
 
 def test_cached_field_plan_gives_the_bits_of_a_fresh_one():
-    # the quartic G takes the pair-product path, the mixed table the
-    # prefix/suffix one; the plan is built by the first call on a window
-    # and reused by the next ones, and rebuilt on another window
+    # the quartic G of the flows and a table of every degree up to 6; the
+    # plan is built by the first call on a window and reused by the next
+    # ones, and rebuilt on another window
     ft = FrequencyTable(c=10.0, M=8)
     G = solve_cohomological_quartic(build_P(ft), ft, (1, 2, 3)).G
     rng = np.random.default_rng(21)
     mixed = random_poly(rng, 6, 60, degrees=(1, 2, 3, 4, 5, 6))
+    # no term of degree 1 or more: an empty plan and a zero field
+    for H in (PolyHamiltonian(), PolyHamiltonian({(): 2.5})):
+        for M in (8, 10):
+            z_dot, zbar_dot = vector_field(H, random_state(rng, M))
+            assert zbar_dot.shape == z_dot.shape == (2 * M + 1,)
+            assert not zbar_dot.any() and not z_dot.any()
     for H in (G, mixed):
         for M in (8, 8, 8, 10, 8):
             state = random_state(rng, M)

@@ -14,8 +14,8 @@ the reflected conjugate, read back on the mode window, in place of the
 valid-mode correlation of `TruncatedSystem.nonlinear_rhs`.
 `ref_flow_time1` is the normal-form flow's two-component RK4 loop that the
 stacked [z, zbar] step of the shared `_rk4` replaced.  `ref_gauge_distance`
-takes `seq_norm` of each sample, weights and all, as the one-array form of
-`gauge_distance` replaced.  They share with the
+takes `seq_norm` of each sample on its own, where `gauge_distance` passes
+all samples as the rows of one array.  They share with the
 code under test only the truncated field (and, for the flow, the
 polynomial vector field), the harmonic and angle orders and the truncated
 system's tables; `ref_integrate` reads its traces from
