@@ -323,9 +323,10 @@ def _quartic_rows(M: int) -> np.ndarray:
     a, b = np.repeat(a, reps), np.repeat(b, reps)
     mom = mom_of[a] + mom_of[b] + mom_of[c]
     # the 4th slot s4 * j4 = -mom: code 2 mom (s4 = -1) or 1 - 2 mom
-    # (s4 = +1), one of them below the other; it closes a sorted row iff
-    # its code is >= the 3rd
-    fourth = np.sort(np.stack([2 * mom, 1 - 2 * mom], axis=1), axis=1)
+    # (s4 = +1), the smaller first (they add up to 1); it closes a sorted
+    # row iff its code is >= the 3rd
+    lo = np.minimum(2 * mom, 1 - 2 * mom)
+    fourth = np.stack([lo, 1 - lo], axis=1)
     ok = (np.abs(mom) <= M)[:, None] & (fourth >= (c - 2 * M)[:, None])
     t = np.flatnonzero(ok) >> 1
     return np.column_stack([code[a[t]], code[b[t]], code[c[t]], fourth[ok]])
