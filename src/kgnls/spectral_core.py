@@ -165,5 +165,5 @@ def seq_norm(x: np.ndarray, params: SpaceParams, freq: FrequencyTable
     x is 2-D."""
     terms = (np.abs(np.asarray(x)) ** 2) * mode_weights(params, freq)
     # compensated accumulation keeps the sharp invariant tests honest
-    norms = [math.sqrt(math.fsum(r)) for r in np.atleast_2d(terms).tolist()]
+    norms = [math.sqrt(math.fsum(r.tolist())) for r in np.atleast_2d(terms)]
     return norms[0] if terms.ndim == 1 else np.array(norms)
