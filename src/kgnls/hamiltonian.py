@@ -500,22 +500,23 @@ def poisson_bracket(F: PolyHamiltonian, G: PolyHamiltonian,
     return _from_rows(tables)
 
 
-def _field_plan(H: PolyHamiltonian, M: int) -> tuple:
-    """The index work of `vector_field` on the window |j| <= M, cached on
-    H: per degree d >= 1 the (d, terms) slot indices into `_slot_values`'
-    array with the coefficients; the stable order that sorts the
-    flattened slot indices of all degrees, the first position of each
-    distinct slot in it and those slots, so that the gradient is one
-    `np.add.reduceat` over the values in that order."""
+def _field_plan(H: PolyHamiltonian, off: int) -> tuple:
+    """The index work of `vector_field` on the window whose code 0 sits
+    at `off` in `_slot_values`' array, cached on H: per degree d >= 1 the
+    (d, terms) slot indices into that array with the coefficients; the
+    stable order that sorts the flattened slot indices of all degrees,
+    the first position of each distinct slot in it and those slots, so
+    that the gradient is one `np.add.reduceat` over the values in that
+    order."""
     plan = H._plan
-    if plan is None or plan[0] != M:
-        gather = [(np.array(codes.T, dtype=np.intp) + 2 * M, coef)
+    if plan is None or plan[0] != off:
+        gather = [(np.array(codes.T, dtype=np.intp) + off, coef)
                   for codes, coef in H._tab.values() if codes.shape[1]]
         slot = np.concatenate([at.ravel() for at, _ in gather]
                               or [np.zeros(0, dtype=np.intp)])
         order = np.argsort(slot, kind="stable")
         first = np.flatnonzero(np.diff(slot[order], prepend=-1))
-        H._plan = plan = (M, gather, order, first, slot[order[first]])
+        H._plan = plan = (off, gather, order, first, slot[order[first]])
     return plan
 
 
@@ -527,8 +528,8 @@ def vector_field(H: PolyHamiltonian, state: FourierState
     factors; summing over every slot position counts repeated slots with
     their multiplicity.
     """
-    zz, _ = _slot_values(H, state)
-    _, gather, order, first, slots = _field_plan(H, state.M)
+    zz, off = _slot_values(H, state)
+    _, gather, order, first, slots = _field_plan(H, off)
     val = np.empty(len(order), dtype=complex)
     i = 0
     for at, coef in gather:

@@ -398,7 +398,7 @@ def test_cached_field_plan_gives_the_bits_of_a_fresh_one():
         for M in (8, 8, 8, 10, 8):
             state = random_state(rng, M)
             got = np.concatenate(vector_field(H, state))
-            assert H._plan[0] == M
+            assert H._plan[0] == 2 * M
             fresh = _from_rows(dict(H._tab))
             assert fresh._plan is None
             want = np.concatenate(vector_field(fresh, state))
