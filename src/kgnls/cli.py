@@ -12,6 +12,8 @@ anomaly; no artifact holds NaN or Infinity).
 
 from __future__ import annotations
 
+import argparse
+import contextlib
 import csv
 import hashlib
 import json
@@ -23,7 +25,6 @@ import warnings
 from functools import partial
 from typing import Callable, NamedTuple
 
-import click
 import numpy as np
 
 from . import (__version__, birkhoff, divisors, frequencies, hamiltonian,
@@ -145,7 +146,7 @@ def _divisor_scan(cfg: dict, out: pathlib.Path) -> None:
            "nongauge_spread": (max(mins) - min(mins)) / max(mins)
            if mins else None}
     _dump_json(out / "divisor_scan.json", doc)
-    click.echo(f"divisor-scan: minima positive, wrote {out}/divisor_scan.json")
+    print(f"divisor-scan: minima positive, wrote {out}/divisor_scan.json")
 
 
 def _measure(cfg: dict, out: pathlib.Path) -> None:
@@ -178,7 +179,7 @@ def _measure(cfg: dict, out: pathlib.Path) -> None:
         if len(positive) >= 2 else None
     _dump_json(out / "measure_fit.json",
                {"slope": slope, "predicted_slope": 1.0, "rows": rows})
-    click.echo(f"measure: slope {slope}, wrote {out}/measure.csv")
+    print(f"measure: slope {slope}, wrote {out}/measure.csv")
 
 
 def _birkhoff(cfg: dict, out: pathlib.Path) -> None:
@@ -191,7 +192,7 @@ def _birkhoff(cfg: dict, out: pathlib.Path) -> None:
                {"residual": nf.residual,
                 "gauge_divisor_min": nf.gauge_divisor_min,
                 "terms_G": len(nf.G), "terms_P_hat": len(nf.P_hat)})
-    click.echo(f"birkhoff: residual {nf.residual:.3e}, wrote {out}")
+    print(f"birkhoff: residual {nf.residual:.3e}, wrote {out}")
 
 
 def _schedule(cfg: dict, out: pathlib.Path) -> None:
@@ -211,7 +212,7 @@ def _schedule(cfg: dict, out: pathlib.Path) -> None:
                 float(np.mean(gf[4:13])) if len(gf) > 12 else None,
                 "predicted_growth_factor": 4.0 / 3.0,
                 "eps_decreasing": bool(np.all(np.diff(sched.log_eps) < 0))})
-    click.echo(f"schedule: {cfg['nu_max']} steps, wrote {out}/schedule.csv")
+    print(f"schedule: {cfg['nu_max']} steps, wrote {out}/schedule.csv")
 
 
 def _simulate(cfg: dict, out: pathlib.Path) -> None:
@@ -238,7 +239,7 @@ def _simulate(cfg: dict, out: pathlib.Path) -> None:
         float(np.max(np.abs(rec.hamiltonian - rec.hamiltonian[0]))
               / max(abs(rec.hamiltonian[0]), 1e-300)),
         "frames": len(rec.times)})
-    click.echo(f"simulate: {len(rec.times)} frames, wrote {out}/frames.bin")
+    print(f"simulate: {len(rec.times)} frames, wrote {out}/frames.bin")
 
 
 def _scaling(cfg: dict, out: pathlib.Path) -> None:
@@ -254,7 +255,7 @@ def _scaling(cfg: dict, out: pathlib.Path) -> None:
         for r in rep["rows"]:
             wr.writerow([r["c"], r["admissible"], r["converged"],
                          "" if r["distance"] is None else repr(r["distance"])])
-    click.echo(f"scaling: slope {rep['slope_vs_c']}, wrote {out}")
+    print(f"scaling: slope {rep['slope_vs_c']}, wrote {out}")
 
 
 # --- the command table -----------------------------------------------------
@@ -340,7 +341,7 @@ COMMANDS = (
 # A flag exists exactly where its config key does, and overrides it.
 _FLAGS = {
     "seed": dict(type=int, help="RNG seed (overrides the config)"),
-    "strict": dict(is_flag=True, default=None,
+    "strict": dict(action="store_true", default=None,
                    help="exit 3 if dt does not resolve the fastest frequency"),
 }
 
@@ -351,7 +352,7 @@ def _run(cmd: Command, config_path, out_dir, **flags) -> None:
     try:
         cfg = _resolve(cmd.schema, config_path, flags)
     except ConfigError as exc:
-        click.echo(f"config error: {exc}", err=True)
+        print(f"config error: {exc}", file=sys.stderr)
         sys.exit(EXIT_CONFIG)
     out = pathlib.Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
@@ -370,33 +371,14 @@ def _run(cmd: Command, config_path, out_dir, **flags) -> None:
             cmd.run(cfg, out)
             man.update(status="ok", exit_code=0)
         except (ArithmeticError, *cmd.anomalies) as exc:
-            click.echo(f"numeric anomaly: {exc}", err=True)
+            print(f"numeric anomaly: {exc}", file=sys.stderr)
             man.update(status="numeric_anomaly", exit_code=EXIT_NUMERIC)
     man["warnings"] = [str(w.message) for w in caught]
     for msg in man["warnings"]:
-        click.echo(f"warning: {msg}", err=True)
+        print(f"warning: {msg}", file=sys.stderr)
     _dump_json(out / "manifest.json", man)
     if man["exit_code"]:
         sys.exit(man["exit_code"])
-
-
-@click.group()
-@click.version_option(__version__)
-def main():
-    """Finite-truncation experiments for the relativistic/Schrodinger
-    torus comparison."""
-
-
-for _cmd in COMMANDS:
-    main.add_command(click.Command(
-        _cmd.name, help=_cmd.run.__doc__, callback=partial(_run, _cmd),
-        params=[click.Option(["--config", "config_path"],
-                             type=click.Path(exists=True),
-                             help="JSON config file"),
-                click.Option(["--out", "out_dir"], type=click.Path(),
-                             default="runs/out", help="output directory"),
-                *(click.Option([f"--{key}"], **opt)
-                  for key, opt in _FLAGS.items() if key in _cmd.schema)]))
 
 
 # The artifact of each fit, its fitted key and its predicted key.
@@ -406,17 +388,13 @@ _FITS = {"measure": ("measure_fit.json", "slope", "predicted_slope"),
                       "predicted_growth_factor")}
 
 
-@main.command("report")
-@click.argument("run_dirs", nargs=-1, type=click.Path())
-@click.option("--out", "out_path", type=click.Path(), default="-",
-              help="summary CSV path ('-' for stdout)")
-def report(run_dirs, out_path):
+def _report(run_dirs, out_path) -> None:
     """Aggregate fitted exponents from run directories against the
     predicted ones their artifacts record, with each run's status."""
     rows = [["experiment", "run", "fitted", "predicted", "status"]]
     for d in map(pathlib.Path, run_dirs):
         if not (d / "manifest.json").exists():
-            click.echo(f"skipped (no manifest): {d}", err=True)
+            print(f"skipped (no manifest): {d}", file=sys.stderr)
             continue
         man = json.loads((d / "manifest.json").read_text())
         exp = man["experiment"]
@@ -427,9 +405,49 @@ def report(run_dirs, out_path):
             fitted = doc[fit_key]
             pred = doc.get(pred_key, "")
         rows.append([exp, str(d), fitted, pred, man.get("status", "")])
-    with click.open_file(out_path, "w") as fh:
+    with contextlib.nullcontext(sys.stdout) if out_path == "-" \
+            else open(out_path, "w") as fh:
         csv.writer(fh).writerows(rows)
 
+
+def main(argv=None, standalone_mode=True) -> None:
+    """Finite-truncation experiments for the relativistic/Schrodinger
+    torus comparison."""
+    # standalone_mode has no effect: perfbench's workloads still pass it
+    args = vars(_PARSER.parse_args(argv))
+    args.pop("run")(**args)
+
+
+# Built once, at import: building costs some 25 parses.
+_PARSER = argparse.ArgumentParser(prog="kgnls", description=main.__doc__)
+_PARSER.add_argument("--version", action="version", version=__version__)
+_SUBPARSERS = _PARSER.add_subparsers(metavar="COMMAND", required=True)
+
+
+def _subcommand(name: str, doc: str, run: Callable):
+    # --help swaps `run` for a help printer, so that an option the command
+    # lacks still exits 2 once the whole line has parsed
+    sub = _SUBPARSERS.add_parser(name, help=doc, description=doc,
+                                 add_help=False, allow_abbrev=False)
+    sub.add_argument("-h", "--help", dest="run", action="store_const",
+                     const=lambda **_: sub.print_help(),
+                     help="show this help message and exit")
+    sub.set_defaults(run=run)
+    return sub
+
+
+for _cmd in COMMANDS:
+    _sub = _subcommand(_cmd.name, _cmd.run.__doc__, partial(_run, _cmd))
+    _sub.add_argument("--config", dest="config_path", help="JSON config file")
+    _sub.add_argument("--out", dest="out_dir", default="runs/out",
+                      help="output directory")
+    for _key, _opt in _FLAGS.items():
+        if _key in _cmd.schema:
+            _sub.add_argument(f"--{_key}", **_opt)
+_sub = _subcommand("report", _report.__doc__, _report)
+_sub.add_argument("run_dirs", nargs="*", metavar="RUN_DIR")
+_sub.add_argument("--out", dest="out_path", default="-",
+                  help="summary CSV path ('-' for stdout)")
 
 if __name__ == "__main__":
     main()

@@ -3,32 +3,63 @@
 import hashlib
 import json
 import math
+import os
+import pathlib
 import platform
+import subprocess
+import sys
+from typing import NamedTuple
 
 import numpy as np
 import pytest
-from click.testing import CliRunner
 
-from kgnls import birkhoff
+from kgnls import __version__, birkhoff
 from kgnls.cli import COMMANDS, _dump_json, _resolve, main
 
 
+class Result(NamedTuple):
+    exit_code: int
+    stdout: str
+    stderr: str
+
+
 @pytest.fixture
-def runner():
-    return CliRunner()
+def cli(capsys):
+    """Run `main(argv)` in-process: the exit code and the captured output."""
+    def invoke(argv):
+        try:
+            main(argv)
+            code = 0
+        except SystemExit as exc:
+            code = exc.code
+        return Result(code, *capsys.readouterr())
+    return invoke
 
 
-def test_help_lists_commands(runner):
-    res = runner.invoke(main, ["--help"])
+def test_help_lists_commands(cli):
+    res = cli(["--help"])
     assert res.exit_code == 0
     for cmd in ("divisor-scan", "measure", "birkhoff", "schedule",
                 "simulate", "scaling", "report"):
-        assert cmd in res.output
+        assert cmd in res.stdout
 
 
-def test_version(runner):
-    res = runner.invoke(main, ["--version"])
+def test_version(cli):
+    res = cli(["--version"])
     assert res.exit_code == 0
+    assert __version__ in res.stdout
+
+
+def test_cli_imports_no_package_but_numpy():
+    # numpy is the one runtime dependency: the CLI parses with argparse
+    env = dict(os.environ,
+               PYTHONPATH=str(pathlib.Path(__file__).parents[1] / "src"))
+    probe = ("import sys; before = set(sys.modules); import kgnls.cli; "
+             "print(' '.join(sorted({m.partition('.')[0] for m in "
+             "set(sys.modules) - before} - sys.stdlib_module_names)))")
+    res = subprocess.run([sys.executable, "-c", probe], env=env,
+                         capture_output=True, text=True, check=True)
+    assert res.stdout.split() == ["kgnls", "numpy"]
 
 
 def set_blas_threads(monkeypatch):
@@ -41,11 +72,11 @@ def set_blas_threads(monkeypatch):
             "MKL_NUM_THREADS": None}
 
 
-def test_schedule_run_and_manifest(runner, tmp_path, monkeypatch):
+def test_schedule_run_and_manifest(cli, tmp_path, monkeypatch):
     blas = set_blas_threads(monkeypatch)
     out = tmp_path / "run"
-    res = runner.invoke(main, ["schedule", "--out", str(out)])
-    assert res.exit_code == 0, res.output
+    res = cli(["schedule", "--out", str(out)])
+    assert res.exit_code == 0, res.stderr
     man = json.loads((out / "manifest.json").read_text())
     assert man["experiment"] == "schedule"
     assert len(man["config_sha256"]) == 64
@@ -59,12 +90,12 @@ def test_schedule_run_and_manifest(runner, tmp_path, monkeypatch):
     assert len(lines) == 16
 
 
-def test_schedule_default_artifacts_are_golden(runner, tmp_path):
+def test_schedule_default_artifacts_are_golden(cli, tmp_path):
     # changes to the cascade bookkeeping must keep its artifacts
     # byte-identical at the default config
     out = tmp_path / "run"
-    res = runner.invoke(main, ["schedule", "--out", str(out)])
-    assert res.exit_code == 0, res.output
+    res = cli(["schedule", "--out", str(out)])
+    assert res.exit_code == 0, res.stderr
     digest = {name: hashlib.sha256((out / name).read_bytes()).hexdigest()
               for name in ("schedule.csv", "schedule.json")}
     assert digest == {
@@ -74,31 +105,31 @@ def test_schedule_default_artifacts_are_golden(runner, tmp_path):
                          "f096ea5b3b9ddeb5467bf687e7c3f3c3"}
 
 
-def test_unknown_config_key_exits_2(runner, tmp_path):
+def test_unknown_config_key_exits_2(cli, tmp_path):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"nu_mx": 5}))
-    res = runner.invoke(main, ["schedule", "--config", str(cfg),
-                               "--out", str(tmp_path / "run")])
+    res = cli(["schedule", "--config", str(cfg),
+               "--out", str(tmp_path / "run")])
     assert res.exit_code == 2
-    assert "unknown config key" in res.output
+    assert "unknown config key" in res.stderr
 
 
-def test_wrong_config_type_exits_2(runner, tmp_path):
+def test_wrong_config_type_exits_2(cli, tmp_path):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"nu_max": "ten"}))
-    res = runner.invoke(main, ["schedule", "--config", str(cfg),
-                               "--out", str(tmp_path / "run")])
+    res = cli(["schedule", "--config", str(cfg),
+               "--out", str(tmp_path / "run")])
     assert res.exit_code == 2
 
 
-def test_schedule_divergence_exits_3(runner, tmp_path, monkeypatch):
+def test_schedule_divergence_exits_3(cli, tmp_path, monkeypatch):
     blas = set_blas_threads(monkeypatch)
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"log_eps0": -20.0}))
-    res = runner.invoke(main, ["schedule", "--config", str(cfg),
-                               "--out", str(tmp_path / "run")])
+    res = cli(["schedule", "--config", str(cfg),
+               "--out", str(tmp_path / "run")])
     assert res.exit_code == 3
-    assert "numeric anomaly" in res.output
+    assert "numeric anomaly" in res.stderr
     man = json.loads((tmp_path / "run" / "manifest.json").read_text())
     assert (man["status"], man["exit_code"]) == ("numeric_anomaly", 3)
     assert (man["python"], man["numpy"], man["blas_threads"]) == (
@@ -106,16 +137,16 @@ def test_schedule_divergence_exits_3(runner, tmp_path, monkeypatch):
 
 
 @pytest.mark.parametrize("log_eps0,nu", [(-4790.0, 5), (-6000.0, 0)])
-def test_schedule_K_overflow_exits_3(runner, tmp_path, log_eps0, nu):
+def test_schedule_K_overflow_exits_3(cli, tmp_path, log_eps0, nu):
     # K_nu = 2^(nu-1) K_1 outgrows the float range: at -4790 from nu = 5,
     # at -6000 already K_1 (an exact big integer) has no float
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"log_eps0": log_eps0}))
     out = tmp_path / "run"
-    res = runner.invoke(main, ["schedule", "--config", str(cfg),
-                               "--out", str(out)])
+    res = cli(["schedule", "--config", str(cfg),
+               "--out", str(out)])
     assert res.exit_code == 3
-    assert f"not a finite float at nu = {nu}" in res.output
+    assert f"not a finite float at nu = {nu}" in res.stderr
     man = json.loads((out / "manifest.json").read_text())
     assert (man["status"], man["exit_code"]) == ("numeric_anomaly", 3)
     assert man["warnings"] == []
@@ -124,44 +155,44 @@ def test_schedule_K_overflow_exits_3(runner, tmp_path, log_eps0, nu):
         assert "inf" not in text and "nan" not in text, path.name
 
 
-def test_measure_reproducible(runner, tmp_path):
+def test_measure_reproducible(cli, tmp_path):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"samples": 500, "M": 12,
                                "alphas": [1e-7, 1e-6]}))
     outs = []
     for name in ("a", "b"):
         out = tmp_path / name
-        res = runner.invoke(main, ["measure", "--config", str(cfg),
-                                   "--out", str(out)])
-        assert res.exit_code == 0, res.output
+        res = cli(["measure", "--config", str(cfg),
+                   "--out", str(out)])
+        assert res.exit_code == 0, res.stderr
         outs.append((out / "measure.csv").read_bytes())
     assert outs[0] == outs[1]
     fit = json.loads((tmp_path / "a" / "measure_fit.json").read_text())
     assert fit["slope"] is None or fit["slope"] > 0
 
 
-def test_measure_seed_override_changes_output(runner, tmp_path):
+def test_measure_seed_override_changes_output(cli, tmp_path):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"samples": 500, "M": 12, "alphas": [1e-6]}))
     hashes = []
     for seed in ("1", "2"):
         out = tmp_path / seed
-        res = runner.invoke(main, ["measure", "--config", str(cfg),
-                                   "--seed", seed, "--out", str(out)])
-        assert res.exit_code == 0, res.output
+        res = cli(["measure", "--config", str(cfg),
+                   "--seed", seed, "--out", str(out)])
+        assert res.exit_code == 0, res.stderr
         hashes.append((out / "measure.csv").read_bytes())
         man = json.loads((out / "manifest.json").read_text())
         assert man["config"]["seed"] == int(seed)
     assert hashes[0] != hashes[1]
 
 
-def test_simulate_writes_frames(runner, tmp_path):
+def test_simulate_writes_frames(cli, tmp_path):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"M": 8, "T": 2.0, "frame_dt": 0.078125}))
     out = tmp_path / "run"
-    res = runner.invoke(main, ["simulate", "--config", str(cfg),
-                               "--out", str(out)])
-    assert res.exit_code == 0, res.output
+    res = cli(["simulate", "--config", str(cfg),
+               "--out", str(out)])
+    assert res.exit_code == 0, res.stderr
     doc = json.loads((out / "simulate.json").read_text())
     assert doc["mass_drift"] < 1e-12
     assert doc["momentum_drift"] < 1e-12
@@ -181,15 +212,15 @@ def test_simulate_writes_frames(runner, tmp_path):
       "simulate.json": "6bccd75fe9889e58e5e9c249e4fdaa57"
                        "031d9e488f649bc518b9c95215839188"})],
     ids=["nls-default", "kg-T1"])
-def test_simulate_artifacts_are_golden(runner, tmp_path, config, digests):
+def test_simulate_artifacts_are_golden(cli, tmp_path, config, digests):
     # changes to the truncated field or the Lawson step must keep the
     # trajectory byte-identical
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps(config))
     out = tmp_path / "run"
-    res = runner.invoke(main, ["simulate", "--config", str(cfg),
-                               "--out", str(out)])
-    assert res.exit_code == 0, res.output
+    res = cli(["simulate", "--config", str(cfg),
+               "--out", str(out)])
+    assert res.exit_code == 0, res.stderr
     assert {name: hashlib.sha256((out / name).read_bytes()).hexdigest()
             for name in digests} == digests
 
@@ -207,36 +238,36 @@ def test_simulate_artifacts_are_golden(runner, tmp_path, config, digests):
       "measure_fit.json": "90d096f8efe4494dc151369d9b028bf5"
                           "983d70efbcfc7ff6807f39880ac4600f"})],
     ids=["scan-M8", "scan-M12", "measure-default"])
-def test_divisor_artifacts_are_golden(runner, tmp_path, command, config,
+def test_divisor_artifacts_are_golden(cli, tmp_path, command, config,
                                       digests):
     # changes to the pair enumeration or the divisor kernel must keep the
     # scan minima, their pairs and the measure rows byte-identical
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps(config))
     out = tmp_path / "run"
-    res = runner.invoke(main, [command, "--config", str(cfg),
-                               "--out", str(out)])
-    assert res.exit_code == 0, res.output
+    res = cli([command, "--config", str(cfg),
+               "--out", str(out)])
+    assert res.exit_code == 0, res.stderr
     assert {name: hashlib.sha256((out / name).read_bytes()).hexdigest()
             for name in digests} == digests
 
 
-def test_simulate_bad_system_exits_2(runner, tmp_path):
+def test_simulate_bad_system_exits_2(cli, tmp_path):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"system": "wave"}))
-    res = runner.invoke(main, ["simulate", "--config", str(cfg),
-                               "--out", str(tmp_path / "run")])
+    res = cli(["simulate", "--config", str(cfg),
+               "--out", str(tmp_path / "run")])
     assert res.exit_code == 2
 
 
-def test_scaling_rows_record_the_kg_solve(runner, tmp_path):
+def test_scaling_rows_record_the_kg_solve(cli, tmp_path):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"c_list": [110.0, 240.0], "M": 8,
                                "n_samples": 64}))
     out = tmp_path / "run"
-    res = runner.invoke(main, ["scaling", "--config", str(cfg),
-                               "--out", str(out)])
-    assert res.exit_code == 0, res.output
+    res = cli(["scaling", "--config", str(cfg),
+               "--out", str(out)])
+    assert res.exit_code == 0, res.stderr
     rows = json.loads((out / "scaling.json").read_text())["rows"]
     assert [r["converged"] for r in rows] == [True, True]
     for r in rows:
@@ -249,14 +280,14 @@ def test_scaling_rows_record_the_kg_solve(runner, tmp_path):
     assert header == "c,admissible,converged,distance"
 
 
-def test_scaling_without_a_slope_warns(runner, tmp_path):
+def test_scaling_without_a_slope_warns(cli, tmp_path):
     # both c lie below c_adm ~ 106: no torus, no slope, and a warning
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"c_list": [50.0, 60.0]}))
     out = tmp_path / "run"
-    res = runner.invoke(main, ["scaling", "--config", str(cfg),
-                               "--out", str(out)])
-    assert res.exit_code == 0, res.output
+    res = cli(["scaling", "--config", str(cfg),
+               "--out", str(out)])
+    assert res.exit_code == 0, res.stderr
     assert json.loads((out / "scaling.json").read_text())["slope_vs_c"] \
         is None
     man = json.loads((out / "manifest.json").read_text())
@@ -265,33 +296,33 @@ def test_scaling_without_a_slope_warns(runner, tmp_path):
         "scaling study has no slope_vs_c: 0 of 2 rows converged, it needs 2"]
 
 
-def test_scaling_defaults_take_one_newton_step(runner, tmp_path):
+def test_scaling_defaults_take_one_newton_step(cli, tmp_path):
     # the KG seed from the amplitude-frequency map is one step from the torus
     out = tmp_path / "run"
-    res = runner.invoke(main, ["scaling", "--out", str(out)])
-    assert res.exit_code == 0, res.output
+    res = cli(["scaling", "--out", str(out)])
+    assert res.exit_code == 0, res.stderr
     rows = json.loads((out / "scaling.json").read_text())["rows"]
     assert [r["newton_iters"] for r in rows] == [1] * 4
 
 
-def test_birkhoff_command(runner, tmp_path):
+def test_birkhoff_command(cli, tmp_path):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"J": [1, 2], "M": 5, "c": 10.0}))
     out = tmp_path / "run"
-    res = runner.invoke(main, ["birkhoff", "--config", str(cfg),
-                               "--out", str(out)])
-    assert res.exit_code == 0, res.output
+    res = cli(["birkhoff", "--config", str(cfg),
+               "--out", str(out)])
+    assert res.exit_code == 0, res.stderr
     doc = json.loads((out / "birkhoff.json").read_text())
     assert doc["residual"] < 1e-12
     assert (out / "normal_form.txt").read_text()
 
 
-def test_birkhoff_default_artifacts_are_golden(runner, tmp_path):
+def test_birkhoff_default_artifacts_are_golden(cli, tmp_path):
     # refactors of the normal-form step must keep its artifacts
     # byte-identical at the default config
     out = tmp_path / "run"
-    res = runner.invoke(main, ["birkhoff", "--out", str(out)])
-    assert res.exit_code == 0, res.output
+    res = cli(["birkhoff", "--out", str(out)])
+    assert res.exit_code == 0, res.stderr
     digest = {name: hashlib.sha256((out / name).read_bytes()).hexdigest()
               for name in ("normal_form.txt", "birkhoff.json")}
     assert digest == {
@@ -302,63 +333,60 @@ def test_birkhoff_default_artifacts_are_golden(runner, tmp_path):
 
 
 @pytest.mark.parametrize("config", [{"M": True}, {"c": False}])
-def test_bool_for_number_exits_2(runner, tmp_path, config):
+def test_bool_for_number_exits_2(cli, tmp_path, config):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps(config))
-    res = runner.invoke(main, ["birkhoff", "--config", str(cfg),
-                               "--out", str(tmp_path / "run")])
+    res = cli(["birkhoff", "--config", str(cfg),
+               "--out", str(tmp_path / "run")])
     assert res.exit_code == 2
-    assert "got bool" in res.output
+    assert "got bool" in res.stderr
 
 
-def test_birkhoff_mode_outside_window_exits_2(runner, tmp_path):
+def test_birkhoff_mode_outside_window_exits_2(cli, tmp_path):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"J": [1, 2, 99], "M": 8}))
     out = tmp_path / "run"
-    res = runner.invoke(main, ["birkhoff", "--config", str(cfg),
-                               "--out", str(out)])
+    res = cli(["birkhoff", "--config", str(cfg),
+               "--out", str(out)])
     assert res.exit_code == 2
-    assert "[99]" in res.output
+    assert "[99]" in res.stderr
     assert not (out / "birkhoff.json").exists()
 
 
-def test_report_aggregates_and_skips(runner, tmp_path):
+def test_report_aggregates_and_skips(cli, tmp_path):
     out = tmp_path / "sched"
-    assert runner.invoke(main, ["schedule", "--out",
-                                str(out)]).exit_code == 0
+    assert cli(["schedule", "--out", str(out)]).exit_code == 0
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"log_eps0": -20.0}))
     failed = tmp_path / "failed"
-    assert runner.invoke(main, ["schedule", "--config", str(cfg), "--out",
-                                str(failed)]).exit_code == 3
+    assert cli(["schedule", "--config", str(cfg), "--out",
+                str(failed)]).exit_code == 3
     crashed = tmp_path / "crashed"   # a run killed before it finished
     crashed.mkdir()
     man = json.loads((out / "manifest.json").read_text())
     man.update(status="running", exit_code=None)
     (crashed / "manifest.json").write_text(json.dumps(man))
-    res = runner.invoke(main, ["report", str(out),
-                               str(tmp_path / "nonexistent"), str(failed),
-                               str(crashed)])
+    res = cli(["report", str(out), str(tmp_path / "nonexistent"),
+               str(failed), str(crashed)])
     assert res.exit_code == 0
-    lines = res.output.strip().splitlines()
-    assert "skipped (no manifest)" in lines[0]
-    assert lines[1] == "experiment,run,fitted,predicted,status"
-    assert lines[2].startswith("schedule,") and lines[2].endswith(",ok")
-    assert float(lines[2].split(",")[3]) == 4.0 / 3.0
-    assert lines[3] == f"schedule,{failed},,,numeric_anomaly"
-    assert lines[4] == f"schedule,{crashed},,,running"
+    assert "skipped (no manifest)" in res.stderr
+    lines = res.stdout.strip().splitlines()
+    assert lines[0] == "experiment,run,fitted,predicted,status"
+    assert lines[1].startswith("schedule,") and lines[1].endswith(",ok")
+    assert float(lines[1].split(",")[3]) == 4.0 / 3.0
+    assert lines[2] == f"schedule,{failed},,,numeric_anomaly"
+    assert lines[3] == f"schedule,{crashed},,,running"
 
 
-def test_report_leaves_missing_prediction_blank(runner, tmp_path):
+def test_report_leaves_missing_prediction_blank(cli, tmp_path):
     out = tmp_path / "sched"
-    assert runner.invoke(main, ["schedule", "--out",
-                                str(out)]).exit_code == 0
+    assert cli(["schedule", "--out", str(out)]).exit_code == 0
     doc = json.loads((out / "schedule.json").read_text())
     del doc["predicted_growth_factor"]   # an artifact that records none
     (out / "schedule.json").write_text(json.dumps(doc))
-    res = runner.invoke(main, ["report", str(out)])
+    res = cli(["report", str(out)])
     assert res.exit_code == 0
-    row = res.output.strip().splitlines()[1].split(",")
+    row = res.stdout.strip().splitlines()[1].split(",")
     assert float(row[2]) == doc["growth_factor_mean_4_12"]
     assert row[3] == ""
 
@@ -402,17 +430,27 @@ INVALID = [
 
 @pytest.mark.parametrize("command,config", INVALID,
                          ids=[f"{c}-{json.dumps(v)}" for c, v in INVALID])
-def test_invalid_config_exits_2_with_one_line(runner, tmp_path, command,
+def test_invalid_config_exits_2_with_one_line(cli, tmp_path, command,
                                               config):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps(config))
     out = tmp_path / "run"
-    res = runner.invoke(main, [command, "--config", str(cfg),
-                               "--out", str(out)])
-    assert res.exit_code == 2, res.output
+    res = cli([command, "--config", str(cfg),
+               "--out", str(out)])
+    assert res.exit_code == 2, res.stderr
     lines = res.stderr.strip().splitlines()
     assert len(lines) == 1 and lines[0].startswith("config error: ")
     assert not out.exists()   # checked before anything is written
+
+
+def test_missing_config_exits_2_with_one_line(cli, tmp_path):
+    out = tmp_path / "run"
+    res = cli(["birkhoff", "--config", str(tmp_path / "missing.json"),
+               "--out", str(out)])
+    assert res.exit_code == 2
+    lines = res.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("config error: ")
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("cmd", COMMANDS, ids=[c.name for c in COMMANDS])
@@ -421,13 +459,13 @@ def test_defaults_pass_their_own_checks(cmd):
     assert cfg == {key: spec.default for key, spec in cmd.schema.items()}
 
 
-def test_non_finite_result_exits_3(runner, tmp_path):
+def test_non_finite_result_exits_3(cli, tmp_path):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"M": 4, "T": 1.0,
                                "modes": {"1": [1000.0, 0.0]}}))
     out = tmp_path / "run"
-    res = runner.invoke(main, ["simulate", "--config", str(cfg),
-                               "--out", str(out)])
+    res = cli(["simulate", "--config", str(cfg),
+               "--out", str(out)])
     assert res.exit_code == 3
     assert "not finite" in res.stderr
     man = json.loads((out / "manifest.json").read_text())
@@ -443,32 +481,31 @@ def test_json_artifact_never_holds_non_finite(tmp_path, value):
     assert not path.exists()
 
 
-def test_flags_exist_where_their_keys_do(runner, tmp_path):
+def test_flags_exist_where_their_keys_do(cli, tmp_path):
     for cmd in COMMANDS:
         args = [cmd.name, "--out", str(tmp_path / cmd.name)]
-        assert runner.invoke(main, args + ["--workers", "2"]).exit_code == 2
+        assert cli(args + ["--workers", "2"]).exit_code == 2
         for flag, extra in (("seed", ["1"]), ("strict", [])):
-            res = runner.invoke(main, args + [f"--{flag}"] + extra
-                                + ["--help"])
+            res = cli(args + [f"--{flag}"] + extra + ["--help"])
             assert (res.exit_code == 0) == (flag in cmd.schema), cmd.name
 
 
-def test_strict_flag_turns_coarse_dt_into_anomaly(runner, tmp_path):
+def test_strict_flag_turns_coarse_dt_into_anomaly(cli, tmp_path):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"M": 4, "T": 1.0, "dt": 1.0}))
-    res = runner.invoke(main, ["simulate", "--config", str(cfg), "--strict",
-                               "--out", str(tmp_path / "run")])
+    res = cli(["simulate", "--config", str(cfg), "--strict",
+               "--out", str(tmp_path / "run")])
     assert res.exit_code == 3
     man = json.loads((tmp_path / "run" / "manifest.json").read_text())
     assert man["config"]["strict"] is True
 
 
-def test_coarse_dt_warning_is_recorded_in_the_manifest(runner, tmp_path):
+def test_coarse_dt_warning_is_recorded_in_the_manifest(cli, tmp_path):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"M": 4, "T": 1.0, "dt": 1.0}))
-    res = runner.invoke(main, ["simulate", "--config", str(cfg),
-                               "--out", str(tmp_path / "run")])
-    assert res.exit_code == 0, res.output
+    res = cli(["simulate", "--config", str(cfg),
+               "--out", str(tmp_path / "run")])
+    assert res.exit_code == 0, res.stderr
     man = json.loads((tmp_path / "run" / "manifest.json").read_text())
     assert man["status"] == "ok"
     assert len(man["warnings"]) == 1
@@ -487,7 +524,7 @@ def test_exit_code_survives_standalone_mode_off(tmp_path):
     assert exc.value.code == 2
 
 
-def test_library_functions_looked_up_at_run_time(runner, tmp_path,
+def test_library_functions_looked_up_at_run_time(cli, tmp_path,
                                                  monkeypatch):
     # a tracer patches module attributes after the CLI is imported
     calls = []
@@ -496,7 +533,7 @@ def test_library_functions_looked_up_at_run_time(runner, tmp_path,
                         lambda *a, **k: calls.append(1) or solve(*a, **k))
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"J": [1], "M": 3}))
-    res = runner.invoke(main, ["birkhoff", "--config", str(cfg),
-                               "--out", str(tmp_path / "run")])
-    assert res.exit_code == 0, res.output
+    res = cli(["birkhoff", "--config", str(cfg),
+               "--out", str(tmp_path / "run")])
+    assert res.exit_code == 0, res.stderr
     assert calls == [1]
