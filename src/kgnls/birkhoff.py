@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .spectral_core import TWO_PI, FrequencyTable
+from .spectral_core import TWO_PI, FrequencyTable, _fsum_rows
 from .hamiltonian import (PolyHamiltonian, _decode, _from_rows, _gauge,
                           _pack, _paired, _quartic_rows, _reduce,
                           poisson_bracket)
@@ -54,46 +54,6 @@ def _i_div(c: np.ndarray, d: np.ndarray) -> np.ndarray:
     out = np.empty(len(c), dtype=complex)
     out.real = -c.imag / d + 0.0
     out.imag = c.real / d + 0.0
-    return out
-
-
-def _two_sum(a: np.ndarray, b: np.ndarray
-             ) -> tuple[np.ndarray, np.ndarray]:
-    """a + b rounded, and its rounding error exactly (Knuth's TwoSum)."""
-    s = a + b
-    bb = s - a
-    return s, (a - (s - bb)) + (b - bb)
-
-
-def _fsum_rows(x: np.ndarray) -> np.ndarray:
-    """math.fsum of each row of a float array of two or more columns, bit
-    for bit.
-
-    Two TwoSum distillation passes over the columns (Ogita, Rump & Oishi,
-    SIAM J. Sci. Comput. 26, 2005) leave each row's exact sum as
-    hi + e + r: hi the last rounded addition of the second pass, e its
-    error, r the second-order errors of the additions before it.  When r
-    is 0, hi is that sum rounded by one IEEE addition, ties included.
-    Otherwise hi is the correctly rounded sum when |e| + |r| stays below
-    half the gap below |hi|, the smaller of its two gaps, so the bound
-    holds on either side of a binade boundary; the test keeps a factor-2
-    margin for the rounding of |r| and of the slack.  Rows that pass
-    neither, zero and non-finite sums among them, go to math.fsum."""
-    cols = list(x.T)
-    # overflow and inf - inf only make rows that fail the test
-    with np.errstate(over="ignore", invalid="ignore"):
-        for _ in range(2):
-            hi = cols[0]
-            for k in range(1, len(cols)):
-                hi, cols[k - 1] = _two_sum(hi, cols[k])
-            cols[-1] = hi
-        a = np.abs(hi)
-        slack = (a - np.nextafter(a, 0.0)) / 2 - np.abs(cols[-2])
-        r = sum(np.abs(e) for e in cols[:-2])
-        ok = np.isfinite(hi) & (a > 0) & ((r == 0) | (2 * r <= slack))
-    out = hi.copy()
-    bad = np.flatnonzero(~ok)
-    out[bad] = [math.fsum(row) for row in x[bad].tolist()]
     return out
 
 

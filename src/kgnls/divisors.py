@@ -17,13 +17,14 @@ of _BLOCK // (8 (5 + 4(2M+1))) rows, at most _BLOCK / 8 candidate slots;
 
 One kernel, `_Divisors`, evaluates every divisor of such a table, as
 L rest + <nu, (k, ell)> + <A k + B^T ell, xi> + <delta, k>, rest = c^2 the
-table's rest energy; the products with k are taken once per k row and
-gathered per pair.  delta is the model's constant tangential-frequency
-shift, if any.  The Schrodinger family is the same kernel on the c = inf
-model (`frequencies.nls_model`: rest = 0, nu = j^2/2, A and B without
-weights).  Callers reduce the (points x pairs) values in blocks of
-points, so that no temporary of the kernel holds more than `_BLOCK` values
-(512 KiB of float64).
+table's rest energy; the products with k, <delta, k> among them, are
+stacked matmuls over the k rows, taken once per table and gathered per
+pair.  delta is the model's constant tangential-frequency shift, if any.
+The Schrodinger family is the same kernel on the c = inf model
+(`frequencies.nls_model`: rest = 0, nu = j^2/2, A and B without weights).
+Callers reduce the (points x pairs) values in blocks of points, so that
+no temporary of the kernel holds more than `_BLOCK` values (512 KiB of
+float64).
 
 Resonant-set hits (`_hits`) take points inside the model's amplitude box
 [xi_lo, xi_hi], as `sample_xi` draws them, and per-pair thresholds, and
@@ -47,6 +48,7 @@ import numpy as np
 from .frequencies import FrequencyModel, nls_model
 
 S_CLASSES = ("S0", "S1", "S2", "S4", "S5", "S6", "S7", "S8")
+_CODE = {tag: i for i, tag in enumerate(S_CLASSES)}
 
 
 def _k_rows(N: int, kmax: int) -> np.ndarray:
@@ -156,12 +158,12 @@ def _supports(ells) -> tuple[np.ndarray, np.ndarray]:
     return flat[..., 0], flat[..., 1]
 
 
-def _s_classes(ksum, at: np.ndarray, val: np.ndarray, c: float
-               ) -> np.ndarray:
-    """S-class tags of momentum-zero pairs (k, ell), per pair sum(k) =
-    ksum and ell given by its (P, 2) support `at`, `val` (0 pads).
-    "" marks ell = 0, which carries no class; the classes partition all
-    ell != 0.
+def _s_codes(ksum, at: np.ndarray, val: np.ndarray, c: float
+             ) -> np.ndarray:
+    """S-class codes, indices into S_CLASSES, of momentum-zero pairs
+    (k, ell), per pair sum(k) = ksum and ell given by its (P, 2) support
+    `at`, `val` (0 pads).  -1 marks ell = 0, which carries no class; the
+    classes partition all ell != 0.
 
     S0: supp(ell) = {i} or {i, 0}.
     Otherwise supp(ell) = {i, j}, |i| <= |j|, both nonzero, and
@@ -178,19 +180,25 @@ def _s_classes(ksum, at: np.ndarray, val: np.ndarray, c: float
     # supports pad at the end: val[:, 0] = 0 is ell = 0 and
     # val[:, 1] = 0 a single support.  Later assignments take precedence.
     v0, v1 = val.T
-    lo, hi = np.sort(np.abs(at), axis=1).T
+    a0, a1 = np.abs(at).T
+    lo, hi = np.minimum(a0, a1), np.maximum(a0, a1)
     same = (at[:, 0] > 0) == (at[:, 1] > 0)
     diff = v0 * v1 == -1
     L = ksum + v0 + v1
-    out = np.where(same, "S7", "S8")
-    out[(L == 0) | ((L > 0) == (v0 > 0))] = "S6"
-    out[diff] = "S4"
-    out[diff & (lo >= c ** 3)] = "S5"
-    out[diff & (lo <= hi / 2)] = "S2"
-    out[diff & ~same] = "S1"
-    out[(v1 == 0) | (at[:, 0] == 0) | (at[:, 1] == 0)] = "S0"
-    out[v0 == 0] = ""
-    return out
+    code = np.where(same, _CODE["S7"], _CODE["S8"])
+    code[(L == 0) | ((L > 0) == (v0 > 0))] = _CODE["S6"]
+    code[diff] = _CODE["S4"]
+    code[diff & (lo >= c ** 3)] = _CODE["S5"]
+    code[diff & (lo <= hi / 2)] = _CODE["S2"]
+    code[diff & ~same] = _CODE["S1"]
+    code[(v1 == 0) | (a0 == 0) | (a1 == 0)] = _CODE["S0"]
+    code[v0 == 0] = -1
+    return code
+
+
+def _s_classes(ksum, at, val, c: float) -> np.ndarray:
+    """The tags of `_s_codes`, code -1 taking the "" appended here."""
+    return np.array(S_CLASSES + ("",))[_s_codes(ksum, at, val, c)]
 
 
 def s8_localization(pair: IndexPair, c: float) -> dict:
@@ -226,28 +234,33 @@ _BLOCK = 1 << 16   # values per block of a call's widest temporary
 class _Divisors:
     """Pairs (k, ell) over the k rows `ks`: per pair the row `kidx`, the
     ell support `at` with values `val` (0 pads), the constant, the gradient
-    A k + B^T ell and the weight w(ell).  Called on points xi (n, N), it gives the (n, P)
-    divisors, the model's delta included."""
+    A k + B^T ell, the shift <delta, k> (0 without delta) and the weight
+    w(ell).  Called on points xi (n, N), it gives the (n, P) divisors."""
 
-    ROWS = ("kidx", "at", "val", "w", "const", "grad")   # per pair
+    ROWS = ("kidx", "at", "val", "w", "const", "grad", "dk")   # per pair
 
     def __init__(self, model: FrequencyModel, ks: np.ndarray,
                  kidx: np.ndarray, at: np.ndarray, val: np.ndarray):
         self.model = model
         self.ks, self.kidx, self.at, self.val = ks, kidx, at, val
-        modes = model.normal_modes
-        pos = np.minimum(np.searchsorted(modes, at), len(modes) - 1)
-        if np.any((val != 0) & (modes[pos] != at)):
+        # per support entry its index in the normal modes, -1 for none (also
+        # beyond -M..M: the clip's unfilled last slot); pads take any mode
+        lut = np.full(2 * model.M + 2, -1)
+        lut[model.normal_modes + model.M] = np.arange(len(model.normal_modes))
+        pos = lut[np.clip(at + model.M, -1, 2 * model.M + 1)]
+        if np.any((val != 0) & (pos < 0)):
             raise ValueError("ell support must lie in the normal modes")
-        w = np.where(val != 0, model.w_Jc[pos], np.inf).min(axis=1)
+        # by column: a reduction along a length-2 axis costs ten times more
+        (v0, v1), (p0, p1) = val.T, pos.T
+        w = np.minimum(*np.where(val != 0, model.w_Jc[pos], np.inf).T)
         self.w = np.where(np.isinf(w), 1.0, w)
         nu = self._by_k(model.nu_J)[kidx] \
-            + (val * model.nu_Jc[pos]).sum(axis=1)
-        self.const = (ks.sum(axis=1)[kidx] + val.sum(axis=1)) \
-            * model.freq.rest + nu
-        self.grad = self._by_k(model.A)[kidx] \
-            + val[:, :1] * model.B[pos[:, 0]] \
-            + val[:, 1:] * model.B[pos[:, 1]]
+            + (v0 * model.nu_Jc[p0] + v1 * model.nu_Jc[p1])
+        self.const = (ks.sum(axis=1)[kidx] + v0 + v1) * model.freq.rest + nu
+        self.grad = self._by_k(model.A)[kidx] + v0[:, None] * model.B[p0] \
+            + v1[:, None] * model.B[p1]
+        self.dk = np.zeros(len(kidx)) if model.delta is None \
+            else self._by_k(model.delta)[kidx]
 
     @classmethod
     def of(cls, model: FrequencyModel, k, ells: list[dict[int, int]]
@@ -258,9 +271,11 @@ class _Divisors:
                    np.zeros(len(val), dtype=int), at, val)
 
     def _by_k(self, X: np.ndarray) -> np.ndarray:
-        """X @ k per k row: one product per k, as a batched product over
-        the rows rounds differently."""
-        return np.array([X @ k for k in self.ks])
+        """X @ k per k row by one stacked matmul: the per-row products bit
+        for bit, where a plain ks @ X.T rounds differently."""
+        out = np.matmul(np.atleast_2d(X)[None],
+                        self.ks.astype(float)[:, :, None])[..., 0]
+        return out if X.ndim == 2 else out[:, 0]
 
     def pair(self, i: int) -> IndexPair:
         return make_pair(self.ks[self.kidx[i]],
@@ -276,22 +291,16 @@ class _Divisors:
         sub.ks = self.ks[used]
         return sub
 
-    def shift(self) -> np.ndarray | float:
-        """Per pair <delta, k>; 0 when the model has no delta."""
-        if self.model.delta is None:
-            return 0.0
-        return self._by_k(self.model.delta)[self.kidx]
-
     def __call__(self, xi: np.ndarray) -> np.ndarray:
         out = xi @ self.grad.T
         out += self.const
-        out += self.shift()
+        out += self.dk
         return out
 
     def floor(self) -> np.ndarray:
         """Per pair: a lower bound on |divisor| over the model's amplitude
         box, less the rounding margin of the module docstring."""
-        m, dk = self.model, self.shift()
+        m, dk = self.model, self.dk
         mid, half = 0.5 * (m.xi_hi + m.xi_lo), 0.5 * (m.xi_hi - m.xi_lo)
         centre = self.grad @ mid + self.const
         spread = np.abs(self.grad) @ half
@@ -302,10 +311,11 @@ class _Divisors:
         return np.maximum(lo, -hi) - margin
 
     def threshold(self, query: ResonantQuery) -> np.ndarray:
-        kb = [math.sqrt(1.0 + k1 * k1) ** query.tau
-              for k1 in np.abs(self.ks).sum(axis=1).tolist()]
-        return query.alpha / (np.array(kb)[self.kidx]
-                              * self.w ** query.theta)
+        """Per pair alpha / (<|k|_1>^tau w(ell)^theta), <.> per |k|_1."""
+        k1 = np.abs(self.ks).sum(axis=1)
+        kb = np.array([math.sqrt(1.0 + n * n) ** query.tau
+                       for n in range(int(k1.max(initial=0)) + 1)])
+        return query.alpha / (kb[k1][self.kidx] * self.w ** query.theta)
 
 
 def _tables(model: FrequencyModel, kmax: int, kmin: int = 0):
@@ -418,8 +428,8 @@ def nongauge_scan(model: FrequencyModel, kappa: float = 0.5,
     s8_best, s8_row, s8_count = math.inf, None, 0
     for ks, kidx, at, val in _tables(model, kmax):
         ksum = ks.sum(axis=1)[kidx]
-        keep = (ksum + val.sum(axis=1) != 0) \
-            & np.all(np.abs(at) <= c / 2, axis=1)
+        keep = (ksum + val[:, 0] + val[:, 1] != 0) \
+            & (np.abs(at[:, 0]) <= c / 2) & (np.abs(at[:, 1]) <= c / 2)
         if not keep.any():
             continue
         div = _Divisors(model, ks, kidx[keep], at[keep], val[keep])
@@ -430,8 +440,8 @@ def nongauge_scan(model: FrequencyModel, kappa: float = 0.5,
         if mins[i] < best:
             best, pair = float(mins[i]), div.pair(i)
             arg = {"k": list(pair.k), "ell": dict(pair.ell)}
-        s8 = np.flatnonzero(_s_classes(ksum[keep], div.at, div.val, c)
-                            == "S8")
+        s8 = np.flatnonzero(_s_codes(ksum[keep], div.at, div.val, c)
+                            == _CODE["S8"])
         s8_count += len(s8)
         i = int(s8[np.argmin(mins[s8])]) if len(s8) else None
         if i is not None and mins[i] < s8_best:

@@ -272,19 +272,22 @@ def build_Lambda(freq: FrequencyTable) -> PolyHamiltonian:
     return _from_rows({2: (np.column_stack([zbar, zbar + 1]), freq.lam)})
 
 
-def _slot_values(H: PolyHamiltonian, state: FourierState
+def _slot_values(H: PolyHamiltonian, state
                  ) -> tuple[np.ndarray, int]:
-    """[zbar, z] interleaved in slot-code order on the state's window, and
-    the offset 2M at which code 0 sits.  H's modes must lie in the
-    window."""
-    if H._W > state.M:
+    """[zbar, z] interleaved in slot-code order on the window of `state`,
+    a FourierState or the stacked (2, 2M+1) array [z, zbar], and the
+    offset 2M at which code 0 sits.  H's modes must lie in the window."""
+    z, zbar = (state.z, state.zbar) if isinstance(state, FourierState) \
+        else state
+    M = (len(z) - 1) // 2
+    if H._W > M:
         raise ValueError(
             f"polynomial has modes up to |j| = {H._W}, outside the "
-            f"window |j| <= {state.M}")
-    zz = np.empty(2 * len(state.z), dtype=complex)
-    zz[0::2] = state.zbar
-    zz[1::2] = state.z
-    return zz, 2 * state.M
+            f"window |j| <= {M}")
+    zz = np.empty(2 * len(z), dtype=complex)
+    zz[0::2] = zbar
+    zz[1::2] = z
+    return zz, 2 * M
 
 
 # Bracket contractions formed per batch: bounds a kernel's transient arrays.
@@ -520,9 +523,9 @@ def _field_plan(H: PolyHamiltonian, off: int) -> tuple:
     return plan
 
 
-def vector_field(H: PolyHamiltonian, state: FourierState
-                 ) -> tuple[np.ndarray, np.ndarray]:
-    """Hamiltonian vector field ( -i dH/dzbar, +i dH/dz ) at `state`.
+def vector_field(H: PolyHamiltonian, state) -> np.ndarray:
+    """Hamiltonian vector field, the stacked [-i dH/dzbar, +i dH/dz], at
+    `state`: a FourierState or the stacked array [z, zbar].
 
     The derivative of a term by its slot k is the product of its other
     factors; summing over every slot position counts repeated slots with
@@ -549,4 +552,7 @@ def vector_field(H: PolyHamiltonian, state: FourierState
                 suffix *= v[k]
     grad = np.zeros(len(zz), dtype=complex)
     grad[slots] = np.add.reduceat(val[order], first)
-    return -1j * grad[0::2], 1j * grad[1::2]
+    out = np.empty((2, len(zz) // 2), dtype=complex)
+    np.multiply(-1j, grad[0::2], out=out[0])
+    np.multiply(1j, grad[1::2], out=out[1])
+    return out

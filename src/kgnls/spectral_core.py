@@ -159,11 +159,51 @@ def mode_weights(params: SpaceParams, freq: FrequencyTable) -> np.ndarray:
             * freq.w ** (2.0 * params.beta))
 
 
+def _two_sum(a: np.ndarray, b: np.ndarray
+             ) -> tuple[np.ndarray, np.ndarray]:
+    """a + b rounded, and its rounding error exactly (Knuth's TwoSum)."""
+    s = a + b
+    bb = s - a
+    return s, (a - (s - bb)) + (b - bb)
+
+
+def _fsum_rows(x: np.ndarray) -> np.ndarray:
+    """math.fsum of each row of a float array of two or more columns, bit
+    for bit.
+
+    Two TwoSum distillation passes over the columns (Ogita, Rump & Oishi,
+    SIAM J. Sci. Comput. 26, 2005) leave each row's exact sum as
+    hi + e + r: hi the last rounded addition of the second pass, e its
+    error, r the second-order errors of the additions before it.  When r
+    is 0, hi is that sum rounded by one IEEE addition, ties included.
+    Otherwise hi is the correctly rounded sum when |e| + |r| stays below
+    half the gap below |hi|, the smaller of its two gaps, so the bound
+    holds on either side of a binade boundary; the test keeps a factor-2
+    margin for the rounding of |r| and of the slack.  Rows that pass
+    neither, zero and non-finite sums among them, go to math.fsum."""
+    cols = list(x.T)
+    # overflow and inf - inf only make rows that fail the test
+    with np.errstate(over="ignore", invalid="ignore"):
+        for _ in range(2):
+            hi = cols[0]
+            for k in range(1, len(cols)):
+                hi, cols[k - 1] = _two_sum(hi, cols[k])
+            cols[-1] = hi
+        a = np.abs(hi)
+        slack = (a - np.nextafter(a, 0.0)) / 2 - np.abs(cols[-2])
+        r = sum(np.abs(e) for e in cols[:-2])
+        ok = np.isfinite(hi) & (a > 0) & ((r == 0) | (2 * r <= slack))
+    out = hi.copy()
+    bad = np.flatnonzero(~ok)
+    out[bad] = [math.fsum(row) for row in x[bad].tolist()]
+    return out
+
+
 def seq_norm(x: np.ndarray, params: SpaceParams, freq: FrequencyTable
              ) -> float | np.ndarray:
     """Weighted norm of a single sequence (not doubled); of each row when
     x is 2-D."""
     terms = (np.abs(np.asarray(x)) ** 2) * mode_weights(params, freq)
-    # compensated accumulation keeps the sharp invariant tests honest
-    norms = [math.sqrt(math.fsum(r.tolist())) for r in np.atleast_2d(terms)]
-    return norms[0] if terms.ndim == 1 else np.array(norms)
+    # exact row sums keep the sharp invariant tests honest
+    norms = np.sqrt(_fsum_rows(np.atleast_2d(terms)))
+    return float(norms[0]) if terms.ndim == 1 else norms

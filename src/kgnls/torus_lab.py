@@ -274,13 +274,10 @@ def flow_time1(G, state: FourierState, steps: int = 64) -> FourierState:
     starting radius."""
     from .hamiltonian import vector_field
 
-    def f(y: np.ndarray) -> np.ndarray:
-        return np.array(vector_field(G, FourierState(*y)))
-
     y = np.array([state.z, state.zbar])
     limit = 10.0 * max(float(np.max(np.abs(state.z))), 1e-12)
     for _ in range(steps):
-        y = _rk4(f, y, 1.0 / steps)
+        y = _rk4(lambda u: vector_field(G, u), y, 1.0 / steps)
         if np.max(np.abs(y[0])) > limit:
             raise RuntimeError("flow escaped the analyticity ball")
     return FourierState(*y)

@@ -118,6 +118,16 @@ def test_pair_validation():
     assert p.k_l1 == 2 and p.ell_l1 == 1 and p.gauge_sum == -1
 
 
+def test_ell_support_must_lie_in_the_normal_modes():
+    model = small_model(M=8)
+    for a in (1, 3, 9, -9, 40, -40):   # in J, or outside -M..M
+        with pytest.raises(ValueError, match="normal modes"):
+            one_pair(model, make_pair((1, 0, 0), {a: 1}, J3))
+    for a in (8, -8, 0, -1):
+        assert one_pair(model, make_pair((1, 0, 0), {a: 1}, J3)).w[0] \
+            == model.w_Jc[list(model.normal_modes).index(a)]
+
+
 def test_classification_is_total_and_exclusive():
     tags = pair_tags(J3, 20, 1, 10.0)
     assert tags and all(tag in S_CLASSES for _, _, tag in tags)

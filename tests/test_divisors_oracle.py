@@ -3,12 +3,16 @@
 The references below are the per-pair, per-sample loops the kernel
 replaced: a divisor is <omega0(xi), k> + <Omega0(xi), ell> summed with
 fsum from the frequency maps of `kgnls.frequencies` (the Schrodinger maps
-j^2/2 + N xi are written out here), one point and one pair at a time, and the scans loop over the k rows x `enumerate_ell`; the
-S-class rule is the scalar per-pair classifier that the array classifier
-replaced.  They share with the kernel only the model and the enumeration.
+j^2/2 + N xi are written out here), one point and one pair at a time, and
+the scans loop over the k rows x `enumerate_ell`; the S-class rule is the
+scalar per-pair classifier that the array classifier replaced.  They share
+with the kernel only the model and the enumeration.  `ref_by_k` and
+`ref_table_threshold` are the kernel's former per-k-row loops, which its
+products with k and its thresholds must match bit for bit.
 """
 
 import math
+from dataclasses import replace
 from unittest import mock
 
 import numpy as np
@@ -66,6 +70,19 @@ def ref_threshold(model, query, pair):
     w = min((float(model.w_Jc[idx[a]]) for a, _ in pair.ell), default=1.0)
     kb = math.sqrt(1.0 + pair.k_l1 ** 2)
     return query.alpha / (kb ** query.tau * w ** query.theta)
+
+
+def ref_by_k(X, ks):
+    """X @ k, one product per k row."""
+    return np.array([X @ k for k in ks])
+
+
+def ref_table_threshold(div, query):
+    """The thresholds of a kernel table with the weight <|k|_1>^tau taken
+    per k row."""
+    kb = [math.sqrt(1.0 + k1 * k1) ** query.tau
+          for k1 in np.abs(div.ks).sum(axis=1).tolist()]
+    return query.alpha / (np.array(kb)[div.kidx] * div.w ** query.theta)
 
 
 def ref_union(model, xi, pairs, query, families=(False,)):
@@ -262,6 +279,42 @@ def test_cantor_excision_evaluates_only_pairs_that_can_hit(theta):
     assert 2 * rep["sets"] == 3232
     rows = {id(div): len(div.val) for div in seen}   # `seen` keeps ids apart
     assert sum(rows.values()) == 2
+
+
+@pytest.mark.parametrize("N", [1, 2, 3, 4])
+def test_products_with_k_are_the_per_row_products(N):
+    rng = np.random.default_rng(N)
+    J = tuple(range(1, N + 1))
+    for c in (2.0, 25.0, 100.0, 400.0, 1e4):
+        kg = build_model(c, J, 12, 1e-2, require_min_N=1)
+        for model in (kg, nls_model(kg)):
+            model = replace(model, delta=c * rng.standard_normal(N))
+            ks = rng.integers(-10, 11, size=(int(rng.integers(1, 300)), N))
+            kidx = rng.integers(0, len(ks), size=400)
+            ell0 = np.zeros((len(kidx), 2), dtype=int)
+            div = divisors._Divisors(model, ks, kidx, ell0, ell0)
+            for X in (model.nu_J, model.A, model.delta):
+                assert np.array_equal(div._by_k(X), ref_by_k(X, ks))
+            assert np.array_equal(div.dk, ref_by_k(model.delta, ks)[kidx])
+            # a subset table carries its pairs' shifts
+            keep = rng.random(len(kidx)) < 0.5
+            xi = sample_xi(model, 5, N)
+            assert div.rows(keep)(xi).tobytes() == div(xi)[:, keep].tobytes()
+
+
+@pytest.mark.parametrize("tau", [2.0, 8.0])
+@pytest.mark.parametrize("theta", [0.0, 5.0 / 12.0])
+def test_thresholds_are_the_per_k_row_thresholds(tau, theta):
+    q = ResonantQuery(alpha=1e-3, tau=tau, theta=theta)
+    for c in (2.0, 25.0):
+        model = build_model(c, J3, 12, 1e-2)
+        for ks, kidx, at, val in divisors._tables(model, 10, 3):
+            div = divisors._Divisors(model, ks, kidx, at, val)
+            assert div.threshold(q).tobytes() \
+                == ref_table_threshold(div, q).tobytes()
+        div = divisors._Divisors.of(model, (0, 0, 0), [{-4: 1, 4: 1}])
+        assert div.threshold(q).tobytes() \
+            == ref_table_threshold(div, q).tobytes()
 
 
 @pytest.mark.parametrize("c", [2.0, 25.0, 100.0])
