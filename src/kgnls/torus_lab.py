@@ -10,7 +10,8 @@ self-convolution: sum_{j1+j2-j3=m} z z zbar = correlate(z*z, z)_m, and for
 KG, where g is Hermitian (g_{-j} = conj(g_j)), (g*g*g)_m = correlate(g*g, g)_m.
 Time stepping is Lawson (integrating-factor) RK4 on z only (states are
 real, zbar = conj(z)): classical RK4 on e^{i Lambda t} z, so the linear
-rotation is exact, at dt = 0.4 / lambda_max by default.  Frames are taken
+rotation is exact, at dt = 0.4 / lambda_max by default, a stage being one
+dressed cube and one multiply-add with folded coefficients.  Frames are taken
 at fixed times k frame_dt and at the end time.  A trajectory is one
 (frames, 2M+1) array of z rows, and `frames.bin` one structured array of
 (t, z, zbar) records; the normal-form flow steps [z, zbar] with `_rk4`.
@@ -67,12 +68,16 @@ class TruncatedSystem:
     def fastest_frequency(self) -> float:
         return float(np.max(np.abs(self._lam)))
 
+    def _dressed_cube(self, z: np.ndarray) -> np.ndarray:
+        """`_cube` of the dressed state: g for KG, z itself for NLS."""
+        g = (z + np.conj(z)[::-1]) / self._sw if self.kind == "kg" else z
+        return _cube(g)
+
     def nonlinear_rhs(self, z: np.ndarray) -> np.ndarray:
         """Nonlinear part of dz/dt at the real state (z, conj(z))."""
         if self.kind == "kg":
-            g = (z + np.conj(z)[::-1]) / self._sw
-            return -1j / (8.0 * math.pi) * _cube(g) / self._sw
-        return -3j / (8.0 * math.pi) * _cube(z)
+            return -1j / (8.0 * math.pi) * self._dressed_cube(z) / self._sw
+        return -3j / (8.0 * math.pi) * self._dressed_cube(z)
 
     def traces(self, z: np.ndarray
                ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -123,17 +128,15 @@ def _rk4(f, y: np.ndarray, h: float) -> np.ndarray:
 _DT_LAMBDA_GUARD = 0.8
 
 
-def _lawson_rk4(f, z: np.ndarray, h: float, half: np.ndarray,
-                full: np.ndarray) -> np.ndarray:
-    """One Lawson step of dz/dt = -i Lambda z + f(z): classical RK4 on
-    e^{i Lambda t} z, written with half = e^{-i Lambda h/2} and
-    full = e^{-i Lambda h}, so the linear rotation is exact."""
-    zh, zf = half * z, full * z
-    k1 = half * f(z)
-    k2 = f(zh + 0.5 * h * k1)
-    k3 = f(zh + 0.5 * h * k2)
-    k4 = f(zf + h * half * k3)
-    return zf + h / 6.0 * (half * (k1 + 2 * (k2 + k3)) + k4)
+def _lawson_coefficients(system: TruncatedSystem, h: float) -> tuple:
+    """half = e^{-i Lambda h/2}, full = e^{-i Lambda h} and the stage
+    coefficients A1-A3, B1-B3 of `integrate`'s Lawson step, which fold h,
+    the RK4 weights, half and the factor kappa of the dressed cube together."""
+    half = np.exp(-0.5j * h * system.linear_freqs)
+    hk = h * (-1j / (8.0 * math.pi) / system._sw if system.kind == "kg"
+              else -3j / (8.0 * math.pi))
+    return (half, np.exp(-1j * h * system.linear_freqs), 0.5 * hk * half,
+            0.5 * hk, hk * half, hk / 6 * half * half, hk / 3 * half, hk / 6)
 
 
 def _parts(length: float, step: float) -> int:
@@ -145,15 +148,19 @@ def _parts(length: float, step: float) -> int:
 def integrate(system: TruncatedSystem, z0: FourierState, T: float,
               dt: float | None = None, frame_dt: float | None = None,
               strict: bool = False) -> SimulationRecord:
-    """Lawson RK4 (`_lawson_rk4`) from 0 to T, with a frame at each
+    """Lawson RK4 from 0 to T (RK4 on e^{i Lambda t} z, one `_dressed_cube`
+    per stage, coefficients of `_lawson_coefficients`), with a frame at each
     k frame_dt < T and at T, and the energy, mass and momentum traces there.
     Each interval between frames takes ceil(interval / dt) equal steps, so
     no step is longer than dt and every frame lands on its time.  dt
     defaults to `default_dt`, frame_dt to 5 / lambda_max.
-    The state must be real (zbar = conj(z)); only z is stepped.  T, dt and
-    frame_dt must be finite and positive."""
+    The state must be real (zbar = conj(z)) and on the system's window;
+    only z is stepped.  T, dt and frame_dt must be finite and positive."""
     if not z0.real_representation():
         raise ValueError("the state is not real: zbar must equal conj(z)")
+    if z0.M != system.M:
+        raise ValueError(f"the state's window |j| <= {z0.M} is not the "
+                         f"system's |j| <= {system.M}")
     lam_max = system.fastest_frequency
     if dt is None:
         dt = default_dt(system)
@@ -171,16 +178,19 @@ def integrate(system: TruncatedSystem, z0: FourierState, T: float,
     times = np.append(frame_dt * np.arange(_parts(T, frame_dt)), T)
     z = z0.z.copy()
     frames = [z.copy()]
-    steppers = {}
+    cube, steppers = system._dressed_cube, {}
     for length in [frame_dt] * (len(times) - 2) + [T - times[-2]]:
         if length not in steppers:
             n = _parts(length, dt)
-            h = length / n
-            steppers[length] = (n, h, np.exp(-0.5j * h * system.linear_freqs),
-                                np.exp(-1j * h * system.linear_freqs))
-        n, h, half, full = steppers[length]
+            steppers[length] = (n, *_lawson_coefficients(system, length / n))
+        n, half, full, A1, A2, A3, B1, B2, B3 = steppers[length]
         for _ in range(n):
-            z = _lawson_rk4(system.nonlinear_rhs, z, h, half, full)
+            zh, zf = half * z, full * z
+            c1 = cube(z)
+            c2 = cube(zh + A1 * c1)
+            c3 = cube(zh + A2 * c2)
+            c4 = cube(zf + A3 * c3)
+            z = zf + (B1 * c1 + B2 * (c2 + c3) + B3 * c4)
         frames.append(z.copy())
     frames = np.array(frames)
     return SimulationRecord(times, frames, *system.traces(frames))

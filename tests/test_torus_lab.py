@@ -240,11 +240,25 @@ def test_integrate_rejects_invalid_grid(bad, monkeypatch):
     system = TruncatedSystem(kind="nls", M=4)
     z0 = FourierState.from_modes(4, {1: 0.05})
     calls = []
-    monkeypatch.setattr(system, "nonlinear_rhs",
+    monkeypatch.setattr(system, "_dressed_cube",
                         lambda z: calls.append(1) or 0 * z)
     with pytest.raises(ValueError):
         integrate(system, z0, **({"T": 1.0} | bad))
     assert not calls   # rejected before any step
+
+
+@pytest.mark.parametrize("kind,c,M,M0", [("nls", None, 16, 8),
+                                         ("kg", 10.0, 4, 6)])
+def test_integrate_rejects_a_state_on_another_window(kind, c, M, M0,
+                                                     monkeypatch):
+    system = TruncatedSystem(kind=kind, M=M, c=c)
+    calls = []
+    monkeypatch.setattr(system, "_dressed_cube",
+                        lambda z: calls.append(1) or 0 * z)
+    with pytest.raises(ValueError, match=rf"\|j\| <= {M0} is not the "
+                                         rf"system's \|j\| <= {M}$"):
+        integrate(system, FourierState.from_modes(M0, {1: 0.05}), T=1.0)
+    assert not calls
 
 
 def test_single_mode_nls_rotating_wave_exact():

@@ -11,7 +11,9 @@ SVD.  `ref_integrate` is the Lawson RK4 step with zbar carried as an
 independent component, rotated by the conjugate exponentials, and its own
 two-component nonlinear field `ref_nonlinear_rhs`: full convolutions with
 the reflected conjugate, read back on the mode window, in place of the
-valid-mode correlation of `TruncatedSystem.nonlinear_rhs`.
+valid-mode correlation of `TruncatedSystem.nonlinear_rhs`.  It scales each
+stage by the field's factor and the step's h/2, h, h/6 and rotations one
+at a time, where `integrate` folds them into its stage coefficients.
 `ref_flow_time1` is the normal-form flow's two-component RK4 loop that the
 stacked [z, zbar] step of the shared `_rk4` replaced.  `ref_gauge_distance`
 takes `seq_norm` of each sample on its own, where `gauge_distance` passes
@@ -366,7 +368,7 @@ def test_nonlinear_rhs_is_bit_identical_to_windowed_convolutions(kind, M, c):
 Z0 = FourierState.from_modes(16, {1: 0.01, 2: 0.005 + 0.003j})
 
 
-def test_nls_integrate_is_bit_identical_to_two_component_step():
+def test_nls_integrate_matches_two_component_step():
     nls = TruncatedSystem(kind="nls", M=16)
     # 8 frame intervals of 250 steps, then a shorter one of 100
     T = 2100 * default_dt(nls)
@@ -375,8 +377,13 @@ def test_nls_integrate_is_bit_identical_to_two_component_step():
     ref, ref_zbar = ref_integrate(nls, Z0, T=T, frame_dt=frame_dt)
     assert rec.z.shape == ref.z.shape == (10, 33)
     assert np.array_equal(rec.times, ref.times)
-    assert np.array_equal(rec.z, ref.z)
-    assert np.array_equal(np.conj(rec.z), ref_zbar)
+    # the folded stage coefficients round differently on the small,
+    # nonlinearly generated modes: measured 6.8e-21 max|z0| in z and zbar;
+    # the excited modes and the traces stay bit-identical
+    scale = np.max(np.abs(Z0.z))
+    assert np.max(np.abs(rec.z - ref.z)) <= 1e-13 * scale
+    assert np.max(np.abs(np.conj(rec.z) - ref_zbar)) <= 1e-13 * scale
+    assert np.array_equal(rec.z[:, [17, 18]], ref.z[:, [17, 18]])
     for name in ("hamiltonian", "mass", "momentum"):
         assert np.array_equal(getattr(rec, name), getattr(ref, name))
 
@@ -389,6 +396,27 @@ def test_kg_integrate_matches_two_component_step():
     ref, ref_zbar = ref_integrate(kg, Z0, T=T, frame_dt=frame_dt)
     assert np.array_equal(rec.times, ref.times)
     scale = np.max(np.abs(Z0.z))
+    assert np.max(np.abs(rec.z - ref.z)) <= 1e-13 * scale
+    assert np.max(np.abs(np.conj(rec.z) - ref_zbar)) <= 1e-13 * scale
+
+
+@pytest.mark.parametrize("kind,c", [("nls", None), ("kg", 10.0)])
+def test_integrate_matches_two_component_step_on_every_mode(kind, c):
+    # z_j = 0.01 e^{i phi_j} / (1 + |j|) on all 33 modes, so the folded
+    # coefficients of every mode enter at full weight (the two-mode datum
+    # leaves the excited modes bit-identical); measured deviation 0
+    M = 16
+    j = np.arange(-M, M + 1)
+    phi = np.random.default_rng(M).uniform(0.0, 2.0 * math.pi, 2 * M + 1)
+    z = 0.01 * np.exp(1j * phi) / (1 + np.abs(j))
+    z0 = FourierState(z, np.conj(z))
+    system = TruncatedSystem(kind=kind, M=M, c=c)
+    T = 600 * default_dt(system)
+    frame_dt = 250 * default_dt(system)
+    rec = integrate(system, z0, T=T, frame_dt=frame_dt)
+    ref, ref_zbar = ref_integrate(system, z0, T=T, frame_dt=frame_dt)
+    assert np.array_equal(rec.times, ref.times)
+    scale = np.max(np.abs(z0.z))
     assert np.max(np.abs(rec.z - ref.z)) <= 1e-13 * scale
     assert np.max(np.abs(np.conj(rec.z) - ref_zbar)) <= 1e-13 * scale
 
