@@ -24,7 +24,10 @@ The Schrodinger family is the same kernel on the c = inf model
 (`frequencies.nls_model`: rest = 0, nu = j^2/2, A and B without weights).
 Callers reduce the (points x pairs) values in blocks of points, so that
 no temporary of the kernel holds more than `_BLOCK` values (512 KiB of
-float64).
+float64).  The kernel computes them along the longer axis: pair-major
+(grad @ xi.T, returned as a transposed view) when the points outnumber
+the pairs, as in the resonant-set hits, and point-major otherwise, as in
+the corner scans of `nongauge_scan`.
 
 Resonant-set hits (`_hits`) take points inside the model's amplitude box
 [xi_lo, xi_hi], as `sample_xi` draws them, and per-pair thresholds, and
@@ -35,6 +38,13 @@ model.  On the box a divisor ranges over
 range into a lower bound on |divisor|, less a rounding margin of 1e-12
 (|const| + <|g|, max |xi|> + |<delta, k>|); a pair whose floor exceeds its
 threshold has no hit anywhere in the box and is dropped.
+
+Work that does not depend on alpha is done once per model and kept in the
+model's memo (`FrequencyModel._memo`), which lives and dies with the
+model: `cantor_excision` keeps each block's tables of both families with
+their floors under (K_cut, kmax, k rows per block), and `sample_xi` keeps
+the model's latest (n, seed) draw.  Both are read-only.  Per alpha only
+the thresholds, the prune and the hits are computed.
 """
 
 from __future__ import annotations
@@ -231,6 +241,11 @@ class ResonantQuery:
 _BLOCK = 1 << 16   # values per block of a call's widest temporary
 
 
+def _read_only(a: np.ndarray) -> np.ndarray:
+    a.flags.writeable = False
+    return a
+
+
 class _Divisors:
     """Pairs (k, ell) over the k rows `ks`: per pair the row `kidx`, the
     ell support `at` with values `val` (0 pads), the constant, the gradient
@@ -291,11 +306,22 @@ class _Divisors:
         sub.ks = self.ks[used]
         return sub
 
+    def frozen(self) -> "_Divisors":
+        """This table with its arrays made read-only, for a memo."""
+        for name in ("ks",) + self.ROWS:
+            _read_only(getattr(self, name))
+        return self
+
     def __call__(self, xi: np.ndarray) -> np.ndarray:
-        out = xi @ self.grad.T
-        out += self.const
-        out += self.dk
-        return out
+        if len(xi) <= len(self.grad):
+            out = xi @ self.grad.T
+            out += self.const
+            out += self.dk
+            return out
+        out = self.grad @ xi.T
+        out += self.const[:, None]
+        out += self.dk[:, None]
+        return out.T
 
     def floor(self) -> np.ndarray:
         """Per pair: a lower bound on |divisor| over the model's amplitude
@@ -318,13 +344,18 @@ class _Divisors:
         return query.alpha / (kb[k1][self.kidx] * self.w ** query.theta)
 
 
+def _block_rows(M: int) -> int:
+    """k rows per block of `_tables`: at most _BLOCK / 8 candidate slots."""
+    return max(1, _BLOCK // (8 * (5 + 4 * (2 * M + 1))))
+
+
 def _tables(model: FrequencyModel, kmax: int, kmin: int = 0):
     """(ks, kidx, at, val) per block of the k rows with kmin <= |k|_1 <=
     kmax, `_pairs` of each block: the one loop over the momentum-zero
-    pairs.  A block has at most _BLOCK / 8 candidate slots."""
+    pairs."""
     ks = _k_rows(model.N, kmax)
     ks = ks[np.abs(ks).sum(axis=1) >= kmin]
-    step = max(1, _BLOCK // (8 * (5 + 4 * (2 * model.M + 1))))
+    step = _block_rows(model.M)
     for i in range(0, len(ks), step):
         yield (ks[i:i + step],
                *_pairs(model.J, model.M, ks[i:i + step]))
@@ -335,11 +366,13 @@ def _blocks(n: int, width: int):
     return (slice(i, i + step) for i in range(0, n, step))
 
 
-def _hits(div: _Divisors, xi: np.ndarray, thr: np.ndarray) -> np.ndarray:
+def _hits(div: _Divisors, floor: np.ndarray, xi: np.ndarray,
+          thr: np.ndarray) -> np.ndarray:
     """Per point: whether any pair of `div` is below its threshold `thr`.
     The points must lie in the model's amplitude box: only the pairs whose
-    `floor` there does not exceed their threshold are evaluated."""
-    keep = div.floor() <= thr
+    `floor` there (`div.floor()`) does not exceed their threshold are
+    evaluated."""
+    keep = floor <= thr
     hit = np.zeros(len(xi), dtype=bool)
     if keep.any():
         div, thr = div.rows(keep), thr[keep]
@@ -384,8 +417,21 @@ class MeasureResult:
 
 
 def sample_xi(model: FrequencyModel, n: int, seed: int) -> np.ndarray:
-    rng = np.random.default_rng(seed)
-    return rng.uniform(model.xi_lo, model.xi_hi, size=(n, model.N))
+    """n uniform points of the amplitude box, read-only: the bits of
+    `default_rng(seed).uniform(xi_lo, xi_hi, (n, N))`, scaled a column at
+    a time.  The model keeps its latest (n, seed) draw."""
+    # only an integer seed repeats its draw
+    key = (n, int(seed)) if isinstance(seed, (int, np.integer)) else None
+    last = model._memo.get("xi")
+    if key is not None and last is not None and last[0] == key:
+        return last[1]
+    xi = np.random.default_rng(seed).random((n, model.N))
+    for col, lo, hi in zip(xi.T, model.xi_lo, model.xi_hi):
+        col *= hi - lo
+        col += lo
+    if key is not None:
+        model._memo["xi"] = (key, xi)
+    return _read_only(xi)
 
 
 def measure_estimate_mc(model: FrequencyModel, k, query: ResonantQuery,
@@ -406,7 +452,7 @@ def measure_estimate_mc(model: FrequencyModel, k, query: ResonantQuery,
     thr = div.threshold(query)
     if nls:
         div = _Divisors.of(nls_model(model), k, used)
-    hits = int(np.count_nonzero(_hits(div, xi, thr)))
+    hits = int(np.count_nonzero(_hits(div, div.floor(), xi, thr)))
     lo, hi = wilson_interval(hits, query.samples)
     return MeasureResult(fraction=hits / query.samples, ci_lo=lo, ci_hi=hi,
                          samples=query.samples, seed=query.seed,
@@ -458,6 +504,21 @@ def nongauge_scan(model: FrequencyModel, kappa: float = 0.5,
             "s8_count": s8_count, "s8_argmin": s8_row}
 
 
+def _excision_tables(model: FrequencyModel, K_cut: int, kmax: int
+                     ) -> list[list[tuple[_Divisors, np.ndarray]]]:
+    """Per block of `_tables` over K_cut < |k|_1 <= kmax: the read-only
+    `_Divisors` of `model` and of its Schrodinger limit, each with its
+    floor, built once per model and kept in its memo."""
+    key = ("excision", K_cut, kmax, _block_rows(model.M))
+    if key not in model._memo:
+        limit = nls_model(model)
+        model._memo[key] = [
+            [(div.frozen(), _read_only(div.floor()))
+             for div in (_Divisors(m, *block) for m in (model, limit))]
+            for block in _tables(model, kmax, K_cut + 1)]
+    return model._memo[key]
+
+
 def cantor_excision(model: FrequencyModel, query: ResonantQuery,
                     K_cut: int, kmax: int) -> dict:
     """MC indicator of the amplitude box minus the union of the resonant
@@ -469,13 +530,11 @@ def cantor_excision(model: FrequencyModel, query: ResonantQuery,
     xi = sample_xi(model, query.samples, query.seed)
     excised = np.zeros(query.samples, dtype=bool)
     n_sets = 0
-    limit = nls_model(model)
-    for ks, kidx, at, val in _tables(model, kmax, K_cut + 1):
-        div = _Divisors(model, ks, kidx, at, val)
+    for (div, floor), limit in _excision_tables(model, K_cut, kmax):
         thr = div.threshold(query)
-        excised |= _hits(div, xi, thr)
-        excised |= _hits(_Divisors(limit, ks, kidx, at, val), xi, thr)
-        n_sets += len(kidx)
+        excised |= _hits(div, floor, xi, thr)
+        excised |= _hits(*limit, xi, thr)
+        n_sets += len(div.kidx)
     hits = int(np.count_nonzero(excised))
     lo, hi = wilson_interval(hits, query.samples)
     return {"excised_fraction": hits / query.samples,

@@ -11,6 +11,12 @@ so A = B = N, and lambda = j^2/2.  Frequency maps are affine:
     Omega0(xi)  = lambda|_J^c + B xi
 where delta, when set, is a constant shift of the tangential frequencies
 (`divisors.center_pair_correction` sets one).
+
+A `FrequencyModel` is frozen: a model with another delta or box is a new
+model, `dataclasses.replace(model, delta=...)`.  Each instance carries a
+private memo of derived data (`divisors` keeps its excision tables and its
+latest point draw there), which lives and dies with the model; `replace`
+starts the new model with an empty one.
 """
 
 from __future__ import annotations
@@ -26,7 +32,7 @@ N_OFFDIAG = 3.0 / (4.0 * TWO_PI) * 2.0   # 3/(4 pi)
 N_DIAG = 3.0 / (4.0 * TWO_PI)            # 3/(8 pi)
 
 
-@dataclass
+@dataclass(frozen=True)
 class FrequencyModel:
     """Everything a divisor evaluation needs for one (c, J, M, R)."""
     J: tuple[int, ...]
@@ -45,6 +51,8 @@ class FrequencyModel:
     delta: np.ndarray | None = None   # (N,) constant shift of omega0
     xi_lo: np.ndarray = field(default=None)  # type: ignore[assignment]
     xi_hi: np.ndarray = field(default=None)  # type: ignore[assignment]
+    _memo: dict = field(default_factory=dict, init=False, compare=False,
+                        repr=False)
 
     @property
     def N(self) -> int:

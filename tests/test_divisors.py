@@ -254,7 +254,8 @@ def test_mc_grid_agreement():
             for i in range(3)]
     pts = np.array(list(itertools.product(*axes)))
     div = one_pair(centered, pair)
-    grid = np.mean(divisors._hits(div, pts, div.threshold(q)))
+    grid = np.mean(divisors._hits(div, div.floor(), pts,
+                                   div.threshold(q)))
     assert abs(mc.fraction - grid) < 0.02
 
 
@@ -305,7 +306,7 @@ def test_resonant_set_nesting(seed, alpha):
     centered = center_pair_correction(model, pair)
     xi = sample_xi(centered, 50, seed)
     div = one_pair(centered, pair)
-    h1, h2 = (divisors._hits(div, xi,
+    h1, h2 = (divisors._hits(div, div.floor(), xi,
                              div.threshold(ResonantQuery(alpha=a, tau=2.0)))
               for a in (alpha, 2 * alpha))
     assert not np.any(h1 & ~h2)

@@ -169,8 +169,7 @@ def corrected_models(draw):
     M = draw(st.integers(4, 9))
     model = center_pair_correction(build_model(c, J3, M, 1e-2),
                                    make_pair((1, -1, 0), {-1: -1}, J3))
-    model.delta = model.delta + shift(draw, model, 2e-6)
-    return model
+    return replace(model, delta=model.delta + shift(draw, model, 2e-6))
 
 
 # --- tests -----------------------------------------------------------------
@@ -181,7 +180,7 @@ def test_divisor_matches_scalar_reference(data):
     c = data.draw(st.sampled_from([2.0, 10.0, 100.0, 1e3]))
     M = data.draw(st.integers(3, 12))
     model = build_model(c, J3, M, 1e-2)
-    model.delta = shift(data.draw, model, 1e-3 * c * c)
+    model = replace(model, delta=shift(data.draw, model, 1e-3 * c * c))
     ks = [k for k in _k_rows(3, 3) if enumerate_ell(k, J3, M)]
     k = ks[data.draw(st.integers(0, len(ks) - 1))]
     ells = enumerate_ell(k, J3, M)
@@ -370,3 +369,108 @@ def test_cantor_excision_is_the_same_across_block_boundaries():
         small = cantor_excision(model, q, K_cut=0, kmax=3)
     rep = cantor_excision(model, q, K_cut=0, kmax=3)
     assert small == rep and rep["excised_fraction"] > 0
+
+
+@pytest.mark.parametrize("N", [1, 2, 3, 4])
+def test_sample_xi_draws_the_bits_of_generator_uniform(N):
+    J = tuple(range(1, N + 1))
+    for R in (1e-2, 0.3):
+        model = build_model(10.0, J, 6, R, require_min_N=1)
+        for n in (1, 5, 10_000):
+            for seed in (0, 1, 7, 2 ** 40 + 3):
+                want = np.random.default_rng(seed).uniform(
+                    model.xi_lo, model.xi_hi, size=(n, N))
+                assert sample_xi(model, n, seed).tobytes() == want.tobytes()
+
+
+def criterion_06_model():
+    return center_pair_correction(build_model(10.0, J3, 20, 1e-2),
+                                  make_pair((1, -1, 0), {-1: -1}, J3))
+
+
+def test_pair_major_divisors_are_the_point_major_ones():
+    # the hits evaluate the two pairs left by the prune over many points
+    # pair-major; per point the kernel takes them point-major
+    model = criterion_06_model()
+    xi = sample_xi(model, 2_000, 4)
+    (div, floor), _ = divisors._excision_tables(model, 0, 2)[0]
+    sub = div.rows(floor <= div.threshold(ResonantQuery(alpha=1e-6,
+                                                         tau=2.0)))
+    got = sub(xi)
+    assert got.shape == (len(xi), 2) and got.flags.f_contiguous
+    want = np.concatenate([sub(x[None]) for x in xi])
+    assert got.tobytes() == want.tobytes()
+
+
+def test_cantor_excision_builds_each_familys_tables_once():
+    model = criterion_06_model()
+    init = divisors._Divisors.__init__
+    built = []
+
+    def spy(div, m, *args):
+        built.append(m.c)
+        init(div, m, *args)
+
+    queries = [ResonantQuery(alpha=float(a), tau=2.0, theta=0.4,
+                             samples=2_000, seed=5)
+               for a in np.logspace(-7, -6, 4)]
+    with mock.patch.object(divisors._Divisors, "__init__", spy):
+        reps = [cantor_excision(model, q, K_cut=0, kmax=2) for q in queries]
+    assert sorted(built) == [10.0, math.inf]   # one block, two families
+    # each alpha as on a model of its own
+    for q, rep in zip(queries, reps):
+        assert cantor_excision(criterion_06_model(), q, K_cut=0,
+                               kmax=2) == rep
+
+
+def test_replaced_model_does_not_reuse_the_memo():
+    model = criterion_06_model()
+    q = ResonantQuery(alpha=1e-6, tau=2.0, samples=3_000, seed=2)
+    cantor_excision(model, q, K_cut=0, kmax=2)
+    delta = model.delta + [2e-7, 0.0, 0.0]   # moves the (1, -1, 0) set
+    shifted = replace(model, delta=delta)
+    cold = replace(criterion_06_model(), delta=delta)
+    assert not shifted._memo
+    assert cantor_excision(shifted, q, K_cut=0, kmax=2) \
+        == cantor_excision(cold, q, K_cut=0, kmax=2) \
+        != cantor_excision(model, q, K_cut=0, kmax=2)
+    assert measure_estimate_mc(shifted, (1, -1, 0), q) \
+        == measure_estimate_mc(cold, (1, -1, 0), q)
+
+
+def test_memoized_arrays_are_read_only():
+    model = criterion_06_model()
+    q = ResonantQuery(alpha=1e-6, tau=2.0, samples=500, seed=2)
+    cantor_excision(model, q, K_cut=0, kmax=2)
+    xi = sample_xi(model, 500, 2)
+    assert sample_xi(model, 500, 2) is xi
+    arrays = [xi] + [a for block in divisors._excision_tables(model, 0, 2)
+                     for div, floor in block
+                     for a in [floor, div.ks] + [getattr(div, name)
+                                                  for name in div.ROWS]]
+    for a in arrays:
+        with pytest.raises(ValueError, match="read-only"):
+            a[(0,) * a.ndim] = 0
+    # a fresh draw is read-only too, and another seed replaces the kept one
+    other = sample_xi(model, 500, 3)
+    assert not other.flags.writeable and sample_xi(model, 500, 2) is not xi
+
+
+def test_cantor_excision_tables_are_keyed_on_the_block_size():
+    # test_cantor_excision_is_the_same_across_block_boundaries compares
+    # two table sets built independently, not one memoized set
+    model = criterion_06_model()
+    q = ResonantQuery(alpha=1e-6, tau=2.0, theta=0.4, samples=500, seed=3)
+    tables = divisors._tables
+    builds = []
+
+    def spy(*args):
+        builds.append(divisors._BLOCK)
+        return tables(*args)
+
+    with mock.patch.object(divisors, "_tables", spy):
+        with mock.patch.object(divisors, "_BLOCK", 2000):
+            small = cantor_excision(model, q, K_cut=0, kmax=3)
+        rep = cantor_excision(model, q, K_cut=0, kmax=3)
+        assert cantor_excision(model, q, K_cut=0, kmax=3) == rep
+    assert builds == [2000, divisors._BLOCK] and small == rep

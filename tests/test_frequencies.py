@@ -2,6 +2,7 @@
 
 import itertools
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -62,8 +63,7 @@ def test_infinite_c_model_has_the_weight_free_matrices():
                           [j * j / 2 for j in model.normal_modes.tolist()])
     assert model.h == 0.0 and model.freq.rest == 0.0
     # nls_model keeps J, M and the box and drops delta
-    kg = build_model(5.0, J, 6, 1e-2)
-    kg.delta = np.ones(3)
+    kg = replace(build_model(5.0, J, 6, 1e-2), delta=np.ones(3))
     lim = nls_model(kg)
     assert lim.J == model.J and lim.delta is None
     assert np.array_equal(lim.A, model.A)
