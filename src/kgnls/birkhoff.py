@@ -43,8 +43,15 @@ def _quartic_table(H: PolyHamiltonian) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _touches(rows: np.ndarray, J) -> np.ndarray:
-    """Per code row: some slot's mode lies in J."""
-    return np.isin(rows >> 1, list(J)).any(axis=1)
+    """Per quartic code row: some slot's mode lies in J.  A lookup table
+    over the codes of the modes min(J, 0) - 1 .. max(J, 0) + 1, whose end
+    entries (no J mode) take every code outside it by clipping; the four
+    flags of a row read as one uint32."""
+    j = np.asarray(list(J), dtype=int)
+    lo = 2 * int(j.min(initial=0)) - 1
+    lut = np.zeros(2 * int(j.max(initial=0)) + 3 - lo, dtype=bool)
+    lut[np.concatenate([2 * j, 2 * j + 1]) - lo] = True
+    return lut.take(rows - lo, mode="clip").view(np.uint32)[:, 0] != 0
 
 
 def _i_div(c: np.ndarray, d: np.ndarray) -> np.ndarray:

@@ -300,9 +300,13 @@ def _decode(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _paired(rows: np.ndarray) -> np.ndarray:
-    """Per sorted code row: its slots split into conjugate pairs (j, +),
-    (j, -), i.e. the row equals its own conjugate."""
-    return np.all(np.sort(rows ^ 1, axis=1) == rows, axis=1)
+    """Per sorted quartic code row: its slots split into conjugate pairs
+    (j, +), (j, -), i.e. the row equals its own conjugate.  The codes x
+    and x ^ 1 of a pair are adjacent, so a sorted paired row reads
+    (x, x ^ 1, y, y ^ 1) or (x, x, x ^ 1, x ^ 1)."""
+    r0, r1, r2, r3 = rows.T
+    return (((r0 ^ 1) == r1) & ((r2 ^ 1) == r3)) \
+        | ((r0 == r1) & (r2 == r3) & ((r0 ^ 1) == r2))
 
 
 def _gauge(rows: np.ndarray) -> np.ndarray:

@@ -18,7 +18,7 @@ import numpy as np
 import pytest
 
 from kgnls.birkhoff import (DivisorAnomaly, NormalFormResult, _fsum_rows,
-                            _residual, _scan_min_divisors, _solve,
+                            _residual, _scan_min_divisors, _solve, _touches,
                             remainder_split,
                             solve_cohomological_nls,
                             solve_cohomological_quartic)
@@ -199,6 +199,22 @@ def test_residual_sees_a_wrong_split(c):
     # nothing to solve: no rows in any table
     empty = solve_cohomological_quartic(PolyHamiltonian(), ft, (1,))
     assert (empty.residual, len(empty.G)) == (0.0, 0)
+
+
+@pytest.mark.parametrize("M", range(13))
+def test_pairing_and_touches_masks_match_their_sort_and_isin_forms(M):
+    # the compare patterns and the lookup table against the per-row sort
+    # and np.isin they replaced, on every quartic row and random J
+    rows = _quartic_rows(M)
+    assert np.array_equal(_paired(rows),
+                          np.all(np.sort(rows ^ 1, axis=1) == rows, axis=1))
+    rng = np.random.default_rng(M)
+    for size in (0, 1, 2, 3, 5):
+        for _ in range(4):
+            J = rng.choice(np.arange(-M - 2, M + 3), size=size,
+                           replace=False).tolist()
+            assert np.array_equal(_touches(rows, J),
+                                  np.isin(rows >> 1, J).any(axis=1))
 
 
 def test_pairing_mask_matches_permutation_search():
