@@ -186,7 +186,7 @@ def _birkhoff(cfg: dict, out: pathlib.Path) -> None:
     """Quartic normal-form step at one (c, J, M)."""
     ft = spectral_core.FrequencyTable(c=float(cfg["c"]), M=cfg["M"])
     nf = birkhoff.solve_cohomological_quartic(
-        hamiltonian.build_P(ft, cfg["M"]), ft, tuple(cfg["J"]))
+        hamiltonian.build_P(ft), ft, tuple(cfg["J"]))
     (out / "normal_form.txt").write_text(nf.to_text())
     _dump_json(out / "birkhoff.json",
                {"residual": nf.residual,

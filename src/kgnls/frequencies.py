@@ -82,13 +82,9 @@ class FrequencyModel:
         return np.where(bits == 1, self.xi_hi, self.xi_lo)
 
 
-def build_model(c: float, J, M: int, R: float,
-                require_min_N: int = 3) -> FrequencyModel:
+def build_model(c: float, J, M: int, R: float) -> FrequencyModel:
     Jt = tuple(sorted(set(int(j) for j in J)))
     N = len(Jt)
-    if N < require_min_N:
-        raise ValueError(f"need at least {require_min_N} tangential modes, "
-                         f"got N={N}")
     if any(abs(j) > M for j in Jt):
         raise ValueError("tangential modes must lie inside the truncation")
     ft = FrequencyTable(c=c, M=M)
@@ -112,7 +108,7 @@ def build_model(c: float, J, M: int, R: float,
 def nls_model(model: FrequencyModel) -> FrequencyModel:
     """The c = inf model on the same J, M and amplitude box: the NLS
     frequency maps, with no delta."""
-    return build_model(math.inf, model.J, model.M, model.R, require_min_N=0)
+    return build_model(math.inf, model.J, model.M, model.R)
 
 
 def omega0(model: FrequencyModel, xi) -> np.ndarray:

@@ -350,16 +350,14 @@ def _multiplicity(rows: np.ndarray) -> np.ndarray:
     return math.factorial(d) // denom
 
 
-def build_P(freq: FrequencyTable, M: int | None = None) -> PolyHamiltonian:
-    """Quartic part of the cubic-KG Hamiltonian in dressed variables.
+def build_P(freq: FrequencyTable) -> PolyHamiltonian:
+    """Quartic part of the cubic-KG Hamiltonian in dressed variables, on
+    the table's window |j| <= freq.M.
 
     Canonical (merged) coefficient: (#ordered arrangements) *
     (1/32pi) / sqrt(w_{j1} w_{j2} w_{j3} w_{j4}).
     """
-    M = freq.M if M is None else M
-    if M > freq.M:
-        raise ValueError("requested truncation exceeds frequency table")
-    rows = _quartic_rows(M)
+    rows = _quartic_rows(freq.M)
     w = [freq.w[(rows[:, k] >> 1) + freq.M] for k in range(4)]
     wprod = w[0] * w[1] * w[2] * w[3]
     base = 1.0 / (16.0 * TWO_PI)

@@ -32,9 +32,8 @@ class ScheduleDivergence(RuntimeError):
     pass
 
 
-def init_exponents(varsigma: float, r0: float | None = None
-                   ) -> tuple[float, float, float, float | None, float | None]:
-    """(a0, a1, theta, alpha0, alpha1); the alphas need r0."""
+def init_exponents(varsigma: float) -> tuple[float, float, float]:
+    """(a0, a1, theta) at the knob varsigma."""
     if not (0.0 < varsigma < 1.0 / 18.0):
         raise ValueError("varsigma must lie in (0, 1/18)")
     a0 = 5.0 / 3.0 + 3.0 * varsigma
@@ -44,19 +43,22 @@ def init_exponents(varsigma: float, r0: float | None = None
         raise ValueError("exponent constraint a0 < 2 violated")
     if a1 >= 8.0 / 3.0 - a0 / 3.0:
         raise ValueError("exponent constraint a1 < 8/3 - a0/3 violated")
-    alpha0 = r0 ** a0 if r0 is not None else None
-    alpha1 = r0 ** a1 if r0 is not None else None
-    return a0, a1, theta, alpha0, alpha1
+    return a0, a1, theta
 
 
 @dataclass(frozen=True)
 class ScheduleParams:
+    """Cascade parameters; a0, a1 and theta are `init_exponents(varsigma)`,
+    derived at construction (so `dataclasses.replace` derives them again)."""
     N: int
     tau: float
     r0: float
     varsigma: float = 1.0 / 36.0
     C1: float = 1.0
     s0: float = field(init=False, default=2.0)
+    a0: float = field(init=False)
+    a1: float = field(init=False)
+    theta: float = field(init=False)
 
     def __post_init__(self):
         if self.N < 1:
@@ -65,7 +67,9 @@ class ScheduleParams:
             raise ValueError("tau must be >= 1")
         if not (0 < self.r0 < 1):
             raise ValueError("r0 must lie in (0, 1)")
-        init_exponents(self.varsigma)   # validates the knob and constraints
+        for name, v in zip(("a0", "a1", "theta"),
+                           init_exponents(self.varsigma)):
+            object.__setattr__(self, name, v)
 
     @property
     def sigma0(self) -> float:
@@ -74,18 +78,6 @@ class ScheduleParams:
     @property
     def mu(self) -> float:
         return 2.0 * self.tau + self.N + 3.0
-
-    @property
-    def a0(self) -> float:
-        return init_exponents(self.varsigma)[0]
-
-    @property
-    def a1(self) -> float:
-        return init_exponents(self.varsigma)[1]
-
-    @property
-    def theta(self) -> float:
-        return init_exponents(self.varsigma)[2]
 
     @property
     def alpha0(self) -> float:
@@ -124,10 +116,10 @@ class KamSchedule:
 def smallness_check(params: ScheduleParams, log_eps0: float) -> dict:
     """The smallness margin at the scale eps_0 = exp(log_eps0), given in
     natural log: eps shrinks past float range in meaningful runs."""
-    a0, a1, theta, alpha0, alpha1 = init_exponents(params.varsigma, params.r0)
+    a0, a1, alpha0 = params.a0, params.a1, params.alpha0
     L1 = (4.0 / 3.0) * log_eps0 - math.log(alpha0) / 3.0
     ratio0 = math.exp(log_eps0 - math.log(alpha0))
-    ratio1 = math.exp(L1 - math.log(alpha1))
+    ratio1 = math.exp(L1 - math.log(params.alpha1))
     # with the normal-form order eps0 ~ r0^2 these ratios scale as
     # r0^{2-a0} and r0^{(2-a0)/3 + 2 - a1}
     return {
@@ -136,7 +128,7 @@ def smallness_check(params: ScheduleParams, log_eps0: float) -> dict:
         "passed": ratio0 + ratio1 < RHO_STAR,
         "predicted_exponent_ratio0": 2.0 - a0,
         "predicted_exponent_ratio1": (2.0 - a0) / 3.0 + 2.0 - a1,
-        "theta": theta, "a0": a0, "a1": a1,
+        "theta": params.theta, "a0": a0, "a1": a1,
     }
 
 

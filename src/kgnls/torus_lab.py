@@ -30,7 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .frequencies import build_model
+from .frequencies import bateman_inverse, build_model, omega0
 from .kam_schedule import predicted_bounds
 from .spectral_core import (TWO_PI, FourierState, FrequencyTable,
                             SpaceParams, seq_norm)
@@ -59,6 +59,8 @@ class TruncatedSystem:
                             M=self.M)
         self._lam = ft.lam
         self._sw = np.sqrt(ft.w)
+        # the field is kappa w^{-1/2} (cube of the dressed state)
+        self._kappa = (-1j if self.kind == "kg" else -3j) / (8.0 * math.pi)
 
     @property
     def linear_freqs(self) -> np.ndarray:
@@ -68,16 +70,17 @@ class TruncatedSystem:
     def fastest_frequency(self) -> float:
         return float(np.max(np.abs(self._lam)))
 
+    def _dress(self, z: np.ndarray) -> np.ndarray:
+        """The dressed state of each row of z: g for KG, z itself for NLS."""
+        return (z + np.conj(z)[..., ::-1]) / self._sw if self.kind == "kg" \
+            else z
+
     def _dressed_cube(self, z: np.ndarray) -> np.ndarray:
-        """`_cube` of the dressed state: g for KG, z itself for NLS."""
-        g = (z + np.conj(z)[::-1]) / self._sw if self.kind == "kg" else z
-        return _cube(g)
+        return _cube(self._dress(z))
 
     def nonlinear_rhs(self, z: np.ndarray) -> np.ndarray:
         """Nonlinear part of dz/dt at the real state (z, conj(z))."""
-        if self.kind == "kg":
-            return -1j / (8.0 * math.pi) * self._dressed_cube(z) / self._sw
-        return -3j / (8.0 * math.pi) * self._dressed_cube(z)
+        return self._kappa * self._dressed_cube(z) / self._sw
 
     def traces(self, z: np.ndarray
                ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -87,9 +90,8 @@ class TruncatedSystem:
         zbar = np.conj(z)
         j = np.arange(-self.M, self.M + 1, dtype=float)
         if self.kind == "kg":
-            g = (z + zbar[:, ::-1]) / self._sw
             quart = [np.sum(r * _cube(r)[::-1]) / (32.0 * math.pi)
-                     for r in g]
+                     for r in self._dress(z)]
         else:
             quart = [3.0 / (16.0 * math.pi)
                      * np.sum(np.convolve(a, a) * np.convolve(b, b))
@@ -133,8 +135,7 @@ def _lawson_coefficients(system: TruncatedSystem, h: float) -> tuple:
     coefficients A1-A3, B1-B3 of `integrate`'s Lawson step, which fold h,
     the RK4 weights, half and the factor kappa of the dressed cube together."""
     half = np.exp(-0.5j * h * system.linear_freqs)
-    hk = h * (-1j / (8.0 * math.pi) / system._sw if system.kind == "kg"
-              else -3j / (8.0 * math.pi))
+    hk = h * (system._kappa / system._sw)
     return (half, np.exp(-1j * h * system.linear_freqs), 0.5 * hk * half,
             0.5 * hk, hk * half, hk / 6 * half * half, hk / 3 * half, hk / 6)
 
@@ -357,12 +358,12 @@ def _invariance_jacobian(emb: TorusEmbedding, system: TruncatedSystem,
 
     z_a = sum_s E[a, s] C_s e_{k_s}, and the cubic field linearises as
     dN = P_a dz + Q_a conj(dz).  With (f)_i read from the full convolutions
-    of `_conv_rows`, zeta_a = conj(z_a) reflected, g_a the KG dressing of
-    `nonlinear_rhs` and kappa = -3i / 8 pi:
+    of `_conv_rows`, zeta_a = conj(z_a) reflected, g_a the KG dressing
+    `_dress` and kappa the field factor (-3i / 8 pi NLS, -i / 8 pi KG):
         NLS: P_a[m, k] = 2 kappa (z_a * zeta_a)_{m-k},
              Q_a[m, k] = kappa (z_a * z_a)_{m+k}
-        KG : P_a[m, k] = kappa (g_a * g_a)_{m-k} / sqrt(w_m w_k),
-             Q_a[m, k] = kappa (g_a * g_a)_{m+k} / sqrt(w_m w_k)
+        KG : P_a[m, k] = 3 kappa (g_a * g_a)_{m-k} / sqrt(w_m w_k),
+             Q_a[m, k] = 3 kappa (g_a * g_a)_{m+k} / sqrt(w_m w_k)
     Only the columns k = k_s enter: dr_a[m] = sum_s K dC_s + L conj(dC_s),
         K[a, m, s] = E[a, s] (i (lambda_m + q_s . omega) delta_{m, k_s}
                               - P_a[m, k_s]),
@@ -372,11 +373,11 @@ def _invariance_jacobian(emb: TorusEmbedding, system: TruncatedSystem,
     m = np.arange(-M, M + 1)[:, None]
     minus, plus = m - k + 2 * M, m + k + 2 * M   # [m, s] -> convolution column
     z = _on_modes(emb, E, emb.coeffs)
-    kappa = -3j / (8.0 * math.pi)
+    kappa = system._kappa
     if system.kind == "kg":
-        g = (z + np.conj(z)[:, ::-1]) / system._sw
+        g = system._dress(z)
         gg = _conv_rows(g, g)
-        scale = kappa / np.outer(system._sw, system._sw[k + M])
+        scale = 3 * kappa / np.outer(system._sw, system._sw[k + M])
         P, Qk = gg[:, minus] * scale, gg[:, plus] * scale
     else:
         P = 2.0 * kappa * _conv_rows(z, np.conj(z)[:, ::-1])[:, minus]
@@ -487,16 +488,14 @@ def gauge_distance(emb_kg: TorusEmbedding, emb_nls: TorusEmbedding,
     return out, float(np.max(out))
 
 
-def _nls_torus(R: float, J, M: int, Q: int
+def _nls_torus(R: float, J: tuple[int, ...], M: int, Q: int
                ) -> tuple[TorusEmbedding, RefineReport]:
-    """Refined NLS torus at amplitude sqrt(xi), xi = R^2, from the
-    first-order amplitude-frequency map of the c = inf model of
-    `frequencies.build_model`: omega = -(lambda_J + A xi)."""
+    """Refined NLS torus on the sorted modes J at amplitude sqrt(xi),
+    xi = R^2, from the first-order amplitude-frequency map of the c = inf
+    model: omega = -`frequencies.omega0`(xi)."""
     xi = np.full(len(J), R * R)
-    model = build_model(math.inf, J, M, R, require_min_N=1)
-    order = [model.J.index(j) for j in J]
-    omega0 = -(model.lam_J[order] + model.A[np.ix_(order, order)] @ xi)
-    return refine_torus(linear_torus(xi, J, M, Q, omega0),
+    omega = -omega0(build_model(math.inf, J, M, R), xi)
+    return refine_torus(linear_torus(xi, J, M, Q, omega),
                         TruncatedSystem(kind="nls", M=M),
                         mode="fixed_amplitude")
 
@@ -505,24 +504,20 @@ def _kg_torus(emb_nls: TorusEmbedding, rep_nls: RefineReport, R: float,
               c: float) -> tuple[TorusEmbedding, RefineReport]:
     """The KG torus with exactly the gauge-shifted frequency of the NLS
     torus (fixed-frequency solve at omega_NLS - c^2 per angle), from the
-    fundamental amplitudes sqrt(xi_KG) with A xi_KG = -omega_KG - lambda_J.
+    fundamental amplitudes sqrt(xi_KG) with A xi_KG = -omega_KG - lambda_J,
+    solved by `frequencies.bateman_inverse`.
     An NLS torus that did not converge, a non-positive xi_KG component (the
     first-order map has no KG torus at that frequency) or a KG solve that
     does not converge raises RuntimeError."""
     if not rep_nls.converged:
         raise RuntimeError(f"NLS torus did not converge: {rep_nls.message}")
     J, M = emb_nls.J, emb_nls.M
-    model = build_model(c, J, M, R, require_min_N=1)
-    order = [model.J.index(j) for j in J]
+    model = build_model(c, J, M, R)
     kg_seed = emb_nls.copy()
     kg_seed.omega = emb_nls.omega - c * c
     # -omega_KG - lambda_J = -omega_NLS - nu_J (lambda_J = c^2 + nu_J),
-    # which does not cancel c^2.  A is invertible; lstsq, which the Newton
-    # solve already calls, spares paging in another LAPACK routine
-    # (np.linalg.solve: +0.3 MiB peak RSS).
-    xi_kg = np.linalg.lstsq(model.A[np.ix_(order, order)],
-                            -emb_nls.omega - model.nu_J[order],
-                            rcond=None)[0]
+    # which does not cancel c^2
+    xi_kg = bateman_inverse(model) @ (-emb_nls.omega - model.nu_J)
     for s, j, x in zip(kg_seed.fundamentals, J, xi_kg):
         if not x > 0:
             raise RuntimeError(f"KG torus has no positive amplitude on mode "
@@ -539,7 +534,7 @@ def matched_torus_pair(R: float, c: float, J, M: int, Q: int):
     """Refined NLS torus at amplitude sqrt(xi), xi = R^2, plus the KG torus
     with exactly matching gauge-shifted frequency: `_nls_torus` then
     `_kg_torus`, whose RuntimeErrors it raises."""
-    emb_nls, rep_nls = _nls_torus(R, tuple(J), M, Q)
+    emb_nls, rep_nls = _nls_torus(R, tuple(sorted(J)), M, Q)
     emb_kg, rep_kg = _kg_torus(emb_nls, rep_nls, R, c)
     return emb_nls, emb_kg, rep_nls, rep_kg
 
@@ -559,7 +554,7 @@ def scaling_study(R: float, c_list, sigma: float, T: float = 1e3,
     torus is refined once per study.  Each
     converged row carries the KG solve's Newton iterations, defect history,
     smallest singular value and coefficient error bound defect / sigma_min."""
-    params = SpaceParams(a=0.0, p=5.0, beta=0.0, M=M)
+    J, params = tuple(sorted(J)), SpaceParams(a=0.0, p=5.0, beta=0.0, M=M)
     # neither the threshold nor the NLS torus depends on c
     c_adm = predicted_bounds(R, 1.0, sigma)["c_admissible"]
     rows, nls = [], None
@@ -568,7 +563,7 @@ def scaling_study(R: float, c_list, sigma: float, T: float = 1e3,
             rows.append({"c": c, "admissible": False, "converged": False,
                          "distance": None})
             continue
-        nls = nls or _nls_torus(R, tuple(J), M, Q)
+        nls = nls or _nls_torus(R, J, M, Q)
         emb_nls = nls[0]
         try:
             emb_kg, rep_kg = _kg_torus(*nls, R, c)

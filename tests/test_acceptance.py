@@ -150,7 +150,7 @@ def test_criterion_07_cascade():
     params = ScheduleParams(N=3, tau=8.0, r0=1e-3)
     sched = generate(params, log_eps0=-2000.0, nu_max=14)
     gf_mean = float(np.mean(sched.growth_factors()[4:13]))
-    a0, a1, _, _, _ = init_exponents(1.0 / 36.0)
+    a0, a1, _ = init_exponents(1.0 / 36.0)
     ok = (np.all(np.diff(sched.log_eps) < 0)
           and abs(gf_mean - 4.0 / 3.0) < 0.02
           and np.all(sched.s > 0)

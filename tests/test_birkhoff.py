@@ -28,7 +28,7 @@ def residual_norm(nf, Lam, rel=True):
 @pytest.mark.parametrize("c,bracket_tol", [(10.0, 1e-12), (1e3, 1e-9)])
 def test_cohomological_residual(c, bracket_tol):
     ft = FrequencyTable(c=c, M=8)
-    nf = solve_cohomological_quartic(build_P(ft, 8), ft, J)
+    nf = solve_cohomological_quartic(build_P(ft), ft, J)
     assert nf.residual < 1e-12
     # independent cross-check with the generic bracket implementation;
     # its lambda sums lose ~c^2 * eps to cancellation, hence the scaled
@@ -44,7 +44,7 @@ def test_one_divisor_pass_per_solve(monkeypatch):
     monkeypatch.setattr(birkhoff, "_divisor",
                         lambda *a: calls.append(a) or divisor(*a))
     ft = FrequencyTable(c=10.0, M=8)
-    nf = solve_cohomological_quartic(build_P(ft, 8), ft, J)
+    nf = solve_cohomological_quartic(build_P(ft), ft, J)
     assert len(calls) == 1
     assert nf.residual < 1e-12
 
@@ -57,7 +57,7 @@ def test_residual_reuses_the_divisors_of_G(c):
         nf = solve_cohomological_nls(build_P_nls(8), J, 8)
     else:
         ft = FrequencyTable(c=c, M=8)
-        nf = solve_cohomological_quartic(build_P(ft, 8), ft, J)
+        nf = solve_cohomological_quartic(build_P(ft), ft, J)
     rows, _ = birkhoff._quartic_table(nf.G)
     d = birkhoff._divisor(rows, nf.freq)
     assert nf.residual == birkhoff._residual(nf.G, d, nf.P, nf.Lambda_plus,
@@ -107,7 +107,7 @@ def test_normal_form_texts_are_golden(text, digest):
 
 def test_lambda_plus_closed_form_match():
     ft = FrequencyTable(c=10.0, M=8)
-    nf = solve_cohomological_quartic(build_P(ft, 8), ft, J)
+    nf = solve_cohomological_quartic(build_P(ft), ft, J)
     cf = lambda_plus_closed_form(ft, J)
     diff = (nf.Lambda_plus - cf).max_abs_coeff()
     assert diff < 1e-12 * cf.max_abs_coeff()
@@ -128,13 +128,13 @@ def test_kg_solve_rejects_the_infinite_c_table():
 
 def test_normal_form_properties():
     ft = FrequencyTable(c=10.0, M=6)
-    nf = solve_cohomological_quartic(build_P(ft, 6), ft, J)
+    nf = solve_cohomological_quartic(build_P(ft), ft, J)
     assert nf.gauge_divisor_min > 0
 
 
 def test_remainder_split_recombines():
     ft = FrequencyTable(c=100.0, M=6)
-    nf = solve_cohomological_quartic(build_P(ft, 6), ft, J)
+    nf = solve_cohomological_quartic(build_P(ft), ft, J)
     nf_nls = solve_cohomological_nls(build_P_nls(6), J, 6)
     split = remainder_split(nf, nf_nls)
     assert split.recombination_error < 1e-12
@@ -145,7 +145,7 @@ def test_remainders_scale_like_h():
     sups = {}
     for c in (1e2, 1e3):
         ft = FrequencyTable(c=c, M=6)
-        nf = solve_cohomological_quartic(build_P(ft, 6), ft, J)
+        nf = solve_cohomological_quartic(build_P(ft), ft, J)
         nf_nls = solve_cohomological_nls(build_P_nls(6), J, 6)
         split = remainder_split(nf, nf_nls)
         sups[c] = split.G_remainder.max_abs_coeff() / ft.h
@@ -157,7 +157,7 @@ def test_lie_transform_reproduces_normal_form():
     # e^{ad_G}(Lambda + P) agrees with Lambda + Lambda_plus + P_hat
     # through degree 4 (the order removed by the generator)
     ft = FrequencyTable(c=10.0, M=4)
-    P = build_P(ft, 4)
+    P = build_P(ft)
     nf = solve_cohomological_quartic(P, ft, J)
     Lam = build_Lambda(ft)
     H = lie_transform(Lam + P, nf.G, max_deg=4)
@@ -213,7 +213,7 @@ def test_scan_minima_match_split_brute_force(c):
 def test_nongauge_floor_enforced():
     from kgnls.birkhoff import _solve
     ft = FrequencyTable(c=10.0, M=4)
-    P = build_P(ft, 4)
+    P = build_P(ft)
     with pytest.raises(DivisorAnomaly):
         # demanding an absurd floor must trip the anomaly guard
         _solve(P, ft, J, nongauge_floor=1e6)
@@ -222,7 +222,7 @@ def test_nongauge_floor_enforced():
 def test_low_divisor_message_names_a_monomial_of_P():
     from kgnls.birkhoff import _solve
     ft = FrequencyTable(c=10.0, M=4)
-    P = build_P(ft, 4)
+    P = build_P(ft)
     with pytest.raises(DivisorAnomaly, match="^non-gauge divisor") as exc:
         _solve(P, ft, J, nongauge_floor=1e6)
     # the message decodes the offending code row back to its slot tuple

@@ -230,7 +230,7 @@ def test_pairing_mask_matches_permutation_search():
                                  (2.0, 8)])
 def test_quartic_solve_matches_reference(c, M, J):
     ft = FrequencyTable(c=c, M=M)
-    P = build_P(ft, M)
+    P = build_P(ft)
     assert_same_normal_form(solve_cohomological_quartic(P, ft, J),
                             ref_normal_form(P, ft, J, M))
 
@@ -248,7 +248,7 @@ def test_nls_solve_matches_reference(M, J):
 def test_remainder_split_matches_reference(c, J):
     M = 6
     ft = FrequencyTable(c=c, M=M)
-    nf = solve_cohomological_quartic(build_P(ft, M), ft, J)
+    nf = solve_cohomological_quartic(build_P(ft), ft, J)
     nf_nls = solve_cohomological_nls(build_P_nls(M), J, M)
     split = remainder_split(nf, nf_nls)
     r1, div = ref_remainder_terms(nf, nf_nls)
@@ -345,7 +345,7 @@ def test_certified_row_sums_are_fsum_on_adversarial_rows(monkeypatch):
 def test_non_quartic_polynomial_is_rejected():
     ft = FrequencyTable(c=10.0, M=4)
     # a degree-6 monomial whose first four slots form a resonant pairing
-    P = build_P(ft, 4) + PolyHamiltonian(
+    P = build_P(ft) + PolyHamiltonian(
         {((1, -1), (1, 1), (2, -1), (2, 1), (3, -1), (3, 1)): 1.0})
     with pytest.raises(ValueError, match="quartic"):
         _solve(P, ft, (1,), nongauge_floor=0.0)

@@ -400,6 +400,7 @@ INVALID = [
     ("measure", {"ell": {"a": 1}}),
     ("measure", {"ell": {"1": 1, "-5": -1}}),   # support inside J
     ("measure", {"k": [1, -1]}),
+    ("measure", {"J": [1, 2], "k": [1, -1]}),
     ("measure", {"ell": {"3": 1, "4": 1, "5": 1}}),
     ("birkhoff", {"M": 0}),
     ("birkhoff", {"c": -1}),

@@ -285,7 +285,7 @@ def test_products_with_k_are_the_per_row_products(N):
     rng = np.random.default_rng(N)
     J = tuple(range(1, N + 1))
     for c in (2.0, 25.0, 100.0, 400.0, 1e4):
-        kg = build_model(c, J, 12, 1e-2, require_min_N=1)
+        kg = build_model(c, J, 12, 1e-2)
         for model in (kg, nls_model(kg)):
             model = replace(model, delta=c * rng.standard_normal(N))
             ks = rng.integers(-10, 11, size=(int(rng.integers(1, 300)), N))
@@ -375,7 +375,7 @@ def test_cantor_excision_is_the_same_across_block_boundaries():
 def test_sample_xi_draws_the_bits_of_generator_uniform(N):
     J = tuple(range(1, N + 1))
     for R in (1e-2, 0.3):
-        model = build_model(10.0, J, 6, R, require_min_N=1)
+        model = build_model(10.0, J, 6, R)
         for n in (1, 5, 10_000):
             for seed in (0, 1, 7, 2 ** 40 + 3):
                 want = np.random.default_rng(seed).uniform(

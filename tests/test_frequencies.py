@@ -43,7 +43,7 @@ def nls_maps(model, xi):
 
 def test_matrix_entries_oracle():
     # A_ij = (3/8pi)(2 - delta_ij) / (w_i w_j)
-    model = build_model(3.0, (1, 2), 8, 1e-2, require_min_N=2)
+    model = build_model(3.0, (1, 2), 8, 1e-2)
     off = 3.0 / TWO_PI / 2.0      # 3/(4 pi)
     diag = 3.0 / TWO_PI / 4.0     # 3/(8 pi)
     w = model.w_J
@@ -119,7 +119,7 @@ def test_first_melnikov_lower_bound_positive():
 
 
 def test_check_xi_rejects_outside_box():
-    model = build_model(5.0, (1, 2), 8, 1e-2, require_min_N=2)
+    model = build_model(5.0, (1, 2), 8, 1e-2)
     with pytest.raises(ValueError):
         model.check_xi(model.xi_hi * 10.0)
 

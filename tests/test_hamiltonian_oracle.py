@@ -248,11 +248,10 @@ def ref_quartic_multisets(M):
         yield combo, mult
 
 
-def ref_build_P(freq, M=None):
-    M = freq.M if M is None else M
+def ref_build_P(freq):
     terms = {}
     base = 1.0 / (16.0 * TWO_PI)
-    for combo, mult in ref_quartic_multisets(M):
+    for combo, mult in ref_quartic_multisets(freq.M):
         wprod = 1.0
         for j, _ in combo:
             wprod *= freq.w[j + freq.M]
@@ -549,11 +548,6 @@ def test_quartic_rows_match_reference(M):
     got = _quartic_rows(M)
     assert got.dtype == np.int32
     assert np.array_equal(got, ref_quartic_rows(M))
-
-
-def test_build_P_truncated_below_table():
-    ft = FrequencyTable(c=3.0, M=6)
-    assert build_P(ft, 3).to_text() == ref_build_P(ft, 3).to_text()
 
 
 @given(st.integers(1, 5), st.integers(0, 10 ** 6))

@@ -1,5 +1,6 @@
 """Cascade sequences, smallness conditions, and limit-bound predictions."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -18,7 +19,7 @@ def params(**kw):
 
 
 def test_exponent_values_at_default_knob():
-    a0, a1, theta, _, _ = init_exponents(1.0 / 36.0)
+    a0, a1, theta = init_exponents(1.0 / 36.0)
     assert abs(a0 - 7.0 / 4.0) < 1e-15
     assert abs(a1 - 73.0 / 36.0) < 1e-15
     assert abs(theta - 5.0 / 12.0) < 1e-15
@@ -38,6 +39,17 @@ def test_params_derived_quantities():
     assert p.mu == 2 * 8.0 + 3 + 3
     assert abs(p.alpha0 - 1e-3 ** p.a0) < 1e-18
     assert abs(p.alpha1 - 1e-3 ** p.a1) < 1e-18
+
+
+def test_params_derive_the_exponents_of_their_knob():
+    p = params()
+    assert (p.a0, p.a1, p.theta) == init_exponents(p.varsigma)
+    q = dataclasses.replace(p, varsigma=1.0 / 48.0)
+    assert (q.a0, q.a1, q.theta) == init_exponents(1.0 / 48.0)
+    assert q.a0 != p.a0 and q.alpha0 == q.r0 ** q.a0
+    for bad in (0.0, 1.0 / 18.0):
+        with pytest.raises(ValueError, match="varsigma"):
+            dataclasses.replace(p, varsigma=bad)
 
 
 def test_generate_recursions_consistent():

@@ -300,7 +300,7 @@ def test_matched_pair_and_gauge_distance():
 
 def first_order_kg_xi(emb_kg, c):
     """xi with A xi = -omega_KG - lambda_J: the first-order KG map."""
-    model = build_model(c, emb_kg.J, emb_kg.M, 1e-2, require_min_N=1)
+    model = build_model(c, emb_kg.J, emb_kg.M, 1e-2)
     return np.linalg.solve(model.A, -emb_kg.omega - model.lam_J)
 
 
@@ -330,6 +330,21 @@ def test_two_mode_kg_torus_from_the_amplitude_map():
     assert rep_kg.converged and rep_kg.iterations < 4
     xi = first_order_kg_xi(emb_kg, 240.0)
     assert np.all(xi > 0)
+
+
+def test_unsorted_modes_give_the_tori_of_the_sorted_ones():
+    # J is sorted once, so (2, 1) builds the (1, 2) tori bit for bit
+    want = matched_torus_pair(1e-2, 240.0, (1, 2), 8, 3)
+    got = matched_torus_pair(1e-2, 240.0, (2, 1), 8, 3)
+    for a, b in zip(got[:2], want[:2]):
+        assert a.J == b.J == (1, 2)
+        assert np.array_equal(a.omega, b.omega)
+        assert np.array_equal(a.coeffs, b.coeffs)
+    reps = [scaling_study(1e-2, [240.0, 360.0], 1.0, T=10.0, J=J, M=8, Q=3,
+                          n_samples=8) for J in ((2, 1), (1, 2))]
+    assert reps[0]["rows"] == reps[1]["rows"]
+    assert reps[0]["J"] == [1, 2]
+    assert all(row["converged"] for row in reps[0]["rows"])
 
 
 def test_embedding_store_is_one_coefficient_per_supported_harmonic():
