@@ -232,12 +232,15 @@ def test_simulate_artifacts_are_golden(cli, tmp_path, config, digests):
     ("divisor-scan", {"c_list": [25.0, 100.0, 400.0], "Mmax": 12},
      {"divisor_scan.json": "9ca2b70b4e3353b7772661ecaad5e356"
                            "29d4bef95f46fa0cf15b1a955cf55de9"}),
+    ("divisor-scan", {},
+     {"divisor_scan.json": "3d165cdfa828a9a1b1644303f03ffe1b"
+                           "0abff58dd5e3868fb8085122742849ae"}),
     ("measure", {},
      {"measure.csv": "2245429f3dba1d1f411e07d33c2aa66a"
                      "a925932c4b55b13c5ee536ebcf07303a",
       "measure_fit.json": "90d096f8efe4494dc151369d9b028bf5"
                           "983d70efbcfc7ff6807f39880ac4600f"})],
-    ids=["scan-M8", "scan-M12", "measure-default"])
+    ids=["scan-M8", "scan-M12", "scan-default", "measure-default"])
 def test_divisor_artifacts_are_golden(cli, tmp_path, command, config,
                                       digests):
     # changes to the pair enumeration or the divisor kernel must keep the
