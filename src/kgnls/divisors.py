@@ -9,11 +9,11 @@ Index classes (k an integer vector over J, ell sparse over J^c, |ell|_1 <= 2):
 Resonant set: |<omega(xi),k> + <Omega(xi),ell>| < alpha / (<k>^tau w(ell)^theta)
 with w(ell) = min over supp(ell) of the mode weight, w(0) = 1.
 
-The pairs form one array table: `_pairs` lists the momentum-zero pairs of
-a block of k rows as (kidx, at, val), the k row and the (P, 2) support and
-values of ell, in one fixed order.  `_tables` cuts the k rows into blocks
-of _BLOCK // (8 (5 + 4(2M+1))) rows, at most _BLOCK / 8 candidate slots;
-`enumerate_ell` is the one-k view of the same table.
+The pairs form one array table (kidx, at, val), the k row and the (P, 2)
+support and values of ell, k-major in slot order.  The ell of a k row
+depend on it only through its momentum <k, J>, so `_slots` lists them once
+per momentum and gives each row its run there; `_tables` gathers the runs
+in blocks of _BLOCK // 32 pairs, and `enumerate_ell` is the one-k view.
 
 One kernel, `_Divisors`, evaluates every divisor of such a table, as
 L rest + <nu, (k, ell)> + <A k + B^T ell, xi> + <delta, k>, rest = c^2 the
@@ -27,7 +27,7 @@ no temporary of the kernel holds more than `_BLOCK` values (512 KiB of
 float64).  The kernel computes them along the longer axis: pair-major
 (grad @ xi.T, returned as a transposed view) when the points outnumber
 the pairs, as in the resonant-set hits, and point-major otherwise, as in
-the corner scans of `nongauge_scan`.
+the corner scans of `nongauge_scan`; the two agree to a few ulps.
 
 Resonant-set hits (`_hits`) take points inside the model's amplitude box
 [xi_lo, xi_hi], as `sample_xi` draws them, and per-pair thresholds, and
@@ -39,10 +39,18 @@ range into a lower bound on |divisor|, less a rounding margin of 1e-12
 (|const| + <|g|, max |xi|> + |<delta, k>|); a pair whose floor exceeds its
 threshold has no hit anywhere in the box and is dropped.
 
+`nongauge_scan` evaluates only the pairs that can reach its minima: on the
+box |divisor| >= |L| rest - u_k - u_ell, where u_k = |<nu_J, k>| +
+<|A k|, max |xi|> + |<delta, k>| and u_ell = sum_a |ell_a| (|nu_a| +
+<|B_a|, max |xi|>).  Less the floor's margin this bounds the computed
+|divisor|, so a pair whose bound exceeds the running minimum (and the S8
+one, for an S8 pair) can neither undercut nor tie it: it is counted and
+classified unevaluated, and the minima and their first pairs are exact.
+
 Work that does not depend on alpha is done once per model and kept in the
 model's memo (`FrequencyModel._memo`), which lives and dies with the
 model: `cantor_excision` keeps each block's tables of both families with
-their floors under (K_cut, kmax, k rows per block), and `sample_xi` keeps
+their floors under (K_cut, kmax, pairs per block), and `sample_xi` keeps
 the model's latest (n, seed) draw.  Both are read-only.  Per alpha only
 the thresholds, the prune and the hits are computed.
 """
@@ -68,21 +76,23 @@ def _k_rows(N: int, kmax: int) -> np.ndarray:
     return k[np.abs(k).sum(axis=1) <= kmax]
 
 
-def _pairs(J, M: int, ks: np.ndarray
-           ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The momentum-zero pairs of the k rows `ks`: per pair its row `kidx`,
-    and ell as a (P, 2) support `at` with values `val` (0 pads), where
-    |ell|_1 <= 2 and supp(ell) lies in J^c intersect {-M..M}.  Integer
-    arithmetic throughout.
+def _slots(J, M: int, ks: np.ndarray
+           ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """The momentum-zero pairs of the k rows `ks`, by one slot table per
+    momentum m in the range of <k, J>: the valid ell of each m as a (S, 2)
+    support `at` with values `val` (0 pads), |ell|_1 <= 2 and supp(ell) in
+    J^c intersect {-M..M}; per k row its pair count `n` and first entry
+    `start` there.  Integer arithmetic throughout.
 
-    Each k has 5 + 4(2M+1) candidate slots: ell = 0, the single supports
+    Each m has 5 + 4(2M+1) candidate slots: ell = 0, the single supports
     ell_a = v for v in (1, -1, 2, -2) (a forced by the momentum equation),
     and the double supports ell_a, ell_b = +-1 with a < b, a ascending and
-    (ell_a, ell_b) in (1, 1), (1, -1), (-1, 1), (-1, -1) order.  Pairs
-    come k-major, in slot order.
+    (ell_a, ell_b) in (1, 1), (1, -1), (-1, 1), (-1, -1) order; the k = 0
+    row drops ell = 0, the first slot of m = 0.
     """
     J = np.sort(np.asarray(J, dtype=int))
-    m = ks @ J
+    mom = ks @ J
+    m = np.arange(mom.min(initial=0), mom.max(initial=0) + 1)
     normal = ~np.isin(np.arange(-M, M + 1), J)
 
     def admissible(n):
@@ -94,17 +104,18 @@ def _pairs(J, M: int, ks: np.ndarray
     a2 = np.repeat(np.arange(-M, M + 1), 4)
     s1, s2 = np.tile([(1, 1), (1, -1), (-1, 1), (-1, -1)], (2 * M + 1, 1)).T
     b = (-m[:, None] - s1 * a2) * s2
-    valid = np.hstack([((m == 0) & ks.any(axis=1))[:, None],
+    valid = np.hstack([(m == 0)[:, None],
                        (m[:, None] % np.abs(v) == 0) & admissible(a1),
                        normal[a2 + M] & (b > a2) & admissible(b)])
     pad = np.zeros((len(m), 1), dtype=int)
     first = np.hstack([pad, a1, np.broadcast_to(a2, b.shape)])
     second = np.hstack([pad, 0 * a1, b])
-    kidx, slot = np.nonzero(valid)
-    at = np.stack([first[kidx, slot], second[kidx, slot]], axis=1)
+    mi, slot = np.nonzero(valid)
+    at = np.stack([first[mi, slot], second[mi, slot]], axis=1)
     val = np.stack([np.concatenate([[0], v, s1]),
                     np.concatenate([[0], 0 * v, s2])], axis=1)[slot]
-    return kidx, at, val
+    count, i, zero = np.bincount(mi, minlength=len(m)), mom - m[0], ~ks.any(1)
+    return count[i] - zero, (np.cumsum(count) - count)[i] + zero, at, val
 
 
 def _ells(at: np.ndarray, val: np.ndarray) -> list[dict[int, int]]:
@@ -115,9 +126,9 @@ def _ells(at: np.ndarray, val: np.ndarray) -> list[dict[int, int]]:
 
 def enumerate_ell(k, J, M: int) -> list[dict[int, int]]:
     """All sparse ell with |ell|_1 <= 2, support in J^c intersect {-M..M},
-    and (k, ell) of zero total momentum: the one-k view of `_pairs`."""
-    _, at, val = _pairs(J, M, np.asarray(k, dtype=int)[None, :])
-    return _ells(at, val)
+    and (k, ell) of zero total momentum: the one-k view of `_slots`."""
+    (n,), (start,), at, val = _slots(J, M, np.asarray(k, dtype=int)[None])
+    return _ells(at[start:start + n], val[start:start + n])
 
 
 @dataclass(frozen=True)
@@ -204,11 +215,6 @@ def _s_codes(ksum, at: np.ndarray, val: np.ndarray, c: float
     code[(v1 == 0) | (a0 == 0) | (a1 == 0)] = _CODE["S0"]
     code[v0 == 0] = -1
     return code
-
-
-def _s_classes(ksum, at, val, c: float) -> np.ndarray:
-    """The tags of `_s_codes`, code -1 taking the "" appended here."""
-    return np.array(S_CLASSES + ("",))[_s_codes(ksum, at, val, c)]
 
 
 def s8_localization(pair: IndexPair, c: float) -> dict:
@@ -344,21 +350,20 @@ class _Divisors:
         return query.alpha / (kb[k1][self.kidx] * self.w ** query.theta)
 
 
-def _block_rows(M: int) -> int:
-    """k rows per block of `_tables`: at most _BLOCK / 8 candidate slots."""
-    return max(1, _BLOCK // (8 * (5 + 4 * (2 * M + 1))))
-
-
 def _tables(model: FrequencyModel, kmax: int, kmin: int = 0):
-    """(ks, kidx, at, val) per block of the k rows with kmin <= |k|_1 <=
-    kmax, `_pairs` of each block: the one loop over the momentum-zero
-    pairs."""
+    """(ks, kidx, at, val) per block of _BLOCK // 32 momentum-zero pairs
+    over the k rows with kmin <= |k|_1 <= kmax: the one loop over the
+    pairs.  `ks` holds the rows from the block's first pair to its last, so
+    a row's pairs may straddle two blocks."""
     ks = _k_rows(model.N, kmax)
     ks = ks[np.abs(ks).sum(axis=1) >= kmin]
-    step = _block_rows(model.M)
-    for i in range(0, len(ks), step):
-        yield (ks[i:i + step],
-               *_pairs(model.J, model.M, ks[i:i + step]))
+    n, start, at, val = _slots(model.J, model.M, ks)
+    kidx = np.repeat(np.arange(len(ks)), n)   # per pair, its k row
+    shift = start - (np.cumsum(n) - n)   # slot-table entry less pair index
+    for lo in range(0, len(kidx), _BLOCK // 32):
+        rows = kidx[lo:lo + _BLOCK // 32]
+        entry = shift[rows] + np.arange(lo, lo + len(rows))
+        yield ks[rows[0]:rows[-1] + 1], rows - rows[0], at[entry], val[entry]
 
 
 def _blocks(n: int, width: int):
@@ -371,7 +376,7 @@ def _hits(div: _Divisors, floor: np.ndarray, xi: np.ndarray,
     """Per point: whether any pair of `div` is below its threshold `thr`.
     The points must lie in the model's amplitude box: only the pairs whose
     `floor` there (`div.floor()`) does not exceed their threshold are
-    evaluated."""
+    evaluated, pair-major when they are fewer than the points."""
     keep = floor <= thr
     hit = np.zeros(len(xi), dtype=bool)
     if keep.any():
@@ -383,7 +388,8 @@ def _hits(div: _Divisors, floor: np.ndarray, xi: np.ndarray,
 
 
 def _min_abs(div: _Divisors, xi: np.ndarray) -> np.ndarray:
-    """Per pair: min |divisor| over the points."""
+    """Per pair: min |divisor| over the points, point-major unless the
+    pairs are fewer (at the box corners of the scans, fewer than 2^N)."""
     return np.min([np.abs(div(xi[s])).min(axis=0)
                    for s in _blocks(len(xi), len(div.val))], axis=0)
 
@@ -463,32 +469,45 @@ def nongauge_scan(model: FrequencyModel, kappa: float = 0.5,
                   kmax: int | None = None) -> dict:
     """Exhaustive scan of the non-gauge pairs (L != 0) under the size
     restrictions |k|_1 <= kappa sqrt(c) and supp(ell) within [-c/2, c/2],
-    evaluated at the amplitude-box corners.  Returns min |divisor| / c^2,
-    its pair, and the number of S8-class pairs with the S8 row of the
-    smallest min |divisor| / c^2 (None when there is none)."""
+    at the amplitude-box corners.  Returns min |divisor| / c^2, its pair,
+    and the number of S8-class pairs with the S8 row of the smallest
+    min |divisor| / c^2 (None when there is none).  A pair whose charge
+    bound (module docstring) exceeds the running minima is counted and
+    classified, not evaluated: it can neither undercut nor tie them."""
     c = model.c
     if kmax is None:
         kmax = max(1, int(kappa * math.sqrt(c)))
     corners = model.xi_corners()
+    xmax = np.maximum(np.abs(model.xi_lo), np.abs(model.xi_hi))
+    u_ell = np.zeros(2 * model.M + 1)   # per mode of -M..M, for one |ell_a|
+    u_ell[model.normal_modes + model.M] = np.abs(model.nu_Jc) \
+        + np.abs(model.B) @ xmax
     best, arg, n_pairs = math.inf, None, 0
     s8_best, s8_row, s8_count = math.inf, None, 0
     for ks, kidx, at, val in _tables(model, kmax):
         ksum = ks.sum(axis=1)[kidx]
-        keep = (ksum + val[:, 0] + val[:, 1] != 0) \
-            & (np.abs(at[:, 0]) <= c / 2) & (np.abs(at[:, 1]) <= c / 2)
-        if not keep.any():
+        L = ksum + val[:, 0] + val[:, 1]
+        keep = (L != 0) & (np.abs(at) <= c / 2).all(axis=1)
+        n_pairs += int(np.count_nonzero(keep))
+        s8 = keep & (_s_codes(ksum, at, val, c) == _CODE["S8"])
+        s8_count += int(np.count_nonzero(s8))
+        u_k = np.abs(ks @ model.nu_J) + np.abs(ks @ model.A.T) @ xmax \
+            + (0 if model.delta is None else np.abs(ks @ model.delta))
+        u = u_k[kidx] + np.abs(val[:, 0]) * u_ell[at[:, 0] + model.M] \
+            + np.abs(val[:, 1]) * u_ell[at[:, 1] + model.M]
+        charge = np.abs(L) * model.freq.rest
+        low = (charge - u - 1e-12 * (charge + u)) / (c * c)
+        need = keep & ((low <= best) | (s8 & (low <= s8_best)))
+        if not need.any():
             continue
-        div = _Divisors(model, ks, kidx[keep], at[keep], val[keep])
-        n_pairs += len(div.val)
+        div = _Divisors(model, ks, kidx[need], at[need], val[need])
         mins = _min_abs(div, corners) / (c * c)
         # first minima in enumeration order, strict < across blocks
         i = int(np.argmin(mins))
         if mins[i] < best:
             best, pair = float(mins[i]), div.pair(i)
             arg = {"k": list(pair.k), "ell": dict(pair.ell)}
-        s8 = np.flatnonzero(_s_codes(ksum[keep], div.at, div.val, c)
-                            == _CODE["S8"])
-        s8_count += len(s8)
+        s8 = np.flatnonzero(s8[need])
         i = int(s8[np.argmin(mins[s8])]) if len(s8) else None
         if i is not None and mins[i] < s8_best:
             pair = div.pair(i)
@@ -509,7 +528,7 @@ def _excision_tables(model: FrequencyModel, K_cut: int, kmax: int
     """Per block of `_tables` over K_cut < |k|_1 <= kmax: the read-only
     `_Divisors` of `model` and of its Schrodinger limit, each with its
     floor, built once per model and kept in its memo."""
-    key = ("excision", K_cut, kmax, _block_rows(model.M))
+    key = ("excision", K_cut, kmax, _BLOCK // 32)
     if key not in model._memo:
         limit = nls_model(model)
         model._memo[key] = [

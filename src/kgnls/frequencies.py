@@ -83,13 +83,14 @@ class FrequencyModel:
 
 
 def build_model(c: float, J, M: int, R: float) -> FrequencyModel:
-    Jt = tuple(sorted(set(int(j) for j in J)))
+    Jt = tuple(sorted(int(j) for j in J))
     N = len(Jt)
+    if len(set(Jt)) < N:
+        raise ValueError(f"J must not repeat a mode, got J = {tuple(J)}")
     if any(abs(j) > M for j in Jt):
         raise ValueError("tangential modes must lie inside the truncation")
     ft = FrequencyTable(c=c, M=M)
-    normal = np.array([j for j in range(-M, M + 1) if j not in set(Jt)],
-                      dtype=int)
+    normal = np.array([j for j in range(-M, M + 1) if j not in Jt])
     iJ, iJc = np.array(Jt, dtype=int) + M, normal + M
     wJ, wJc = ft.w[iJ], ft.w[iJc]
 

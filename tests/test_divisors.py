@@ -30,13 +30,19 @@ def one_pair(model, pair):
     return divisors._Divisors.of(model, pair.k, [pair.ell_dict])
 
 
+def s_tags(ksum, at, val, c):
+    """The S-class tags of `_s_codes`, "" for its code -1 (ell = 0)."""
+    return np.array(S_CLASSES + ("",))[divisors._s_codes(ksum, at, val, c)]
+
+
 def pair_tags(J, M, kmax, c):
     """(k, ell, S-class tag) over the momentum-zero pairs with ell != 0."""
-    ks = divisors._k_rows(len(J), kmax)
-    kidx, at, val = divisors._pairs(J, M, ks)
-    tags = divisors._s_classes(ks.sum(axis=1)[kidx], at, val, c)
-    return [(k, ell, str(t)) for k, ell, t
-            in zip(ks[kidx], divisors._ells(at, val), tags) if ell]
+    return [(k, ell, str(t))
+            for ks, kidx, at, val in divisors._tables(
+                build_model(c, J, M, 1e-2), kmax)
+            for k, ell, t in zip(ks[kidx], divisors._ells(at, val),
+                                 s_tags(ks.sum(axis=1)[kidx], at, val, c))
+            if ell]
 
 
 def brute_force_ells(k, J, M):
@@ -89,7 +95,7 @@ def test_pair_table_is_brute_force_in_enumeration_order(J, M, kmax):
             for ell in sorted(brute_force_ells(k, J, M),
                               key=enumeration_order)]
     model = build_model(10.0, J, M, 1e-2)
-    with mock.patch.object(divisors, "_BLOCK", 4000):   # several blocks
+    with mock.patch.object(divisors, "_BLOCK", 4000):   # 125 pairs a block
         tables = list(divisors._tables(model, kmax))
     assert len(tables) > 1
     got = [(tuple(k.tolist()), list(ell.items()))
@@ -137,7 +143,7 @@ def test_classification_examples():
     c = 4.0
     # single support -> S0
     at, val = divisors._supports([{-1: 1}])
-    assert divisors._s_classes(1, at, val, c).tolist() == ["S0"]
+    assert s_tags(1, at, val, c).tolist() == ["S0"]
     # every taxonomy branch is reachable in a broad momentum-zero sweep
     labels = {}
     for k, ell, tag in pair_tags(J3, 40, 3, c):

@@ -127,11 +127,11 @@ def ref_pairs(model, k, ells):
             if any(k) or any(ell.values())]
 
 
-def ref_nongauge(model, kmax):
+def ref_scan_pairs(model, kmax):
+    """The non-gauge pairs of the scan in enumeration order, each with its
+    min |divisor| / c^2 over the box corners."""
     c = model.c
     corners = model.xi_corners()
-    best, arg, n_pairs = math.inf, None, 0
-    s8_rows = []
     for k in _k_rows(model.N, kmax):
         for ell in enumerate_ell(k, model.J, model.M):
             if any(abs(a) > c / 2 for a in ell):
@@ -139,17 +139,25 @@ def ref_nongauge(model, kmax):
             if int(np.sum(k)) + sum(ell.values()) == 0:
                 continue
             pair = make_pair(k, ell, model.J)
-            n_pairs += 1
-            m = min(abs(ref_divisor(model, x, pair)) for x in corners) / c**2
-            if m < best:
-                best, arg = m, {"k": list(pair.k), "ell": dict(pair.ell)}
-            if ell and ref_classify_pair(pair, c) == "S8":
-                loc = s8_localization(pair, c)
-                s8_rows.append({"k": list(pair.k), "ell": dict(pair.ell),
-                                "center": loc["center"],
-                                "offsets": {str(a): v for a, v
-                                            in loc["offsets"].items()},
-                                "min_over_c2": m})
+            yield pair, min(abs(ref_divisor(model, x, pair))
+                            for x in corners) / c**2
+
+
+def ref_nongauge(model, kmax):
+    c = model.c
+    best, arg, n_pairs = math.inf, None, 0
+    s8_rows = []
+    for pair, m in ref_scan_pairs(model, kmax):
+        n_pairs += 1
+        if m < best:
+            best, arg = m, {"k": list(pair.k), "ell": dict(pair.ell)}
+        if pair.ell and ref_classify_pair(pair, c) == "S8":
+            loc = s8_localization(pair, c)
+            s8_rows.append({"k": list(pair.k), "ell": dict(pair.ell),
+                            "center": loc["center"],
+                            "offsets": {str(a): v for a, v
+                                        in loc["offsets"].items()},
+                            "min_over_c2": m})
     return n_pairs, best, arg, s8_rows
 
 
@@ -213,8 +221,9 @@ def test_measure_hits_match_per_sample_reference(model, alpha, seed, nls):
 @settings(max_examples=5, deadline=None, derandomize=True)
 def test_cantor_excision_matches_per_sample_union(model, alpha, seed):
     q = ResonantQuery(alpha=alpha, tau=2.0, samples=120, seed=seed)
-    with mock.patch.object(divisors, "_BLOCK", 2000):  # several blocks
+    with mock.patch.object(divisors, "_BLOCK", 2000):  # 62 pairs a block
         rep = cantor_excision(model, q, K_cut=0, kmax=2)
+        assert len(divisors._excision_tables(model, 0, 2)) > 1
     pairs = [p for k in _k_rows(3, 2) if any(k)
              for p in ref_pairs(model, k, enumerate_ell(k, J3, model.M))]
     assert rep["sets"] == len(pairs)
@@ -321,14 +330,14 @@ def test_s_classes_match_scalar_reference(c):
     model = build_model(c, J3, 12, 1e-2)
     seen = set()
     for ks, kidx, at, val in divisors._tables(model, 4):
-        tags = divisors._s_classes(ks.sum(axis=1)[kidx], at, val, c)
-        for k, ell, tag in zip(ks[kidx], divisors._ells(at, val), tags):
+        codes = divisors._s_codes(ks.sum(axis=1)[kidx], at, val, c)
+        for k, ell, code in zip(ks[kidx], divisors._ells(at, val), codes):
             if not ell:
-                assert tag == ""
+                assert code == -1
                 continue
             pair = make_pair(k, ell, J3)
-            assert tag == ref_classify_pair(pair, c)
-            seen.add(str(tag))
+            assert S_CLASSES[code] == ref_classify_pair(pair, c)
+            seen.add(S_CLASSES[code])
     if c == 2.0:   # c^3 = 8 < M, so S5 is reached too
         assert seen == set(S_CLASSES)
 
@@ -356,17 +365,100 @@ def test_nongauge_scan_matches_per_pair_reference(c, kmax):
 def test_nongauge_scan_is_the_same_across_block_boundaries(c):
     # +-(k, ell) tie exactly, so the first minimum must survive the blocks
     model = build_model(c, J3, 12, 1e-2)
-    with mock.patch.object(divisors, "_BLOCK", 2000):   # two k per block
+    with mock.patch.object(divisors, "_BLOCK", 2000):   # 62 pairs a block
         small = nongauge_scan(model, kappa=0.5)
+        assert len(list(divisors._tables(model, small["kmax"]))) > 1
     assert small == nongauge_scan(model, kappa=0.5)
+
+
+def scan_with_spy(model, **kw):
+    """`nongauge_scan`'s report and, per `_Divisors` it built, its pairs."""
+    built = []
+    init = divisors._Divisors.__init__
+
+    def spy(div, *args):
+        init(div, *args)
+        built.append([div.pair(i) for i in range(len(div.val))])
+
+    with mock.patch.object(divisors._Divisors, "__init__", spy):
+        return nongauge_scan(model, **kw), built
+
+
+def assert_is_ref_nongauge(model, rep):
+    """The report of a scan equals `ref_nongauge`'s, S8 row included; the
+    reference's min |divisor| / c^2 and its S8 minimum are returned."""
+    n_pairs, best, arg, s8_rows = ref_nongauge(model, rep["kmax"])
+    assert (rep["pairs"], rep["argmin"]) == (n_pairs, arg)
+    assert abs(rep["min_over_c2"] - best) <= 1e-12 * best
+    assert rep["s8_count"] == len(s8_rows)
+    if not s8_rows:
+        assert rep["s8_argmin"] is None
+        return best, math.inf
+    want = dict(min(s8_rows, key=lambda r: r["min_over_c2"]))
+    got = dict(rep["s8_argmin"])
+    s8_best = want.pop("min_over_c2")
+    assert abs(got.pop("min_over_c2") - s8_best) <= 1e-12 * best
+    assert got == want
+    return best, s8_best
+
+
+@pytest.mark.parametrize("c", [2.0, 3.0])
+def test_nongauge_scan_skips_only_pairs_above_its_minima(c):
+    # at c = 2 and 3 only the supports -1 and 0 pass |a| <= c/2, and the
+    # charge bound of the smallest divisor comes within 1e-4 of its value,
+    # so a bound that overshoots drops it.  Over 15-pair blocks every pair
+    # is counted, and only pairs strictly above both minima are skipped
+    model = build_model(c, J3, 12, 1e-2)
+    with mock.patch.object(divisors, "_BLOCK", 500):
+        rep, built = scan_with_spy(model, kappa=0.5, kmax=4)
+    best, s8_best = assert_is_ref_nongauge(model, rep)
+    seen = {p for pairs in built for p in pairs}
+    assert len(built) > 1 and 0 < len(seen) < rep["pairs"]
+    for pair, m in ref_scan_pairs(model, rep["kmax"]):
+        if pair not in seen:
+            assert m > best
+            if pair.ell and ref_classify_pair(pair, c) == "S8":
+                assert m > s8_best
+
+
+def test_nongauge_scan_builds_few_pairs_past_its_first_block():
+    # at c = 100 the first block already holds the scan's minimum, and a
+    # pair of charge |L| sits near |L| c^2: past that block only the few
+    # charge-one pairs within reach of the minimum are built
+    model = build_model(100.0, J3, 12, 1e-2)
+    rep, built = scan_with_spy(model, kappa=0.5)
+    assert_is_ref_nongauge(model, rep)
+    assert sum(map(len, built)) < rep["pairs"]
+    past = rep["pairs"] - len(built[0])
+    assert past > 4000
+    assert sum(map(len, built[1:])) < 0.05 * past
+
+
+def test_both_kernel_orientations_agree_on_a_full_block():
+    # the blocks of _tables hold _BLOCK // 32 pairs; over one full block of
+    # the criterion-06 model the pair-major values (more points than pairs)
+    # agree with the point-major ones (64 points at a time) to a few ulps
+    model = criterion_06_model()
+    ks, kidx, at, val = next(divisors._tables(model, 3))
+    div = divisors._Divisors(model, ks, kidx, at, val)
+    assert len(div.val) == divisors._BLOCK // 32
+    xi = sample_xi(model, len(div.val) + 1, 6)
+    pair_major = div(xi)
+    assert pair_major.flags.f_contiguous   # the transposed view
+    for s in range(0, len(xi), 64):
+        point_major = div(xi[s:s + 64])
+        assert point_major.flags.c_contiguous
+        assert np.all(np.abs(pair_major[s:s + 64] - point_major)
+                      <= 4 * np.spacing(np.abs(point_major)))
 
 
 def test_cantor_excision_is_the_same_across_block_boundaries():
     model = center_pair_correction(build_model(10.0, J3, 20, 1e-2),
                                    make_pair((1, -1, 0), {-1: -1}, J3))
     q = ResonantQuery(alpha=1e-6, tau=2.0, theta=0.4, samples=500, seed=3)
-    with mock.patch.object(divisors, "_BLOCK", 2000):   # one k per block
+    with mock.patch.object(divisors, "_BLOCK", 2000):   # 62 pairs a block
         small = cantor_excision(model, q, K_cut=0, kmax=3)
+        assert len(divisors._excision_tables(model, 0, 3)) > 1
     rep = cantor_excision(model, q, K_cut=0, kmax=3)
     assert small == rep and rep["excised_fraction"] > 0
 
@@ -465,7 +557,7 @@ def test_cantor_excision_tables_are_keyed_on_the_block_size():
     builds = []
 
     def spy(*args):
-        builds.append(divisors._BLOCK)
+        builds.append(divisors._BLOCK // 32)   # pairs per block
         return tables(*args)
 
     with mock.patch.object(divisors, "_tables", spy):
@@ -473,4 +565,4 @@ def test_cantor_excision_tables_are_keyed_on_the_block_size():
             small = cantor_excision(model, q, K_cut=0, kmax=3)
         rep = cantor_excision(model, q, K_cut=0, kmax=3)
         assert cantor_excision(model, q, K_cut=0, kmax=3) == rep
-    assert builds == [2000, divisors._BLOCK] and small == rep
+    assert builds == [62, divisors._BLOCK // 32] and small == rep

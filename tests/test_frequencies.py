@@ -118,6 +118,13 @@ def test_first_melnikov_lower_bound_positive():
     assert model.h <= 49.0 / (576.0 * 9)
 
 
+@pytest.mark.parametrize("J", [(1, 1), (1, 2, 2), (3, 1, 3)])
+def test_repeated_mode_is_rejected_by_name(J):
+    with pytest.raises(ValueError, match=r"J must not repeat a mode, "
+                                         rf"got J = \({J[0]}, "):
+        build_model(10.0, J, 8, 1e-2)
+
+
 def test_check_xi_rejects_outside_box():
     model = build_model(5.0, (1, 2), 8, 1e-2)
     with pytest.raises(ValueError):

@@ -347,6 +347,15 @@ def test_unsorted_modes_give_the_tori_of_the_sorted_ones():
     assert all(row["converged"] for row in reps[0]["rows"])
 
 
+def test_repeated_mode_is_named_before_any_solve():
+    # the model used to drop the repeat and fail later on the shape of xi
+    with pytest.raises(ValueError, match=r"got J = \(1, 1\)"):
+        matched_torus_pair(1e-2, 240.0, (1, 1), 8, 3)
+    with pytest.raises(ValueError, match="must not repeat a mode"):
+        scaling_study(1e-2, [240.0], 1.0, T=10.0, J=(2, 1, 2), M=8, Q=3,
+                      n_samples=8)
+
+
 def test_embedding_store_is_one_coefficient_per_supported_harmonic():
     J, M, Q = (1, 2), 3, 2
     emb = linear_torus([1e-4, 4e-4], J, M, Q, [-0.5, -2.0])
