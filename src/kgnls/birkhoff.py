@@ -260,13 +260,13 @@ def remainder_split(result: NormalFormResult,
 
 
 def lie_transform(H: PolyHamiltonian, G: PolyHamiltonian,
-                  max_deg: int = 6, max_order: int = 8) -> PolyHamiltonian:
+                  max_order: int = 8) -> PolyHamiltonian:
     """Lie-series transform H o flow_G(1) = sum_k ad_G^k H / k!, truncated
-    at polynomial degree `max_deg`: terms beyond the degree cap are
+    at polynomial degree 6 (`poisson_bracket`'s cap): terms beyond it are
     discarded."""
     out = term = H
     for k in range(1, max_order + 1):
-        term = poisson_bracket(term, G, max_deg=max_deg).scale(1.0 / k)
+        term = poisson_bracket(term, G).scale(1.0 / k)
         if len(term) == 0:
             break
         if len(out) + len(term) > TERM_LIMIT:

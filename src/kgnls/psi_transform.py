@@ -1,84 +1,5 @@
-"""Diagonal conversion between the real field pair (u, u_t) in Fourier
-space and the complex variable psi:
-
-    psi_j = (1/sqrt2) ( w_j^{1/2} u_hat_j + i w_j^{-1/2} v_hat_j / c^2 ),
-
-with w_j = sqrt(1 + j^2/c^2).  All operators act mode-wise; no position
-grid is ever needed.
+"""Empty: the real field <-> psi transform that lived here served no
+command, criterion or workload and was deleted.  The module stays only
+because `perfbench/tracing.py` imports it by name to trace it; the
+change to the benchmark that drops that import deletes this file too.
 """
-
-from __future__ import annotations
-
-from dataclasses import dataclass
-
-import numpy as np
-
-from .spectral_core import FourierState, FrequencyTable
-
-
-@dataclass
-class RealFieldState:
-    """Fourier coefficients of a real field u and its velocity u_t."""
-    u_hat: np.ndarray
-    v_hat: np.ndarray
-
-    def __post_init__(self):
-        self.u_hat = np.asarray(self.u_hat, dtype=complex)
-        self.v_hat = np.asarray(self.v_hat, dtype=complex)
-        if self.u_hat.shape != self.v_hat.shape or self.u_hat.ndim != 1 \
-                or len(self.u_hat) % 2 != 1:
-            raise ValueError("u_hat, v_hat must be equal odd-length 1-d "
-                             "arrays (modes -M..M)")
-
-    @property
-    def M(self) -> int:
-        return (len(self.u_hat) - 1) // 2
-
-    def symmetry_defect(self) -> float:
-        """Max deviation from the reality constraint x_{-j} = conj(x_j)."""
-        d1 = np.abs(self.u_hat[::-1] - np.conj(self.u_hat))
-        d2 = np.abs(self.v_hat[::-1] - np.conj(self.v_hat))
-        return float(max(d1.max(), d2.max()))
-
-
-def to_psi(state: RealFieldState, c: float, tol: float = 1e-12
-           ) -> FourierState:
-    """psi from (u, u_t); rejects inputs violating conjugate symmetry."""
-    defect = state.symmetry_defect()
-    if defect > tol:
-        raise ValueError(f"conjugate-symmetry defect {defect:.3e} exceeds "
-                         f"{tol:.1e}")
-    ft = FrequencyTable(c=c, M=state.M)
-    sw = np.sqrt(ft.w)
-    z = (state.u_hat * sw + 1j * state.v_hat / (sw * c * c)) / np.sqrt(2.0)
-    # reality of (u, u_t) makes zbar_j = conj(z_{-j}) the matching
-    # coefficient of the conjugate variable
-    return FourierState(z=z, zbar=np.conj(z))
-
-
-def from_psi(psi: FourierState, c: float) -> RealFieldState:
-    """Exact diagonal inverse; conjugate-symmetric output when psi
-    represents a real field (zbar = conj(z))."""
-    ft = FrequencyTable(c=c, M=psi.M)
-    sw = np.sqrt(ft.w)
-    # reflected conjugate conj(psi_{-j}) = zbar_{-j} when zbar = conj(z)
-    refl = psi.zbar[::-1]
-    u_hat = (psi.z + refl) / (np.sqrt(2.0) * sw)
-    v_hat = (psi.z - refl) * sw * c * c / (1j * np.sqrt(2.0))
-    return RealFieldState(u_hat=u_hat, v_hat=v_hat)
-
-
-def quadratic_energy_fields(state: RealFieldState, c: float) -> float:
-    """Quadratic KG energy matching sum_j lambda_j |psi_j|^2 for real
-    fields: (1/2) sum_j ( |v_hat_j|^2 / c^2 + (c^2 + j^2) |u_hat_j|^2 )."""
-    M = state.M
-    j = np.arange(-M, M + 1, dtype=float)
-    c2 = c * c
-    return float(0.5 * np.sum(np.abs(state.v_hat) ** 2 / c2
-                              + (c2 + j * j) * np.abs(state.u_hat) ** 2))
-
-
-def quadratic_energy_psi(psi: FourierState, c: float) -> float:
-    """sum_j lambda_j |psi_j|^2, the diagonal quadratic Hamiltonian."""
-    ft = FrequencyTable(c=c, M=psi.M)
-    return float(np.sum(ft.lam * np.abs(psi.z) ** 2))

@@ -145,9 +145,6 @@ class FourierState:
     def real_representation(self, tol: float = 1e-12) -> bool:
         return bool(np.max(np.abs(self.zbar - np.conj(self.z))) <= tol)
 
-    def copy(self) -> "FourierState":
-        return FourierState(self.z.copy(), self.zbar.copy())
-
 
 def mode_weights(params: SpaceParams, freq: FrequencyTable) -> np.ndarray:
     """Per-mode norm weights e^{2a|j|} <j>^{2p} w_j^{2 beta}."""

@@ -26,7 +26,7 @@ from __future__ import annotations
 import itertools
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -254,11 +254,6 @@ class TorusEmbedding:
         return [int(np.flatnonzero((self.qs == e).all(axis=1))[0])
                 for e in np.eye(self.N, dtype=int)]
 
-    def copy(self) -> "TorusEmbedding":
-        return TorusEmbedding(J=self.J, M=self.M, Q=self.Q,
-                              omega=self.omega.copy(),
-                              coeffs=self.coeffs.copy())
-
 
 def _on_modes(emb: TorusEmbedding, E: np.ndarray,
               C: np.ndarray) -> np.ndarray:
@@ -424,9 +419,8 @@ def refine_torus(emb: TorusEmbedding, system: TruncatedSystem,
                      + (fund if with_omega else []))
 
     def embedding(x: np.ndarray) -> TorusEmbedding:
-        return TorusEmbedding(
-            J=emb.J, M=emb.M, Q=emb.Q,
-            omega=(x[2 * size:] if with_omega else emb.omega).copy(),
+        return replace(
+            emb, omega=(x[2 * size:] if with_omega else emb.omega).copy(),
             coeffs=x[:size] + 1j * x[size:2 * size])
 
     def residual(x: np.ndarray) -> np.ndarray:
@@ -513,8 +507,8 @@ def _kg_torus(emb_nls: TorusEmbedding, rep_nls: RefineReport, R: float,
         raise RuntimeError(f"NLS torus did not converge: {rep_nls.message}")
     J, M = emb_nls.J, emb_nls.M
     model = build_model(c, J, M, R)
-    kg_seed = emb_nls.copy()
-    kg_seed.omega = emb_nls.omega - c * c
+    kg_seed = replace(emb_nls, omega=emb_nls.omega - c * c,
+                      coeffs=emb_nls.coeffs.copy())
     # -omega_KG - lambda_J = -omega_NLS - nu_J (lambda_J = c^2 + nu_J),
     # which does not cancel c^2
     xi_kg = bateman_inverse(model) @ (-emb_nls.omega - model.nu_J)

@@ -160,7 +160,7 @@ def test_lie_transform_reproduces_normal_form():
     P = build_P(ft)
     nf = solve_cohomological_quartic(P, ft, J)
     Lam = build_Lambda(ft)
-    H = lie_transform(Lam + P, nf.G, max_deg=4)
+    H = lie_transform(Lam + P, nf.G)
     target = Lam + nf.Lambda_plus + nf.P_hat
     deg4 = (H - target).restrict(lambda m: len(m) <= 4)
     assert deg4.max_abs_coeff() < 1e-12

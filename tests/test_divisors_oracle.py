@@ -342,10 +342,10 @@ def test_s_classes_match_scalar_reference(c):
         assert seen == set(S_CLASSES)
 
 
-@pytest.mark.parametrize("c,kmax", [(25.0, None), (25.0, 4), (100.0, None)])
-def test_nongauge_scan_matches_per_pair_reference(c, kmax):
+@pytest.mark.parametrize("c,kappa", [(25.0, 0.5), (25.0, 0.8), (100.0, 0.5)])
+def test_nongauge_scan_matches_per_pair_reference(c, kappa):
     model = build_model(c, J3, 12, 1e-2)
-    rep = nongauge_scan(model, kappa=0.5, kmax=kmax)
+    rep = nongauge_scan(model, kappa=kappa)
     n_pairs, best, arg, s8_rows = ref_nongauge(model, rep["kmax"])
     assert rep["pairs"] == n_pairs
     assert rep["argmin"] == arg
@@ -410,7 +410,7 @@ def test_nongauge_scan_skips_only_pairs_above_its_minima(c):
     # is counted, and only pairs strictly above both minima are skipped
     model = build_model(c, J3, 12, 1e-2)
     with mock.patch.object(divisors, "_BLOCK", 500):
-        rep, built = scan_with_spy(model, kappa=0.5, kmax=4)
+        rep, built = scan_with_spy(model, kappa=4.5 / math.sqrt(c))
     best, s8_best = assert_is_ref_nongauge(model, rep)
     seen = {p for pairs in built for p in pairs}
     assert len(built) > 1 and 0 < len(seen) < rep["pairs"]

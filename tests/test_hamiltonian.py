@@ -126,7 +126,7 @@ def test_vector_field_matches_finite_difference():
         # divided by the bump, gives the same complex derivative
         for bump in (eps, 1j * eps):
             for comp, rate, want in (("zbar", -1j, dz), ("z", 1j, dzb)):
-                pert = st_.copy()
+                pert = FourierState(st_.z.copy(), st_.zbar.copy())
                 getattr(pert, comp)[j + 3] += bump
                 fd = (P.value(pert) - P.value(st_)) / bump
                 assert abs(rate * fd - want[j + 3]) < 1e-6

@@ -25,6 +25,7 @@ system's tables; `ref_integrate` reads its traces from
 """
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -311,8 +312,8 @@ def test_analytic_jacobian_matches_central_differences(mode, kind, c, J, M,
                                    ((1,), 16, 240.0), ((1, 2), 4, 240.0)])
 def test_refined_kg_torus_matches_forward_difference_solve(J, M, c):
     emb_nls, emb_kg, rep_nls, rep_kg = matched_torus_pair(1e-2, c, J, M, 3)
-    seed = emb_nls.copy()
-    seed.omega = emb_nls.omega - c * c
+    seed = replace(emb_nls, omega=emb_nls.omega - c * c,
+                   coeffs=emb_nls.coeffs.copy())
     kg = TruncatedSystem(kind="kg", M=M, c=c)
     # tol below the solve's 1e-10, so that the reference's own stopping
     # error stays well inside the bound below
@@ -373,6 +374,12 @@ _PHI = np.random.default_rng(16).uniform(0.0, 2.0 * math.pi, 33)
 Z_ALL = FourierState.from_modes(16, {
     j: 0.01 * np.exp(1j * phi) / (1 + abs(j))
     for j, phi in zip(range(-16, 17), _PHI)})
+# Z_ALL at 30 times the amplitude: at 0.01 and 0.1 the stage increments
+# stay below the ulp of each mode and both steps agree bit for bit, at 0.3
+# the folded step's rounding reaches the state
+Z_LARGE = FourierState.from_modes(16, {
+    j: 0.3 * np.exp(1j * phi) / (1 + abs(j))
+    for j, phi in zip(range(-16, 17), _PHI)})
 
 
 def test_nls_integrate_matches_two_component_step():
@@ -397,10 +404,14 @@ def test_nls_integrate_matches_two_component_step():
 
 @pytest.mark.parametrize("kind,c,z0", [("kg", 10.0, Z0),
                                         ("nls", None, Z_ALL),
-                                        ("kg", 10.0, Z_ALL)],
-                         ids=["kg", "nls-all-modes", "kg-all-modes"])
+                                        ("kg", 10.0, Z_ALL),
+                                        ("nls", None, Z_LARGE),
+                                        ("kg", 10.0, Z_LARGE)],
+                         ids=["kg", "nls-all-modes", "kg-all-modes",
+                              "nls-large", "kg-large"])
 def test_integrate_matches_two_component_step(kind, c, z0):
-    # measured 3.6e-20 max|z0| for KG on Z0, and 0 on Z_ALL
+    # measured 3.6e-20 max|z0| for KG on Z0, 0 on Z_ALL, and 5.3e-16 (NLS)
+    # and 2.6e-15 (KG) on Z_LARGE, which must differ to show the rounding
     system = TruncatedSystem(kind=kind, M=16, c=c)
     T = 2100 * default_dt(system)
     frame_dt = 250 * default_dt(system)
@@ -408,8 +419,11 @@ def test_integrate_matches_two_component_step(kind, c, z0):
     ref, ref_zbar = ref_integrate(system, z0, T=T, frame_dt=frame_dt)
     assert np.array_equal(rec.times, ref.times)
     scale = np.max(np.abs(z0.z))
-    assert np.max(np.abs(rec.z - ref.z)) <= 1e-13 * scale
+    err = np.max(np.abs(rec.z - ref.z))
+    assert err <= 1e-13 * scale
     assert np.max(np.abs(np.conj(rec.z) - ref_zbar)) <= 1e-13 * scale
+    if z0 is Z_LARGE:
+        assert err > 0
 
 
 # --- the stacked RK4 step of the normal-form flow --------------------------
