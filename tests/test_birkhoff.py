@@ -166,6 +166,21 @@ def test_lie_transform_reproduces_normal_form():
     assert deg4.max_abs_coeff() < 1e-12
 
 
+def test_lie_transform_truncates_at_degree_six():
+    # with G quartic, the degree-6 part of e^{ad_G}(Lambda + P) is
+    # {P, G} + {{Lambda, G}, G} / 2, and every higher term is dropped
+    ft = FrequencyTable(c=10.0, M=4)
+    P = build_P(ft)
+    nf = solve_cohomological_quartic(P, ft, J)
+    Lam = build_Lambda(ft)
+    H = lie_transform(Lam + P, nf.G)
+    assert H.degrees == (2, 6)
+    want = poisson_bracket(P, nf.G) \
+        + poisson_bracket(poisson_bracket(Lam, nf.G), nf.G).scale(0.5)
+    deg6 = (H - want).restrict(lambda m: len(m) == 6)
+    assert deg6.max_abs_coeff() < 1e-12 * want.max_abs_coeff()
+
+
 def test_solve_rejects_modes_outside_window():
     ft = FrequencyTable(c=10.0, M=4)
     with pytest.raises(ValueError, match="outside the window"):

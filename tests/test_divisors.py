@@ -279,6 +279,14 @@ def test_nongauge_scan_positive_floor():
         assert rep["min_over_c2"] > 0.5
 
 
+@pytest.mark.parametrize("c,kappa,kmax", [(4.0, 0.3, 1), (25.0, 0.5, 2),
+                                          (25.0, 0.8, 4)])
+def test_nongauge_scan_kmax_is_kappa_sqrt_c_at_least_one(c, kappa, kmax):
+    # |k|_1 <= kappa sqrt(c), rounded down, and never below 1
+    rep = nongauge_scan(build_model(c, J3, 8, 1e-2), kappa=kappa)
+    assert rep["kmax"] == kmax and rep["pairs"] > 0
+
+
 def test_k0_floor_positive():
     # the k = 0 divisors, sums of normal frequencies over every ell in
     # Z_M, stay above a positive floor over the box

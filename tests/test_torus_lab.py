@@ -11,6 +11,7 @@ from kgnls.hamiltonian import build_Lambda, build_P, build_P_nls, vector_field
 from kgnls.kam_schedule import predicted_bounds
 from kgnls.spectral_core import FourierState, FrequencyTable, SpaceParams
 from kgnls.torus_lab import (TorusEmbedding, TruncatedSystem, _harmonics,
+                             _kg_torus, _nls_torus,
                              default_dt, gauge_distance, integrate,
                              invariance_defect, linear_torus, load_record,
                              matched_torus_pair, normal_form_torus,
@@ -283,6 +284,31 @@ def test_refine_converges_from_perturbed_seed():
     assert invariance_defect(out, system) < 1e-12
     # the held amplitude survived the solve
     assert abs(out.coeffs[out.fundamentals[0]].real - R) < 1e-12
+
+
+@pytest.mark.parametrize("mode", ["fixed_frequency", "fixed_amplitude"])
+def test_refine_leaves_its_seed_unchanged(mode):
+    R = 1e-2
+    omega = np.array([-0.5 - 3.0 / (8.0 * math.pi) * R * R + 1e-5])
+    emb = linear_torus(np.array([R * R]), (1,), 8, 2, omega)
+    coeffs0, omega0 = emb.coeffs.copy(), emb.omega.copy()
+    out, _ = refine_torus(emb, TruncatedSystem(kind="nls", M=8), mode=mode)
+    assert np.array_equal(emb.coeffs, coeffs0)
+    assert np.array_equal(emb.omega, omega0)
+    assert not np.shares_memory(out.coeffs, emb.coeffs)
+    assert not np.shares_memory(out.omega, emb.omega)
+
+
+def test_kg_torus_leaves_the_nls_torus_unchanged():
+    # the KG seed overwrites its fundamental amplitudes with the KG
+    # first-order ones, which differ from the NLS torus's at J = (2,)
+    R, c = 1e-2, 160.0
+    emb_nls, rep_nls = _nls_torus(R, (2,), 8, 3)
+    coeffs0 = emb_nls.coeffs.copy()
+    emb_kg, _ = _kg_torus(emb_nls, rep_nls, R, c)
+    assert np.array_equal(emb_nls.coeffs, coeffs0)
+    s = emb_nls.fundamentals[0]
+    assert abs(abs(emb_kg.coeffs[s]) - abs(coeffs0[s])) > 1e-6
 
 
 def test_matched_pair_and_gauge_distance():
