@@ -26,8 +26,8 @@ Callers reduce the (points x pairs) values in blocks of points, so that
 no temporary of the kernel holds more than `_BLOCK` values (512 KiB of
 float64).  The kernel computes them along the longer axis: pair-major
 (grad @ xi.T, returned as a transposed view) when the points outnumber
-the pairs, as in the resonant-set hits, and point-major otherwise, as in
-the corner scans of `nongauge_scan`; the two agree to a few ulps.
+the pairs, as in the resonant-set hits, and point-major otherwise; the
+two agree to a few ulps.
 
 Resonant-set hits (`_hits`) take points inside the model's amplitude box
 [xi_lo, xi_hi], as `sample_xi` draws them, and per-pair thresholds, and
@@ -39,13 +39,18 @@ range into a lower bound on |divisor|, less a rounding margin of 1e-12
 (|const| + <|g|, max |xi|> + |<delta, k>|); a pair whose floor exceeds its
 threshold has no hit anywhere in the box and is dropped.
 
-`nongauge_scan` evaluates only the pairs that can reach its minima: on the
-box |divisor| >= |L| rest - u_k - u_ell, where u_k = |<nu_J, k>| +
-<|A k|, max |xi|> + |<delta, k>| and u_ell = sum_a |ell_a| (|nu_a| +
-<|B_a|, max |xi|>).  Less the floor's margin this bounds the computed
-|divisor|, so a pair whose bound exceeds the running minimum (and the S8
-one, for an S8 pair) can neither undercut nor tie it: it is counted and
-classified unevaluated, and the minima and their first pairs are exact.
+`nongauge_scan` lists no k row's pairs but those it may evaluate.  It
+counts per (k row, charge sum(ell)) class, by cumulative sums over the
+row's run of the slot table; an S8 ell has charge +-2 and needs
+|sum(k)| >= 3 of the other sign, so one `_s_codes` call on the slot table
+finds them all.  On the box |divisor| >= |L| rest - u_k - u_ell, where
+u_k = |<nu_J, k>| + <|A k|, max |xi|> + |<delta, k>| and u_ell =
+sum_a |ell_a| (|nu_a| + <|B_a|, max |xi|>); less the floor's margin this
+bounds the computed |divisor|, and a class takes it at its largest u_ell.
+The classes of the smallest bound, overall and S8, seed the two minima;
+then only the pairs whose own bound does not exceed them are evaluated.
+A pair left out can neither undercut nor tie a minimum, so the minima and
+their first pairs in enumeration order are exact.
 
 Work that does not depend on alpha is done once per model and kept in the
 model's memo (`FrequencyModel._memo`), which lives and dies with the
@@ -92,21 +97,19 @@ def _slots(J, M: int, ks: np.ndarray
     """
     J = np.sort(np.asarray(J, dtype=int))
     mom = ks @ J
-    m = np.arange(mom.min(initial=0), mom.max(initial=0) + 1)
-    normal = ~np.isin(np.arange(-M, M + 1), J)
-
-    def admissible(n):
-        inside = np.abs(n) <= M
-        return inside & normal[np.where(inside, n + M, 0)]
-
+    m = np.arange(mom.min(initial=0), mom.max(initial=0) + 1)[:, None]
+    # per n in -W..W, W = M + max |m| (|a| <= W for every support below):
+    # whether n is a normal mode of -M..M
+    W = M + int(np.abs(m).max())
+    n = np.arange(-W, W + 1)
+    normal = (np.abs(n) <= M) & (n[:, None] != J).all(axis=1)
     v = np.array([1, -1, 2, -2])
-    a1 = -m[:, None] // v
+    a1 = -m // v
     a2 = np.repeat(np.arange(-M, M + 1), 4)
     s1, s2 = np.tile([(1, 1), (1, -1), (-1, 1), (-1, -1)], (2 * M + 1, 1)).T
-    b = (-m[:, None] - s1 * a2) * s2
-    valid = np.hstack([(m == 0)[:, None],
-                       (m[:, None] % np.abs(v) == 0) & admissible(a1),
-                       normal[a2 + M] & (b > a2) & admissible(b)])
+    b = (-m - s1 * a2) * s2
+    valid = np.hstack([m == 0, (m % np.abs(v) == 0) & normal[a1 + W],
+                       normal[a2 + W] & (b > a2) & normal[b + W]])
     pad = np.zeros((len(m), 1), dtype=int)
     first = np.hstack([pad, a1, np.broadcast_to(a2, b.shape)])
     second = np.hstack([pad, 0 * a1, b])
@@ -114,7 +117,8 @@ def _slots(J, M: int, ks: np.ndarray
     at = np.stack([first[mi, slot], second[mi, slot]], axis=1)
     val = np.stack([np.concatenate([[0], v, s1]),
                     np.concatenate([[0], 0 * v, s2])], axis=1)[slot]
-    count, i, zero = np.bincount(mi, minlength=len(m)), mom - m[0], ~ks.any(1)
+    count, i, zero = np.bincount(mi, minlength=len(m)), mom - m[0, 0], \
+        ~ks.any(1)
     return count[i] - zero, (np.cumsum(count) - count)[i] + zero, at, val
 
 
@@ -298,11 +302,6 @@ class _Divisors:
                         self.ks.astype(float)[:, :, None])[..., 0]
         return out if X.ndim == 2 else out[:, 0]
 
-    def pair(self, i: int) -> IndexPair:
-        return make_pair(self.ks[self.kidx[i]],
-                         _ells(self.at[i:i + 1], self.val[i:i + 1])[0],
-                         self.model.J)
-
     def rows(self, keep: np.ndarray) -> "_Divisors":
         """Only the pairs `keep` selects, over only the k rows they use."""
         sub = copy.copy(self)
@@ -350,20 +349,27 @@ class _Divisors:
         return query.alpha / (kb[k1][self.kidx] * self.w ** query.theta)
 
 
+def _runs(rows: np.ndarray, n: np.ndarray, start: np.ndarray
+          ) -> tuple[np.ndarray, np.ndarray]:
+    """Per pair of the k rows `rows`, k-major in slot order: its row and
+    its slot-table entry, from the per-row `n` and `start` of `_slots`."""
+    kidx = np.repeat(rows, n[rows])
+    return kidx, np.repeat(start[rows] - np.cumsum(n[rows]) + n[rows],
+                           n[rows]) + np.arange(len(kidx))
+
+
 def _tables(model: FrequencyModel, kmax: int, kmin: int = 0):
     """(ks, kidx, at, val) per block of _BLOCK // 32 momentum-zero pairs
-    over the k rows with kmin <= |k|_1 <= kmax: the one loop over the
-    pairs.  `ks` holds the rows from the block's first pair to its last, so
-    a row's pairs may straddle two blocks."""
+    over the k rows with kmin <= |k|_1 <= kmax: the block loop of
+    `cantor_excision`.  `ks` holds the rows from the block's first pair to
+    its last, so a row's pairs may straddle two blocks."""
     ks = _k_rows(model.N, kmax)
     ks = ks[np.abs(ks).sum(axis=1) >= kmin]
     n, start, at, val = _slots(model.J, model.M, ks)
-    kidx = np.repeat(np.arange(len(ks)), n)   # per pair, its k row
-    shift = start - (np.cumsum(n) - n)   # slot-table entry less pair index
+    kidx, entry = _runs(np.arange(len(ks)), n, start)
     for lo in range(0, len(kidx), _BLOCK // 32):
-        rows = kidx[lo:lo + _BLOCK // 32]
-        entry = shift[rows] + np.arange(lo, lo + len(rows))
-        yield ks[rows[0]:rows[-1] + 1], rows - rows[0], at[entry], val[entry]
+        rows, e = kidx[lo:lo + _BLOCK // 32], entry[lo:lo + _BLOCK // 32]
+        yield ks[rows[0]:rows[-1] + 1], rows - rows[0], at[e], val[e]
 
 
 def _blocks(n: int, width: int):
@@ -385,13 +391,6 @@ def _hits(div: _Divisors, floor: np.ndarray, xi: np.ndarray,
             vals = div(xi[s])
             hit[s] = (np.abs(vals, out=vals) < thr).any(axis=1)
     return hit
-
-
-def _min_abs(div: _Divisors, xi: np.ndarray) -> np.ndarray:
-    """Per pair: min |divisor| over the points, point-major unless the
-    pairs are fewer (at the box corners of the scans, fewer than 2^N)."""
-    return np.min([np.abs(div(xi[s])).min(axis=0)
-                   for s in _blocks(len(xi), len(div.val))], axis=0)
 
 
 def divisor(model: FrequencyModel, xi, pair: IndexPair) -> float:
@@ -472,55 +471,106 @@ def nongauge_scan(model: FrequencyModel, kappa: float = 0.5) -> dict:
     restrictions |k|_1 <= kappa sqrt(c) and supp(ell) within [-c/2, c/2],
     at the amplitude-box corners.  Returns min |divisor| / c^2, its pair,
     and the number of S8-class pairs with the S8 row of the smallest
-    min |divisor| / c^2 (None when there is none).  A pair whose charge
-    bound (module docstring) exceeds the running minima is counted and
-    classified, not evaluated: it can neither undercut nor tie them."""
-    c = model.c
+    min |divisor| / c^2 (None when there is none).  The pairs are counted
+    per (k row, charge) class and evaluated only where their charge bound
+    can reach the minima (module docstring); each arg-min is the first
+    pair in enumeration order at its minimum."""
+    c, M, rest = model.c, model.M, model.freq.rest
     kmax = max(1, int(kappa * math.sqrt(c)))
+    ks = _k_rows(model.N, kmax)
+    n, start, at, val = _slots(model.J, M, ks)
     corners = model.xi_corners()
     xmax = np.maximum(np.abs(model.xi_lo), np.abs(model.xi_hi))
-    u_ell = np.zeros(2 * model.M + 1)   # per mode of -M..M, for one |ell_a|
-    u_ell[model.normal_modes + model.M] = np.abs(model.nu_Jc) \
+    u_ell = np.zeros(2 * M + 1)   # per mode of -M..M, for one |ell_a|
+    u_ell[model.normal_modes + M] = np.abs(model.nu_Jc) \
         + np.abs(model.B) @ xmax
-    best, arg, n_pairs = math.inf, None, 0
-    s8_best, s8_row, s8_count = math.inf, None, 0
-    for ks, kidx, at, val in _tables(model, kmax):
-        ksum = ks.sum(axis=1)[kidx]
-        L = ksum + val[:, 0] + val[:, 1]
-        keep = (L != 0) & (np.abs(at) <= c / 2).all(axis=1)
-        n_pairs += int(np.count_nonzero(keep))
-        s8 = keep & (_s_codes(ksum, at, val, c) == _CODE["S8"])
-        s8_count += int(np.count_nonzero(s8))
-        u_k = np.abs(ks @ model.nu_J) + np.abs(ks @ model.A.T) @ xmax \
-            + (0 if model.delta is None else np.abs(ks @ model.delta))
-        u = u_k[kidx] + np.abs(val[:, 0]) * u_ell[at[:, 0] + model.M] \
-            + np.abs(val[:, 1]) * u_ell[at[:, 1] + model.M]
-        charge = np.abs(L) * model.freq.rest
-        low = (charge - u - 1e-12 * (charge + u)) / (c * c)
-        need = keep & ((low <= best) | (s8 & (low <= s8_best)))
-        if not need.any():
-            continue
-        div = _Divisors(model, ks, kidx[need], at[need], val[need])
-        mins = _min_abs(div, corners) / (c * c)
-        # first minima in enumeration order, strict < across blocks
-        i = int(np.argmin(mins))
-        if mins[i] < best:
-            best, pair = float(mins[i]), div.pair(i)
-            arg = {"k": list(pair.k), "ell": dict(pair.ell)}
-        s8 = np.flatnonzero(s8[need])
-        i = int(s8[np.argmin(mins[s8])]) if len(s8) else None
-        if i is not None and mins[i] < s8_best:
-            pair = div.pair(i)
-            s8_best, loc = float(mins[i]), s8_localization(pair, c)
-            s8_row = {"k": list(pair.k), "ell": dict(pair.ell),
+    # per slot: its charge sum(ell) + 2, its u_ell and, inside |a| <= c/2,
+    # a flag per charge, then S8 (an S8 ell of charge +-2 needs sum(k) of
+    # the other sign and |sum(k)| >= 3) for the charges 2 and -2
+    q = val.sum(axis=1) + 2
+    u_l = (np.abs(val) * u_ell[at + M]).sum(axis=1)
+    inside = (np.abs(at) <= c / 2).all(axis=1)
+    s8 = _s_codes(-3 * val[:, 0], at, val, c) == _CODE["S8"]
+    flags = np.column_stack([q == i for i in range(5)]
+                            + [s8 & (q == 4), s8 & (q == 0)]) \
+        & inside[:, None]
+    run = np.cumsum(np.vstack([np.zeros(7, dtype=int), flags]), axis=0)
+    count = run[start + n] - run[start]   # per k row and flag
+    ksum = ks.sum(axis=1)
+    L = ksum[:, None] + np.arange(-2, 3)
+    count[:, :5][L == 0] = 0
+    n8 = count[:, 5] * (ksum <= -3) + count[:, 6] * (ksum >= 3)
+    u_k = np.abs(ks @ model.nu_J) + np.abs(ks @ model.A.T) @ xmax \
+        + (0 if model.delta is None else np.abs(ks @ model.delta))
+
+    def bound(L, u):   # / c^2, less the floor's margin
+        charge = np.abs(L) * rest
+        return (charge - u - 1e-12 * (charge + u)) / (c * c)
+
+    # per (k row, charge) class: the bound at the largest u_ell of the
+    # slots of its momentum and charge, and the same for its S8 pairs
+    mom = ks @ np.asarray(model.J)
+    umax = np.zeros((mom.max() - mom.min() + 1, 5))
+    np.maximum.at(umax, (-(at * val).sum(axis=1) - mom.min(), q),
+                  np.where(inside, u_l, 0.0))
+    low = np.where(count[:, :5] > 0,
+                   bound(L, u_k[:, None] + umax[mom - mom.min()]), np.inf)
+    low8 = np.where(n8 > 0, low[np.arange(len(ks)), 4 * (ksum < 0)],
+                    np.inf)
+
+    def pairs(rows):   # the counted pairs of the k rows, k-major
+        kidx, entry = _runs(rows, n, start)
+        Lp = ksum[kidx] + q[entry] - 2
+        kept = inside[entry] & (Lp != 0)
+        kidx, entry, Lp = kidx[kept], entry[kept], Lp[kept]
+        s8 = flags[entry, 5] & (ksum[kidx] <= -3) \
+            | flags[entry, 6] & (ksum[kidx] >= 3)
+        return kidx, entry, s8, bound(Lp, u_k[kidx] + u_l[entry])
+
+    def mins(take):   # per pair of `take`: min |divisor| / c^2
+        rows = ks[kidx[take]]
+        div = _Divisors(model, rows, np.arange(len(rows)), at[entry[take]],
+                        val[entry[take]])
+        return np.min([np.abs(div(corners[s])).min(axis=0) for s
+                       in _blocks(len(corners), len(rows))], axis=0) / (c * c)
+
+    def pair(i):
+        return make_pair(ks[kidx[i]], _ells(at[entry[i]][None],
+                                            val[entry[i]][None])[0], model.J)
+
+    best = arg = s8_row = None
+    if np.isfinite(low).any():
+        # seed both minima: the class of the smallest bound, and the S8
+        # pairs of the S8 class of the smallest bound
+        (r, charge), r8 = divmod(int(np.argmin(low)), 5), np.argmin(low8)
+        kidx, entry, s8, _ = pairs(np.array([r, r8]))
+        take = ((kidx == r) & (q[entry] == charge)) | s8
+        m = mins(take)
+        best = m.min()
+        s8_best = m[s8[take]].min() if s8.any() else -math.inf
+        # then every pair whose bound does not exceed them, k-major
+        kidx, entry, s8, low = pairs(np.flatnonzero(
+            (low <= best).any(axis=1) | (low8 <= s8_best)))
+        need = (low <= best) | (s8 & (low <= s8_best))
+        kidx, entry, s8 = kidx[need], entry[need], s8[need]
+        m = np.concatenate([mins(slice(i, i + _BLOCK // 32))
+                            for i in range(0, len(kidx), _BLOCK // 32)])
+        i = int(np.argmin(m))
+        best, p = float(m[i]), pair(i)
+        arg = {"k": list(p.k), "ell": dict(p.ell)}
+        if s8.any():
+            i = int(np.flatnonzero(s8)[np.argmin(m[s8])])
+            s8_best, p = float(m[i]), pair(i)
+            loc = s8_localization(p, c)
+            s8_row = {"k": list(p.k), "ell": dict(p.ell),
                       "center": loc["center"], "min_over_c2": s8_best,
                       "offsets": {str(a): v for a, v
                                   in loc["offsets"].items()}}
-    if n_pairs and best <= 0:
-        raise ArithmeticError("non-gauge divisor minimum is not positive")
-    return {"c": c, "kmax": kmax, "kappa": kappa, "pairs": n_pairs,
-            "min_over_c2": (best if n_pairs else None), "argmin": arg,
-            "s8_count": s8_count, "s8_argmin": s8_row}
+        if best <= 0:
+            raise ArithmeticError("non-gauge divisor minimum is not positive")
+    return {"c": c, "kmax": kmax, "kappa": kappa,
+            "pairs": int(count[:, :5].sum()), "min_over_c2": best,
+            "argmin": arg, "s8_count": int(n8.sum()), "s8_argmin": s8_row}
 
 
 def _excision_tables(model: FrequencyModel, K_cut: int, kmax: int

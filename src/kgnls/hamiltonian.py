@@ -239,10 +239,18 @@ class PolyHamiltonian:
                 cols.append(list(map(mode.__getitem__, j[:, -1].tolist())))
             if d == 0:
                 cols.append([""] * len(rows))
-            # distinct by their 16 bytes, so -0.0 is not 0.0
-            uniq, inv = np.unique(coefs.view("V16"), return_inverse=True)
+            # distinct by their two 8-byte halves, so -0.0 is not 0.0,
+            # sorted by two argsorts of int64 like those of `_reduce`
+            half = np.ascontiguousarray(coefs).view(np.int64).reshape(-1, 2)
+            order = np.argsort(half[:, 1])
+            order = order[np.argsort(half[order, 0], kind="stable")]
+            h = half[order]
+            new = np.ones(len(h), dtype=bool)
+            new[1:] = (h[1:, 0] != h[:-1, 0]) | (h[1:, 1] != h[:-1, 1])
+            inv = np.empty(len(h), dtype=int)
+            inv[order] = np.cumsum(new) - 1
             text = [repr(c.real) if c.imag == 0 else repr(c).strip("()")
-                    for c in uniq.view(complex).tolist()]
+                    for c in coefs[order[new]].tolist()]
             cols.append(list(map(text.__getitem__, inv.tolist())))
             lines.extend(map(" ".join, zip(*cols)))
         return "\n".join(lines) + ("\n" if lines else "")

@@ -9,8 +9,12 @@ scalar per-pair classifier that the array classifier replaced.  They share
 with the kernel only the model and the enumeration.  `ref_by_k` and
 `ref_table_threshold` are the kernel's former per-k-row loops, which its
 products with k and its thresholds must match bit for bit.
+`exhaustive_nongauge` is the non-gauge scan without its charge bound: every
+counted pair of `_tables`, classified and evaluated block by block, which
+the scan's report must equal.
 """
 
+import functools
 import math
 from dataclasses import replace
 from unittest import mock
@@ -129,9 +133,17 @@ def ref_pairs(model, k, ells):
 
 def ref_scan_pairs(model, kmax):
     """The non-gauge pairs of the scan in enumeration order, each with its
-    min |divisor| / c^2 over the box corners."""
-    c = model.c
+    min |divisor| / c^2 over the box corners; kept per (c, J, M, R, kmax),
+    so a model without delta is scanned once per session."""
+    assert model.delta is None
+    return _ref_scan_pairs(model.c, model.J, model.M, model.R, kmax)
+
+
+@functools.cache
+def _ref_scan_pairs(c, J, M, R, kmax):
+    model = build_model(c, J, M, R)
     corners = model.xi_corners()
+    out = []
     for k in _k_rows(model.N, kmax):
         for ell in enumerate_ell(k, model.J, model.M):
             if any(abs(a) > c / 2 for a in ell):
@@ -139,8 +151,9 @@ def ref_scan_pairs(model, kmax):
             if int(np.sum(k)) + sum(ell.values()) == 0:
                 continue
             pair = make_pair(k, ell, model.J)
-            yield pair, min(abs(ref_divisor(model, x, pair))
-                            for x in corners) / c**2
+            out.append((pair, min(abs(ref_divisor(model, x, pair))
+                                  for x in corners) / c**2))
+    return tuple(out)
 
 
 def ref_nongauge(model, kmax):
@@ -159,6 +172,68 @@ def ref_nongauge(model, kmax):
                                         in loc["offsets"].items()},
                             "min_over_c2": m})
     return n_pairs, best, arg, s8_rows
+
+
+def table_pair(div, i):
+    """The (k, ell) of pair i of a kernel table."""
+    return make_pair(div.ks[div.kidx[i]],
+                     divisors._ells(div.at[i:i + 1], div.val[i:i + 1])[0],
+                     div.model.J)
+
+
+def scan_kmax(c, kappa):
+    return max(1, int(kappa * math.sqrt(c)))
+
+
+def exhaustive_tables(model, kappa):
+    """Per block of `_tables`: the kernel table of the scan's counted pairs
+    (L != 0, supp(ell) within [-c/2, c/2]), their min |divisor| / c^2 at
+    the box corners and their S8 flags from `_s_codes`, with no bound."""
+    c = model.c
+    for ks, kidx, at, val in divisors._tables(model, scan_kmax(c, kappa)):
+        ksum = ks.sum(axis=1)[kidx]
+        keep = (ksum + val.sum(axis=1) != 0) \
+            & (np.abs(at) <= c / 2).all(axis=1)
+        s8 = divisors._s_codes(ksum, at, val, c)[keep] \
+            == S_CLASSES.index("S8")
+        div = divisors._Divisors(model, ks, kidx[keep], at[keep], val[keep])
+        yield div, np.abs(div(model.xi_corners())).min(axis=0) / c**2, s8
+
+
+def exhaustive_nongauge(model, kappa):
+    """`nongauge_scan`'s report from every counted pair: the minima and
+    their first pairs in enumeration order over `exhaustive_tables`."""
+    c = model.c
+    best = s8_best = math.inf
+    arg = s8_pair = None
+    n_pairs = s8_count = 0
+    for div, mins, s8 in exhaustive_tables(model, kappa):
+        n_pairs, s8_count = n_pairs + len(mins), s8_count + int(s8.sum())
+        if len(mins) and mins.min() < best:
+            i = int(np.argmin(mins))
+            best, pair = float(mins[i]), table_pair(div, i)
+            arg = {"k": list(pair.k), "ell": dict(pair.ell)}
+        if s8.any() and mins[s8].min() < s8_best:
+            i = int(np.flatnonzero(s8)[np.argmin(mins[s8])])
+            s8_best, s8_pair = float(mins[i]), table_pair(div, i)
+    if n_pairs and best <= 0:
+        raise ArithmeticError("non-gauge divisor minimum is not positive")
+    row = None
+    if s8_pair is not None:
+        loc = s8_localization(s8_pair, c)
+        row = {"k": list(s8_pair.k), "ell": dict(s8_pair.ell),
+               "center": loc["center"], "min_over_c2": s8_best,
+               "offsets": {str(a): v for a, v in loc["offsets"].items()}}
+    return {"c": c, "kmax": scan_kmax(c, kappa), "kappa": kappa,
+            "pairs": n_pairs, "min_over_c2": best if n_pairs else None,
+            "argmin": arg, "s8_count": s8_count, "s8_argmin": row}
+
+
+def scan_or_error(scan, model, kappa):
+    try:
+        return scan(model, kappa)
+    except ArithmeticError as err:
+        return str(err)
 
 
 # --- strategies ------------------------------------------------------------
@@ -361,13 +436,35 @@ def test_nongauge_scan_matches_per_pair_reference(c, kappa):
     assert got == want
 
 
+SCAN_MODELS = [(J3, c, 12) for c in (2.0, 25.0, 100.0, 400.0, 1600.0)] \
+    + [(J3, 400.0, 24), ((1, 2, 3, 5), 100.0, 12)]
+
+
+@pytest.mark.parametrize("J,c,M", SCAN_MODELS,
+                         ids=[f"N{len(J)}-c{c:g}-M{M}"
+                              for J, c, M in SCAN_MODELS])
+@pytest.mark.parametrize("kappa", [0.5, 0.8])
+@pytest.mark.parametrize("centred", [False, True])
+def test_nongauge_scan_is_the_exhaustive_scan(J, c, M, kappa, centred):
+    model = build_model(c, J, M, 1e-2)
+    if centred:   # a divisor of charge -1 vanishes at the box centre
+        k = (1, -1) + (0,) * (len(J) - 2)
+        model = center_pair_correction(model, make_pair(k, {-1: -1}, J))
+    rep = scan_or_error(nongauge_scan, model, kappa)
+    assert rep == scan_or_error(exhaustive_nongauge, model, kappa)
+    if centred and c == 1600.0:   # it vanishes at a corner
+        assert rep == "non-gauge divisor minimum is not positive"
+    else:
+        assert rep["pairs"] > 0 and rep["min_over_c2"] > 0
+
+
 @pytest.mark.parametrize("c", [25.0, 100.0])
-def test_nongauge_scan_is_the_same_across_block_boundaries(c):
-    # +-(k, ell) tie exactly, so the first minimum must survive the blocks
+def test_nongauge_scan_is_the_same_across_chunk_boundaries(c):
+    # +-(k, ell) tie exactly, so the first minimum must survive the chunks
     model = build_model(c, J3, 12, 1e-2)
-    with mock.patch.object(divisors, "_BLOCK", 2000):   # 62 pairs a block
-        small = nongauge_scan(model, kappa=0.5)
-        assert len(list(divisors._tables(model, small["kmax"]))) > 1
+    with mock.patch.object(divisors, "_BLOCK", 32 * 4):   # 4 pairs a chunk
+        small, built = scan_with_spy(model, kappa=0.5)
+    assert len(built) > 2   # the seed and more than one chunk
     assert small == nongauge_scan(model, kappa=0.5)
 
 
@@ -378,7 +475,7 @@ def scan_with_spy(model, **kw):
 
     def spy(div, *args):
         init(div, *args)
-        built.append([div.pair(i) for i in range(len(div.val))])
+        built.append([table_pair(div, i) for i in range(len(div.val))])
 
     with mock.patch.object(divisors._Divisors, "__init__", spy):
         return nongauge_scan(model, **kw), built
@@ -406,14 +503,14 @@ def assert_is_ref_nongauge(model, rep):
 def test_nongauge_scan_skips_only_pairs_above_its_minima(c):
     # at c = 2 and 3 only the supports -1 and 0 pass |a| <= c/2, and the
     # charge bound of the smallest divisor comes within 1e-4 of its value,
-    # so a bound that overshoots drops it.  Over 15-pair blocks every pair
-    # is counted, and only pairs strictly above both minima are skipped
+    # so a bound that overshoots drops it.  Every pair is counted, and only
+    # pairs strictly above both minima are left unbuilt
     model = build_model(c, J3, 12, 1e-2)
-    with mock.patch.object(divisors, "_BLOCK", 500):
+    with mock.patch.object(divisors, "_BLOCK", 500):   # 15 pairs a chunk
         rep, built = scan_with_spy(model, kappa=4.5 / math.sqrt(c))
     best, s8_best = assert_is_ref_nongauge(model, rep)
     seen = {p for pairs in built for p in pairs}
-    assert len(built) > 1 and 0 < len(seen) < rep["pairs"]
+    assert 0 < sum(map(len, built)) < rep["pairs"]
     for pair, m in ref_scan_pairs(model, rep["kmax"]):
         if pair not in seen:
             assert m > best
@@ -421,17 +518,23 @@ def test_nongauge_scan_skips_only_pairs_above_its_minima(c):
                 assert m > s8_best
 
 
-def test_nongauge_scan_builds_few_pairs_past_its_first_block():
-    # at c = 100 the first block already holds the scan's minimum, and a
-    # pair of charge |L| sits near |L| c^2: past that block only the few
-    # charge-one pairs within reach of the minimum are built
-    model = build_model(100.0, J3, 12, 1e-2)
+@pytest.mark.parametrize("c,share", [(100.0, 0.01), (400.0, 0.01),
+                                     (6400.0, 0.001)])
+def test_nongauge_scan_builds_few_pairs(c, share):
+    # a pair of charge |L| sits near |L| c^2, and the seeded minima leave
+    # only the few charge-one pairs whose bound reaches them
+    model = build_model(c, J3, 12, 1e-2)
     rep, built = scan_with_spy(model, kappa=0.5)
-    assert_is_ref_nongauge(model, rep)
-    assert sum(map(len, built)) < rep["pairs"]
-    past = rep["pairs"] - len(built[0])
-    assert past > 4000
-    assert sum(map(len, built[1:])) < 0.05 * past
+    assert rep == exhaustive_nongauge(model, 0.5)
+    if c == 100.0:
+        assert_is_ref_nongauge(model, rep)
+    assert sum(map(len, built)) < share * rep["pairs"]
+    # every pair at or below a minimum was built
+    best, s8_best = rep["min_over_c2"], rep["s8_argmin"]["min_over_c2"]
+    seen = {p for pairs in built for p in pairs}
+    for div, mins, s8 in exhaustive_tables(model, 0.5):
+        for i in np.flatnonzero((mins <= best) | (s8 & (mins <= s8_best))):
+            assert table_pair(div, i) in seen
 
 
 def test_both_kernel_orientations_agree_on_a_full_block():
