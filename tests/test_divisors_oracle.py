@@ -134,7 +134,7 @@ def ref_pairs(model, k, ells):
 def ref_scan_pairs(model, kmax):
     """The non-gauge pairs of the scan in enumeration order, each with its
     min |divisor| / c^2 over the box corners; kept per (c, J, M, R, kmax),
-    so a model without delta is scanned once per session."""
+    so a model without delta is scanned once per test run."""
     assert model.delta is None
     return _ref_scan_pairs(model.c, model.J, model.M, model.R, kmax)
 
