@@ -390,21 +390,24 @@ _FITS = {"measure": ("measure_fit.json", "slope", "predicted_slope"),
 
 def _report(run_dirs, out_path) -> None:
     """Aggregate fitted exponents from run directories against the
-    predicted ones their artifacts record, with each run's status."""
+    predicted ones their artifacts record, with each run's status;
+    `unreadable` where its manifest or fit artifact cannot be read."""
     rows = [["experiment", "run", "fitted", "predicted", "status"]]
     for d in map(pathlib.Path, run_dirs):
         if not (d / "manifest.json").exists():
             print(f"skipped (no manifest): {d}", file=sys.stderr)
             continue
-        man = json.loads((d / "manifest.json").read_text())
-        exp = man["experiment"]
-        fitted, pred = "", ""
-        if exp in _FITS and (d / _FITS[exp][0]).exists():
-            name, fit_key, pred_key = _FITS[exp]
-            doc = json.loads((d / name).read_text())
-            fitted = doc[fit_key]
-            pred = doc.get(pred_key, "")
-        rows.append([exp, str(d), fitted, pred, man.get("status", "")])
+        exp = fitted = pred = ""
+        try:
+            man = json.loads((d / "manifest.json").read_text())
+            exp, status = man["experiment"], man.get("status", "")
+            if exp in _FITS and (d / _FITS[exp][0]).exists():
+                name, fit_key, pred_key = _FITS[exp]
+                doc = json.loads((d / name).read_text())
+                fitted, pred = doc[fit_key], doc.get(pred_key, "")
+        except (ValueError, KeyError, TypeError):   # truncated or malformed
+            status = "unreadable"
+        rows.append([exp, str(d), fitted, pred, status])
     with contextlib.nullcontext(sys.stdout) if out_path == "-" \
             else open(out_path, "w") as fh:
         csv.writer(fh).writerows(rows)

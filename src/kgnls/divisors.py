@@ -1,6 +1,6 @@
 """Small-divisor machinery: enumeration of the momentum-zero index pairs
-(k, ell), the S-class taxonomy, divisor evaluation, Monte-Carlo resonant
-measure estimates, and the non-gauge lower-bound scans.
+(k, ell), divisor evaluation, Monte-Carlo resonant measure estimates, and
+the non-gauge lower-bound scans.
 
 Index classes (k an integer vector over J, ell sparse over J^c, |ell|_1 <= 2):
     Z2  : |ell|_1 <= 2
@@ -22,12 +22,10 @@ stacked matmuls over the k rows, taken once per table and gathered per
 pair.  delta is the model's constant tangential-frequency shift, if any.
 The Schrodinger family is the same kernel on the c = inf model
 (`frequencies.nls_model`: rest = 0, nu = j^2/2, A and B without weights).
-Callers reduce the (points x pairs) values in blocks of points, so that
-no temporary of the kernel holds more than `_BLOCK` values (512 KiB of
-float64).  The kernel computes them along the longer axis: pair-major
-(grad @ xi.T, returned as a transposed view) when the points outnumber
-the pairs, as in the resonant-set hits, and point-major otherwise; the
-two agree to a few ulps.
+The kernel computes pair-major, grad @ xi.T, and returns the (points x
+pairs) values as a transposed view; callers reduce them in blocks of
+points, so that no temporary of the kernel holds more than `_BLOCK`
+values (512 KiB of float64).
 
 Resonant-set hits (`_hits`) take points inside the model's amplitude box
 [xi_lo, xi_hi], as `sample_xi` draws them, and per-pair thresholds, and
@@ -41,12 +39,15 @@ threshold has no hit anywhere in the box and is dropped.
 
 `nongauge_scan` lists no k row's pairs but those it may evaluate.  It
 counts per (k row, charge sum(ell)) class, by cumulative sums over the
-row's run of the slot table; an S8 ell has charge +-2 and needs
-|sum(k)| >= 3 of the other sign, so one `_s_codes` call on the slot table
-finds them all.  On the box |divisor| >= |L| rest - u_k - u_ell, where
-u_k = |<nu_J, k>| + <|A k|, max |xi|> + |<delta, k>| and u_ell =
-sum_a |ell_a| (|nu_a| + <|B_a|, max |xi|>); less the floor's margin this
-bounds the computed |divisor|, and a class takes it at its largest u_ell.
+row's run of the slot table.  It also reports the S8 pairs, the sum class
+with opposite gauge sign: ell = +-(e_i + e_j) with i, j nonzero and of
+opposite signs, and L != 0 of the other sign than ell (`_s8`).  An S8 ell
+has charge +-2 and needs |sum(k)| >= 3 of the other sign, so one `_s8`
+call on the slot table finds them all.  On the box
+|divisor| >= |L| rest - u_k - u_ell, where u_k = |<nu_J, k>| +
+<|A k|, max |xi|> + |<delta, k>| and u_ell = sum_a |ell_a| (|nu_a| +
+<|B_a|, max |xi|>); less the floor's margin this bounds the computed
+|divisor|, and a class takes it at its largest u_ell.
 The classes of the smallest bound, overall and S8, seed the two minima;
 then only the pairs whose own bound does not exceed them are evaluated.
 A pair left out can neither undercut nor tie a minimum, so the minima and
@@ -69,9 +70,6 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .frequencies import FrequencyModel, nls_model
-
-S_CLASSES = ("S0", "S1", "S2", "S4", "S5", "S6", "S7", "S8")
-_CODE = {tag: i for i, tag in enumerate(S_CLASSES)}
 
 
 def _k_rows(N: int, kmax: int) -> np.ndarray:
@@ -183,42 +181,14 @@ def _supports(ells) -> tuple[np.ndarray, np.ndarray]:
     return flat[..., 0], flat[..., 1]
 
 
-def _s_codes(ksum, at: np.ndarray, val: np.ndarray, c: float
-             ) -> np.ndarray:
-    """S-class codes, indices into S_CLASSES, of momentum-zero pairs
-    (k, ell), per pair sum(k) = ksum and ell given by its (P, 2) support
-    `at`, `val` (0 pads).  -1 marks ell = 0, which carries no class; the
-    classes partition all ell != 0.
-
-    S0: supp(ell) = {i} or {i, 0}.
-    Otherwise supp(ell) = {i, j}, |i| <= |j|, both nonzero, and
-    Difference class (ell_i ell_j = -1):
-        S1: sgn(i) != sgn(j)
-        S2: same signs, |i| <= |j|/2
-        S5: same signs, |i| > |j|/2, |i| >= c^3
-        S4: every other same-sign pair: |j|/2 < |i| < c^3.
-    Sum class (ell_i ell_j = +1), with the gauge charge L = ksum + sum ell:
-        S6: L = 0 or sgn(L) = sgn(ell_i)
-        S7: sgn(L) = -sgn(ell_i), sgn(i) = sgn(j)
-        S8: sgn(L) = -sgn(ell_i), sgn(i) != sgn(j).
-    """
-    # supports pad at the end: val[:, 0] = 0 is ell = 0 and
-    # val[:, 1] = 0 a single support.  Later assignments take precedence.
-    v0, v1 = val.T
-    a0, a1 = np.abs(at).T
-    lo, hi = np.minimum(a0, a1), np.maximum(a0, a1)
-    same = (at[:, 0] > 0) == (at[:, 1] > 0)
-    diff = v0 * v1 == -1
+def _s8(ksum, at: np.ndarray, val: np.ndarray) -> np.ndarray:
+    """Per pair (k, ell), sum(k) = ksum and ell given by its (P, 2) support
+    `at`, `val` (0 pads): whether it is S8, ell_i ell_j = +1 on nonzero
+    indices of opposite signs, with L = ksum + sum(ell) nonzero and of the
+    other sign than ell."""
+    (v0, v1), (a0, a1) = val.T, at.T
     L = ksum + v0 + v1
-    code = np.where(same, _CODE["S7"], _CODE["S8"])
-    code[(L == 0) | ((L > 0) == (v0 > 0))] = _CODE["S6"]
-    code[diff] = _CODE["S4"]
-    code[diff & (lo >= c ** 3)] = _CODE["S5"]
-    code[diff & (lo <= hi / 2)] = _CODE["S2"]
-    code[diff & ~same] = _CODE["S1"]
-    code[(v1 == 0) | (a0 == 0) | (a1 == 0)] = _CODE["S0"]
-    code[v0 == 0] = -1
-    return code
+    return (v0 * v1 == 1) & (a0 * a1 < 0) & (L != 0) & ((L > 0) != (v0 > 0))
 
 
 def s8_localization(pair: IndexPair, c: float) -> dict:
@@ -303,12 +273,10 @@ class _Divisors:
         return out if X.ndim == 2 else out[:, 0]
 
     def rows(self, keep: np.ndarray) -> "_Divisors":
-        """Only the pairs `keep` selects, over only the k rows they use."""
+        """Only the pairs `keep` selects, over the same k rows."""
         sub = copy.copy(self)
         for name in self.ROWS:
             setattr(sub, name, getattr(self, name)[keep])
-        used, sub.kidx = np.unique(sub.kidx, return_inverse=True)
-        sub.ks = self.ks[used]
         return sub
 
     def frozen(self) -> "_Divisors":
@@ -318,11 +286,6 @@ class _Divisors:
         return self
 
     def __call__(self, xi: np.ndarray) -> np.ndarray:
-        if len(xi) <= len(self.grad):
-            out = xi @ self.grad.T
-            out += self.const
-            out += self.dk
-            return out
         out = self.grad @ xi.T
         out += self.const[:, None]
         out += self.dk[:, None]
@@ -380,9 +343,8 @@ def _blocks(n: int, width: int):
 def _hits(div: _Divisors, floor: np.ndarray, xi: np.ndarray,
           thr: np.ndarray) -> np.ndarray:
     """Per point: whether any pair of `div` is below its threshold `thr`.
-    The points must lie in the model's amplitude box: only the pairs whose
-    `floor` there (`div.floor()`) does not exceed their threshold are
-    evaluated, pair-major when they are fewer than the points."""
+    The points must lie in the model's amplitude box: only the pairs
+    whose `floor` there, `div.floor()`, is at most `thr` are evaluated."""
     keep = floor <= thr
     hit = np.zeros(len(xi), dtype=bool)
     if keep.any():
@@ -418,7 +380,6 @@ class MeasureResult:
     samples: int
     seed: int
     hits: int
-    n_ell: int
 
 
 def sample_xi(model: FrequencyModel, n: int, seed: int) -> np.ndarray:
@@ -462,8 +423,7 @@ def measure_estimate_mc(model: FrequencyModel, k, query: ResonantQuery,
     hits = int(np.count_nonzero(_hits(div, div.floor(), xi, thr)))
     lo, hi = wilson_interval(hits, query.samples)
     return MeasureResult(fraction=hits / query.samples, ci_lo=lo, ci_hi=hi,
-                         samples=query.samples, seed=query.seed,
-                         hits=hits, n_ell=len(ells))
+                         samples=query.samples, seed=query.seed, hits=hits)
 
 
 def nongauge_scan(model: FrequencyModel, kappa: float = 0.5) -> dict:
@@ -490,7 +450,7 @@ def nongauge_scan(model: FrequencyModel, kappa: float = 0.5) -> dict:
     q = val.sum(axis=1) + 2
     u_l = (np.abs(val) * u_ell[at + M]).sum(axis=1)
     inside = (np.abs(at) <= c / 2).all(axis=1)
-    s8 = _s_codes(-3 * val[:, 0], at, val, c) == _CODE["S8"]
+    s8 = _s8(-3 * val[:, 0], at, val)
     flags = np.column_stack([q == i for i in range(5)]
                             + [s8 & (q == 4), s8 & (q == 0)]) \
         & inside[:, None]
@@ -615,13 +575,16 @@ def center_pair_correction(model: FrequencyModel,
                            pair: IndexPair) -> FrequencyModel:
     """Copy of the model with a constant tangential-frequency correction
     delta chosen so the given pair's divisor vanishes at the centre of the
-    amplitude box.  This realizes the generic situation of the measure
-    estimates (a resonant surface crossing the box); the uncorrected
-    divisors of a truncated model typically sit at O(1) offsets."""
+    amplitude box, composed with the model's own delta, if any.  This
+    realizes the generic situation of the measure estimates (a resonant
+    surface crossing the box); the uncorrected divisors of a truncated
+    model typically sit at O(1) offsets."""
     k = np.array(pair.k, dtype=float)
     k2 = float(k @ k)
     if k2 == 0:
         raise ValueError("centering requires k != 0")
     center = 0.5 * (model.xi_lo + model.xi_hi)
     d = divisor(model, center, pair)
-    return replace(model, delta=(-d / k2) * k)
+    shift = (-d / k2) * k
+    return replace(model, delta=shift if model.delta is None
+                   else model.delta + shift)

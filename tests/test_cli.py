@@ -394,6 +394,34 @@ def test_report_leaves_missing_prediction_blank(cli, tmp_path):
     assert row[3] == ""
 
 
+def test_report_lists_unreadable_runs(cli, tmp_path):
+    out = tmp_path / "sched"
+    assert cli(["schedule", "--out", str(out)]).exit_code == 0
+    text = (out / "manifest.json").read_text()
+    bad = {name: tmp_path / name
+           for name in ("cut", "anonymous", "list", "fit")}
+    for d in bad.values():
+        d.mkdir()
+    # a manifest cut off mid-write, one without `experiment`, one that is
+    # not a JSON object, and a run whose fit artifact was cut off mid-write
+    (bad["cut"] / "manifest.json").write_text(text[:len(text) // 2])
+    man = json.loads(text)
+    del man["experiment"]
+    (bad["anonymous"] / "manifest.json").write_text(json.dumps(man))
+    (bad["list"] / "manifest.json").write_text("[]")
+    (bad["fit"] / "manifest.json").write_text(text)
+    fit = (out / "schedule.json").read_text()
+    (bad["fit"] / "schedule.json").write_text(fit[:len(fit) // 2])
+    res = cli(["report", *map(str, bad.values()), str(out)])
+    assert res.exit_code == 0, res.stderr
+    lines = res.stdout.strip().splitlines()
+    assert lines[1:5] == [f",{bad['cut']},,,unreadable",
+                          f",{bad['anonymous']},,,unreadable",
+                          f",{bad['list']},,,unreadable",
+                          f"schedule,{bad['fit']},,,unreadable"]
+    assert lines[5].startswith(f"schedule,{out},") and lines[5].endswith(",ok")
+
+
 # Each must exit 2 with a one-line message and write nothing.
 INVALID = [
     ("measure", {"k": [0, 0, 0]}),

@@ -1,4 +1,4 @@
-"""Divisor enumeration, classification, and resonant-set measures."""
+"""Divisor enumeration, S8 localization, and resonant-set measures."""
 
 import itertools
 import math
@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from kgnls import divisors
-from kgnls.divisors import (ResonantQuery, S_CLASSES,
+from kgnls.divisors import (ResonantQuery,
                             cantor_excision, center_pair_correction,
                             divisor, enumerate_ell, make_pair,
                             measure_estimate_mc, nongauge_scan,
@@ -28,21 +28,6 @@ def small_model(c=10.0, M=20, R=1e-2):
 def one_pair(model, pair):
     """The divisor table of one pair."""
     return divisors._Divisors.of(model, pair.k, [pair.ell_dict])
-
-
-def s_tags(ksum, at, val, c):
-    """The S-class tags of `_s_codes`, "" for its code -1 (ell = 0)."""
-    return np.array(S_CLASSES + ("",))[divisors._s_codes(ksum, at, val, c)]
-
-
-def pair_tags(J, M, kmax, c):
-    """(k, ell, S-class tag) over the momentum-zero pairs with ell != 0."""
-    return [(k, ell, str(t))
-            for ks, kidx, at, val in divisors._tables(
-                build_model(c, J, M, 1e-2), kmax)
-            for k, ell, t in zip(ks[kidx], divisors._ells(at, val),
-                                 s_tags(ks.sum(axis=1)[kidx], at, val, c))
-            if ell]
 
 
 def brute_force_ells(k, J, M):
@@ -134,25 +119,14 @@ def test_ell_support_must_lie_in_the_normal_modes():
             == model.w_Jc[list(model.normal_modes).index(a)]
 
 
-def test_classification_is_total_and_exclusive():
-    tags = pair_tags(J3, 20, 1, 10.0)
-    assert tags and all(tag in S_CLASSES for _, _, tag in tags)
-
-
-def test_classification_examples():
+def test_s8_localization_centres_on_c_x_L():
     c = 4.0
-    # single support -> S0
-    at, val = divisors._supports([{-1: 1}])
-    assert s_tags(1, at, val, c).tolist() == ["S0"]
-    # every taxonomy branch is reachable in a broad momentum-zero sweep
-    labels = {}
-    for k, ell, tag in pair_tags(J3, 40, 3, c):
-        labels.setdefault(tag, make_pair(k, ell, J3))
-    assert {"S0", "S1", "S2", "S6"} <= set(labels)
-    if "S8" in labels:
-        p = labels["S8"]
-        loc = s8_localization(p, c)
-        assert set(loc["offsets"]) == set(p.ell_dict)
+    p = make_pair((-3, 0, 0), {-5: 1, 7: 1}, J3)   # L = -1
+    loc = s8_localization(p, c)
+    assert loc["x_L"] == math.sqrt(0.5 * 2.5)
+    assert loc["center"] == c * loc["x_L"]
+    assert loc["offsets"] == {-5: abs(loc["center"] - 5),
+                              7: abs(loc["center"] - 7)}
 
 
 def test_divisor_affine_in_xi():
@@ -232,6 +206,18 @@ def test_center_correction_zeroes_divisor():
     assert np.array_equal(omega0(centered, xi_c),
                           omega0(model, xi_c) + centered.delta)
     assert np.array_equal(Omega0(centered, xi_c), Omega0(model, xi_c))
+
+
+def test_center_correction_composes_with_the_models_delta():
+    # a second correction, on the same pair or on another, keeps the
+    # first one's delta and zeroes its own pair's divisor
+    model = small_model()
+    first = make_pair((1, -1, 0), {-1: -1}, J3)
+    xi_c = 0.5 * (model.xi_lo + model.xi_hi)
+    for pair in (first, make_pair((1, -1, 0), {5: 1, -5: -1}, J3)):
+        twice = center_pair_correction(center_pair_correction(model, first),
+                                       pair)
+        assert abs(divisor(twice, xi_c, pair)) < 1e-9
 
 
 def test_mc_fraction_monotone_in_alpha():

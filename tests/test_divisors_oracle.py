@@ -4,8 +4,8 @@ The references below are the per-pair, per-sample loops the kernel
 replaced: a divisor is <omega0(xi), k> + <Omega0(xi), ell> summed with
 fsum from the frequency maps of `kgnls.frequencies` (the Schrodinger maps
 j^2/2 + N xi are written out here), one point and one pair at a time, and
-the scans loop over the k rows x `enumerate_ell`; the S-class rule is the
-scalar per-pair classifier that the array classifier replaced.  They share
+the scans loop over the k rows x `enumerate_ell`; the S8 test is checked
+against a scalar per-pair classifier of every S-class.  They share
 with the kernel only the model and the enumeration.  `ref_by_k` and
 `ref_table_threshold` are the kernel's former per-k-row loops, which its
 products with k and its thresholds must match bit for bit.
@@ -25,7 +25,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from kgnls import divisors
-from kgnls.divisors import (S_CLASSES, ResonantQuery, _k_rows,
+from kgnls.divisors import (ResonantQuery, _k_rows,
                             cantor_excision, center_pair_correction,
                             divisor, enumerate_ell, make_pair,
                             measure_estimate_mc, nongauge_scan,
@@ -188,14 +188,13 @@ def scan_kmax(c, kappa):
 def exhaustive_tables(model, kappa):
     """Per block of `_tables`: the kernel table of the scan's counted pairs
     (L != 0, supp(ell) within [-c/2, c/2]), their min |divisor| / c^2 at
-    the box corners and their S8 flags from `_s_codes`, with no bound."""
+    the box corners and their S8 flags from `_s8`, with no bound."""
     c = model.c
     for ks, kidx, at, val in divisors._tables(model, scan_kmax(c, kappa)):
         ksum = ks.sum(axis=1)[kidx]
         keep = (ksum + val.sum(axis=1) != 0) \
             & (np.abs(at) <= c / 2).all(axis=1)
-        s8 = divisors._s_codes(ksum, at, val, c)[keep] \
-            == S_CLASSES.index("S8")
+        s8 = divisors._s8(ksum, at, val)[keep]
         div = divisors._Divisors(model, ks, kidx[keep], at[keep], val[keep])
         yield div, np.abs(div(model.xi_corners())).min(axis=0) / c**2, s8
 
@@ -400,21 +399,40 @@ def test_thresholds_are_the_per_k_row_thresholds(tau, theta):
             == ref_table_threshold(div, q).tobytes()
 
 
-@pytest.mark.parametrize("c", [2.0, 25.0, 100.0])
-def test_s_classes_match_scalar_reference(c):
+@pytest.mark.parametrize("c", [2.0, 25.0])
+def test_s8_matches_scalar_reference(c):
     model = build_model(c, J3, 12, 1e-2)
-    seen = set()
+    tags = []
     for ks, kidx, at, val in divisors._tables(model, 4):
-        codes = divisors._s_codes(ks.sum(axis=1)[kidx], at, val, c)
-        for k, ell, code in zip(ks[kidx], divisors._ells(at, val), codes):
-            if not ell:
-                assert code == -1
-                continue
-            pair = make_pair(k, ell, J3)
-            assert S_CLASSES[code] == ref_classify_pair(pair, c)
-            seen.add(S_CLASSES[code])
-    if c == 2.0:   # c^3 = 8 < M, so S5 is reached too
-        assert seen == set(S_CLASSES)
+        s8 = divisors._s8(ks.sum(axis=1)[kidx], at, val)
+        for k, ell, flag in zip(ks[kidx], divisors._ells(at, val), s8):
+            tag = ref_classify_pair(make_pair(k, ell, J3), c) if ell else ""
+            assert flag == (tag == "S8")
+            tags.append(tag)
+    assert {"S0", "S1", "S6", "S7", "S8"} <= set(tags)
+
+
+# ell = +-(e_i + e_j), i and j nonzero and of opposite signs, with L of the
+# other sign than ell, is S8; each other class takes precedence over it
+S8_CASES = [
+    (-3, {-5: 1, 7: 1}, "S8"),
+    (3, {-5: -1, 7: -1}, "S8"),
+    (-3, {0: 1, 7: 1}, "S0"),      # an index 0
+    (-3, {7: 1}, "S0"),            # one index
+    (-2, {-5: 1, 7: 1}, "S6"),     # L = 0
+    (-1, {-5: 1, 7: 1}, "S6"),     # L of the sign of ell
+    (-3, {5: 1, 7: 1}, "S7"),      # same-sign indices
+    (-3, {-5: 1, 7: -1}, "S1"),    # the difference class
+    (3, {-5: -1, 7: 1}, "S1"),
+]
+
+
+@pytest.mark.parametrize("ksum,ell,tag", S8_CASES)
+def test_s8_is_the_sum_class_of_opposite_gauge_sign(ksum, ell, tag):
+    k = (ksum, 0, 0)
+    assert ref_classify_pair(make_pair(k, ell, J3), 4.0) == tag
+    at, val = divisors._supports([ell])
+    assert divisors._s8(ksum, at, val).tolist() == [tag == "S8"]
 
 
 @pytest.mark.parametrize("c,kappa", [(25.0, 0.5), (25.0, 0.8), (100.0, 0.5)])
@@ -537,24 +555,6 @@ def test_nongauge_scan_builds_few_pairs(c, share):
             assert table_pair(div, i) in seen
 
 
-def test_both_kernel_orientations_agree_on_a_full_block():
-    # the blocks of _tables hold _BLOCK // 32 pairs; over one full block of
-    # the criterion-06 model the pair-major values (more points than pairs)
-    # agree with the point-major ones (64 points at a time) to a few ulps
-    model = criterion_06_model()
-    ks, kidx, at, val = next(divisors._tables(model, 3))
-    div = divisors._Divisors(model, ks, kidx, at, val)
-    assert len(div.val) == divisors._BLOCK // 32
-    xi = sample_xi(model, len(div.val) + 1, 6)
-    pair_major = div(xi)
-    assert pair_major.flags.f_contiguous   # the transposed view
-    for s in range(0, len(xi), 64):
-        point_major = div(xi[s:s + 64])
-        assert point_major.flags.c_contiguous
-        assert np.all(np.abs(pair_major[s:s + 64] - point_major)
-                      <= 4 * np.spacing(np.abs(point_major)))
-
-
 def test_cantor_excision_is_the_same_across_block_boundaries():
     model = center_pair_correction(build_model(10.0, J3, 20, 1e-2),
                                    make_pair((1, -1, 0), {-1: -1}, J3))
@@ -583,9 +583,9 @@ def criterion_06_model():
                                   make_pair((1, -1, 0), {-1: -1}, J3))
 
 
-def test_pair_major_divisors_are_the_point_major_ones():
+def test_divisors_at_many_points_are_those_at_each_point():
     # the hits evaluate the two pairs left by the prune over many points
-    # pair-major; per point the kernel takes them point-major
+    # at once; they must be the values at one point at a time
     model = criterion_06_model()
     xi = sample_xi(model, 2_000, 4)
     (div, floor), _ = divisors._excision_tables(model, 0, 2)[0]
