@@ -14,11 +14,11 @@ rotation is exact, at dt = 0.4 / lambda_max by default, a stage being one
 dressed cube and one multiply-add with folded coefficients.  Frames are taken
 at fixed times k frame_dt and at the end time.  A trajectory is one
 (frames, 2M+1) array of z rows, and `frames.bin` one structured array of
-(t, z, zbar) records; the normal-form flow steps [z, zbar] with `_rk4`.
+(t, z, zbar) records; the normal-form flow is plain RK4 on [z, zbar].
 A torus stores one coefficient per harmonic q, on its momentum support
-q . J (translation equivariance, which the KG dressing keeps), and is
-refined by Gauss-Newton over that support with the closed-form Jacobian
-of the collocated invariance residual.
+q . J (translation equivariance, which the KG dressing keeps), in the frame
+rotating at the rest energy (`_speeds`), and is refined by Gauss-Newton over
+that support with the closed-form Jacobian of the collocated residual.
 """
 
 from __future__ import annotations
@@ -57,7 +57,7 @@ class TruncatedSystem:
             raise ValueError("the KG system needs a positive finite c")
         ft = FrequencyTable(c=self.c if self.kind == "kg" else math.inf,
                             M=self.M)
-        self._lam = ft.lam
+        self._lam, self._nu, self._rest = ft.lam, ft.nu, ft.rest
         self._sw = np.sqrt(ft.w)
         # the field is kappa w^{-1/2} (cube of the dressed state)
         self._kappa = (-1j if self.kind == "kg" else -3j) / (8.0 * math.pi)
@@ -86,16 +86,12 @@ class TruncatedSystem:
                ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Energy (quadratic plus quartic), mass and momentum at each row of
         z, a (frames, 2M+1) array of real states (zbar = conj(z), so the KG
-        dressing g is Hermitian, as `_cube` needs)."""
+        dressing g is Hermitian, as `_cube` needs).  The quartic is Euler's
+        H4 = (1/2) Re sum zbar dH4/dzbar, dH4/dzbar = i `nonlinear_rhs`."""
         zbar = np.conj(z)
         j = np.arange(-self.M, self.M + 1, dtype=float)
-        if self.kind == "kg":
-            quart = [np.sum(r * _cube(r)[::-1]) / (32.0 * math.pi)
-                     for r in self._dress(z)]
-        else:
-            quart = [3.0 / (16.0 * math.pi)
-                     * np.sum(np.convolve(a, a) * np.convolve(b, b))
-                     for a, b in zip(z, zbar)]
+        quart = [0.5 * np.sum(b * 1j * self.nonlinear_rhs(a))
+                 for a, b in zip(z, zbar)]
         quad = np.sum(self._lam * z * zbar, axis=1)
         return ((quad + quart).real, np.sum(z * zbar, axis=1).real,
                 np.sum(j * z * zbar, axis=1).real)
@@ -115,15 +111,6 @@ def default_dt(system: TruncatedSystem) -> float:
     return 0.4 / system.fastest_frequency
 
 
-def _rk4(f, y: np.ndarray, h: float) -> np.ndarray:
-    """One classical Runge-Kutta step of dy/dt = f(y)."""
-    k1 = f(y)
-    k2 = f(y + 0.5 * h * k1)
-    k3 = f(y + 0.5 * h * k2)
-    k4 = f(y + h * k3)
-    return y + h / 6.0 * (k1 + 2 * k2 + 2 * k3 + k4)
-
-
 # `integrate` warns (or, when strict, raises) above this dt * lambda_max.
 # Below it dt * lambda_j <= 0.8 and the KG phase dt * 2 c^2 <= 1.6 stay
 # under 2 pi, where no exponential can resonate
@@ -140,6 +127,18 @@ def _lawson_coefficients(system: TruncatedSystem, h: float) -> tuple:
             0.5 * hk, hk * half, hk / 6 * half * half, hk / 3 * half, hk / 6)
 
 
+def _rk4_step(f, z, half, full, A1, A2, A3, B1, B2, B3) -> np.ndarray:
+    """One RK4 step over the stage function f: Lawson's with the rotations
+    and stage coefficients of `_lawson_coefficients`, classical RK4 with
+    half = full = 1, A = (h/2, h/2, h) and B = (h/6, h/3, h/6)."""
+    zh, zf = half * z, full * z
+    c1 = f(z)
+    c2 = f(zh + A1 * c1)
+    c3 = f(zh + A2 * c2)
+    c4 = f(zf + A3 * c3)
+    return zf + (B1 * c1 + B2 * (c2 + c3) + B3 * c4)
+
+
 def _parts(length: float, step: float) -> int:
     """The number of pieces of at most `step` that `length` splits into; a
     quotient within 1e-9 above an integer counts as that integer."""
@@ -149,12 +148,12 @@ def _parts(length: float, step: float) -> int:
 def integrate(system: TruncatedSystem, z0: FourierState, T: float,
               dt: float | None = None, frame_dt: float | None = None,
               strict: bool = False) -> SimulationRecord:
-    """Lawson RK4 from 0 to T (RK4 on e^{i Lambda t} z, one `_dressed_cube`
-    per stage, coefficients of `_lawson_coefficients`), with a frame at each
-    k frame_dt < T and at T, and the energy, mass and momentum traces there.
-    Each interval between frames takes ceil(interval / dt) equal steps, so
-    no step is longer than dt and every frame lands on its time.  dt
-    defaults to `default_dt`, frame_dt to 5 / lambda_max.
+    """Lawson RK4 from 0 to T (RK4 on e^{i Lambda t} z: `_rk4_step` over
+    `_dressed_cube` with the coefficients of `_lawson_coefficients`), with a
+    frame at each k frame_dt < T and at T, and the energy, mass and momentum
+    traces there.  Each interval between frames takes ceil(interval / dt)
+    equal steps, so no step is longer than dt and every frame lands on its
+    time.  dt defaults to `default_dt`, frame_dt to 5 / lambda_max.
     The state must be real (zbar = conj(z)) and on the system's window;
     only z is stepped.  T, dt and frame_dt must be finite and positive."""
     if not z0.real_representation():
@@ -183,15 +182,10 @@ def integrate(system: TruncatedSystem, z0: FourierState, T: float,
     for length in [frame_dt] * (len(times) - 2) + [T - times[-2]]:
         if length not in steppers:
             n = _parts(length, dt)
-            steppers[length] = (n, *_lawson_coefficients(system, length / n))
-        n, half, full, A1, A2, A3, B1, B2, B3 = steppers[length]
+            steppers[length] = (n, _lawson_coefficients(system, length / n))
+        n, coeffs = steppers[length]
         for _ in range(n):
-            zh, zf = half * z, full * z
-            c1 = cube(z)
-            c2 = cube(zh + A1 * c1)
-            c3 = cube(zh + A2 * c2)
-            c4 = cube(zf + A3 * c3)
-            z = zf + (B1 * c1 + B2 * (c2 + c3) + B3 * c4)
+            z = _rk4_step(cube, z, *coeffs)
         frames.append(z.copy())
     frames = np.array(frames)
     return SimulationRecord(times, frames, *system.traces(frames))
@@ -223,7 +217,9 @@ class TorusEmbedding:
     support: coeffs[s] = C_q of the z-component sits on the single mode
     k_q = q . J, for the s-th harmonic q of `_harmonics(N, Q)` with
     |k_q| <= M (rows `qs`, modes `modes`).  The conjugate component follows
-    from the reality constraint zbar(theta) = conj(z(theta))."""
+    from the reality constraint zbar(theta) = conj(z(theta)).  omega is
+    given in the frame rotating at the rest energy, c^2 for a KG torus, so
+    its angles flow at omega - c^2 and it shares omega with its NLS match."""
     J: tuple[int, ...]
     M: int
     Q: int
@@ -255,6 +251,17 @@ class TorusEmbedding:
                 for e in np.eye(self.N, dtype=int)]
 
 
+def _speeds(emb: TorusEmbedding, rest: float) -> np.ndarray:
+    """q . omega + rest (1 - sum q): each harmonic's angular speed in the
+    frame rotating at `rest` (c^2 for KG, 0 for NLS)."""
+    return emb.qs @ emb.omega + rest * (1 - emb.qs.sum(axis=1))
+
+
+def _symbol(emb: TorusEmbedding, system: TruncatedSystem) -> np.ndarray:
+    """i (nu_k + speed) per harmonic: the residual's linear part on C."""
+    return 1j * (system._nu[emb.modes + emb.M] + _speeds(emb, system._rest))
+
+
 def _on_modes(emb: TorusEmbedding, E: np.ndarray,
               C: np.ndarray) -> np.ndarray:
     """sum_s E[a, s] C[s] e_{k_s}: the values at the angle rows of E
@@ -275,15 +282,17 @@ def linear_torus(xi, J, M: int, Q: int, omega) -> TorusEmbedding:
 # --- normal-form torus -----------------------------------------------------
 
 def flow_time1(G, state: FourierState, steps: int = 64) -> FourierState:
-    """Time-1 flow of the polynomial field X_G by fixed-step RK4 on the
-    stacked [z, zbar]; raises if |z| leaves the ball of 10 times its
-    starting radius."""
+    """Time-1 flow of the polynomial field X_G by fixed-step RK4
+    (`_rk4_step` with unit rotations) on the stacked [z, zbar]; raises if
+    |z| leaves the ball of 10 times its starting radius."""
     from .hamiltonian import vector_field
 
     y = np.array([state.z, state.zbar])
     limit = 10.0 * max(float(np.max(np.abs(state.z))), 1e-12)
+    h = 1.0 / steps
+    coeffs = (1.0, 1.0, h / 2, h / 2, h, h / 6, h / 3, h / 6)
     for _ in range(steps):
-        y = _rk4(lambda u: vector_field(G, u), y, 1.0 / steps)
+        y = _rk4_step(lambda u: vector_field(G, u), y, *coeffs)
         if np.max(np.abs(y[0])) > limit:
             raise RuntimeError("flow escaped the analyticity ball")
     return FourierState(*y)
@@ -328,13 +337,12 @@ def _collocation_angles(N: int, Q: int) -> np.ndarray:
 def invariance_residual(emb: TorusEmbedding,
                         system: TruncatedSystem) -> np.ndarray:
     """Stacked z-component residual omega . d_theta U - X(U) at the
-    collocation angles (complex array, angle-major)."""
+    collocation angles (complex array, angle-major); its linear part is one
+    scatter of `_symbol` times C."""
     E = _phases(_collocation_angles(emb.N, emb.Q), emb.qs)
     Z = _on_modes(emb, E, emb.coeffs)
-    dZ = _on_modes(emb, E, 1j * (emb.qs @ emb.omega) * emb.coeffs)
-    fZ = np.array([system.nonlinear_rhs(z) for z in Z]) \
-        - 1j * system.linear_freqs * Z
-    return (dZ - fZ).ravel()
+    return (_on_modes(emb, E, _symbol(emb, system) * emb.coeffs)
+            - np.array([system.nonlinear_rhs(z) for z in Z])).ravel()
 
 
 def invariance_defect(emb: TorusEmbedding, system: TruncatedSystem) -> float:
@@ -360,8 +368,7 @@ def _invariance_jacobian(emb: TorusEmbedding, system: TruncatedSystem,
         KG : P_a[m, k] = 3 kappa (g_a * g_a)_{m-k} / sqrt(w_m w_k),
              Q_a[m, k] = 3 kappa (g_a * g_a)_{m+k} / sqrt(w_m w_k)
     Only the columns k = k_s enter: dr_a[m] = sum_s K dC_s + L conj(dC_s),
-        K[a, m, s] = E[a, s] (i (lambda_m + q_s . omega) delta_{m, k_s}
-                              - P_a[m, k_s]),
+        K[a, m, s] = E[a, s] (symbol_s delta_{m, k_s} - P_a[m, k_s]),
         L[a, m, s] = -conj(E[a, s]) Q_a[m, k_s].
     """
     M, k = emb.M, emb.modes
@@ -378,8 +385,7 @@ def _invariance_jacobian(emb: TorusEmbedding, system: TruncatedSystem,
         P = 2.0 * kappa * _conv_rows(z, np.conj(z)[:, ::-1])[:, minus]
         Qk = kappa * _conv_rows(z, z)[:, plus]
     K = -E[:, None, :] * P                                 # [a, m, s]
-    lin = 1j * (system.linear_freqs[k + M] + emb.qs @ emb.omega)
-    K[:, k + M, np.arange(len(k))] += E * lin
+    K[:, k + M, np.arange(len(k))] += E * _symbol(emb, system)
     L = -np.conj(E)[:, None, :] * Qk
     rows = K.shape[0] * K.shape[1]
     cols = [(K + L).reshape(rows, -1), (1j * (K - L)).reshape(rows, -1)]
@@ -468,14 +474,14 @@ def gauge_distance(emb_kg: TorusEmbedding, emb_nls: TorusEmbedding,
                    n_samples: int = 512) -> tuple[np.ndarray, float]:
     """Trace and sup over t in linspace(0, T, n_samples) of the weighted norm
     of e^{i c^2 t} z^KG(t) - z^NLS(t) at Sobolev exponent p - 4 sigma, each
-    torus evaluated along its own angle flow theta = omega t."""
+    harmonic turning at its `_speeds` (rest c^2 for KG, 0 for NLS)."""
     times = np.linspace(0.0, T, n_samples)
 
-    def orbit(emb: TorusEmbedding) -> np.ndarray:
-        return _on_modes(emb, _phases(np.outer(times, emb.omega), emb.qs),
-                         emb.coeffs)
+    def orbit(emb: TorusEmbedding, rest: float) -> np.ndarray:
+        E = np.exp(1j * np.outer(times, _speeds(emb, rest)))
+        return _on_modes(emb, E, emb.coeffs)
 
-    diff = np.exp(1j * c * c * times)[:, None] * orbit(emb_kg) - orbit(emb_nls)
+    diff = orbit(emb_kg, c * c) - orbit(emb_nls, 0.0)
     pp = SpaceParams(a=params.a, p=params.p - 4.0 * sigma, beta=params.beta,
                      M=params.M)
     out = seq_norm(diff, pp, FrequencyTable(c=c, M=params.M))
@@ -496,10 +502,9 @@ def _nls_torus(R: float, J: tuple[int, ...], M: int, Q: int
 
 def _kg_torus(emb_nls: TorusEmbedding, rep_nls: RefineReport, R: float,
               c: float) -> tuple[TorusEmbedding, RefineReport]:
-    """The KG torus with exactly the gauge-shifted frequency of the NLS
-    torus (fixed-frequency solve at omega_NLS - c^2 per angle), from the
-    fundamental amplitudes sqrt(xi_KG) with A xi_KG = -omega_KG - lambda_J,
-    solved by `frequencies.bateman_inverse`.
+    """The KG torus at exactly the NLS torus's omega (a fixed-frequency
+    solve; its angles flow at omega - c^2), from the fundamental amplitudes
+    sqrt(xi_KG) with A xi_KG = -omega - nu_J (`frequencies.bateman_inverse`).
     An NLS torus that did not converge, a non-positive xi_KG component (the
     first-order map has no KG torus at that frequency) or a KG solve that
     does not converge raises RuntimeError."""
@@ -507,10 +512,7 @@ def _kg_torus(emb_nls: TorusEmbedding, rep_nls: RefineReport, R: float,
         raise RuntimeError(f"NLS torus did not converge: {rep_nls.message}")
     J, M = emb_nls.J, emb_nls.M
     model = build_model(c, J, M, R)
-    kg_seed = replace(emb_nls, omega=emb_nls.omega - c * c,
-                      coeffs=emb_nls.coeffs.copy())
-    # -omega_KG - lambda_J = -omega_NLS - nu_J (lambda_J = c^2 + nu_J),
-    # which does not cancel c^2
+    kg_seed = replace(emb_nls, coeffs=emb_nls.coeffs.copy())
     xi_kg = bateman_inverse(model) @ (-emb_nls.omega - model.nu_J)
     for s, j, x in zip(kg_seed.fundamentals, J, xi_kg):
         if not x > 0:
@@ -526,16 +528,14 @@ def _kg_torus(emb_nls: TorusEmbedding, rep_nls: RefineReport, R: float,
 
 def matched_torus_pair(R: float, c: float, J, M: int, Q: int):
     """Refined NLS torus at amplitude sqrt(xi), xi = R^2, plus the KG torus
-    with exactly matching gauge-shifted frequency: `_nls_torus` then
-    `_kg_torus`, whose RuntimeErrors it raises."""
+    at the same omega: `_nls_torus` then `_kg_torus`, whose RuntimeErrors it
+    raises."""
     emb_nls, rep_nls = _nls_torus(R, tuple(sorted(J)), M, Q)
     emb_kg, rep_kg = _kg_torus(emb_nls, rep_nls, R, c)
     return emb_nls, emb_kg, rep_nls, rep_kg
 
 
 def fit_loglog(x, y) -> float:
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
     return float(np.polyfit(np.log(x), np.log(y), 1)[0])
 
 
@@ -545,9 +545,9 @@ def scaling_study(R: float, c_list, sigma: float, T: float = 1e3,
     """Gauge distance between frequency-matched refined tori over c, and its
     log-log slope; inadmissible c (< R^{-73/72}) are rejected, and fewer
     than two converged rows leave the slope None with a warning.  The NLS
-    torus is refined once per study.  Each
-    converged row carries the KG solve's Newton iterations, defect history,
-    smallest singular value and coefficient error bound defect / sigma_min."""
+    torus is refined once per study.  Each converged row carries the KG
+    solve's Newton iterations, defect history, smallest singular value and
+    coefficient error bound defect / sigma_min."""
     J, params = tuple(sorted(J)), SpaceParams(a=0.0, p=5.0, beta=0.0, M=M)
     # neither the threshold nor the NLS torus depends on c
     c_adm = predicted_bounds(R, 1.0, sigma)["c_admissible"]
@@ -558,14 +558,13 @@ def scaling_study(R: float, c_list, sigma: float, T: float = 1e3,
                          "distance": None})
             continue
         nls = nls or _nls_torus(R, J, M, Q)
-        emb_nls = nls[0]
         try:
             emb_kg, rep_kg = _kg_torus(*nls, R, c)
         except RuntimeError as exc:
             rows.append({"c": c, "admissible": True, "converged": False,
                          "distance": None, "error": str(exc)})
             continue
-        _, sup = gauge_distance(emb_kg, emb_nls, params, c, sigma, T,
+        _, sup = gauge_distance(emb_kg, nls[0], params, c, sigma, T,
                                 n_samples)
         smin = rep_kg.smallest_singular_value
         rows.append({"c": c, "admissible": True, "converged": True,

@@ -315,8 +315,9 @@ def test_matched_pair_and_gauge_distance():
     R, c, M = 1e-2, 150.0, 12
     emb_nls, emb_kg, rep_nls, rep_kg = matched_torus_pair(R, c, (1,), M, 3)
     assert rep_nls.converged and rep_kg.converged
-    # frequencies differ by exactly the gauge shift c^2
-    assert np.max(np.abs(emb_kg.omega - (emb_nls.omega - c * c))) < 1e-9
+    # one frame: the KG torus carries the NLS omega, its angles flow at
+    # omega - c^2
+    assert np.array_equal(emb_kg.omega, emb_nls.omega)
     params = SpaceParams(a=0.0, p=5.0, beta=0.0, M=M)
     trace, sup = gauge_distance(emb_kg, emb_nls, params, c, 1.0, 50.0, 64)
     assert trace.shape == (64,)
@@ -325,9 +326,10 @@ def test_matched_pair_and_gauge_distance():
 
 
 def first_order_kg_xi(emb_kg, c):
-    """xi with A xi = -omega_KG - lambda_J: the first-order KG map."""
+    """xi with A xi = -omega - nu_J: the first-order KG map, omega in the
+    frame rotating at c^2."""
     model = build_model(c, emb_kg.J, emb_kg.M, 1e-2)
-    return np.linalg.solve(model.A, -emb_kg.omega - model.lam_J)
+    return np.linalg.solve(model.A, -emb_kg.omega - model.nu_J)
 
 
 def test_kg_torus_keeps_its_first_order_amplitude():
@@ -356,6 +358,34 @@ def test_two_mode_kg_torus_from_the_amplitude_map():
     assert rep_kg.converged and rep_kg.iterations < 4
     xi = first_order_kg_xi(emb_kg, 240.0)
     assert np.all(xi > 0)
+
+
+@pytest.mark.parametrize("J,M,c", [((1,), 16, 150.0), ((1, 2), 8, 240.0)])
+def test_matched_pair_carries_one_omega(J, M, c):
+    # the KG torus is seeded with, and keeps, the NLS torus's omega itself
+    emb_nls, emb_kg, _, rep_kg = matched_torus_pair(1e-2, c, J, M, 3)
+    assert rep_kg.converged
+    assert np.array_equal(emb_kg.omega, emb_nls.omega)
+
+
+@pytest.mark.parametrize("c", [8000.0, 16000.0])
+def test_two_mode_pair_converges_at_large_c(c):
+    # in the frame rotating at c^2 no gauge harmonic meets c^2; with the
+    # frequency stored as omega - c^2 this pair stalled in the line search
+    _, _, _, rep_kg = matched_torus_pair(1e-2, c, (1, 2), 8, 3)
+    assert rep_kg.converged and rep_kg.final_defect < 1e-10
+
+
+def test_large_c_rows_converge_on_one_gauge_law():
+    # criterion 10's study at c = 4000, 8000 and 16000: every row converges
+    # and c^2 times the distance settles (74.04, 74.05, 74.05); with the
+    # frequency stored as omega - c^2, c = 4000 read 63.0 and the larger c
+    # stalled
+    rep = scaling_study(1e-2, [4000.0, 8000.0, 16000.0], 1.0, T=1e3, J=(1,),
+                        M=16, Q=3, n_samples=256)
+    assert all(row["converged"] for row in rep["rows"])
+    scaled = [row["c"] ** 2 * row["distance"] for row in rep["rows"]]
+    assert max(scaled) - min(scaled) <= 1e-3 * min(scaled)
 
 
 def test_unsorted_modes_give_the_tori_of_the_sorted_ones():
@@ -399,7 +429,7 @@ def test_embedding_store_is_one_coefficient_per_supported_harmonic():
 
 def test_refine_rejects_a_kg_torus_below_q3():
     # the KG cubic puts harmonic 3 e_n on mode 3 j_n, which Q = 2 cannot hold
-    emb = linear_torus([1e-4], (1,), 8, 2, [-0.5 - 150.0 ** 2])
+    emb = linear_torus([1e-4], (1,), 8, 2, [-0.5])
     with pytest.raises(ValueError, match="Q >= 3"):
         refine_torus(emb, TruncatedSystem(kind="kg", M=8, c=150.0))
 
