@@ -360,10 +360,10 @@ def test_two_mode_kg_torus_from_the_amplitude_map():
     assert np.all(xi > 0)
 
 
-@pytest.mark.parametrize("J,M,c", [((1,), 16, 150.0), ((1, 2), 8, 240.0)])
-def test_matched_pair_carries_one_omega(J, M, c):
+def test_two_mode_pair_carries_one_omega():
     # the KG torus is seeded with, and keeps, the NLS torus's omega itself
-    emb_nls, emb_kg, _, rep_kg = matched_torus_pair(1e-2, c, J, M, 3)
+    # (the one-mode case is `test_matched_pair_and_gauge_distance`)
+    emb_nls, emb_kg, _, rep_kg = matched_torus_pair(1e-2, 240.0, (1, 2), 8, 3)
     assert rep_kg.converged
     assert np.array_equal(emb_kg.omega, emb_nls.omega)
 
